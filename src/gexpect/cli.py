@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -63,21 +64,32 @@ class RunConfig:
                 f"unknown scenario(s) {', '.join(unknown)}; valid names: "
                 + ", ".join(SCENARIO_NAMES))
         for name in ("alpha", "t", "tol"):
-            if getattr(self, name) <= 0:
-                raise GExpectError(f"{name} must be positive")
+            if not _finite_positive(getattr(self, name)):
+                raise GExpectError(f"{name} must be finite and positive")
         for name in ("h", "half_width", "dt"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise GExpectError(f"{name} must be positive when given")
+            if v is not None and not _finite_positive(v):
+                raise GExpectError(f"{name} must be finite and positive when given")
+        try:
+            self.interval()
+        except ValueError as exc:
+            raise GExpectError(f"sigma-low-sq/sigma-high-sq: {exc}") from None
         if self.refine < 0:
             raise GExpectError("refine must be >= 0")
         if self.report not in ("csv", "md"):
             raise GExpectError("report must be 'csv' or 'md'")
 
+    def interval(self) -> UncertaintyInterval:
+        # a horizon t != 1 is equivalent to scaling every variance interval by t
+        return UncertaintyInterval(self.sigma_low_sq * self.t, self.sigma_high_sq * self.t)
+
+
+def _finite_positive(v) -> bool:
+    return math.isfinite(v) and v > 0
+
 
 def _dispatch(name: str, cfg: RunConfig, solver: SolverConfig) -> ScenarioOutcome:
-    # a horizon t != 1 is equivalent to scaling every variance interval by t
-    iv = UncertaintyInterval(cfg.sigma_low_sq * cfg.t, cfg.sigma_high_sq * cfg.t)
+    iv = cfg.interval()
     if name == "asymmetric-independence":
         return run_asymmetric_independence(iv, iv, cfg=solver)
     if name == "linear-combination":

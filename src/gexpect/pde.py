@@ -5,6 +5,14 @@ axis; cross terms (hull generators) use the upwinded 9-point splitting.
 Boundary nodes keep zero discrete curvature (linear extrapolation), so no
 flux is generated there, and the domain is truncated wide enough that the
 Gaussian-type tail of the initial data cannot reach the evaluation point.
+
+Every diagonal step -- full box solves, one step of ``step_diag`` and the
+batched last-axis sweeps of the nested recursion -- runs through one kernel,
+``_advance_diag``; hull solves run through ``_advance_hull``. Both advance a
+C-contiguous array in place, allocate their work buffers once per solve
+and use only ``out=`` ufuncs inside the step loop. Their results are
+bit-identical to the allocating form of the same scheme (a fresh zero
+increment per step, one sign-selected product per axis or generator).
 """
 
 from __future__ import annotations
@@ -21,6 +29,17 @@ from .testfuncs import TestFunction
 _TAIL_FACTOR = 8.0
 _CFL_SAFETY = 0.4
 _SHELL = 3  # nodes adjacent to each boundary tracked for influence
+_SHELL_NODES = np.r_[1:_SHELL + 1, -_SHELL - 1:-1]
+
+
+def _step_count(t: float, dt: float) -> int:
+    return max(1, math.ceil(t / dt - 1e-12))
+
+
+def _require_finite_positive(**values):
+    for name, v in values.items():
+        if v is not None and not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, got {v}")
 
 
 @dataclass(frozen=True)
@@ -34,10 +53,8 @@ class SolverConfig:
     refine: str | None = "coarsen"  # None | "coarsen" | "halve"
 
     def __post_init__(self):
-        for name in ("h", "half_width", "dt"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive")
+        _require_finite_positive(h=self.h, half_width=self.half_width, dt=self.dt,
+                                 target_tol=self.target_tol)
         if self.refine not in (None, "coarsen", "halve"):
             raise ValueError("refine must be None, 'coarsen' or 'halve'")
 
@@ -60,11 +77,13 @@ class GridSpec:
         object.__setattr__(self, "half_width", hw)
         if len(hw) != self.dims:
             raise ValueError("half_width must have one entry per axis")
-        if self.h <= 0 or self.dt <= 0 or self.time_horizon < 0:
-            raise ValueError("need h > 0, dt > 0, time_horizon >= 0")
+        _require_finite_positive(h=self.h, dt=self.dt)
+        if not (math.isfinite(self.time_horizon) and self.time_horizon >= 0):
+            raise ValueError(f"time_horizon must be finite and >= 0, got {self.time_horizon}")
         for L in hw:
+            _require_finite_positive(half_width=L)
             cells = L / self.h
-            if L <= 0 or abs(cells - round(cells)) > 1e-9 or round(cells) < 8:
+            if abs(cells - round(cells)) > 1e-9 or round(cells) < 8:
                 raise ValueError(f"half width {L} must be an integer multiple >= 8 of h={self.h}")
 
     def axis(self, i: int) -> np.ndarray:
@@ -73,7 +92,7 @@ class GridSpec:
 
     @property
     def steps(self) -> int:
-        return max(1, math.ceil(self.time_horizon / self.dt - 1e-12))
+        return _step_count(self.time_horizon, self.dt)
 
 
 @dataclass(frozen=True)
@@ -136,57 +155,86 @@ def _check_monotone(dt: float, h: float, weight: float):
         )
 
 
-def _second_diff(u: np.ndarray, axis: int) -> np.ndarray:
-    d = np.zeros_like(u)
-    mid = [slice(None)] * u.ndim
-    lo, hi = list(mid), list(mid)
-    mid[axis], lo[axis], hi[axis] = slice(1, -1), slice(None, -2), slice(2, None)
-    d[tuple(mid)] = u[tuple(hi)] - 2.0 * u[tuple(mid)] + u[tuple(lo)]
-    return d
-
-
 def _shell_max(arr: np.ndarray, axes) -> float:
     best = 0.0
     for ax in axes:
         if arr.shape[ax] < 2 * (_SHELL + 1):
             return float(np.abs(arr).max())
-        front, back = [slice(None)] * arr.ndim, [slice(None)] * arr.ndim
-        front[ax] = slice(1, _SHELL + 1)
-        back[ax] = slice(-_SHELL - 1, -1)
-        best = max(best, float(np.abs(arr[tuple(front)]).max()),
-                   float(np.abs(arr[tuple(back)]).max()))
+        shell = np.take(arr, _SHELL_NODES, axis=ax)  # both ends in one gather
+        best = max(best, float(np.abs(shell, out=shell).max()))
     return best
 
 
-def step_diag(u: np.ndarray, intervals, h: float, dt: float) -> np.ndarray:
-    """One explicit step of du/dt = sum_i Gbar_i(d2u/dx_i^2); monotone under CFL."""
-    ivs = list(intervals)
-    weight = sum(iv.sigma_high_sq for iv in ivs)
-    _check_monotone(dt, h, weight)
+def _axis_slices(ndim: int, axis: int):
+    """(interior, lower neighbour, upper neighbour) index tuples along axis."""
+    mid = [slice(None)] * ndim
+    lo, hi = list(mid), list(mid)
+    mid[axis], lo[axis], hi[axis] = slice(1, -1), slice(None, -2), slice(2, None)
+    return tuple(mid), tuple(lo), tuple(hi)
+
+
+def _advance_diag(u: np.ndarray, intervals, axes, h: float, dt: float, steps: int) -> float:
+    """Advance u in place by `steps` explicit steps of du/dt = sum_k Gbar_k(d2u/dx_k^2),
+    interval k acting along axis axes[k]; other axes are passive batch axes.
+
+    Buffers are allocated once; each step runs on out= ufuncs only. Returns
+    the largest update seen in the boundary shells (boundary influence).
+    """
+    ivs, axes = list(intervals), list(axes)
+    _check_monotone(dt, h, sum(iv.sigma_high_sq for iv in ivs))
+    lam = dt / (h * h)
     incr = np.zeros_like(u)
-    offset = u.ndim - len(ivs)  # leading axes are passive batch axes
-    for i, iv in enumerate(ivs):
-        d = _second_diff(u, offset + i)
-        incr += np.where(d > 0.0, 0.5 * iv.sigma_high_sq * d, 0.5 * iv.sigma_low_sq * d)
-    return u + (dt / (h * h)) * incr
-
-
-def _run_diag(u0: np.ndarray, intervals, grid: GridSpec, diffusing_axes) -> tuple:
-    ivs = list(intervals)
-    weight = sum(iv.sigma_high_sq for iv in ivs)
-    _check_monotone(grid.dt, grid.h, weight)
-    lam = grid.dt / (grid.h * grid.h)
-    u = np.array(u0, dtype=float)
+    work = []
+    for k, (iv, ax) in enumerate(zip(ivs, axes)):
+        mid, lo, hi = _axis_slices(u.ndim, ax)
+        shape = u[mid].shape
+        flux = incr[mid] if k == 0 else np.empty(shape)
+        work.append((mid, lo, hi, 0.5 * iv.sigma_low_sq, 0.5 * iv.sigma_high_sq,
+                     np.empty(shape), np.empty(shape), flux))
+    # the first axis writes its flux straight into the interior of incr; the
+    # later axes add theirs on top, also onto the first axis' two end faces,
+    # which are cleared each step (they carry no flux of their own)
+    faces = []
+    if len(axes) > 1:
+        for end in (0, -1):
+            face = [slice(None)] * u.ndim
+            face[axes[0]] = end
+            faces.append(tuple(face))
+    # the allocating form of the scheme sums each increment onto zeros
+    # (0.0 + flux is never -0.0), so its u holds no -0.0 after one step;
+    # clearing -0.0 from u once here keeps the in-place steps bit-identical
+    # to it, zero signs included
+    u += 0.0
     binfl = 0.0
-    for _ in range(grid.steps):
-        incr = np.zeros_like(u)
-        for iv, ax in zip(ivs, diffusing_axes):
-            d = _second_diff(u, ax)
-            incr += np.where(d > 0.0, 0.5 * iv.sigma_high_sq * d, 0.5 * iv.sigma_low_sq * d)
+    for _ in range(steps):
+        for f in faces:
+            incr[f] = 0.0
+        for k, (mid, lo, hi, c_lo, c_hi, d, d_hi, flux) in enumerate(work):
+            np.multiply(u[mid], 2.0, out=d)
+            np.subtract(u[hi], d, out=d)
+            np.add(d, u[lo], out=d)
+            # Gbar(d) = max(c_lo d, c_hi d) since c_lo <= c_hi: the same
+            # product as selecting on the sign of d, without a masked pass
+            np.multiply(d, c_hi, out=d_hi)
+            np.multiply(d, c_lo, out=d)
+            np.maximum(d, d_hi, out=flux)
+            if k:
+                np.add(incr[mid], flux, out=incr[mid])
         incr *= lam
-        binfl = max(binfl, _shell_max(incr, diffusing_axes))
+        binfl = max(binfl, _shell_max(incr, axes))
         u += incr
-    return u, binfl
+    return binfl
+
+
+def step_diag(u: np.ndarray, intervals, h: float, dt: float) -> np.ndarray:
+    """One explicit step of du/dt = sum_i Gbar_i(d2u/dx_i^2); monotone under CFL.
+
+    The intervals act on the trailing axes of u; leading axes are batch axes.
+    """
+    ivs = list(intervals)
+    out = np.array(u, dtype=float, order="C")
+    _advance_diag(out, ivs, range(out.ndim - len(ivs), out.ndim), h, dt, 1)
+    return out
 
 
 def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float, t: float,
@@ -195,14 +243,16 @@ def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float, t: floa
 
     Returns (final array, boundary influence, steps taken).
     """
+    u = np.array(u0, dtype=float, order="C")
     if t == 0.0:
-        return np.array(u0, dtype=float), 0.0, 0
+        return u, 0.0, 0
     if dt is None:
         dt = _CFL_SAFETY * h * h / max(iv.sigma_high_sq, 1e-300)
-    dt = t / max(1, math.ceil(t / dt - 1e-12))
-    grid = GridSpec(half_width=(8 * h,), h=h, dims=1, time_horizon=t, dt=dt)  # dt/steps carrier
-    u, binfl = _run_diag(u0, [iv], grid, [u0.ndim - 1])
-    return u, binfl, grid.steps
+    _require_finite_positive(h=h, t=t, dt=dt)
+    dt = t / _step_count(t, dt)
+    steps = _step_count(t, dt)
+    binfl = _advance_diag(u, [iv], [u.ndim - 1], h, dt, steps)
+    return u, binfl, steps
 
 
 def _interp_multilinear(u: np.ndarray, axes, point) -> float:
@@ -219,7 +269,7 @@ def _interp_multilinear(u: np.ndarray, axes, point) -> float:
 def _eval_initial(phi: TestFunction, grid: GridSpec) -> np.ndarray:
     axes = [grid.axis(i) for i in range(grid.dims)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    u0 = np.asarray(phi(*mesh), dtype=float)
+    u0 = np.array(phi(*mesh), dtype=float, order="C")  # stepped in place
     if not np.all(np.isfinite(u0)):
         raise GExpectError("initial data evaluates to non-finite values on the grid")
     return u0
@@ -263,8 +313,8 @@ def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, t: float, x0=None,
     own_grid = grid is None
     if own_grid:
         grid = build_grid(sig_sqs, phi, t, x0, cfg)
-    u0 = _eval_initial(phi, grid)
-    u, binfl = _run_diag(u0, box.intervals, grid, range(n))
+    u = _eval_initial(phi, grid)
+    binfl = _advance_diag(u, box.intervals, range(n), grid.h, grid.dt, grid.steps)
     value = _interp_multilinear(u, [grid.axis(i) for i in range(n)], x0)
     report = SolveReport(value, binfl, None, grid.steps, degenerate)
     if own_grid:
@@ -276,19 +326,55 @@ def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, t: float, x0=None,
     return report
 
 
-def _hull_fluxes(u: np.ndarray, gens, h: float) -> np.ndarray:
+def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int) -> float:
+    """Advance the 2D array u in place by `steps` explicit steps of the flux max
+    over the hull generators (upwinded 9-point cross stencil); boundary nodes
+    stay fixed. Buffers are allocated once. Returns the boundary influence."""
+    shape = (u.shape[0] - 2, u.shape[1] - 2)
     c = u[1:-1, 1:-1]
-    dxx = u[2:, 1:-1] - 2.0 * c + u[:-2, 1:-1]
-    dyy = u[1:-1, 2:] - 2.0 * c + u[1:-1, :-2]
-    plus = u[2:, 2:] + u[:-2, :-2] + 2.0 * c - u[2:, 1:-1] - u[:-2, 1:-1] - u[1:-1, 2:] - u[1:-1, :-2]
-    minus = u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2] - 2.0 * c - u[2:, :-2] - u[:-2, 2:]
-    best = None
-    for b in gens:
-        b12 = b[0, 1]
-        cross = b12 * (plus if b12 >= 0 else minus)
-        flux = 0.5 * (b[0, 0] * dxx + b[1, 1] * dyy) + 0.5 * cross
-        best = flux if best is None else np.maximum(best, flux)
-    return best / (h * h)
+    xp, xm, yp, ym = u[2:, 1:-1], u[:-2, 1:-1], u[1:-1, 2:], u[1:-1, :-2]
+    two_c, dxx, dyy, best, flux, cross = (np.empty(shape) for _ in range(6))
+    # plus serves generators with b12 >= 0, minus those with b12 < 0
+    plus = np.empty(shape) if any(b[0, 1] >= 0 for b in gens) else None
+    minus = np.empty(shape) if any(b[0, 1] < 0 for b in gens) else None
+    binfl = 0.0
+    for _ in range(steps):
+        np.multiply(c, 2.0, out=two_c)
+        np.subtract(xp, two_c, out=dxx)
+        dxx += xm
+        np.subtract(yp, two_c, out=dyy)
+        dyy += ym
+        if plus is not None:
+            np.add(u[2:, 2:], u[:-2, :-2], out=plus)
+            plus += two_c
+            plus -= xp
+            plus -= xm
+            plus -= yp
+            plus -= ym
+        if minus is not None:
+            np.add(xp, xm, out=minus)
+            minus += yp
+            minus += ym
+            minus -= two_c
+            minus -= u[2:, :-2]
+            minus -= u[:-2, 2:]
+        for k, b in enumerate(gens):
+            out = flux if k else best
+            # 0.5 * (b00 dxx + b11 dyy) + 0.5 * (b01 * plus|minus), in this op order
+            np.multiply(dxx, b[0, 0], out=out)
+            np.multiply(dyy, b[1, 1], out=cross)
+            out += cross
+            out *= 0.5
+            np.multiply(plus if b[0, 1] >= 0 else minus, b[0, 1], out=cross)
+            cross *= 0.5
+            out += cross
+            if k:
+                np.maximum(best, flux, out=best)
+        best /= h * h
+        best *= dt
+        binfl = max(binfl, _shell_max(best, (0, 1)))
+        c += best
+    return binfl
 
 
 def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, t: float, x0=None,
@@ -317,11 +403,7 @@ def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, t: float, x0=None,
         grid = build_grid(sig_sqs, phi, t, x0, cfg, cfl_denominator=weight)
     _check_monotone(grid.dt, grid.h, weight)
     u = _eval_initial(phi, grid)
-    binfl = 0.0
-    for _ in range(grid.steps):
-        incr = grid.dt * _hull_fluxes(u, hull.generators, grid.h)
-        binfl = max(binfl, _shell_max(incr, (0, 1)))
-        u[1:-1, 1:-1] += incr
+    binfl = _advance_hull(u, hull.generators, grid.h, grid.dt, grid.steps)
     value = _interp_multilinear(u, [grid.axis(0), grid.axis(1)], x0)
     report = SolveReport(value, binfl, None, grid.steps, degenerate)
     if own_grid:

@@ -1,4 +1,5 @@
 import csv
+import math
 
 import pytest
 
@@ -46,6 +47,21 @@ class TestParseArgs:
             RunConfig(report="pdf")
         with pytest.raises(GExpectError):
             RunConfig(refine=-1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize("name", ["alpha", "t", "tol", "h", "half_width", "dt"])
+def test_run_config_rejects_non_finite(name, bad):
+    with pytest.raises(GExpectError, match=name):
+        RunConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("flags", [["--h", "nan"], ["--t", "inf"], ["--sigma-low-sq", "5"]])
+def test_bad_flags_exit_2_without_traceback(flags, capsys):
+    assert main(["run", "--scenario", "invertible-scan"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestExecute:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gexpect import pde
 from gexpect.errors import CFLViolation, DimensionMismatch, GExpectError
 from gexpect.gamma import ConvexHull, DiagonalBox, UncertaintyInterval
 from gexpect.pde import (GridSpec, SolverConfig, build_grid, diffuse_last_axis,
@@ -32,6 +33,39 @@ class TestGridSpec:
     def test_steps_cover_horizon(self):
         g = GridSpec(half_width=(2.0,), h=0.25, dims=1, time_horizon=1.0, dt=0.3)
         assert g.steps == 4
+
+
+BAD_VALUES = [math.nan, math.inf, -math.inf, 0.0]
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+@pytest.mark.parametrize("name", ["h", "half_width", "dt", "target_tol"])
+def test_solver_config_rejects_non_finite(name, bad):
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("bad", BAD_VALUES)
+@pytest.mark.parametrize("name", ["h", "dt", "half_width"])
+def test_grid_spec_rejects_non_finite(name, bad):
+    kwargs = dict(half_width=(2.0,), h=0.25, dims=1, time_horizon=1.0, dt=0.01)
+    kwargs[name] = (bad,) if name == "half_width" else bad
+    with pytest.raises(ValueError):
+        GridSpec(**kwargs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_grid_spec_rejects_bad_horizon(bad):
+    with pytest.raises(ValueError, match="time_horizon"):
+        GridSpec(half_width=(2.0,), h=0.25, dims=1, time_horizon=bad, dt=0.01)
+
+
+@pytest.mark.parametrize("kwargs", [dict(h=math.nan), dict(h=0.0), dict(t=-1.0),
+                                    dict(t=math.inf), dict(dt=math.nan)])
+def test_diffuse_last_axis_rejects_bad_settings(kwargs):
+    args = dict(h=0.2, t=1.0, dt=None) | kwargs
+    with pytest.raises(ValueError, match="finite and positive"):
+        diffuse_last_axis(np.zeros((3, 21)), IV, **args)
 
 
 class TestBuildGrid:
@@ -162,3 +196,134 @@ class TestSolveHull:
 def test_boundary_influence_is_small_on_sized_grids():
     rep = solve_gheat_1d(IV, ABS, 1.0, cfg=SolverConfig(h=0.2, refine=None))
     assert 0.0 <= rep.boundary_influence_estimate < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the in-place kernels against the allocating form of the scheme, written out
+# term by term: fresh zero increments, np.where selection, temporaries
+
+
+def _ref_second_diff(u, axis):
+    d = np.zeros_like(u)
+    mid = [slice(None)] * u.ndim
+    lo, hi = list(mid), list(mid)
+    mid[axis], lo[axis], hi[axis] = slice(1, -1), slice(None, -2), slice(2, None)
+    d[tuple(mid)] = u[tuple(hi)] - 2.0 * u[tuple(mid)] + u[tuple(lo)]
+    return d
+
+
+def _ref_shell_max(arr, axes):
+    best = 0.0
+    for ax in axes:
+        if arr.shape[ax] < 2 * (pde._SHELL + 1):
+            return float(np.abs(arr).max())
+        front, back = [slice(None)] * arr.ndim, [slice(None)] * arr.ndim
+        front[ax] = slice(1, pde._SHELL + 1)
+        back[ax] = slice(-pde._SHELL - 1, -1)
+        best = max(best, float(np.abs(arr[tuple(front)]).max()),
+                   float(np.abs(arr[tuple(back)]).max()))
+    return best
+
+
+def _ref_run_diag(u0, ivs, h, dt, steps, axes):
+    lam = dt / (h * h)
+    u = np.array(u0, dtype=float)
+    binfl = 0.0
+    for _ in range(steps):
+        incr = np.zeros_like(u)
+        for iv, ax in zip(ivs, axes):
+            d = _ref_second_diff(u, ax)
+            incr += np.where(d > 0.0, 0.5 * iv.sigma_high_sq * d, 0.5 * iv.sigma_low_sq * d)
+        incr *= lam
+        binfl = max(binfl, _ref_shell_max(incr, axes))
+        u += incr
+    return u, binfl
+
+
+def _ref_hull_fluxes(u, gens, h):
+    c = u[1:-1, 1:-1]
+    dxx = u[2:, 1:-1] - 2.0 * c + u[:-2, 1:-1]
+    dyy = u[1:-1, 2:] - 2.0 * c + u[1:-1, :-2]
+    plus = u[2:, 2:] + u[:-2, :-2] + 2.0 * c - u[2:, 1:-1] - u[:-2, 1:-1] - u[1:-1, 2:] - u[1:-1, :-2]
+    minus = u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2] - 2.0 * c - u[2:, :-2] - u[:-2, 2:]
+    best = None
+    for b in gens:
+        b12 = b[0, 1]
+        cross = b12 * (plus if b12 >= 0 else minus)
+        flux = 0.5 * (b[0, 0] * dxx + b[1, 1] * dyy) + 0.5 * cross
+        best = flux if best is None else np.maximum(best, flux)
+    return best / (h * h)
+
+
+def _ref_run_hull(u0, gens, h, dt, steps):
+    u = np.array(u0, dtype=float)
+    binfl = 0.0
+    for _ in range(steps):
+        incr = dt * _ref_hull_fluxes(u, gens, h)
+        binfl = max(binfl, _ref_shell_max(incr, (0, 1)))
+        u[1:-1, 1:-1] += incr
+    return u, binfl
+
+
+def _rough(shape, seed):
+    # kinked data: both signs of every second difference occur; -0.0 entries
+    # and a zero lower variance make zero signs part of the comparison
+    rng = np.random.default_rng(seed)
+    u = np.abs(rng.standard_normal(shape)).cumsum(axis=-1) * rng.choice([-1.0, 1.0], shape)
+    u[rng.random(shape) < 0.2] = -0.0
+    return u
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+KERNEL_IVS = (UncertaintyInterval(0.0, 2.0), UncertaintyInterval(1.0, 4.0),
+              UncertaintyInterval(0.5, 0.5))
+
+
+class TestKernelEquivalence:
+    @pytest.mark.parametrize("shape", [(41,), (23, 31), (6, 29), (13, 11, 17)])
+    def test_box_matches_reference(self, shape):
+        ivs = KERNEL_IVS[:len(shape)]
+        h = 0.2
+        dt = 0.4 * h * h / sum(iv.sigma_high_sq for iv in ivs)
+        u0 = _rough(shape, len(shape))
+        want, want_b = _ref_run_diag(u0, ivs, h, dt, 25, range(len(shape)))
+        got = u0.copy()
+        got_b = pde._advance_diag(got, ivs, range(len(shape)), h, dt, 25)
+        assert _same_bits(got, want)
+        assert got_b == want_b
+
+    def test_step_diag_batch_axis(self):
+        u0 = _rough((5, 19, 21), 7)
+        ivs = KERNEL_IVS[:2]
+        h, dt = 0.25, 0.4 * 0.25**2 / 6.0
+        want, _ = _ref_run_diag(u0, ivs, h, dt, 1, (1, 2))
+        got = step_diag(u0, ivs, h, dt)
+        assert _same_bits(got, want)
+        assert np.array_equal(u0, _rough((5, 19, 21), 7))  # input untouched
+
+    def test_diffuse_last_axis_transposed_input(self):
+        base = _rough((17, 9, 23), 11)
+        u0 = np.transpose(base, (2, 0, 1))  # F-ordered view, as _nested_value passes
+        assert not u0.flags.c_contiguous
+        h, t = 0.2, 0.3
+        out, binfl, steps = diffuse_last_axis(u0, IV, h, t)
+        dt = t / math.ceil(t / (0.4 * h * h / IV.sigma_high_sq) - 1e-12)
+        want, want_b = _ref_run_diag(u0, [IV], h, dt, steps, [2])
+        assert _same_bits(out, want)
+        assert binfl == want_b
+        assert np.array_equal(u0, np.transpose(_rough((17, 9, 23), 11), (2, 0, 1)))
+
+    def test_hull_both_cross_signs(self):
+        gens = (np.array([[2.0, 1.0], [1.0, 1.5]]), np.array([[1.0, -0.5], [-0.5, 3.0]]),
+                np.diag([4.0, 1.0]))
+        h = 0.2
+        dt = 0.4 * h * h / max(float(np.abs(b).sum()) for b in gens)
+        u0 = _rough((27, 33), 5)
+        want, want_b = _ref_run_hull(u0, gens, h, dt, 30)
+        got = u0.copy()
+        got_b = pde._advance_hull(got, gens, h, dt, 30)
+        assert _same_bits(got, want)
+        assert got_b == want_b
