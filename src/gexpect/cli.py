@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GExpectError
 from .gamma import UncertaintyInterval
 from .pde import SolverConfig
-from .scenarios import (ScenarioOutcome, run_asymmetric_independence,
+from .scenarios import (run_asymmetric_independence,
                         run_diag_not_indep, run_invertible_scan,
                         run_linear_combination, run_linear_image,
                         run_quadratic_form, run_reverse_independence_witness,
@@ -30,16 +30,22 @@ from .scenarios import (ScenarioOutcome, run_asymmetric_independence,
 
 CSV_COLUMNS = ("scenario", "label", "value", "error_estimate", "assertion", "pass", "margin")
 
-SCENARIO_NAMES = (
-    "asymmetric-independence",
-    "linear-combination",
-    "linear-image",
-    "symmetry-identity",
-    "diag-not-indep",
-    "quadratic-form",
-    "reverse-independence",
-    "invertible-scan",
-)
+# catalog order: name -> runner(iv, alpha, solver config). The lambdas look the
+# runners up in this module when called, so a patched cli.run_* is used.
+SCENARIOS = {
+    "asymmetric-independence": lambda iv, alpha, s: run_asymmetric_independence(iv, iv, cfg=s),
+    "linear-combination": lambda iv, alpha, s: run_linear_combination(iv, cfg=s),
+    "linear-image": lambda iv, alpha, s: run_linear_image(
+        iv, np.array([[1.0, 2.0], [0.0, 1.0]]), [3.0, -2.0], cfg=s),
+    "symmetry-identity": lambda iv, alpha, s: run_symmetry_identity(iv, alpha=alpha, cfg=s),
+    "diag-not-indep": lambda iv, alpha, s: run_diag_not_indep(iv, cfg=s),
+    "quadratic-form": lambda iv, alpha, s: run_quadratic_form(
+        (iv, iv), np.array([[1.0, 0.5], [0.5, -1.0]]), cfg=s),
+    "reverse-independence": lambda iv, alpha, s: run_reverse_independence_witness(
+        (iv, iv), 0, 1, cfg=s),
+    "invertible-scan": lambda iv, alpha, s: run_invertible_scan(iv, cfg=s),
+}
+SCENARIO_NAMES = tuple(SCENARIOS)
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,8 @@ class RunConfig:
             raise GExpectError(f"sigma-low-sq/sigma-high-sq: {exc}") from None
         if self.refine < 0:
             raise GExpectError("refine must be >= 0")
+        if self.refine > 0 and self.h is None:
+            raise GExpectError("refine needs h: levels run at h/2, ..., h/2^refine")
         if self.report not in ("csv", "md"):
             raise GExpectError("report must be 'csv' or 'md'")
 
@@ -86,27 +94,6 @@ class RunConfig:
 
 def _finite_positive(v) -> bool:
     return math.isfinite(v) and v > 0
-
-
-def _dispatch(name: str, cfg: RunConfig, solver: SolverConfig) -> ScenarioOutcome:
-    iv = cfg.interval()
-    if name == "asymmetric-independence":
-        return run_asymmetric_independence(iv, iv, cfg=solver)
-    if name == "linear-combination":
-        return run_linear_combination(iv, cfg=solver)
-    if name == "linear-image":
-        return run_linear_image(iv, np.array([[1.0, 2.0], [0.0, 1.0]]), [3.0, -2.0], cfg=solver)
-    if name == "symmetry-identity":
-        return run_symmetry_identity(iv, alpha=cfg.alpha, cfg=solver)
-    if name == "diag-not-indep":
-        return run_diag_not_indep(iv, cfg=solver)
-    if name == "quadratic-form":
-        return run_quadratic_form((iv, iv), np.array([[1.0, 0.5], [0.5, -1.0]]), cfg=solver)
-    if name == "reverse-independence":
-        return run_reverse_independence_witness((iv, iv), 0, 1, cfg=solver)
-    if name == "invertible-scan":
-        return run_invertible_scan(iv, cfg=solver)
-    raise GExpectError(f"unknown scenario {name}")
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -123,34 +110,28 @@ def _worker_count(n_jobs: int) -> int:
 
 
 def run_scenarios(cfg: RunConfig):
-    """Run the selected scenarios; results come back in catalog order."""
+    """Run the selected scenarios, then each --refine level at h/2^k, all on
+    one thread pool; outcomes (level 0) come back in catalog order."""
+    iv = cfg.interval()
     solver = SolverConfig(h=cfg.h, half_width=cfg.half_width, dt=cfg.dt, target_tol=cfg.tol)
+    levels = [solver] + [replace(solver, h=cfg.h / 2**k, dt=None)
+                         for k in range(1, cfg.refine + 1)]
     names = [s for s in SCENARIO_NAMES if s in cfg.scenarios]
-    workers = _worker_count(len(names))
-    if workers == 1:
-        outcomes = [_dispatch(n, cfg, solver) for n in names]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_dispatch, n, cfg, solver) for n in names]
-            outcomes = [f.result() for f in futures]
+    jobs = [(n, lv) for lv in levels for n in names]
+    with ThreadPoolExecutor(max_workers=_worker_count(len(jobs))) as pool:
+        results = list(pool.map(lambda job: SCENARIOS[job[0]](iv, cfg.alpha, job[1]), jobs))
+    outcomes = results[:len(names)]
 
     deltas = {}
     if cfg.refine > 0:
-        base_h = cfg.h if cfg.h is not None else 0.2
-        per_name = {n: [o.quantities] for n, o in zip(names, outcomes)}
-        for level in range(1, cfg.refine + 1):
-            fine = replace(solver, h=base_h / 2**level, dt=None)
-            for n in names:
-                per_name[n].append(_dispatch(n, cfg, fine).quantities)
-        for n in names:
-            levels = per_name[n]
-            for i, q in enumerate(levels[0]):
+        for j, out in enumerate(outcomes):
+            per_level = [r.quantities for r in results[j::len(names)]]
+            for i, q in enumerate(per_level[0]):
                 row = []
-                for lv in range(1, len(levels)):
-                    prev, cur = levels[lv - 1], levels[lv]
+                for prev, cur in zip(per_level, per_level[1:]):
                     row.append(abs(cur[i].value - prev[i].value)
                                if i < len(cur) and cur[i].label == prev[i].label else float("nan"))
-                deltas[(n, q.label)] = row
+                deltas[(out.name, q.label)] = row
     return outcomes, deltas
 
 
@@ -229,7 +210,7 @@ def parse_args(argv) -> RunConfig:
     run.add_argument("--t", type=float, default=None, help="time horizon (default 1)")
     run.add_argument("--tol", type=float, default=None, help="solver target tolerance")
     run.add_argument("--refine", type=int, default=None, metavar="K",
-                     help="rerun at h, h/2, ..., h/2^K and append refinement deltas")
+                     help="rerun at h, h/2, ..., h/2^K and append refinement deltas (needs --h)")
     run.add_argument("--out", default=None, help="report file path (default: stdout only)")
     run.add_argument("--report", choices=("csv", "md"), default=None)
     ns = parser.parse_args(argv)

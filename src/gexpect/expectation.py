@@ -11,7 +11,7 @@ variance is known a priori.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_hermite
@@ -20,7 +20,7 @@ from .errors import DimensionMismatch, GExpectError
 from .gamma import (ConvexHull, DiagonalBox, GammaSet, Interval1D, RankOneFamily,
                     UncertaintyInterval, image_gamma)
 from .pde import (SolverConfig, SolveReport, build_grid, diffuse_last_axis,
-                  solve_gheat_diag, solve_gheat_hull)
+                  refinement_delta, solve_gheat_diag, solve_gheat_hull)
 from .testfuncs import TestFunction, linear_pullback
 
 _GH_NODES = 64
@@ -260,12 +260,7 @@ def expect_sequential(intervals, phi: TestFunction, order=None,
         raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
 
     value, binfl, steps, h = _nested_value(intervals, order, phi, cfg)
-    delta = None
-    if cfg.refine is not None:
-        factor = 2.0 if cfg.refine == "coarsen" else 0.5
-        coarse_cfg = replace(cfg, refine=None, h=h * factor, dt=None)
-        other, _, _, _ = _nested_value(intervals, order, phi, coarse_cfg)
-        delta = abs(value - other)
+    delta = refinement_delta(value, h, cfg, lambda c: _nested_value(intervals, order, phi, c)[0])
     rep = SolveReport(value, binfl, delta, steps,
                       degenerate=any(iv.sigma_low_sq == 0.0 for iv in intervals))
     return ExpectationResult(value, _report_error(rep), "nested", (rep,))

@@ -13,6 +13,11 @@ C-contiguous array in place, allocate their work buffers once per solve
 and use only ``out=`` ufuncs inside the step loop. Their results are
 bit-identical to the allocating form of the same scheme (a fresh zero
 increment per step, one sign-selected product per axis or generator).
+
+The box and hull solvers check their own set, then share one skeleton,
+``_solve`` (which returns phi(x0) when t = 0 or every variance is zero).
+Every refinement delta, nested recursions included, is one re-solve at 2h
+by ``refinement_delta``.
 """
 
 from __future__ import annotations
@@ -50,13 +55,13 @@ class SolverConfig:
     half_width: float | None = None
     dt: float | None = None
     target_tol: float = 1e-3
-    refine: str | None = "coarsen"  # None | "coarsen" | "halve"
+    refine: bool = True  # report |u_h - u_2h| as refinement_delta
 
     def __post_init__(self):
         _require_finite_positive(h=self.h, half_width=self.half_width, dt=self.dt,
                                  target_tol=self.target_tol)
-        if self.refine not in (None, "coarsen", "halve"):
-            raise ValueError("refine must be None, 'coarsen' or 'halve'")
+        if not isinstance(self.refine, bool):
+            raise ValueError(f"refine must be True or False, got {self.refine!r}")
 
 
 @dataclass(frozen=True)
@@ -275,25 +280,42 @@ def _eval_initial(phi: TestFunction, grid: GridSpec) -> np.ndarray:
     return u0
 
 
-def _with_refinement(report: SolveReport, solve_again, cfg: SolverConfig) -> SolveReport:
-    if cfg.refine is None:
-        return report
-    factor = 2.0 if cfg.refine == "coarsen" else 0.5
-    other = solve_again(replace(cfg, refine=None, h=None, dt=None), factor)
-    delta = abs(report.value_at_origin - other.value_at_origin)
-    return replace(report, refinement_delta=delta)
+def refinement_delta(value: float, h: float, cfg: SolverConfig, solve_at) -> float | None:
+    """|value - solve_at(cfg at 2h, dt re-derived, refinement off)|, or None
+    when cfg.refine is off."""
+    if not cfg.refine:
+        return None
+    return abs(value - solve_at(replace(cfg, refine=False, h=2.0 * h, dt=None)))
+
+
+def _solve(phi: TestFunction, t: float, x0, cfg: SolverConfig, sig_sqs, degenerate: bool,
+           advance, solve_at, cfl_denominator: float | None = None) -> SolveReport:
+    """Solve skeleton shared by the box and hull solvers: grid, initial data,
+    advance(u, grid) -> boundary influence, interpolation at x0, and the
+    refinement re-solve solve_at(cfg) -> value (see refinement_delta)."""
+    if t < 0:
+        raise GExpectError("time horizon must be nonnegative")
+    x0 = np.zeros(len(sig_sqs)) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
+    if t == 0.0 or max(sig_sqs) == 0.0:
+        return SolveReport(float(phi(*x0)), 0.0, 0.0 if cfg.refine else None, 0, degenerate)
+    grid = build_grid(sig_sqs, phi, t, x0, cfg, cfl_denominator)
+    u = _eval_initial(phi, grid)
+    binfl = advance(u, grid)
+    value = _interp_multilinear(u, [grid.axis(i) for i in range(grid.dims)], x0)
+    return SolveReport(value, binfl, refinement_delta(value, grid.h, cfg, solve_at),
+                       grid.steps, degenerate)
 
 
 def solve_gheat_1d(iv: UncertaintyInterval, phi: TestFunction, t: float, x0: float = 0.0,
-                   grid: GridSpec | None = None, cfg: SolverConfig = SolverConfig()) -> SolveReport:
+                   cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """u(t, x0) for du/dt = Gbar(u_xx), u(0, .) = phi."""
     if phi.arity != 1:
         raise DimensionMismatch("solve_gheat_1d needs a 1-argument test function")
-    return solve_gheat_diag(DiagonalBox((iv,)), phi, t, [x0], grid=grid, cfg=cfg)
+    return solve_gheat_diag(DiagonalBox((iv,)), phi, t, [x0], cfg=cfg)
 
 
 def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, t: float, x0=None,
-                     grid: GridSpec | None = None, cfg: SolverConfig = SolverConfig()) -> SolveReport:
+                     cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """u(t, x0) for du/dt = sum_i Gbar_i(d2u/dx_i^2) on a tensor grid."""
     if isinstance(box, Interval1D):
         box = DiagonalBox((box.interval,))
@@ -302,34 +324,24 @@ def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, t: float, x0=None,
         raise DimensionMismatch(f"diagonal solver supports dimension <= 3, got {n}")
     if phi.arity != n:
         raise DimensionMismatch(f"phi takes {phi.arity} arguments but the box has dimension {n}")
-    if t < 0:
-        raise GExpectError("time horizon must be nonnegative")
-    x0 = np.zeros(n) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-    degenerate = any(iv.sigma_low_sq == 0.0 for iv in box.intervals)
-    if t == 0.0 or all(iv.sigma_high_sq == 0.0 for iv in box.intervals):
-        return SolveReport(float(phi(*x0)), 0.0, 0.0 if cfg.refine else None, 0, degenerate)
+    return _solve(
+        phi, t, x0, cfg, [iv.sigma_high_sq for iv in box.intervals],
+        any(iv.sigma_low_sq == 0.0 for iv in box.intervals),
+        lambda u, g: _advance_diag(u, box.intervals, range(n), g.h, g.dt, g.steps),
+        lambda c: solve_gheat_diag(box, phi, t, x0, cfg=c).value_at_origin,
+    )
 
-    sig_sqs = [iv.sigma_high_sq for iv in box.intervals]
-    own_grid = grid is None
-    if own_grid:
-        grid = build_grid(sig_sqs, phi, t, x0, cfg)
-    u = _eval_initial(phi, grid)
-    binfl = _advance_diag(u, box.intervals, range(n), grid.h, grid.dt, grid.steps)
-    value = _interp_multilinear(u, [grid.axis(i) for i in range(n)], x0)
-    report = SolveReport(value, binfl, None, grid.steps, degenerate)
-    if own_grid:
-        report = _with_refinement(
-            report,
-            lambda c, f: solve_gheat_diag(box, phi, t, x0, cfg=replace(c, h=grid.h * f)),
-            cfg,
-        )
-    return report
+
+def _hull_weight(gens) -> float:
+    # off-center stencil weight (times h^2) of the widest generator
+    return max(float(np.abs(b).sum()) for b in gens)
 
 
 def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int) -> float:
     """Advance the 2D array u in place by `steps` explicit steps of the flux max
     over the hull generators (upwinded 9-point cross stencil); boundary nodes
     stay fixed. Buffers are allocated once. Returns the boundary influence."""
+    _check_monotone(dt, h, _hull_weight(gens))
     shape = (u.shape[0] - 2, u.shape[1] - 2)
     c = u[1:-1, 1:-1]
     xp, xm, yp, ym = u[2:, 1:-1], u[:-2, 1:-1], u[1:-1, 2:], u[1:-1, :-2]
@@ -378,38 +390,22 @@ def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int) -> float
 
 
 def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, t: float, x0=None,
-                     grid: GridSpec | None = None, cfg: SolverConfig = SolverConfig()) -> SolveReport:
+                     cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """2D solve with flux max over hull generators (Kushner 9-point stencil)."""
     if hull.dim != 2:
         raise DimensionMismatch("hull solver is 2D only")
     if phi.arity != 2:
         raise DimensionMismatch("phi must take 2 arguments")
-    if t < 0:
-        raise GExpectError("time horizon must be nonnegative")
-    for b in hull.generators:
+    gens = hull.generators
+    for b in gens:
         if b[0, 0] - abs(b[0, 1]) < -1e-12 or b[1, 1] - abs(b[0, 1]) < -1e-12:
             raise GExpectError(
                 f"hull generator is not diagonally dominant (scheme would lose monotonicity):\n{b}"
             )
-    x0 = np.zeros(2) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-    degenerate = any(np.linalg.eigvalsh(b).min() <= 1e-12 for b in hull.generators)
-    if t == 0.0:
-        return SolveReport(float(phi(*x0)), 0.0, 0.0 if cfg.refine else None, 0, degenerate)
-
-    sig_sqs = [max(b[i, i] for b in hull.generators) for i in range(2)]
-    weight = max(float(np.abs(b).sum()) for b in hull.generators)
-    own_grid = grid is None
-    if own_grid:
-        grid = build_grid(sig_sqs, phi, t, x0, cfg, cfl_denominator=weight)
-    _check_monotone(grid.dt, grid.h, weight)
-    u = _eval_initial(phi, grid)
-    binfl = _advance_hull(u, hull.generators, grid.h, grid.dt, grid.steps)
-    value = _interp_multilinear(u, [grid.axis(0), grid.axis(1)], x0)
-    report = SolveReport(value, binfl, None, grid.steps, degenerate)
-    if own_grid:
-        report = _with_refinement(
-            report,
-            lambda c, f: solve_gheat_hull(hull, phi, t, x0, cfg=replace(c, h=grid.h * f)),
-            cfg,
-        )
-    return report
+    return _solve(
+        phi, t, x0, cfg, [max(b[i, i] for b in gens) for i in range(2)],
+        any(np.linalg.eigvalsh(b).min() <= 1e-12 for b in gens),
+        lambda u, g: _advance_hull(u, gens, g.h, g.dt, g.steps),
+        lambda c: solve_gheat_hull(hull, phi, t, x0, cfg=c).value_at_origin,
+        cfl_denominator=_hull_weight(gens),
+    )

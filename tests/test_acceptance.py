@@ -81,7 +81,7 @@ def test_criterion_04_linear_combination():
 @pytest.mark.parametrize("alpha", [1.0, 4.0])
 def test_criterion_05_symmetry_identity(alpha):
     box = DiagonalBox((IV, IV.scaled(alpha)))
-    cfg = SolverConfig(refine=None) if alpha == 1.0 else SolverConfig(h=0.12, refine=None)
+    cfg = SolverConfig(refine=False) if alpha == 1.0 else SolverConfig(h=0.12, refine=False)
     p = expect_gnormal(box, YX_SQUARED, cfg=cfg).value
     q = expect_gnormal(box, XY_SQUARED, cfg=cfg).value
     gap = abs(math.sqrt(alpha) * p - q)
@@ -91,7 +91,7 @@ def test_criterion_05_symmetry_identity(alpha):
 
 
 def test_criterion_06_quadratic_form_closed_form():
-    cfg = SolverConfig(h=0.2, refine=None)  # quadratic data is grid-exact
+    cfg = SolverConfig(h=0.2, refine=False)  # quadratic data is grid-exact
     matrices = [np.diag([1.0, -1.0]), np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]),
                 np.array([[1.0, 0.5], [0.5, -1.0]]), np.array([[2.0, 1.0], [1.0, 0.0]])]
     box = DiagonalBox((IV, IV))
@@ -161,7 +161,7 @@ def test_criterion_09_diagonal_image_predicate():
 
 
 def test_criterion_10_property_suites():
-    cfg = SolverConfig(h=0.25, refine=None)
+    cfg = SolverConfig(h=0.25, refine=False)
     iv1d = Interval1D(IV)
     rng = np.random.default_rng(7)
 
@@ -197,13 +197,13 @@ def test_criterion_10_property_suites():
                        growth_const=20.0)
     functionals = [
         ("third moment, nested", lambda h: expect_sequential(
-            (IV, IV), XY_SQUARED, cfg=SolverConfig(h=h, refine=None)).value),
+            (IV, IV), XY_SQUARED, cfg=SolverConfig(h=h, refine=False)).value),
         ("third moment, 2D box", lambda h: expect_gnormal(
-            DiagonalBox((IV, IV)), XY_SQUARED, cfg=SolverConfig(h=h, refine=None)).value),
+            DiagonalBox((IV, IV)), XY_SQUARED, cfg=SolverConfig(h=h, refine=False)).value),
         ("linear combination", lambda h: expect_sequential(
-            (IV, IV), uv2, cfg=SolverConfig(h=h, refine=None)).value),
+            (IV, IV), uv2, cfg=SolverConfig(h=h, refine=False)).value),
         ("kinked 1D", lambda h: expect_gnormal(
-            iv1d, ABS, cfg=SolverConfig(h=h, refine=None)).value),
+            iv1d, ABS, cfg=SolverConfig(h=h, refine=False)).value),
     ]
     for name, f in functionals:
         v = [f(h) for h in (0.4, 0.2, 0.1)]

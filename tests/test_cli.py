@@ -1,5 +1,7 @@
 import csv
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -123,3 +125,29 @@ def test_render_report_csv_roundtrip():
     rows = [list(CSV_COLUMNS), ["s", "l", "1", "0", "", "", ""]]
     text = render_report(rows, "csv")
     assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
+def test_refine_without_h_exits_2_without_traceback(capsys):
+    with pytest.raises(GExpectError, match="refine needs h"):
+        RunConfig(refine=1)
+    assert main(["run", "--scenario", "asymmetric-independence", "--refine", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_readme_scenario_table_lists_the_catalog():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    names = re.findall(r"^\| `([a-z-]+)` \|", readme.read_text(encoding="utf-8"), re.M)
+    assert tuple(names) == SCENARIO_NAMES
+
+
+def test_refine_rows_same_with_one_thread_and_auto(monkeypatch):
+    cfg = RunConfig(scenarios=("asymmetric-independence", "quadratic-form"), h=0.25, refine=1)
+    rows = []
+    for threads in ("1", "0"):
+        monkeypatch.setenv("GEXPECT_THREADS", threads)
+        outcomes, deltas = run_scenarios(cfg)
+        rows.append(outcome_rows(outcomes, deltas, cfg.refine))
+    assert rows[0] == rows[1]
+    assert rows[0][0][-1] == "refinement_delta_1" and len(rows[0]) > 10

@@ -17,7 +17,7 @@ from gexpect.testfuncs import (ABS, NEG_SQUARE, POS_PART, SQUARE, QUARTIC,
                                XY_SQUARED, YX_SQUARED, TestFunction)
 
 IV = UncertaintyInterval(1.0, 4.0)
-FAST = SolverConfig(h=0.2, refine=None)
+FAST = SolverConfig(h=0.2, refine=False)
 
 # frozen closed forms for sigma_high = 2: E|2Z| = 2 sqrt(2/pi), E[(2Z)^+] = 2/sqrt(2pi)
 ABS_MOMENT = 1.5957691216057308
@@ -148,3 +148,11 @@ def test_mean_certainty_check():
     report = mean_certainty_check(Sequential((IV, IV)), psi, alpha=2.0, cfg=FAST)
     assert report.passed
     assert report.with_term == pytest.approx(report.without_term, abs=report.tolerance)
+
+
+def test_zero_2d_linear_image_is_phi_at_origin():
+    # the image set is the zero singleton, a hull: X = 0, so E[phi(X)] = phi(0)
+    phi = TestFunction(lambda x, y: (x + 1.0) * (y + 2.0), arity=2, growth_order=2,
+                       growth_const=4.0)
+    res = expect(LinearImage(np.zeros((2, 2)), GNormal(DiagonalBox((IV, IV)))), phi)
+    assert (res.value, res.error_estimate) == (2.0, 0.0)

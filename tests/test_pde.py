@@ -5,7 +5,7 @@ import pytest
 
 from gexpect import pde
 from gexpect.errors import CFLViolation, DimensionMismatch, GExpectError
-from gexpect.gamma import ConvexHull, DiagonalBox, UncertaintyInterval
+from gexpect.gamma import ConvexHull, DiagonalBox, UncertaintyInterval, singleton_zero
 from gexpect.pde import (GridSpec, SolverConfig, build_grid, diffuse_last_axis,
                          solve_gheat_1d, solve_gheat_diag, solve_gheat_hull,
                          step_diag)
@@ -13,7 +13,7 @@ from gexpect.testfuncs import (ABS, IDENTITY, NEG_SQUARE, QUARTIC, SQUARE,
                                XY, XY_SQUARED, TestFunction)
 
 IV = UncertaintyInterval(1.0, 4.0)
-FAST = SolverConfig(h=0.2, refine=None)
+FAST = SolverConfig(h=0.2, refine=False)
 
 
 class TestGridSpec:
@@ -96,7 +96,7 @@ class TestSolve1D:
         assert abs(rep.value_at_origin) < 1e-12
 
     def test_quartic_moment(self):
-        rep = solve_gheat_1d(IV, QUARTIC, 1.0, cfg=SolverConfig(refine=None))
+        rep = solve_gheat_1d(IV, QUARTIC, 1.0, cfg=SolverConfig(refine=False))
         assert rep.value_at_origin == pytest.approx(48.0, rel=2e-3)
 
     def test_shifted_start_and_time_scaling(self):
@@ -172,14 +172,14 @@ def test_diffuse_last_axis_matches_full_solve():
 class TestSolveHull:
     def test_singleton_cross_term(self):
         hull = ConvexHull((np.array([[2.0, 1.0], [1.0, 2.0]]),))
-        rep = solve_gheat_hull(hull, XY, 1.0, cfg=SolverConfig(h=0.25, refine=None))
+        rep = solve_gheat_hull(hull, XY, 1.0, cfg=SolverConfig(h=0.25, refine=False))
         assert rep.value_at_origin == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_diag_on_diagonal_generators(self):
         hull = ConvexHull(tuple(np.diag([a, b]) for a in (1.0, 4.0) for b in (1.0, 4.0)))
-        rh = solve_gheat_hull(hull, XY_SQUARED, 1.0, cfg=SolverConfig(h=0.25, refine=None))
+        rh = solve_gheat_hull(hull, XY_SQUARED, 1.0, cfg=SolverConfig(h=0.25, refine=False))
         rd = solve_gheat_diag(DiagonalBox((IV, IV)), XY_SQUARED, 1.0,
-                              cfg=SolverConfig(h=0.25, refine=None))
+                              cfg=SolverConfig(h=0.25, refine=False))
         assert rh.value_at_origin == pytest.approx(rd.value_at_origin, abs=1e-9)
 
     def test_rejects_non_dominant_generator(self):
@@ -194,7 +194,7 @@ class TestSolveHull:
 
 
 def test_boundary_influence_is_small_on_sized_grids():
-    rep = solve_gheat_1d(IV, ABS, 1.0, cfg=SolverConfig(h=0.2, refine=None))
+    rep = solve_gheat_1d(IV, ABS, 1.0, cfg=SolverConfig(h=0.2, refine=False))
     assert 0.0 <= rep.boundary_influence_estimate < 1e-3
 
 
@@ -327,3 +327,15 @@ class TestKernelEquivalence:
         got_b = pde._advance_hull(got, gens, h, dt, 30)
         assert _same_bits(got, want)
         assert got_b == want_b
+
+
+def test_hull_with_zero_variance_returns_phi_at_x0():
+    rep = solve_gheat_hull(singleton_zero(2), XY, 1.0, x0=[1.5, -2.0])
+    assert (rep.value_at_origin, rep.refinement_delta, rep.steps_taken) == (-3.0, 0.0, 0)
+    assert rep.degenerate
+
+
+@pytest.mark.parametrize("refine", ["coarsen", "halve", None, 1])
+def test_refine_must_be_a_bool(refine):
+    with pytest.raises(ValueError, match="refine"):
+        SolverConfig(refine=refine)

@@ -9,7 +9,7 @@ from gexpect.gamma import (ConvexHull, DiagonalBox, Interval1D,
 from gexpect.pde import SolverConfig, step_diag
 from gexpect.testfuncs import TestFunction
 
-FAST = SolverConfig(h=0.25, refine=None)
+FAST = SolverConfig(h=0.25, refine=False)
 
 intervals = st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)).map(
     lambda p: UncertaintyInterval(min(p), max(p)))
