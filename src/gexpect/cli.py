@@ -11,17 +11,16 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import GExpectError
 from .gamma import UncertaintyInterval
-from .pde import SolverConfig
+from .pde import SolverConfig, _require_finite_positive
 from .scenarios import (run_asymmetric_independence,
                         run_diag_not_indep, run_invertible_scan,
                         run_linear_combination, run_linear_image,
@@ -69,17 +68,12 @@ class RunConfig:
             raise GExpectError(
                 f"unknown scenario(s) {', '.join(unknown)}; valid names: "
                 + ", ".join(SCENARIO_NAMES))
-        for name in ("alpha", "t", "tol"):
-            if not _finite_positive(getattr(self, name)):
-                raise GExpectError(f"{name} must be finite and positive")
-        for name in ("h", "half_width", "dt"):
-            v = getattr(self, name)
-            if v is not None and not _finite_positive(v):
-                raise GExpectError(f"{name} must be finite and positive when given")
         try:
+            _require_finite_positive(alpha=self.alpha, t=self.t)
+            self.solver()
             self.interval()
         except ValueError as exc:
-            raise GExpectError(f"sigma-low-sq/sigma-high-sq: {exc}") from None
+            raise GExpectError(str(exc)) from None
         if self.refine < 0:
             raise GExpectError("refine must be >= 0")
         if self.refine > 0 and self.h is None:
@@ -89,11 +83,10 @@ class RunConfig:
 
     def interval(self) -> UncertaintyInterval:
         # a horizon t != 1 is equivalent to scaling every variance interval by t
-        return UncertaintyInterval(self.sigma_low_sq * self.t, self.sigma_high_sq * self.t)
+        return UncertaintyInterval(self.sigma_low_sq, self.sigma_high_sq).scaled(self.t)
 
-
-def _finite_positive(v) -> bool:
-    return math.isfinite(v) and v > 0
+    def solver(self) -> SolverConfig:
+        return SolverConfig(h=self.h, half_width=self.half_width, dt=self.dt, target_tol=self.tol)
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -113,7 +106,7 @@ def run_scenarios(cfg: RunConfig):
     """Run the selected scenarios, then each --refine level at h/2^k, all on
     one thread pool; outcomes (level 0) come back in catalog order."""
     iv = cfg.interval()
-    solver = SolverConfig(h=cfg.h, half_width=cfg.half_width, dt=cfg.dt, target_tol=cfg.tol)
+    solver = cfg.solver()
     levels = [solver] + [replace(solver, h=cfg.h / 2**k, dt=None)
                          for k in range(1, cfg.refine + 1)]
     names = [s for s in SCENARIO_NAMES if s in cfg.scenarios]
@@ -169,24 +162,45 @@ def render_report(rows, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_config_file(path: str) -> dict:
-    """key = value lines; '#' starts a comment; keys match the CLI flags."""
+def _names(text: str) -> list:
+    return [name.strip() for name in text.split(",")]
+
+
+def _read_config_file(path: str, flags) -> dict:
+    """key = value lines; '#' starts a comment. A key is a run flag's name or
+    its dest ('-' and '_' alike), and its value converts through that flag's
+    type and choices. Returns {dest: value}."""
+    keys = {}
+    for action in flags:
+        for name in (action.option_strings[0].lstrip("-"), action.dest):
+            keys.setdefault(name.replace("_", "-"), action)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GExpectError(f"cannot read config file {path}: {exc}") from None
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise GExpectError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, val = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = val
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise GExpectError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, val = (part.strip() for part in line.split("=", 1))
+        action = keys.get(key.replace("_", "-"))
+        if action is None:
+            raise GExpectError(f"{path}:{lineno}: unknown key {key!r}; valid keys: "
+                               + ", ".join(keys))
+        try:
+            value = (action.type or str)(val)
+        except ValueError:
+            raise GExpectError(f"{path}:{lineno}: {key}: expected {action.type.__name__}, "
+                               f"got {val!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise GExpectError(f"{path}:{lineno}: {key}: expected one of "
+                               f"{', '.join(action.choices)}, got {val!r}")
+        values[action.dest] = value
     return values
-
-
-_NUMERIC_KEYS = {"sigma_low_sq": float, "sigma_high_sq": float, "alpha": float,
-                 "h": float, "half_width": float, "dt": float, "t": float,
-                 "tol": float, "refine": int}
 
 
 def parse_args(argv) -> RunConfig:
@@ -196,49 +210,36 @@ def parse_args(argv) -> RunConfig:
                     "random vectors under sublinear expectation.")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run scenarios and write a report")
-    run.add_argument("--scenario", action="append", default=None, metavar="NAME",
-                     help="scenario name or 'all' (repeatable); names: "
-                          + ", ".join(SCENARIO_NAMES))
-    run.add_argument("--config", default=None, help="key=value config file; flags override it")
-    run.add_argument("--sigma-low-sq", type=float, default=None)
-    run.add_argument("--sigma-high-sq", type=float, default=None)
-    run.add_argument("--alpha", type=float, default=None)
-    run.add_argument("--h", type=float, default=None, help="grid spacing override")
-    run.add_argument("--L", dest="half_width", type=float, default=None,
-                     help="spatial half-width override")
-    run.add_argument("--dt", type=float, default=None, help="time step override")
-    run.add_argument("--t", type=float, default=None, help="time horizon (default 1)")
-    run.add_argument("--tol", type=float, default=None, help="solver target tolerance")
-    run.add_argument("--refine", type=int, default=None, metavar="K",
-                     help="rerun at h, h/2, ..., h/2^K and append refinement deltas (needs --h)")
-    run.add_argument("--out", default=None, help="report file path (default: stdout only)")
-    run.add_argument("--report", choices=("csv", "md"), default=None)
+    run.add_argument("--config", default=None,
+                     help="config file of 'flag = value' lines; flags override it")
+    flags = [
+        run.add_argument("--scenario", action="extend", type=_names, default=None,
+                         metavar="NAME", help="scenario names, comma-separated, or 'all' "
+                                              "(repeatable); names: " + ", ".join(SCENARIO_NAMES)),
+        run.add_argument("--sigma-low-sq", type=float, default=None),
+        run.add_argument("--sigma-high-sq", type=float, default=None),
+        run.add_argument("--alpha", type=float, default=None),
+        run.add_argument("--h", type=float, default=None, help="grid spacing override"),
+        run.add_argument("--L", dest="half_width", type=float, default=None,
+                         help="spatial half-width override"),
+        run.add_argument("--dt", type=float, default=None, help="time step override"),
+        run.add_argument("--t", type=float, default=None, help="time horizon (default 1)"),
+        run.add_argument("--tol", type=float, default=None, help="solver target tolerance"),
+        run.add_argument("--refine", type=int, default=None, metavar="K",
+                         help="rerun at h, h/2, ..., h/2^K and append refinement deltas "
+                              "(needs --h)"),
+        run.add_argument("--out", default=None, help="report file path (default: stdout only)"),
+        run.add_argument("--report", choices=("csv", "md"), default=None),
+    ]
     ns = parser.parse_args(argv)
 
-    values = _read_config_file(ns.config) if ns.config else {}
-    kwargs = {}
-    for key, conv in _NUMERIC_KEYS.items():
-        if key in values:
-            try:
-                kwargs[key] = conv(values[key])
-            except ValueError:
-                raise GExpectError(f"config key {key}: expected a number, got {values[key]!r}")
-    if "out" in values:
-        kwargs["out"] = values["out"]
-    if "report" in values:
-        kwargs["report"] = values["report"]
-    if "scenario" in values:
-        kwargs["scenarios"] = tuple(s.strip() for s in values["scenario"].split(","))
-
-    field_names = {f.name for f in fields(RunConfig)}
-    for key in ns.__dict__:
-        if key in field_names and ns.__dict__[key] is not None:
-            kwargs[key] = ns.__dict__[key]
-    if ns.scenario is not None:
-        kwargs["scenarios"] = tuple(ns.scenario)
-    if "scenarios" in kwargs and "all" in kwargs["scenarios"]:
-        kwargs["scenarios"] = SCENARIO_NAMES
-    return RunConfig(**kwargs)
+    values = _read_config_file(ns.config, flags) if ns.config else {}
+    values.update((a.dest, getattr(ns, a.dest)) for a in flags
+                  if getattr(ns, a.dest) is not None)
+    scenarios = values.pop("scenario", None)
+    if scenarios is not None:
+        values["scenarios"] = SCENARIO_NAMES if "all" in scenarios else tuple(scenarios)
+    return RunConfig(**values)
 
 
 def execute(cfg: RunConfig) -> int:

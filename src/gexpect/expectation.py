@@ -19,7 +19,7 @@ from scipy.special import roots_hermite
 from .errors import DimensionMismatch, GExpectError
 from .gamma import (ConvexHull, DiagonalBox, GammaSet, Interval1D, RankOneFamily,
                     UncertaintyInterval, image_gamma)
-from .pde import (SolverConfig, SolveReport, build_grid, diffuse_last_axis,
+from .pde import (SolverConfig, SolveReport, _eval_initial, build_grid, diffuse_last_axis,
                   refinement_delta, solve_gheat_diag, solve_gheat_hull)
 from .testfuncs import TestFunction, linear_pullback
 
@@ -185,39 +185,31 @@ def convex_oracle_1d(iv: UncertaintyInterval, phi: TestFunction) -> float:
 # G-normal expectations
 
 
-def expect_gnormal(gamma: GammaSet, phi: TestFunction, t: float = 1.0, x0=None,
+def expect_gnormal(gamma: GammaSet, phi: TestFunction,
                    cfg: SolverConfig = SolverConfig()) -> ExpectationResult:
-    """E^[phi(x0 + sqrt(t) X)] for X ~ N(0, gamma), via the matching solver."""
+    """E^[phi(X)] for X ~ N(0, gamma), via the matching solver.
+
+    A rank-one family {u r u^T} is the law of u S with S ~ N(0, r), so it is
+    the 1D solve of phi pulled back along u; a 1D hull is the box of its
+    variance range.
+    """
     if phi.arity != gamma.dim:
         raise DimensionMismatch(f"phi takes {phi.arity} arguments but X has dimension {gamma.dim}")
-    if isinstance(gamma, Interval1D):
-        gamma = DiagonalBox((gamma.interval,))
-    if isinstance(gamma, DiagonalBox):
-        rep = solve_gheat_diag(gamma, phi, t, x0, cfg=cfg)
-        return ExpectationResult(rep.value_at_origin, _report_error(rep), "pde", (rep,))
-    if isinstance(gamma, ConvexHull):
-        if gamma.dim == 1:
-            vals = [float(b[0, 0]) for b in gamma.generators]
-            iv = UncertaintyInterval(min(vals), max(vals))
-            return expect_gnormal(Interval1D(iv), phi, t, x0, cfg)
+    if isinstance(gamma, RankOneFamily):
+        phi = linear_pullback(phi, gamma.direction.reshape(-1, 1))
+        gamma = DiagonalBox((gamma.scalar_range,))
+    elif isinstance(gamma, ConvexHull) and gamma.dim == 1:
+        vals = [float(b[0, 0]) for b in gamma.generators]
+        gamma = DiagonalBox((UncertaintyInterval(min(vals), max(vals)),))
+    if isinstance(gamma, (Interval1D, DiagonalBox)):
+        rep = solve_gheat_diag(gamma, phi, 1.0, cfg=cfg)
+    elif isinstance(gamma, ConvexHull):
         if gamma.dim != 2:
             raise DimensionMismatch("convex-hull sets are solvable in dimension 2 only")
-        rep = solve_gheat_hull(gamma, phi, t, x0, cfg=cfg)
-        return ExpectationResult(rep.value_at_origin, _report_error(rep), "pde", (rep,))
-    if isinstance(gamma, RankOneFamily):
-        u = gamma.direction
-        shift = np.zeros(u.size) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-        f = phi.fn
-        scaled = TestFunction(
-            fn=lambda s: f(*(shift[i] + u[i] * np.asarray(s, dtype=float) for i in range(u.size))),
-            arity=1,
-            growth_order=phi.growth_order,
-            growth_const=phi.growth_const * (1.0 + float(np.linalg.norm(u)) + float(np.abs(shift).sum())) ** (phi.growth_order + 1),
-            name=f"{phi.name} on ray" if phi.name else "",
-        )
-        rep = solve_gheat_diag(DiagonalBox((gamma.scalar_range,)), scaled, t, [0.0], cfg=cfg)
-        return ExpectationResult(rep.value_at_origin, _report_error(rep), "pde", (rep,))
-    raise GExpectError(f"uncertainty set {type(gamma).__name__} is not solvable")
+        rep = solve_gheat_hull(gamma, phi, 1.0, cfg=cfg)
+    else:
+        raise GExpectError(f"uncertainty set {type(gamma).__name__} is not solvable")
+    return ExpectationResult(rep.value_at_origin, _report_error(rep), "pde", (rep,))
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +219,8 @@ def expect_gnormal(gamma: GammaSet, phi: TestFunction, t: float = 1.0, x0=None,
 def _nested_value(intervals, order, phi, cfg: SolverConfig):
     n = len(intervals)
     probe = build_grid([iv.sigma_high_sq for iv in intervals], phi, 1.0, None, cfg)
-    axes = [probe.axis(i) for i in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    u = np.asarray(phi(*mesh), dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise GExpectError("phi evaluates to non-finite values on the grid")
     # reorder axes so axis k holds the variable at sequence position k
-    u = np.transpose(u, axes=order)
+    u = np.transpose(_eval_initial(phi, probe), axes=order)
     binfl, steps = 0.0, 0
     for k in range(n - 1, -1, -1):
         iv = intervals[order[k]]

@@ -1,10 +1,14 @@
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import gexpect
 from gexpect.cli import (CSV_COLUMNS, RunConfig, SCENARIO_NAMES, execute, main,
                          outcome_rows, parse_args, render_report, run_scenarios)
 from gexpect.errors import GExpectError
@@ -42,6 +46,32 @@ class TestParseArgs:
         with pytest.raises(GExpectError, match="key = value"):
             parse_args(["run", "--config", str(bad)])
 
+    def test_config_file_rejects_unknown_keys(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("sigma-hi-sq = 9\n")
+        with pytest.raises(GExpectError, match=r"unknown key 'sigma-hi-sq'; valid keys: .*sigma-high-sq"):
+            parse_args(["run", "--config", str(cfgfile)])
+
+    @pytest.mark.parametrize("key", ["L", "half_width", "half-width"])
+    def test_config_file_L_sets_half_width(self, tmp_path, key):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{key} = 10\n")
+        assert parse_args(["run", "--config", str(cfgfile)]).half_width == 10.0
+
+    def test_config_file_values_convert_through_the_flags(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("scenario = invertible-scan, quadratic-form\nrefine = 1\nh = 0.5\n"
+                           "report = md\nout = r.md\n")
+        cfg = parse_args(["run", "--config", str(cfgfile)])
+        assert cfg.scenarios == ("invertible-scan", "quadratic-form")
+        assert parse_args(["run", "--scenario", "invertible-scan,quadratic-form"]).scenarios \
+            == cfg.scenarios  # the flag takes the same comma list
+        assert (cfg.refine, cfg.h, cfg.report, cfg.out) == (1, 0.5, "md", "r.md")
+        for bad, msg in (("refine = 1.5", "expected int"), ("report = pdf", "expected one of")):
+            cfgfile.write_text(bad + "\n")
+            with pytest.raises(GExpectError, match=msg):
+                parse_args(["run", "--config", str(cfgfile)])
+
     def test_run_config_validation(self):
         with pytest.raises(GExpectError):
             RunConfig(alpha=-1.0)
@@ -51,6 +81,12 @@ class TestParseArgs:
             RunConfig(refine=-1)
 
 
+def test_variance_error_shows_the_given_bounds():
+    # checked before the horizon t scales them
+    with pytest.raises(GExpectError, match=r"got \[5\.0, 4\.0\]"):
+        RunConfig(sigma_low_sq=5.0, t=2.0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
 @pytest.mark.parametrize("name", ["alpha", "t", "tol", "h", "half_width", "dt"])
 def test_run_config_rejects_non_finite(name, bad):
@@ -58,8 +94,15 @@ def test_run_config_rejects_non_finite(name, bad):
         RunConfig(**{name: bad})
 
 
-@pytest.mark.parametrize("flags", [["--h", "nan"], ["--t", "inf"], ["--sigma-low-sq", "5"]])
-def test_bad_flags_exit_2_without_traceback(flags, capsys):
+@pytest.mark.parametrize("flags", [
+    ["--h", "nan"], ["--t", "inf"], ["--sigma-low-sq", "5"],
+    ["--config", "{tmp}/missing.cfg"], ["--config", "{tmp}"], ["--config", "{tmp}/latin1.cfg"],
+    ["--config", "{tmp}/unknown.cfg"],
+])
+def test_bad_flags_exit_2_without_traceback(flags, tmp_path, capsys):
+    (tmp_path / "latin1.cfg").write_bytes("h = 0.5  # \u00e9\n".encode("latin-1"))
+    (tmp_path / "unknown.cfg").write_text("sigma-hi-sq = 9\n")
+    flags = [f.format(tmp=tmp_path) for f in flags]
     assert main(["run", "--scenario", "invertible-scan"] + flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -151,3 +194,14 @@ def test_refine_rows_same_with_one_thread_and_auto(monkeypatch):
         rows.append(outcome_rows(outcomes, deltas, cfg.refine))
     assert rows[0] == rows[1]
     assert rows[0][0][-1] == "refinement_delta_1" and len(rows[0]) > 10
+
+
+def test_python_dash_m_gexpect_runs_cleanly():
+    src = str(Path(gexpect.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "gexpect", "run", "--scenario", "invertible-scan"],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "[PASS] invertible-scan" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr

@@ -10,7 +10,7 @@ from gexpect.expectation import (GNormal, LinearImage, Maximal, Sequential,
                                  gauss_hermite_expectation,
                                  gauss_hermite_expectation_nd,
                                  lower_expectation, mean_certainty_check)
-from gexpect.gamma import (DiagonalBox, Interval1D, RankOneFamily,
+from gexpect.gamma import (ConvexHull, DiagonalBox, Interval1D, RankOneFamily,
                            UncertaintyInterval, rank_one_gamma)
 from gexpect.pde import SolverConfig
 from gexpect.testfuncs import (ABS, NEG_SQUARE, POS_PART, SQUARE, QUARTIC,
@@ -133,6 +133,16 @@ class TestExpectDispatch:
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch):
             expect(GNormal(Interval1D(IV)), XY_SQUARED, cfg=FAST)
+
+    def test_row_image_of_hull_is_1d_solve_over_its_variance_range(self):
+        hull = ConvexHull((np.array([[2.0, 1.0], [1.0, 2.0]]),
+                           np.array([[1.0, -0.5], [-0.5, 3.0]])))
+        w = np.array([0.8, -0.6])
+        variances = [float(w @ b @ w) for b in hull.generators]  # 2.2 and 1.04
+        res = expect(LinearImage(w.reshape(1, 2), GNormal(hull)), ABS, cfg=FAST)
+        iv = UncertaintyInterval(min(variances), max(variances))
+        direct = expect_gnormal(Interval1D(iv), ABS, cfg=FAST)
+        assert (res.value, res.error_estimate) == (direct.value, direct.error_estimate)
 
 
 def test_lower_expectation_is_conjugate():
