@@ -69,7 +69,7 @@ class RunConfig:
                 f"unknown scenario(s) {', '.join(unknown)}; valid names: "
                 + ", ".join(SCENARIO_NAMES))
         try:
-            _require_finite_positive(alpha=self.alpha, t=self.t)
+            _require_finite_positive(alpha=self.alpha, t=self.t, tol=self.tol)
             self.solver()
             self.interval()
         except ValueError as exc:
@@ -275,6 +275,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -90,7 +90,7 @@ def test_variance_error_shows_the_given_bounds():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
 @pytest.mark.parametrize("name", ["alpha", "t", "tol", "h", "half_width", "dt"])
 def test_run_config_rejects_non_finite(name, bad):
-    with pytest.raises(GExpectError, match=name):
+    with pytest.raises(GExpectError, match=f"^{name} "):
         RunConfig(**{name: bad})
 
 
