@@ -14,6 +14,16 @@ and use only ``out=`` ufuncs inside the step loop. Their results are
 bit-identical to the allocating form of the same scheme (a fresh zero
 increment per step, one sign-selected product per axis or generator).
 
+When the leading axis is a passive batch axis (the nested sweeps and
+``step_diag`` with batch axes), ``_advance_diag`` cuts it into slabs of
+whole rows of at most ``_SLAB_CELLS`` cells and runs each slab through all
+of its steps before the next, so a slab and its buffers are reused from L2
+cache instead of the whole grid streaming from memory once per step. The
+rows are independent problems and every op is elementwise, so the values
+are the same bits, and the boundary influence, a max over steps and cells,
+is the max over slabs. A 67^3 nested sweep drops from about 9 to about 6 ns per
+cell-step on a 2-vCPU Xeon with 2 MiB of L2 per core.
+
 The box and hull solvers check their own set, then share one skeleton,
 ``_solve`` (which returns phi(x0) when t = 0 or every variance is zero).
 Every refinement delta, nested recursions included, is one re-solve at 2h
@@ -35,6 +45,13 @@ _TAIL_FACTOR = 8.0
 _CFL_SAFETY = 0.4
 _SHELL = 3  # nodes adjacent to each boundary tracked for influence
 _SHELL_NODES = np.r_[1:_SHELL + 1, -_SHELL - 1:-1]
+# Rows along a passive leading axis are independent problems, so
+# _advance_diag steps them a slab at a time, sized for a 2 MiB per-core L2
+# cache: 2**16 float64 cells are 512 KiB per buffer. Of 2**14, 2**15 and
+# 2**16 cells, 2**15 and 2**16 were fastest on one thread; 2**16 makes half
+# the ufunc calls (each a GIL hand-over), and under the two-thread scenario
+# pool only 2**16 did not slow the sweeps against one pass.
+_SLAB_CELLS = 1 << 16
 
 
 def _step_count(t: float, dt: float) -> int:
@@ -182,12 +199,22 @@ def _advance_diag(u: np.ndarray, intervals, axes, h: float, dt: float, steps: in
     """Advance u in place by `steps` explicit steps of du/dt = sum_k Gbar_k(d2u/dx_k^2),
     interval k acting along axis axes[k]; other axes are passive batch axes.
 
-    Buffers are allocated once; each step runs on out= ufuncs only. Returns
-    the largest update seen in the boundary shells (boundary influence).
+    A passive leading axis is cut into slabs of whole rows of at most
+    _SLAB_CELLS cells, and each slab runs through all steps before the next
+    (see _advance_slab). Returns the largest update seen in the boundary
+    shells (boundary influence).
     """
     ivs, axes = list(intervals), list(axes)
     _check_monotone(dt, h, sum(iv.sigma_high_sq for iv in ivs))
     lam = dt / (h * h)
+    rows = len(u) if 0 in axes else max(1, _SLAB_CELLS // u[0].size)
+    return max(_advance_slab(u[i:i + rows], ivs, axes, lam, steps)
+               for i in range(0, len(u), rows))
+
+
+def _advance_slab(u: np.ndarray, ivs, axes, lam: float, steps: int) -> float:
+    """_advance_diag on one C-contiguous slab, lam = dt/h^2. Buffers are
+    allocated once; each step runs on out= ufuncs only."""
     incr = np.zeros_like(u)
     work = []
     for k, (iv, ax) in enumerate(zip(ivs, axes)):
@@ -273,7 +300,11 @@ def _interp_multilinear(u: np.ndarray, axes, point) -> float:
 
 def _eval_initial(phi: TestFunction, grid: GridSpec) -> np.ndarray:
     axes = [grid.axis(i) for i in range(grid.dims)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    # broadcast views of the axes, not full grid copies; read-only, since
+    # each one aliases a whole axis (a phi writing into one would corrupt it)
+    mesh = np.meshgrid(*axes, indexing="ij", copy=False)
+    for m in mesh:
+        m.setflags(write=False)
     u0 = np.array(phi(*mesh), dtype=float, order="C")  # stepped in place
     if not np.all(np.isfinite(u0)):
         raise GExpectError("initial data evaluates to non-finite values on the grid")

@@ -1,8 +1,8 @@
 """Evaluable test functions with declared polynomial-growth metadata.
 
 Solvers evaluate these on whole grids, so the wrapped callable must
-accept numpy arrays (one per argument, broadcast together) and return an
-array of the broadcast shape.
+accept numpy arrays (one per argument, broadcast together and read-only)
+and return an array of the broadcast shape.
 """
 
 from __future__ import annotations

@@ -1,0 +1,73 @@
+"""Calibration: error_estimate bounds the true error on every pinned closed form.
+
+Each case runs with the default SolverConfig (refinement on) and asserts
+|value - exact| <= error_estimate. Run with `pytest tests/test_calibration.py
+-v -s` to see the tightness ratio error_estimate / |value - exact| of each
+case; a ratio far above 1 is a loose bound, one below 1 a miss.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from gexpect.expectation import expect_gnormal, expect_sequential
+from gexpect.gamma import DiagonalBox, Interval1D, UncertaintyInterval, g_function
+from gexpect.testfuncs import (ABS, NEG_SQUARE, POS_PART, QUARTIC, SQUARE,
+                               XY_SQUARED, YX_SQUARED, TestFunction,
+                               linear_pullback)
+
+IV = UncertaintyInterval(1.0, 4.0)
+SIGMA_HIGH = 2.0
+
+
+def _quadratic_form(a):
+    return TestFunction(
+        fn=lambda x, y: a[0, 0] * x * x + 2 * a[0, 1] * x * y + a[1, 1] * y * y,
+        arity=2, growth_order=1, growth_const=4.0 * float(np.abs(a).sum()) + 4.0,
+        name=f"<Ax,x> A={a.tolist()}")
+
+
+def _gnormal_1d(phi, exact):
+    return f"1d {phi.name}", lambda: expect_gnormal(Interval1D(IV), phi), exact
+
+
+def _sequential(name, phi, exact):
+    return name, lambda: expect_sequential((IV, IV), phi), exact
+
+
+QUADRATIC_FORMS = [np.diag([1.0, -1.0]), np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                   np.array([[1.0, 0.5], [0.5, -1.0]]), np.array([[2.0, 1.0], [1.0, 0.0]])]
+# <v, AY> = <w, Y> with w = v^T A: the 1D G-normal law scaled by ||w||^2
+INNER_PRODUCT_ROWS = [np.array([3.0, -2.0]) @ np.array([[1.0, 2.0], [0.0, 1.0]]),
+                      np.array([1.0, 1.0]) @ np.array([[0.6, -0.8], [0.8, 0.6]]),
+                      np.array([0.0, 1.0]) @ np.array([[2.0, 0.0], [1.0, 1.0]])]
+
+CASES = [
+    # the quadrature-oracle set: convex data sees sigma_high, concave sigma_low
+    _gnormal_1d(SQUARE, 4.0),
+    _gnormal_1d(QUARTIC, 48.0),
+    _gnormal_1d(ABS, SIGMA_HIGH * math.sqrt(2.0 / math.pi)),
+    _gnormal_1d(POS_PART, SIGMA_HIGH / math.sqrt(2.0 * math.pi)),
+    _gnormal_1d(NEG_SQUARE, -1.0),
+    _sequential("E[Y1 Y2^2]", XY_SQUARED, 6.0 / math.sqrt(2.0 * math.pi)),
+    _sequential("E[Y2 Y1^2]", YX_SQUARED, 0.0),
+    *(_sequential(f"2G(A) A={a.tolist()}", _quadratic_form(a),
+                  2.0 * g_function(DiagonalBox((IV, IV)), a)) for a in QUADRATIC_FORMS),
+    *(_sequential(f"inner w=({w[0]:g}, {w[1]:g}) {phi.name}",
+                  linear_pullback(phi, w.reshape(1, -1)),
+                  moment(SIGMA_HIGH * float(np.linalg.norm(w))))
+      for w in INNER_PRODUCT_ROWS
+      for phi, moment in ((SQUARE, lambda s: s * s),
+                          (ABS, lambda s: s * math.sqrt(2.0 / math.pi)))),
+]
+
+
+@pytest.mark.parametrize("name, compute, exact", CASES, ids=[c[0] for c in CASES])
+def test_error_estimate_bounds_the_error(name, compute, exact):
+    res = compute()
+    err = abs(res.value - exact)
+    ratio = res.error_estimate / err if err else math.inf
+    print(f"\n{name}: value {res.value:.10g}, exact {exact:.10g}, error {err:.3e}, "
+          f"estimate {res.error_estimate:.3e}, tightness {ratio:.3g}")
+    assert err <= res.error_estimate

@@ -316,6 +316,49 @@ class TestKernelEquivalence:
         assert binfl == want_b
         assert np.array_equal(u0, np.transpose(_rough((17, 9, 23), 11), (2, 0, 1)))
 
+    # slabs: a passive leading axis is stepped pde._SLAB_CELLS cells at a
+    # time; the data grows along it so the boundary influence is set by the
+    # last slab, not the first
+
+    @staticmethod
+    def _slab_data(shape, seed):
+        u = _rough(shape, seed)
+        u *= np.arange(1.0, shape[0] + 1.0).reshape((-1,) + (1,) * (len(shape) - 1))
+        rows = max(1, pde._SLAB_CELLS // u[0].size)
+        assert len(u) > rows, "input must span more than one slab"
+        return u, rows
+
+    @pytest.mark.parametrize("shape, order", [((97, 29, 47), (2, 0, 1)),  # 3 slabs, last 1 row
+                                              ((250, 300), (0, 1)),  # 2 slabs, last 32 rows
+                                              ((3, 260, 257), (0, 1, 2))])  # rows over budget
+    def test_slabs_diffuse_last_axis(self, shape, order):
+        data, _ = self._slab_data(shape, 17)
+        # the same values as a transposed view of a C-ordered grid, the form
+        # _nested_value passes (np.transpose(grid, order))
+        u0 = np.transpose(np.ascontiguousarray(np.transpose(data, np.argsort(order))), order)
+        assert np.array_equal(u0, data)
+        assert u0.flags.c_contiguous == (order == tuple(range(len(shape))))
+        h, t = 0.2, 0.1
+        iv = KERNEL_IVS[0]
+        out, binfl, steps = diffuse_last_axis(u0, iv, h, t)
+        dt = t / math.ceil(t / (0.4 * h * h / iv.sigma_high_sq) - 1e-12)
+        want, want_b = _ref_run_diag(u0, [iv], h, dt, steps, [u0.ndim - 1])
+        assert _same_bits(out, want)
+        assert binfl == want_b
+
+    def test_slabs_step_diag_two_batch_axes(self):
+        u0, rows = self._slab_data((7, 9, 31, 37), 19)  # slabs of 6 and 1 rows
+        assert len(u0) % rows
+        ivs = KERNEL_IVS[:2]
+        h, dt = 0.25, 0.4 * 0.25**2 / 6.0
+        want, _ = _ref_run_diag(u0, ivs, h, dt, 1, (2, 3))
+        assert _same_bits(step_diag(u0, ivs, h, dt), want)
+        got = u0.copy()
+        got_b = pde._advance_diag(got, ivs, (2, 3), h, dt, 20)
+        want, want_b = _ref_run_diag(u0, ivs, h, dt, 20, (2, 3))
+        assert _same_bits(got, want)
+        assert got_b == want_b
+
     def test_hull_both_cross_signs(self):
         gens = (np.array([[2.0, 1.0], [1.0, 1.5]]), np.array([[1.0, -0.5], [-0.5, 3.0]]),
                 np.diag([4.0, 1.0]))
@@ -327,6 +370,23 @@ class TestKernelEquivalence:
         got_b = pde._advance_hull(got, gens, h, dt, 30)
         assert _same_bits(got, want)
         assert got_b == want_b
+
+
+def test_initial_data_mesh_is_read_only():
+    # the mesh is broadcast views of the grid axes: a phi writing into its
+    # argument must raise, not change every node that shares the axis entry
+    def shift_in_place(x, y):
+        x += 1.0
+        return x * y
+
+    phi = TestFunction(shift_in_place, arity=2, growth_order=2, growth_const=4.0, name="")
+    with pytest.raises(ValueError, match="read-only"):
+        solve_gheat_diag(DiagonalBox((IV, IV)), phi, 1.0, cfg=FAST)
+    grid = GridSpec(half_width=(2.0, 3.0), h=0.25, dims=2, time_horizon=1.0, dt=0.01)
+    u0 = pde._eval_initial(XY, grid)
+    x, y = np.meshgrid(grid.axis(0), grid.axis(1), indexing="ij")
+    assert u0.flags.c_contiguous and u0.flags.writeable
+    assert _same_bits(u0, x * y)
 
 
 def test_hull_with_zero_variance_returns_phi_at_x0():
