@@ -9,21 +9,16 @@ machine-checkable reports.
 
 from .errors import CFLViolation, DimensionMismatch, EmptyHull, GExpectError
 from .gamma import (ConvexHull, DiagonalBox, GammaSet, Interval1D,
-                    RankOneFamily, SymMatrix, UncertaintyInterval,
-                    check_scaling_constraint, g_function, gamma_sets_equal,
-                    gbar, image_gamma, is_diagonal_image, rank_one_gamma,
-                    singleton_zero)
-from .testfuncs import TestFunction, clamped, linear_pullback, monomial
+                    RankOneFamily, UncertaintyInterval,
+                    check_scaling_constraint, g_function, gbar, image_gamma,
+                    is_diagonal_image, rank_one_gamma, singleton_zero)
+from .testfuncs import TestFunction, linear_pullback, monomial
 from .pde import (GridSpec, SolveReport, SolverConfig, build_grid,
-                  diffuse_last_axis, solve_gheat_1d, solve_gheat_diag,
-                  solve_gheat_hull, step_diag)
-from .expectation import (ExpectationResult, GNormal, LinearImage, Maximal,
-                          MeanCertaintyReport, RandomVectorSpec, Sequential,
-                          convex_oracle_1d, expect, expect_gnormal,
-                          expect_maximal, expect_sequential,
-                          gauss_hermite_expectation,
-                          gauss_hermite_expectation_nd, lower_expectation,
-                          mean_certainty_check)
+                  diffuse_last_axis, solve_gheat_diag, solve_gheat_hull,
+                  step_diag)
+from .expectation import (ExpectationResult, GNormal, LinearImage,
+                          RandomVectorSpec, Sequential, expect, expect_gnormal,
+                          expect_sequential, lower_expectation)
 from .scenarios import (Assertion, Quantity, ScenarioOutcome,
                         run_asymmetric_independence, run_diag_not_indep,
                         run_invertible_scan, run_linear_combination,

@@ -203,8 +203,16 @@ def _read_config_file(path: str, flags) -> dict:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a malformed command line as GExpectError, so that main reports
+    it like every other refused setting: one `error:` line, exit 2."""
+
+    def error(self, message):
+        raise GExpectError(message)
+
+
 def parse_args(argv) -> RunConfig:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gexpect",
         description="Numerical comparisons of G-normal and sequentially independent "
                     "random vectors under sublinear expectation.")

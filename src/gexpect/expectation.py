@@ -2,19 +2,15 @@
 
 G-normal expectations are solved through the G-heat equation; sequential
 vectors (each coordinate independent from all earlier ones) are evaluated
-by a backward recursion of 1D solves on a shared tensor grid; maximal
-distributions reduce to a sup. Gauss-Hermite quadrature provides an
-independent oracle for convex/concave test functions, where the extremal
-variance is known a priori.
+by a backward recursion of 1D solves on a shared tensor grid; linear
+images of either reduce to one of the two.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .errors import DimensionMismatch, GExpectError
 from .gamma import (ConvexHull, DiagonalBox, GammaSet, Interval1D, RankOneFamily,
@@ -22,8 +18,6 @@ from .gamma import (ConvexHull, DiagonalBox, GammaSet, Interval1D, RankOneFamily
 from .pde import (SolverConfig, SolveReport, _eval_initial, build_grid, diffuse_last_axis,
                   refinement_delta, solve_gheat_diag, solve_gheat_hull)
 from .testfuncs import TestFunction, linear_pullback
-
-_GH_NODES = 64
 
 
 # ---------------------------------------------------------------------------
@@ -73,33 +67,6 @@ class Sequential(RandomVectorSpec):
 
 
 @dataclass(frozen=True)
-class Maximal(RandomVectorSpec):
-    """Maximal distribution over a finite point set or an axis-aligned box."""
-
-    points: np.ndarray | None = None
-    box: tuple | None = None
-
-    def __post_init__(self):
-        if (self.points is None) == (self.box is None):
-            raise ValueError("give exactly one of points or box")
-        if self.points is not None:
-            pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-            if pts.size == 0 or not np.all(np.isfinite(pts)):
-                raise ValueError("support points must be nonempty and finite")
-            pts.setflags(write=False)
-            object.__setattr__(self, "points", pts)
-        else:
-            box = tuple((float(lo), float(hi)) for lo, hi in self.box)
-            if not box or any(lo > hi or not np.isfinite([lo, hi]).all() for lo, hi in box):
-                raise ValueError("box must be nonempty with finite lo <= hi per axis")
-            object.__setattr__(self, "box", box)
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1] if self.points is not None else len(self.box)
-
-
-@dataclass(frozen=True)
 class LinearImage(RandomVectorSpec):
     matrix: np.ndarray
     inner: RandomVectorSpec
@@ -122,7 +89,7 @@ class LinearImage(RandomVectorSpec):
 class ExpectationResult:
     value: float
     error_estimate: float
-    method: str  # "pde" | "nested" | "maximal" | "oracle"
+    method: str  # "pde" | "nested"
     diagnostics: tuple = ()
 
     def __post_init__(self):
@@ -132,53 +99,6 @@ class ExpectationResult:
 
 def _report_error(r: SolveReport) -> float:
     return r.boundary_influence_estimate + (r.refinement_delta or 0.0)
-
-
-# ---------------------------------------------------------------------------
-# quadrature oracles
-
-
-def gauss_hermite_expectation(phi, sigma: float, nodes: int = _GH_NODES) -> float:
-    """Classical E[phi(sigma Z)], Z standard normal, by Gauss-Hermite quadrature."""
-    x, w = roots_hermite(nodes)
-    return float(w @ np.asarray(phi(sigma * math.sqrt(2.0) * x), dtype=float) / math.sqrt(math.pi))
-
-
-def gauss_hermite_expectation_nd(phi, sigmas, nodes: int = 24) -> float:
-    """Tensor quadrature for E[phi(sigma_1 Z_1, ..., sigma_n Z_n)], independent Z_i."""
-    x, w = roots_hermite(nodes)
-    sigmas = np.asarray(sigmas, dtype=float)
-    grids = np.meshgrid(*[s * math.sqrt(2.0) * x for s in sigmas], indexing="ij")
-    weights = np.meshgrid(*[w] * sigmas.size, indexing="ij")
-    wprod = np.prod(np.stack(weights), axis=0)
-    vals = np.asarray(phi(*grids), dtype=float)
-    return float((wprod * vals).sum() / math.pi ** (sigmas.size / 2.0))
-
-
-def convex_oracle_1d(iv: UncertaintyInterval, phi: TestFunction) -> float:
-    """Quadrature oracle: convex phi saturates the upper variance, concave the lower.
-
-    Starts at 64 Gauss-Hermite nodes and doubles until two successive rules
-    agree; plain 64-node quadrature is not accurate enough for kinked
-    integrands such as |x|.
-    """
-    if phi.arity != 1:
-        raise DimensionMismatch("convex_oracle_1d needs a 1-argument function")
-    if "convex" in phi.tags:
-        sigma = math.sqrt(iv.sigma_high_sq)
-    elif "concave" in phi.tags:
-        sigma = math.sqrt(iv.sigma_low_sq)
-    else:
-        raise GExpectError("phi must be tagged convex or concave to use the oracle")
-    nodes = _GH_NODES
-    value = gauss_hermite_expectation(phi, sigma, nodes)
-    while nodes < 8192:
-        nodes *= 2
-        refined = gauss_hermite_expectation(phi, sigma, nodes)
-        if abs(refined - value) <= 1e-5 * (1.0 + abs(refined)):
-            return refined
-        value = refined
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -254,40 +174,6 @@ def expect_sequential(intervals, phi: TestFunction, order=None,
 
 
 # ---------------------------------------------------------------------------
-# maximal distributions
-
-
-def expect_maximal(support: Maximal, phi: TestFunction) -> ExpectationResult:
-    """sup of phi over the support; exact on points, grid-refined on a box."""
-    if phi.arity != support.dim:
-        raise DimensionMismatch(f"phi takes {phi.arity} arguments for dimension {support.dim}")
-    if support.points is not None:
-        vals = phi(*(support.points[:, i] for i in range(support.dim)))
-        return ExpectationResult(float(np.max(vals)), 0.0, "maximal")
-
-    lows = np.array([lo for lo, _ in support.box])
-    highs = np.array([hi for _, hi in support.box])
-    radius = float(np.linalg.norm(np.maximum(np.abs(lows), np.abs(highs))))
-    lip = phi.growth_const * (1.0 + 2.0 * radius**phi.growth_order)
-    centers, widths = 0.5 * (lows + highs), highs - lows
-    per_axis = 65
-    best = -math.inf
-    for _ in range(6):
-        axes = [np.linspace(c - 0.5 * w, c + 0.5 * w, per_axis) for c, w in zip(centers, widths)]
-        axes = [np.clip(a, lo, hi) for a, lo, hi in zip(axes, lows, highs)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        vals = np.asarray(phi(*mesh), dtype=float)
-        idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        best = max(best, float(vals[idx]))
-        centers = np.array([axes[i][idx[i]] for i in range(support.dim)])
-        widths = widths * (4.0 / per_axis)
-        spacing = float(np.max(widths)) / (per_axis - 1)
-        if lip * spacing <= 1e-6 * (1.0 + abs(best)):
-            break
-    return ExpectationResult(best, lip * spacing, "maximal")
-
-
-# ---------------------------------------------------------------------------
 # dispatch and derived operations
 
 
@@ -300,8 +186,6 @@ def expect(spec: RandomVectorSpec, phi: TestFunction,
         return expect_gnormal(spec.gamma, phi, cfg=cfg)
     if isinstance(spec, Sequential):
         return expect_sequential(spec.intervals, phi, order=spec.order, cfg=cfg)
-    if isinstance(spec, Maximal):
-        return expect_maximal(spec, phi)
     if isinstance(spec, LinearImage):
         inner, a = spec.inner, spec.matrix
         if isinstance(inner, LinearImage):
@@ -311,10 +195,6 @@ def expect(spec: RandomVectorSpec, phi: TestFunction,
         if isinstance(inner, Sequential):
             pulled = linear_pullback(phi, a)
             return expect_sequential(inner.intervals, pulled, order=inner.order, cfg=cfg)
-        if isinstance(inner, Maximal):
-            if inner.points is not None:
-                return expect_maximal(Maximal(points=inner.points @ a.T), phi)
-            return expect_maximal(Maximal(box=inner.box), linear_pullback(phi, a))
     raise GExpectError(f"unsupported law description {type(spec).__name__}")
 
 
@@ -323,38 +203,3 @@ def lower_expectation(spec: RandomVectorSpec, phi: TestFunction,
     """-E^[-phi(X)], the conjugate (lower) expectation."""
     res = expect(spec, phi.negated(), cfg)
     return ExpectationResult(-res.value, res.error_estimate, res.method, res.diagnostics)
-
-
-@dataclass(frozen=True)
-class MeanCertaintyReport:
-    passed: bool
-    with_term: float
-    without_term: float
-    tolerance: float
-
-
-def mean_certainty_check(spec: Sequential, psi: TestFunction, alpha: float,
-                         cfg: SolverConfig = SolverConfig()) -> MeanCertaintyReport:
-    """Adding alpha * Y_{k+1} to a function of the earlier variables must not
-    move the expectation: the later coordinate has no mean uncertainty and is
-    independent from everything before it."""
-    if not isinstance(spec, Sequential) or spec.dim < 2:
-        raise GExpectError("mean_certainty_check needs a Sequential spec with >= 2 variables")
-    if spec.order is not None and spec.order != tuple(range(spec.dim)):
-        raise GExpectError("mean_certainty_check supports the identity order only")
-    k = psi.arity
-    if k + 1 > spec.dim:
-        raise DimensionMismatch(f"psi uses {k} variables but the spec has only {spec.dim}")
-    f = psi.fn
-    augmented = TestFunction(
-        fn=lambda *c: np.asarray(f(*c[:k]), dtype=float) + alpha * c[k],
-        arity=k + 1,
-        growth_order=psi.growth_order,
-        growth_const=psi.growth_const + abs(alpha) + 1.0,
-        name=f"{psi.name} + a*y{k + 1}",
-    )
-    lhs = expect_sequential(spec.intervals[:k + 1], augmented, cfg=cfg)
-    rhs = expect_sequential(spec.intervals[:k], psi, cfg=cfg)
-    tol = max(cfg.target_tol * (1.0 + abs(rhs.value)),
-              5.0 * (lhs.error_estimate + rhs.error_estimate))
-    return MeanCertaintyReport(abs(lhs.value - rhs.value) <= tol, lhs.value, rhs.value, tol)

@@ -20,11 +20,6 @@ from .errors import DimensionMismatch, EmptyHull
 EPS_PSD = 1e-10
 EPS_ALG = 1e-12
 
-# Equality of uncertainty sets is decided through G on this many
-# pseudo-random unit-norm symmetric probes (plus the canonical basis).
-_EQ_PROBES = 64
-_EQ_TOL = 1e-9
-
 # image_gamma on a diagonal box enumerates all 2^n vertices.
 _VERTEX_DIM_CAP = 12
 
@@ -57,28 +52,7 @@ class UncertaintyInterval:
         return UncertaintyInterval(factor * self.sigma_low_sq, factor * self.sigma_high_sq)
 
 
-@dataclass(frozen=True)
-class SymMatrix:
-    """Symmetric matrix stored canonically (entries[i,j] == entries[j,i] exactly)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        a = 0.5 * (a + a.T)
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
 def _as_sym_array(a) -> np.ndarray:
-    if isinstance(a, SymMatrix):
-        return a.entries
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
@@ -299,32 +273,3 @@ def check_scaling_constraint(intervals) -> list:
             if alpha > 0 and np.isclose(alpha * a.sigma_high_sq, b.sigma_high_sq, rtol=1e-12, atol=1e-12):
                 bad.append((i, j))
     return bad
-
-
-def _probe_matrices(n: int):
-    probes = []
-    for i in range(n):
-        for j in range(i, n):
-            e = np.zeros((n, n))
-            e[i, j] = e[j, i] = 1.0
-            probes.append(e)
-    rng = np.random.default_rng(20240517)
-    for _ in range(_EQ_PROBES):
-        a = rng.standard_normal((n, n))
-        a = 0.5 * (a + a.T)
-        probes.append(a / np.linalg.norm(a))
-    return probes
-
-
-def gamma_sets_equal(g1: GammaSet, g2: GammaSet, tol: float = _EQ_TOL) -> bool:
-    """Set equality through G, which determines the set one-to-one.
-
-    Compares G on the canonical basis of symmetric matrices plus a fixed
-    pseudo-random sample of unit-norm probes.
-    """
-    if g1.dim != g2.dim:
-        return False
-    scale = 1.0 + abs(g_function(g1, np.eye(g1.dim)))
-    return all(
-        abs(g_function(g1, a) - g_function(g2, a)) <= tol * scale for a in _probe_matrices(g1.dim)
-    )

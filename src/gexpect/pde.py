@@ -337,14 +337,6 @@ def _solve(phi: TestFunction, t: float, x0, cfg: SolverConfig, sig_sqs, degenera
                        grid.steps, degenerate)
 
 
-def solve_gheat_1d(iv: UncertaintyInterval, phi: TestFunction, t: float, x0: float = 0.0,
-                   cfg: SolverConfig = SolverConfig()) -> SolveReport:
-    """u(t, x0) for du/dt = Gbar(u_xx), u(0, .) = phi."""
-    if phi.arity != 1:
-        raise DimensionMismatch("solve_gheat_1d needs a 1-argument test function")
-    return solve_gheat_diag(DiagonalBox((iv,)), phi, t, [x0], cfg=cfg)
-
-
 def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, t: float, x0=None,
                      cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """u(t, x0) for du/dt = sum_i Gbar_i(d2u/dx_i^2) on a tensor grid."""

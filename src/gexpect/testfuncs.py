@@ -94,22 +94,6 @@ def linear_pullback(phi: TestFunction, a, name: str = "") -> TestFunction:
     )
 
 
-def clamped(phi: TestFunction, bound: float = 10.0) -> TestFunction:
-    """Bounded Lipschitz clamp of phi to [-bound, bound]."""
-
-    def clip(*coords):
-        return np.clip(phi.fn(*coords), -bound, bound)
-
-    return TestFunction(
-        fn=clip,
-        arity=phi.arity,
-        growth_order=phi.growth_order,
-        growth_const=phi.growth_const,
-        tags=(phi.tags - {"convex", "concave"}) | {"bounded"},
-        name=f"clip({phi.name})" if phi.name else "clip",
-    )
-
-
 def monomial(k: int) -> TestFunction:
     tags = {"convex"} if k in (2, 4) else set()
     return TestFunction(
@@ -124,7 +108,6 @@ def monomial(k: int) -> TestFunction:
 
 IDENTITY = monomial(1)
 SQUARE = monomial(2)
-CUBE = monomial(3)
 QUARTIC = monomial(4)
 NEG_SQUARE = SQUARE.negated()
 ABS = TestFunction(np.abs, arity=1, growth_order=1, growth_const=2.0,
@@ -148,6 +131,6 @@ DIFF_SQUARE = TestFunction(lambda x, y: (x - y) ** 2, arity=2, growth_order=1,
 SUM_OF_SQUARES = TestFunction(lambda x, y: x**2 + y**2, arity=2, growth_order=1,
                               growth_const=8.0, tags={"convex"}, name="x^2+y^2")
 
-# 1D functions every scenario draws from.
+# Catalogs the acceptance and sanity tests iterate over.
 CATALOG_1D = (SQUARE, QUARTIC, ABS, POS_PART, NEG_SQUARE, PIECEWISE_LINEAR)
 CATALOG_2D = (XY_SQUARED, YX_SQUARED, XY, SUM_SQUARE, DIFF_SQUARE, SUM_OF_SQUARES)

@@ -1,0 +1,95 @@
+"""Reference implementations the tests compare the library against.
+
+Gauss-Hermite quadrature gives an independent oracle for convex/concave
+test functions, where the extremal variance is known a priori; set
+equality of uncertainty sets is decided through G on fixed probes. Only
+the tests use these, so scipy is a test dependency, not a runtime one.
+"""
+
+import math
+
+import numpy as np
+from scipy.special import roots_hermite
+
+from gexpect.errors import DimensionMismatch, GExpectError
+from gexpect.gamma import GammaSet, UncertaintyInterval, g_function
+from gexpect.testfuncs import TestFunction
+
+_GH_NODES = 64
+
+# Equality of uncertainty sets is decided through G on this many
+# pseudo-random unit-norm symmetric probes (plus the canonical basis).
+_EQ_PROBES = 64
+_EQ_TOL = 1e-9
+
+
+def gauss_hermite_expectation(phi, sigma: float, nodes: int = _GH_NODES) -> float:
+    """Classical E[phi(sigma Z)], Z standard normal, by Gauss-Hermite quadrature."""
+    x, w = roots_hermite(nodes)
+    return float(w @ np.asarray(phi(sigma * math.sqrt(2.0) * x), dtype=float) / math.sqrt(math.pi))
+
+
+def gauss_hermite_expectation_nd(phi, sigmas, nodes: int = 24) -> float:
+    """Tensor quadrature for E[phi(sigma_1 Z_1, ..., sigma_n Z_n)], independent Z_i."""
+    x, w = roots_hermite(nodes)
+    sigmas = np.asarray(sigmas, dtype=float)
+    grids = np.meshgrid(*[s * math.sqrt(2.0) * x for s in sigmas], indexing="ij")
+    weights = np.meshgrid(*[w] * sigmas.size, indexing="ij")
+    wprod = np.prod(np.stack(weights), axis=0)
+    vals = np.asarray(phi(*grids), dtype=float)
+    return float((wprod * vals).sum() / math.pi ** (sigmas.size / 2.0))
+
+
+def convex_oracle_1d(iv: UncertaintyInterval, phi: TestFunction) -> float:
+    """Quadrature oracle: convex phi saturates the upper variance, concave the lower.
+
+    Starts at 64 Gauss-Hermite nodes and doubles until two successive rules
+    agree; plain 64-node quadrature is not accurate enough for kinked
+    integrands such as |x|.
+    """
+    if phi.arity != 1:
+        raise DimensionMismatch("convex_oracle_1d needs a 1-argument function")
+    if "convex" in phi.tags:
+        sigma = math.sqrt(iv.sigma_high_sq)
+    elif "concave" in phi.tags:
+        sigma = math.sqrt(iv.sigma_low_sq)
+    else:
+        raise GExpectError("phi must be tagged convex or concave to use the oracle")
+    nodes = _GH_NODES
+    value = gauss_hermite_expectation(phi, sigma, nodes)
+    while nodes < 8192:
+        nodes *= 2
+        refined = gauss_hermite_expectation(phi, sigma, nodes)
+        if abs(refined - value) <= 1e-5 * (1.0 + abs(refined)):
+            return refined
+        value = refined
+    return value
+
+
+def _probe_matrices(n: int):
+    probes = []
+    for i in range(n):
+        for j in range(i, n):
+            e = np.zeros((n, n))
+            e[i, j] = e[j, i] = 1.0
+            probes.append(e)
+    rng = np.random.default_rng(20240517)
+    for _ in range(_EQ_PROBES):
+        a = rng.standard_normal((n, n))
+        a = 0.5 * (a + a.T)
+        probes.append(a / np.linalg.norm(a))
+    return probes
+
+
+def gamma_sets_equal(g1: GammaSet, g2: GammaSet, tol: float = _EQ_TOL) -> bool:
+    """Set equality through G, which determines the set one-to-one.
+
+    Compares G on the canonical basis of symmetric matrices plus a fixed
+    pseudo-random sample of unit-norm probes.
+    """
+    if g1.dim != g2.dim:
+        return False
+    scale = 1.0 + abs(g_function(g1, np.eye(g1.dim)))
+    return all(
+        abs(g_function(g1, a) - g_function(g2, a)) <= tol * scale for a in _probe_matrices(g1.dim)
+    )

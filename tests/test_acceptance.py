@@ -11,14 +11,14 @@ import math
 import numpy as np
 import pytest
 
-from gexpect.expectation import (convex_oracle_1d, expect_gnormal,
-                                 expect_sequential)
+from gexpect.expectation import expect_gnormal, expect_sequential
 from gexpect.gamma import (DiagonalBox, Interval1D, UncertaintyInterval,
                            g_function, is_diagonal_image)
 from gexpect.pde import SolverConfig
 from gexpect.testfuncs import (ABS, CATALOG_1D, NEG_SQUARE, POS_PART, QUARTIC,
                                SQUARE, XY_SQUARED, YX_SQUARED, TestFunction,
                                linear_pullback)
+from oracles import convex_oracle_1d
 
 IV = UncertaintyInterval(1.0, 4.0)
 THIRD_MOMENT = 6.0 / math.sqrt(2.0 * math.pi)  # E[Y1 Y2^2] for [1,4] twice

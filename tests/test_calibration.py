@@ -1,9 +1,10 @@
 """Calibration: error_estimate bounds the true error on every pinned closed form.
 
-Each case runs with the default SolverConfig (refinement on) and asserts
-|value - exact| <= error_estimate. Run with `pytest tests/test_calibration.py
--v -s` to see the tightness ratio error_estimate / |value - exact| of each
-case; a ratio far above 1 is a loose bound, one below 1 a miss.
+Each case runs with refinement on, at the default SolverConfig unless its
+name gives h, and asserts |value - exact| <= error_estimate. Run with
+`pytest tests/test_calibration.py -v -s` to see the tightness ratio
+error_estimate / |value - exact| of each case; a ratio far above 1 is a
+loose bound, one below 1 a miss.
 """
 
 import math
@@ -13,6 +14,7 @@ import pytest
 
 from gexpect.expectation import expect_gnormal, expect_sequential
 from gexpect.gamma import DiagonalBox, Interval1D, UncertaintyInterval, g_function
+from gexpect.pde import SolverConfig
 from gexpect.testfuncs import (ABS, NEG_SQUARE, POS_PART, QUARTIC, SQUARE,
                                XY_SQUARED, YX_SQUARED, TestFunction,
                                linear_pullback)
@@ -28,12 +30,41 @@ def _quadratic_form(a):
         name=f"<Ax,x> A={a.tolist()}")
 
 
-def _gnormal_1d(phi, exact):
-    return f"1d {phi.name}", lambda: expect_gnormal(Interval1D(IV), phi), exact
+def _gnormal_1d(phi, exact, cfg=SolverConfig()):
+    return f"1d {phi.name}", lambda: expect_gnormal(Interval1D(IV), phi, cfg), exact
 
 
-def _sequential(name, phi, exact):
-    return name, lambda: expect_sequential((IV, IV), phi), exact
+def _sequential(name, phi, exact, cfg=SolverConfig()):
+    return name, lambda: expect_sequential((IV, IV), phi, cfg=cfg), exact
+
+
+def _call(k):
+    return TestFunction(lambda x: np.maximum(x - k, 0.0), arity=1, growth_order=1,
+                        growth_const=2.0, name=f"(x{-k:+g})^+")
+
+
+def _call_value(k, sigma):
+    # E[(sigma Z - K)^+] = sigma pdf(K/sigma) - K (1 - cdf(K/sigma))
+    z = k / sigma
+    return (sigma * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+            - k * 0.5 * math.erfc(z / math.sqrt(2.0)))
+
+
+def _off_grid_kinks():
+    """(x - K)^+ and sequential (x + y - K)^+ with K off every grid node, at
+    the default config and at h = 0.2; both are convex, so they see the upper
+    variance, 4 and 8. A case whose error_estimate misses is a strict xfail."""
+    misses = {"1d (x-0.71)^+ h=0.2"}
+    for k in (0.137, 0.71, -1.23):
+        for cfg, tag in ((SolverConfig(), ""), (SolverConfig(h=0.2), " h=0.2")):
+            one = _gnormal_1d(_call(k), _call_value(k, SIGMA_HIGH), cfg)
+            two = _sequential(f"(x+y{-k:+g})^+", linear_pullback(_call(k), np.ones((1, 2))),
+                              _call_value(k, SIGMA_HIGH * math.sqrt(2.0)), cfg)
+            for name, compute, exact in (one, two):
+                name += tag
+                marks = pytest.mark.xfail(strict=True, reason="error_estimate misses an "
+                                          "off-grid kink") if name in misses else ()
+                yield pytest.param(name, compute, exact, id=name, marks=marks)
 
 
 QUADRATIC_FORMS = [np.diag([1.0, -1.0]), np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -63,7 +94,8 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("name, compute, exact", CASES, ids=[c[0] for c in CASES])
+@pytest.mark.parametrize("name, compute, exact",
+                         [pytest.param(*c, id=c[0]) for c in CASES] + list(_off_grid_kinks()))
 def test_error_estimate_bounds_the_error(name, compute, exact):
     res = compute()
     err = abs(res.value - exact)

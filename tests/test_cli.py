@@ -1,14 +1,19 @@
 import csv
+import io
 import math
 import os
 import re
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gexpect
+from gexpect import cli
 from gexpect.cli import (CSV_COLUMNS, RunConfig, SCENARIO_NAMES, execute, main,
                          outcome_rows, parse_args, render_report, run_scenarios)
 from gexpect.errors import GExpectError
@@ -96,6 +101,8 @@ def test_run_config_rejects_non_finite(name, bad):
 
 @pytest.mark.parametrize("flags", [
     ["--h", "nan"], ["--t", "inf"], ["--sigma-low-sq", "5"],
+    # argparse's own refusals (once a usage block and SystemExit from main)
+    ["--h", "junk"], ["--refine", "nan"], ["--bogus"],
     ["--config", "{tmp}/missing.cfg"], ["--config", "{tmp}"], ["--config", "{tmp}/latin1.cfg"],
     ["--config", "{tmp}/unknown.cfg"],
 ])
@@ -107,6 +114,76 @@ def test_bad_flags_exit_2_without_traceback(flags, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def _rejects(value: str) -> bool:
+    try:
+        float(value)
+    except ValueError:
+        return True
+    return False
+
+
+# strings no numeric flag converts: no '#' (a config comment) and nothing
+# that splits a config line
+JUNK = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
+                             blacklist_characters="#"), max_size=12).filter(_rejects)
+NEGATIVE = st.floats(max_value=0.0, exclude_max=True, allow_infinity=False).map(repr)
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity", "1e400"])
+# every numeric flag (config key) with values it must refuse at the default
+# variance bounds [1, 4]: the bounds refuse a swapped pair, the grid, time
+# and tolerance settings anything but finite and positive, refine any
+# negative or non-integer value
+BAD_NUMERIC = {
+    "sigma-low-sq": st.one_of(NON_FINITE, NEGATIVE, JUNK,
+                              st.floats(4.0, 1e300, exclude_min=True).map(repr)),
+    "sigma-high-sq": st.one_of(NON_FINITE, NEGATIVE, JUNK, st.just("0"),
+                               st.floats(0.0, 1.0, exclude_max=True).map(repr)),
+    **{name: st.one_of(NON_FINITE, NEGATIVE, JUNK, st.sampled_from(["0", "-0", "0.0"]))
+       for name in ("alpha", "h", "L", "dt", "t", "tol")},
+    "refine": st.one_of(NON_FINITE, JUNK, st.sampled_from(["1.5", "1e3", "0x1"]),
+                        st.integers(max_value=-1).map(str)),
+}
+FIELD_NAMES = {"sigma-low-sq": "sigma_low_sq", "sigma-high-sq": "sigma_high_sq", "L": "half_width"}
+BAD_SETTING = st.sampled_from(sorted(BAD_NUMERIC)).flatmap(
+    lambda name: st.tuples(st.just(name), BAD_NUMERIC[name]))
+SWAPPED = st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6)).filter(
+    lambda p: p[0] != p[1]).map(lambda p: (repr(max(p)), repr(min(p))))
+
+
+def _exits_2_with_one_error_line(argv):
+    stderr = io.StringIO()
+    with patch.object(cli, "execute", side_effect=AssertionError("accepted a bad setting")), \
+            redirect_stderr(stderr):
+        code = main(["run", "--scenario", "invertible-scan"] + argv)
+    err = stderr.getvalue()
+    assert code == 2, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(setting=BAD_SETTING)
+def test_fuzz_bad_flag_exits_2(setting):
+    name, value = setting
+    _exits_2_with_one_error_line([f"--{name}={value}"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(setting=BAD_SETTING, dest_form=st.booleans())
+def test_fuzz_bad_config_value_exits_2(setting, dest_form, tmp_path_factory):
+    name, value = setting
+    key = FIELD_NAMES.get(name, name) if dest_form else name
+    cfgfile = tmp_path_factory.mktemp("cfg") / "run.cfg"
+    cfgfile.write_text(f"{key} = {value}\n", encoding="utf-8")
+    _exits_2_with_one_error_line(["--config", str(cfgfile)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(bounds=SWAPPED)
+def test_fuzz_swapped_variance_bounds_exit_2(bounds):
+    low, high = bounds
+    _exits_2_with_one_error_line([f"--sigma-low-sq={low}", f"--sigma-high-sq={high}"])
 
 
 class TestExecute:
@@ -196,12 +273,24 @@ def test_refine_rows_same_with_one_thread_and_auto(monkeypatch):
     assert rows[0][0][-1] == "refinement_delta_1" and len(rows[0]) > 10
 
 
-def test_python_dash_m_gexpect_runs_cleanly():
+def _run_with_src(*args):
     src = str(Path(gexpect.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "gexpect", "run", "--scenario", "invertible-scan"],
-                          capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+def test_python_dash_m_gexpect_runs_cleanly():
+    proc = _run_with_src("-m", "gexpect", "run", "--scenario", "invertible-scan")
     assert proc.returncode == 0, proc.stderr
     assert "[PASS] invertible-scan" in proc.stdout
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    # numpy is the one runtime dependency; scipy serves only the test oracles
+    proc = _run_with_src("-c", "import sys, gexpect; print(sorted(m for m in sys.modules "
+                               "if m.split('.')[0] == 'scipy'))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from gexpect.errors import DimensionMismatch, GExpectError
-from gexpect.expectation import (GNormal, LinearImage, Maximal, Sequential,
-                                 convex_oracle_1d, expect, expect_gnormal,
-                                 expect_maximal, expect_sequential,
-                                 gauss_hermite_expectation,
-                                 gauss_hermite_expectation_nd,
-                                 lower_expectation, mean_certainty_check)
+from gexpect.expectation import (GNormal, LinearImage, Sequential, expect,
+                                 expect_gnormal, expect_sequential,
+                                 lower_expectation)
 from gexpect.gamma import (ConvexHull, DiagonalBox, Interval1D, RankOneFamily,
                            UncertaintyInterval, rank_one_gamma)
 from gexpect.pde import SolverConfig
 from gexpect.testfuncs import (ABS, NEG_SQUARE, POS_PART, SQUARE, QUARTIC,
                                XY_SQUARED, YX_SQUARED, TestFunction)
+from oracles import (convex_oracle_1d, gauss_hermite_expectation,
+                     gauss_hermite_expectation_nd)
 
 IV = UncertaintyInterval(1.0, 4.0)
 FAST = SolverConfig(h=0.2, refine=False)
@@ -90,25 +89,6 @@ class TestExpectSequential:
                                            growth_const=4.0), cfg=FAST)
 
 
-class TestExpectMaximal:
-    def test_points_take_sup(self):
-        res = expect_maximal(Maximal(points=[[-2.0], [1.0]]), SQUARE)
-        assert res.value == 4.0
-        assert res.error_estimate == 0.0
-
-    def test_box_grid_search(self):
-        res = expect_maximal(Maximal(box=[(-1.0, 2.0)]),
-                             TestFunction(lambda x: -(x - 0.3) ** 2, arity=1,
-                                          growth_order=1, growth_const=8.0))
-        assert res.value == pytest.approx(0.0, abs=1e-6)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            Maximal()
-        with pytest.raises(ValueError):
-            Maximal(points=[[1.0]], box=[(0.0, 1.0)])
-
-
 class TestExpectDispatch:
     def test_gnormal_and_sequential(self):
         assert expect(GNormal(Interval1D(IV)), SQUARE, cfg=FAST).value == \
@@ -153,11 +133,18 @@ def test_lower_expectation_is_conjugate():
 
 
 def test_mean_certainty_check():
+    # Y2 is independent from Y1 and has no mean uncertainty, so adding
+    # alpha Y2 must not move the expectation: E[psi(Y1) + alpha Y2] = E[psi(Y1)]
     psi = TestFunction(lambda x: x**2, arity=1, growth_order=1, growth_const=6.0,
                        tags={"convex"}, name="x^2")
-    report = mean_certainty_check(Sequential((IV, IV)), psi, alpha=2.0, cfg=FAST)
-    assert report.passed
-    assert report.with_term == pytest.approx(report.without_term, abs=report.tolerance)
+    alpha = 2.0
+    with_term = expect_sequential(
+        (IV, IV), TestFunction(lambda x, y: psi.fn(x) + alpha * y, arity=2, growth_order=1,
+                               growth_const=6.0 + alpha + 1.0), cfg=FAST)
+    without_term = expect_sequential((IV,), psi, cfg=FAST)
+    tol = max(FAST.target_tol * (1.0 + abs(without_term.value)),
+              5.0 * (with_term.error_estimate + without_term.error_estimate))
+    assert with_term.value == pytest.approx(without_term.value, abs=tol)
 
 
 def test_zero_2d_linear_image_is_phi_at_origin():

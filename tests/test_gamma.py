@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from gexpect.gamma import (ConvexHull, DiagonalBox, Interval1D, RankOneFamily,
-                           SymMatrix, UncertaintyInterval,
-                           check_scaling_constraint, g_function,
-                           gamma_sets_equal, gbar, image_gamma,
-                           is_diagonal_image, rank_one_gamma, singleton_zero)
+                           UncertaintyInterval, check_scaling_constraint,
+                           g_function, gbar, image_gamma, is_diagonal_image,
+                           rank_one_gamma, singleton_zero)
+from oracles import gamma_sets_equal
 
 IV = UncertaintyInterval(1.0, 4.0)
 
@@ -26,14 +26,6 @@ class TestUncertaintyInterval:
         assert IV.scaled(4.0) == UncertaintyInterval(4.0, 16.0)
         with pytest.raises(ValueError):
             IV.scaled(-1.0)
-
-
-def test_sym_matrix_canonicalizes():
-    m = SymMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
-    assert m.entries[0, 1] == m.entries[1, 0] == 1.0
-    assert m.n == 2
-    with pytest.raises(ValueError):
-        SymMatrix(np.ones((2, 3)))
 
 
 class TestGbar:

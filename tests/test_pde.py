@@ -7,12 +7,12 @@ from gexpect import pde
 from gexpect.errors import CFLViolation, DimensionMismatch, GExpectError
 from gexpect.gamma import ConvexHull, DiagonalBox, UncertaintyInterval, singleton_zero
 from gexpect.pde import (GridSpec, SolverConfig, build_grid, diffuse_last_axis,
-                         solve_gheat_1d, solve_gheat_diag, solve_gheat_hull,
-                         step_diag)
+                         solve_gheat_diag, solve_gheat_hull, step_diag)
 from gexpect.testfuncs import (ABS, IDENTITY, NEG_SQUARE, QUARTIC, SQUARE,
                                XY, XY_SQUARED, TestFunction)
 
 IV = UncertaintyInterval(1.0, 4.0)
+BOX_1D = DiagonalBox((IV,))
 FAST = SolverConfig(h=0.2, refine=False)
 
 
@@ -86,35 +86,36 @@ class TestBuildGrid:
 
 class TestSolve1D:
     def test_upper_and_lower_variance(self):
-        up = solve_gheat_1d(IV, SQUARE, 1.0, cfg=FAST)
-        lo = solve_gheat_1d(IV, NEG_SQUARE, 1.0, cfg=FAST)
+        up = solve_gheat_diag(BOX_1D, SQUARE, 1.0, cfg=FAST)
+        lo = solve_gheat_diag(BOX_1D, NEG_SQUARE, 1.0, cfg=FAST)
         assert up.value_at_origin == pytest.approx(4.0, rel=1e-6)
         assert -lo.value_at_origin == pytest.approx(1.0, rel=1e-6)
 
     def test_linear_data_is_invariant(self):
-        rep = solve_gheat_1d(IV, IDENTITY, 1.0, cfg=FAST)
+        rep = solve_gheat_diag(BOX_1D, IDENTITY, 1.0, cfg=FAST)
         assert abs(rep.value_at_origin) < 1e-12
 
     def test_quartic_moment(self):
-        rep = solve_gheat_1d(IV, QUARTIC, 1.0, cfg=SolverConfig(refine=False))
+        rep = solve_gheat_diag(BOX_1D, QUARTIC, 1.0, cfg=SolverConfig(refine=False))
         assert rep.value_at_origin == pytest.approx(48.0, rel=2e-3)
 
     def test_shifted_start_and_time_scaling(self):
         # u(t, x0) = E[(x0 + sqrt(t) X)^2] = x0^2 + t sigma_high^2; x0 on-grid
-        rep = solve_gheat_1d(IV, SQUARE, 0.5, x0=1.6, cfg=FAST)
+        rep = solve_gheat_diag(BOX_1D, SQUARE, 0.5, [1.6], cfg=FAST)
         assert rep.value_at_origin == pytest.approx(1.6**2 + 0.5 * 4.0, rel=1e-5)
 
     def test_t_zero_returns_initial(self):
-        rep = solve_gheat_1d(IV, SQUARE, 0.0, x0=3.0, cfg=FAST)
+        rep = solve_gheat_diag(BOX_1D, SQUARE, 0.0, [3.0], cfg=FAST)
         assert rep.value_at_origin == 9.0
         assert rep.steps_taken == 0
 
     def test_degenerate_flagged(self):
-        rep = solve_gheat_1d(UncertaintyInterval(0.0, 4.0), SQUARE, 1.0, cfg=FAST)
+        rep = solve_gheat_diag(DiagonalBox((UncertaintyInterval(0.0, 4.0),)), SQUARE, 1.0,
+                               cfg=FAST)
         assert rep.degenerate
 
     def test_refinement_delta_reported(self):
-        rep = solve_gheat_1d(IV, ABS, 1.0, cfg=SolverConfig(h=0.2))
+        rep = solve_gheat_diag(BOX_1D, ABS, 1.0, cfg=SolverConfig(h=0.2))
         assert rep.refinement_delta is not None
         assert rep.refinement_delta < 0.05
 
@@ -194,7 +195,7 @@ class TestSolveHull:
 
 
 def test_boundary_influence_is_small_on_sized_grids():
-    rep = solve_gheat_1d(IV, ABS, 1.0, cfg=SolverConfig(h=0.2, refine=False))
+    rep = solve_gheat_diag(BOX_1D, ABS, 1.0, cfg=SolverConfig(h=0.2, refine=False))
     assert 0.0 <= rep.boundary_influence_estimate < 1e-3
 
 

@@ -4,10 +4,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gexpect.expectation import expect_gnormal
 from gexpect.gamma import (ConvexHull, DiagonalBox, Interval1D,
-                           UncertaintyInterval, g_function, gamma_sets_equal,
-                           gbar, image_gamma, is_diagonal_image)
+                           UncertaintyInterval, g_function, gbar, image_gamma,
+                           is_diagonal_image)
 from gexpect.pde import SolverConfig, step_diag
 from gexpect.testfuncs import TestFunction
+from oracles import gamma_sets_equal
 
 FAST = SolverConfig(h=0.25, refine=False)
 

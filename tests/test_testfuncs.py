@@ -3,7 +3,7 @@ import pytest
 
 from gexpect.testfuncs import (ABS, CATALOG_1D, CATALOG_2D, IDENTITY,
                                PIECEWISE_LINEAR, POS_PART, SQUARE, TestFunction,
-                               XY_SQUARED, clamped, linear_pullback, monomial)
+                               XY_SQUARED, linear_pullback, monomial)
 
 
 def test_growth_bound_is_spot_checked():
@@ -47,12 +47,6 @@ def test_linear_pullback_evaluates_phi_of_ax():
 def test_linear_pullback_shape_check():
     with pytest.raises(ValueError, match="rows"):
         linear_pullback(XY_SQUARED, np.eye(3))
-
-
-def test_clamped_is_bounded():
-    c = clamped(SQUARE, bound=5.0)
-    assert c(10.0) == 5.0
-    assert "bounded" in c.tags
 
 
 def test_monomial():
