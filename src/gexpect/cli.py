@@ -104,21 +104,29 @@ def _worker_count(n_jobs: int) -> int:
 
 def run_scenarios(cfg: RunConfig):
     """Run the selected scenarios, then each --refine level at h/2^k, all on
-    one thread pool; outcomes (level 0) come back in catalog order."""
+    one thread pool; outcomes (level 0) come back in catalog order.
+
+    The finest level runs first, so a level whose grids exceed the solver's
+    budget is refused before any coarser one runs, and the failure cancels
+    every job not yet started."""
     iv = cfg.interval()
     solver = cfg.solver()
     levels = [solver] + [replace(solver, h=cfg.h / 2**k, dt=None)
                          for k in range(1, cfg.refine + 1)]
     names = [s for s in SCENARIO_NAMES if s in cfg.scenarios]
-    jobs = [(n, lv) for lv in levels for n in names]
-    with ThreadPoolExecutor(max_workers=_worker_count(len(jobs))) as pool:
+    jobs = [(n, lv) for lv in reversed(levels) for n in names]
+    pool = ThreadPoolExecutor(max_workers=_worker_count(len(jobs)))
+    try:
         results = list(pool.map(lambda job: SCENARIOS[job[0]](iv, cfg.alpha, job[1]), jobs))
-    outcomes = results[:len(names)]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    by_level = [results[i:i + len(names)] for i in range(0, len(results), len(names))][::-1]
+    outcomes = by_level[0]
 
     deltas = {}
     if cfg.refine > 0:
         for j, out in enumerate(outcomes):
-            per_level = [r.quantities for r in results[j::len(names)]]
+            per_level = [level[j].quantities for level in by_level]
             for i, q in enumerate(per_level[0]):
                 row = []
                 for prev, cur in zip(per_level, per_level[1:]):

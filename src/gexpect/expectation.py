@@ -98,7 +98,7 @@ class ExpectationResult:
 
 
 def _report_error(r: SolveReport) -> float:
-    return r.boundary_influence_estimate + (r.refinement_delta or 0.0)
+    return r.tail_bound + (r.refinement_delta or 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +141,14 @@ def _nested_value(intervals, order, phi, cfg: SolverConfig):
     probe = build_grid([iv.sigma_high_sq for iv in intervals], phi, 1.0, None, cfg)
     # reorder axes so axis k holds the variable at sequence position k
     u = np.transpose(_eval_initial(phi, probe), axes=order)
-    binfl, steps = 0.0, 0
+    steps = 0
     for k in range(n - 1, -1, -1):
         iv = intervals[order[k]]
-        u, b, s = diffuse_last_axis(u, iv, probe.h, 1.0, cfg.dt)
+        u, _, s = diffuse_last_axis(u, iv, probe.h, 1.0, cfg.dt)
         center = (u.shape[-1] - 1) // 2
         u = u[..., center]
-        binfl += b
         steps += s
-    return float(u), binfl, steps, probe.h
+    return float(u), steps, probe
 
 
 def expect_sequential(intervals, phi: TestFunction, order=None,
@@ -166,9 +165,10 @@ def expect_sequential(intervals, phi: TestFunction, order=None,
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
 
-    value, binfl, steps, h = _nested_value(intervals, order, phi, cfg)
-    delta = refinement_delta(value, h, cfg, lambda c: _nested_value(intervals, order, phi, c)[0])
-    rep = SolveReport(value, binfl, delta, steps,
+    u_h, steps, probe = _nested_value(intervals, order, phi, cfg)
+    value, grid_term = refinement_delta(
+        u_h, probe.h, cfg, lambda c: _nested_value(intervals, order, phi, c)[0])
+    rep = SolveReport(value, probe.tail_bound, grid_term, steps,
                       degenerate=any(iv.sigma_low_sq == 0.0 for iv in intervals))
     return ExpectationResult(value, _report_error(rep), "nested", (rep,))
 

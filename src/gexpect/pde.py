@@ -20,14 +20,15 @@ whole rows of at most ``_SLAB_CELLS`` cells and runs each slab through all
 of its steps before the next, so a slab and its buffers are reused from L2
 cache instead of the whole grid streaming from memory once per step. The
 rows are independent problems and every op is elementwise, so the values
-are the same bits, and the boundary influence, a max over steps and cells,
-is the max over slabs. A 67^3 nested sweep drops from about 9 to about 6 ns per
+are the same bits. A 67^3 nested sweep drops from about 9 to about 6 ns per
 cell-step on a 2-vCPU Xeon with 2 MiB of L2 per core.
 
 The box and hull solvers check their own set, then share one skeleton,
 ``_solve`` (which returns phi(x0) when t = 0 or every variance is zero).
-Every refinement delta, nested recursions included, is one re-solve at 2h
-by ``refinement_delta``.
+A solve's error estimate is the analytic tail bound of its grid (computed
+once by ``build_grid``) plus the grid term of ``refinement_delta``, the one
+three-grid helper of every solve, nested recursions included. ``build_grid``
+refuses a grid of more than ``_CELL_STEP_BUDGET`` cells times steps.
 """
 
 from __future__ import annotations
@@ -43,8 +44,17 @@ from .testfuncs import TestFunction
 
 _TAIL_FACTOR = 8.0
 _CFL_SAFETY = 0.4
-_SHELL = 3  # nodes adjacent to each boundary tracked for influence
-_SHELL_NODES = np.r_[1:_SHELL + 1, -_SHELL - 1:-1]
+# The three-grid check extrapolates only when the observed order
+# p = log2(d2/d1) lies within this band of 2. Over seeds 20-29 of the
+# benchmark's gnormal and sequential pools, a band of 0.5 let one nested
+# off-grid kink extrapolate past its error estimate and 0.25 left none;
+# the default catalog report was the same under both.
+_ORDER_BAND = 0.25
+# Largest grid, in cells times steps, that build_grid accepts: 250 times
+# the largest solve of the default catalog and the benchmark pools (about
+# 4e7), and a minute or two of one core at the measured 6-12 ns per
+# cell-step.
+_CELL_STEP_BUDGET = 1e10
 # Rows along a passive leading axis are independent problems, so
 # _advance_diag steps them a slab at a time, sized for a 2 MiB per-core L2
 # cache: 2**16 float64 cells are 512 KiB per buffer. Of 2**14, 2**15 and
@@ -72,7 +82,7 @@ class SolverConfig:
     half_width: float | None = None
     dt: float | None = None
     target_tol: float = 1e-3
-    refine: bool = True  # report |u_h - u_2h| as refinement_delta
+    refine: bool = True  # re-solve at 2h and 4h (see refinement_delta)
 
     def __post_init__(self):
         _require_finite_positive(h=self.h, half_width=self.half_width, dt=self.dt,
@@ -83,13 +93,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform tensor grid: [-L_i, L_i] per axis at spacing h, stepped by dt."""
+    """Uniform tensor grid: [-L_i, L_i] per axis at spacing h, stepped by dt.
+    tail_bound bounds what truncating the domain at L_i costs the solve."""
 
     half_width: tuple
     h: float
     dims: int
     time_horizon: float
     dt: float
+    tail_bound: float = 0.0
 
     def __post_init__(self):
         hw = self.half_width
@@ -120,22 +132,31 @@ class GridSpec:
 @dataclass(frozen=True)
 class SolveReport:
     value_at_origin: float
-    boundary_influence_estimate: float
-    refinement_delta: float | None
+    tail_bound: float
+    refinement_delta: float | None  # the grid term; None with refinement off
     steps_taken: int
     degenerate: bool = False
 
 
+def _tail(phi: TestFunction, L: float, k: float) -> float:
+    """Analytic tail bound C (1 + (1 + L)^m) exp(-k^2/2) of phi's declared
+    growth beyond a half width L that lies k standard deviations out."""
+    return phi.growth_const * (1.0 + (1.0 + L) ** phi.growth_order) * math.exp(-0.5 * k * k)
+
+
+def _scale(sigma: float, t: float) -> float:
+    return max(sigma, 1e-6) * math.sqrt(max(t, 1e-12))
+
+
 def _tail_halfwidth(center: float, sigma: float, t: float, phi: TestFunction, tol: float) -> float:
-    """Per-axis truncation radius with an analytic-tail safety check."""
+    """Per-axis truncation radius whose tail bound is at most tol / 10."""
     k = _TAIL_FACTOR
     while k < 20.0:
-        L = abs(center) + k * max(sigma, 1e-6) * math.sqrt(max(t, 1e-12))
-        tail = phi.growth_const * (1.0 + (1.0 + L) ** phi.growth_order) * math.exp(-0.5 * k * k)
-        if tail <= 0.1 * tol:
+        L = abs(center) + k * _scale(sigma, t)
+        if _tail(phi, L, k) <= 0.1 * tol:
             return L
         k += 1.0
-    return abs(center) + k * max(sigma, 1e-6) * math.sqrt(max(t, 1e-12))
+    return abs(center) + k * _scale(sigma, t)
 
 
 def build_grid(sigma_high_sqs, phi: TestFunction, t: float, x0, cfg: SolverConfig,
@@ -144,6 +165,9 @@ def build_grid(sigma_high_sqs, phi: TestFunction, t: float, x0, cfg: SolverConfi
 
     cfl_denominator defaults to sum of the per-axis sigma_high_sq values
     (the diagonal-generator stability weight); hull solves pass their own.
+    The grid's tail_bound sums the analytic tail bound over the axes, each
+    at its actual half width. A grid of more than _CELL_STEP_BUDGET cells
+    times steps is refused before anything is allocated.
     """
     sig_sq = np.asarray(sigma_high_sqs, dtype=float)
     n = sig_sq.size
@@ -157,16 +181,25 @@ def build_grid(sigma_high_sqs, phi: TestFunction, t: float, x0, cfg: SolverConfi
     if cfg.half_width is not None:
         halves = [cfg.half_width] * n
     else:
-        halves = [_tail_halfwidth(x0[i], math.sqrt(sig_sq[i]), t, phi, cfg.target_tol)
+        halves = [_tail_halfwidth(float(x0[i]), math.sqrt(sig_sq[i]), t, phi, cfg.target_tol)
                   for i in range(n)]
-    h = cfg.h if cfg.h is not None else min(0.02 * min(halves), 0.05 * sig_max * math.sqrt(t))
-    halves = [max(math.ceil(L / h - 1e-9), 8) * h for L in halves]
-
+    h = cfg.h if cfg.h is not None else min(0.02 * min(halves), 0.1 * sig_max * math.sqrt(t))
     denom = cfl_denominator if cfl_denominator is not None else float(sig_sq.sum())
-    dt_max = _CFL_SAFETY * h * h / denom
-    dt = cfg.dt if cfg.dt is not None else dt_max
-    dt = t / max(1, math.ceil(t / dt - 1e-12))
-    return GridSpec(half_width=tuple(halves), h=h, dims=n, time_horizon=t, dt=dt)
+    dt = cfg.dt if cfg.dt is not None else _CFL_SAFETY * h * h / denom
+    # counted before the half widths round up to whole cells, since L / h may
+    # overflow; steps >= 1, so a grid over budget in cells alone needs no
+    # step count (whose h * h may underflow)
+    cells = math.prod(2.0 * max(L / h, 8.0) + 1.0 for L in halves)
+    steps = _step_count(t, dt) if cells <= _CELL_STEP_BUDGET else 1
+    cost = cells * steps
+    if cost > _CELL_STEP_BUDGET:
+        raise GExpectError(f"grid of about {cost:.1e} cells x steps at h={h:g} exceeds the "
+                           f"budget of {_CELL_STEP_BUDGET:.0e}; use a coarser h or a smaller L")
+    halves = [max(math.ceil(L / h - 1e-9), 8) * h for L in halves]
+    tail = sum(_tail(phi, L, max(L - abs(c), 0.0) / _scale(math.sqrt(s), t))
+               for L, c, s in zip(halves, x0, sig_sq))
+    return GridSpec(half_width=tuple(halves), h=h, dims=n, time_horizon=t, dt=t / steps,
+                    tail_bound=tail)
 
 
 def _check_monotone(dt: float, h: float, weight: float):
@@ -177,16 +210,6 @@ def _check_monotone(dt: float, h: float, weight: float):
         )
 
 
-def _shell_max(arr: np.ndarray, axes) -> float:
-    best = 0.0
-    for ax in axes:
-        if arr.shape[ax] < 2 * (_SHELL + 1):
-            return float(np.abs(arr).max())
-        shell = np.take(arr, _SHELL_NODES, axis=ax)  # both ends in one gather
-        best = max(best, float(np.abs(shell, out=shell).max()))
-    return best
-
-
 def _axis_slices(ndim: int, axis: int):
     """(interior, lower neighbour, upper neighbour) index tuples along axis."""
     mid = [slice(None)] * ndim
@@ -195,24 +218,23 @@ def _axis_slices(ndim: int, axis: int):
     return tuple(mid), tuple(lo), tuple(hi)
 
 
-def _advance_diag(u: np.ndarray, intervals, axes, h: float, dt: float, steps: int) -> float:
+def _advance_diag(u: np.ndarray, intervals, axes, h: float, dt: float, steps: int):
     """Advance u in place by `steps` explicit steps of du/dt = sum_k Gbar_k(d2u/dx_k^2),
     interval k acting along axis axes[k]; other axes are passive batch axes.
 
     A passive leading axis is cut into slabs of whole rows of at most
     _SLAB_CELLS cells, and each slab runs through all steps before the next
-    (see _advance_slab). Returns the largest update seen in the boundary
-    shells (boundary influence).
+    (see _advance_slab).
     """
     ivs, axes = list(intervals), list(axes)
     _check_monotone(dt, h, sum(iv.sigma_high_sq for iv in ivs))
     lam = dt / (h * h)
     rows = len(u) if 0 in axes else max(1, _SLAB_CELLS // u[0].size)
-    return max(_advance_slab(u[i:i + rows], ivs, axes, lam, steps)
-               for i in range(0, len(u), rows))
+    for i in range(0, len(u), rows):
+        _advance_slab(u[i:i + rows], ivs, axes, lam, steps)
 
 
-def _advance_slab(u: np.ndarray, ivs, axes, lam: float, steps: int) -> float:
+def _advance_slab(u: np.ndarray, ivs, axes, lam: float, steps: int):
     """_advance_diag on one C-contiguous slab, lam = dt/h^2. Buffers are
     allocated once; each step runs on out= ufuncs only."""
     incr = np.zeros_like(u)
@@ -237,7 +259,6 @@ def _advance_slab(u: np.ndarray, ivs, axes, lam: float, steps: int) -> float:
     # clearing -0.0 from u once here keeps the in-place steps bit-identical
     # to it, zero signs included
     u += 0.0
-    binfl = 0.0
     for _ in range(steps):
         for f in faces:
             incr[f] = 0.0
@@ -253,9 +274,7 @@ def _advance_slab(u: np.ndarray, ivs, axes, lam: float, steps: int) -> float:
             if k:
                 np.add(incr[mid], flux, out=incr[mid])
         incr *= lam
-        binfl = max(binfl, _shell_max(incr, axes))
         u += incr
-    return binfl
 
 
 def step_diag(u: np.ndarray, intervals, h: float, dt: float) -> np.ndarray:
@@ -273,7 +292,7 @@ def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float, t: floa
                       dt: float | None = None) -> tuple:
     """Diffuse a tabulated array along its last axis only (nested recursion step).
 
-    Returns (final array, boundary influence, steps taken).
+    Returns (final array, dt used, steps taken); dt is 0.0 when t = 0.
     """
     u = np.array(u0, dtype=float, order="C")
     if t == 0.0:
@@ -283,8 +302,8 @@ def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float, t: floa
     _require_finite_positive(h=h, t=t, dt=dt)
     dt = t / _step_count(t, dt)
     steps = _step_count(t, dt)
-    binfl = _advance_diag(u, [iv], [u.ndim - 1], h, dt, steps)
-    return u, binfl, steps
+    _advance_diag(u, [iv], [u.ndim - 1], h, dt, steps)
+    return u, dt, steps
 
 
 def _interp_multilinear(u: np.ndarray, axes, point) -> float:
@@ -311,19 +330,33 @@ def _eval_initial(phi: TestFunction, grid: GridSpec) -> np.ndarray:
     return u0
 
 
-def refinement_delta(value: float, h: float, cfg: SolverConfig, solve_at) -> float | None:
-    """|value - solve_at(cfg at 2h, dt re-derived, refinement off)|, or None
-    when cfg.refine is off."""
+def refinement_delta(u_h: float, h: float, cfg: SolverConfig, solve_at) -> tuple:
+    """(value, grid term) from u_h and re-solves u_2h, u_4h by
+    solve_at(cfg at 2h or 4h, dt re-derived, refinement off); (u_h, None)
+    when cfg.refine is off.
+
+    With d1 = u_h - u_2h and d2 = u_2h - u_4h, the observed order is
+    p = log2(d2 / d1). When p is within _ORDER_BAND of 2 the error behaves
+    as C h^2 and the value is the extrapolated (4 u_h - u_2h) / 3, with |d1|
+    as its grid term; otherwise the value is u_h with max(|d1|, |d2|).
+    This is the three-grid check of Roache's grid convergence index.
+    """
     if not cfg.refine:
-        return None
-    return abs(value - solve_at(replace(cfg, refine=False, h=2.0 * h, dt=None)))
+        return u_h, None
+    u_2h, u_4h = (solve_at(replace(cfg, refine=False, h=k * h, dt=None)) for k in (2.0, 4.0))
+    d1, d2 = u_h - u_2h, u_2h - u_4h
+    if d1 == 0.0:
+        return u_h, 0.0
+    if d1 * d2 > 0.0 and abs(math.log2(d2 / d1) - 2.0) <= _ORDER_BAND:
+        return (4.0 * u_h - u_2h) / 3.0, abs(d1)
+    return u_h, max(abs(d1), abs(d2))
 
 
 def _solve(phi: TestFunction, t: float, x0, cfg: SolverConfig, sig_sqs, degenerate: bool,
            advance, solve_at, cfl_denominator: float | None = None) -> SolveReport:
     """Solve skeleton shared by the box and hull solvers: grid, initial data,
-    advance(u, grid) -> boundary influence, interpolation at x0, and the
-    refinement re-solve solve_at(cfg) -> value (see refinement_delta)."""
+    advance(u, grid), interpolation at x0, and the re-solves solve_at(cfg)
+    -> value of refinement_delta."""
     if t < 0:
         raise GExpectError("time horizon must be nonnegative")
     x0 = np.zeros(len(sig_sqs)) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
@@ -331,10 +364,10 @@ def _solve(phi: TestFunction, t: float, x0, cfg: SolverConfig, sig_sqs, degenera
         return SolveReport(float(phi(*x0)), 0.0, 0.0 if cfg.refine else None, 0, degenerate)
     grid = build_grid(sig_sqs, phi, t, x0, cfg, cfl_denominator)
     u = _eval_initial(phi, grid)
-    binfl = advance(u, grid)
-    value = _interp_multilinear(u, [grid.axis(i) for i in range(grid.dims)], x0)
-    return SolveReport(value, binfl, refinement_delta(value, grid.h, cfg, solve_at),
-                       grid.steps, degenerate)
+    advance(u, grid)
+    u_h = _interp_multilinear(u, [grid.axis(i) for i in range(grid.dims)], x0)
+    value, grid_term = refinement_delta(u_h, grid.h, cfg, solve_at)
+    return SolveReport(value, grid.tail_bound, grid_term, grid.steps, degenerate)
 
 
 def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, t: float, x0=None,
@@ -360,10 +393,10 @@ def _hull_weight(gens) -> float:
     return max(float(np.abs(b).sum()) for b in gens)
 
 
-def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int) -> float:
+def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int):
     """Advance the 2D array u in place by `steps` explicit steps of the flux max
     over the hull generators (upwinded 9-point cross stencil); boundary nodes
-    stay fixed. Buffers are allocated once. Returns the boundary influence."""
+    stay fixed. Buffers are allocated once."""
     _check_monotone(dt, h, _hull_weight(gens))
     shape = (u.shape[0] - 2, u.shape[1] - 2)
     c = u[1:-1, 1:-1]
@@ -372,7 +405,6 @@ def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int) -> float
     # plus serves generators with b12 >= 0, minus those with b12 < 0
     plus = np.empty(shape) if any(b[0, 1] >= 0 for b in gens) else None
     minus = np.empty(shape) if any(b[0, 1] < 0 for b in gens) else None
-    binfl = 0.0
     for _ in range(steps):
         np.multiply(c, 2.0, out=two_c)
         np.subtract(xp, two_c, out=dxx)
@@ -407,9 +439,7 @@ def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int) -> float
                 np.maximum(best, flux, out=best)
         best /= h * h
         best *= dt
-        binfl = max(binfl, _shell_max(best, (0, 1)))
         c += best
-    return binfl
 
 
 def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, t: float, x0=None,

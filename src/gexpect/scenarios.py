@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,11 +135,8 @@ def run_linear_combination(iv: UncertaintyInterval, cfg: SolverConfig = SolverCo
                        growth_const=20.0, name="U*V^2")
     vu2 = TestFunction(lambda x, y: (x - y) * (x + y) ** 2, arity=2, growth_order=2,
                        growth_const=20.0, name="V*U^2")
-    # cubic initial data inflates the boundary-influence estimate; a finer
-    # grid keeps the 10x-error noise floor below the computed value
-    cfg_fine = cfg if cfg.h is not None else replace(cfg, h=0.08)
-    q_uv = rec.record("E[U V^2]", expect_sequential((iv, iv), uv2, cfg=cfg_fine))
-    q_vu = rec.record("E[V U^2]", expect_sequential((iv, iv), vu2, cfg=cfg_fine))
+    q_uv = rec.record("E[U V^2]", expect_sequential((iv, iv), uv2, cfg=cfg))
+    q_vu = rec.record("E[V U^2]", expect_sequential((iv, iv), vu2, cfg=cfg))
     err = q_uv.error_estimate + q_vu.error_estimate
     rec.assert_close("E[U V^2] = E[V U^2]", q_uv.value, q_vu.value, tol)
     rec.assert_positive("common value (independence would force one side to 0)",
@@ -207,10 +204,8 @@ def run_symmetry_identity(iv: UncertaintyInterval, alpha: float = 4.0,
     classical = iv.is_classical
     rec = _Recorder("symmetry-identity")
     box = DiagonalBox((iv, iv.scaled(alpha)))
-    # anisotropic boxes need a finer grid for the identity's 2e-2 margin
-    cfg2d = cfg if (cfg.h is not None or alpha == 1.0) else replace(cfg, h=0.12)
-    p = rec.record("pde E[W2 W1^2]", expect_gnormal(box, YX_SQUARED, cfg=cfg2d))
-    q = rec.record("pde E[W1 W2^2]", expect_gnormal(box, XY_SQUARED, cfg=cfg2d))
+    p = rec.record("pde E[W2 W1^2]", expect_gnormal(box, YX_SQUARED, cfg=cfg))
+    q = rec.record("pde E[W1 W2^2]", expect_gnormal(box, XY_SQUARED, cfg=cfg))
     rec.assert_close(f"sqrt(alpha={alpha:g}) * E[W2 W1^2] = E[W1 W2^2]",
                      math.sqrt(alpha) * p.value, q.value, tol)
     ps = rec.record("sequential E[Y2 Y1^2]",
@@ -241,15 +236,13 @@ def run_diag_not_indep(iv: UncertaintyInterval, cfg: SolverConfig = SolverConfig
     classical = iv.is_classical
     rec = _Recorder("diag-not-indep")
     box = DiagonalBox((iv, iv))
-    # quadratic marginals are exact on any monotone grid; keep it coarse
-    cfg_marg = cfg if cfg.h is not None else replace(cfg, h=0.25)
     x1sq = TestFunction(lambda x, y: x**2 + 0.0 * y, arity=2, growth_order=1,
                         growth_const=6.0, tags={"convex"}, name="x1^2")
     x2sq = TestFunction(lambda x, y: y**2 + 0.0 * x, arity=2, growth_order=1,
                         growth_const=6.0, tags={"convex"}, name="x2^2")
     for label, phi in (("X1", x1sq), ("X2", x2sq)):
-        up = rec.record(f"E[{label}^2]", expect_gnormal(box, phi, cfg=cfg_marg))
-        lo = expect_gnormal(box, phi.negated(), cfg=cfg_marg)
+        up = rec.record(f"E[{label}^2]", expect_gnormal(box, phi, cfg=cfg))
+        lo = expect_gnormal(box, phi.negated(), cfg=cfg)
         rec.quantity(f"-E[-{label}^2]", -lo.value, lo.error_estimate)
         rec.assert_close(f"upper variance of {label}", up.value, iv.sigma_high_sq, tol)
         rec.assert_close(f"lower variance of {label}", -lo.value, iv.sigma_low_sq, tol)

@@ -80,9 +80,15 @@ def linear_pullback(phi: TestFunction, a, name: str = "") -> TestFunction:
     norm = max(float(np.linalg.norm(a, 2)), 1.0)
 
     def pulled(*coords):
-        stacked = np.stack(np.broadcast_arrays(*coords), axis=0)
-        img = np.tensordot(a, stacked, axes=(1, 0))
-        return phi.fn(*(img[i] for i in range(a.shape[0])))
+        # each image coordinate sum_j a_ij x_j from the (often broadcast)
+        # coordinate arrays themselves, without a stacked copy of them
+        img = []
+        for row in a:
+            y = row[0] * coords[0]
+            for a_ij, x in zip(row[1:], coords[1:]):
+                y = y + a_ij * x
+            img.append(y)
+        return phi.fn(*img)
 
     return TestFunction(
         fn=pulled,

@@ -63,9 +63,8 @@ def test_criterion_04_linear_combination():
                        growth_const=20.0, name="U*V^2")
     vu2 = TestFunction(lambda x, y: (x - y) * (x + y) ** 2, arity=2, growth_order=2,
                        growth_const=20.0, name="V*U^2")
-    cfg = SolverConfig(h=0.08)
-    a = expect_sequential((IV, IV), uv2, cfg=cfg)
-    b = expect_sequential((IV, IV), vu2, cfg=cfg)
+    a = expect_sequential((IV, IV), uv2)
+    b = expect_sequential((IV, IV), vu2)
     floor = 10.0 * (a.error_estimate + b.error_estimate)
     classical = UncertaintyInterval(2.0, 2.0)
     ca = expect_sequential((classical, classical), uv2)
@@ -81,7 +80,7 @@ def test_criterion_04_linear_combination():
 @pytest.mark.parametrize("alpha", [1.0, 4.0])
 def test_criterion_05_symmetry_identity(alpha):
     box = DiagonalBox((IV, IV.scaled(alpha)))
-    cfg = SolverConfig(refine=False) if alpha == 1.0 else SolverConfig(h=0.12, refine=False)
+    cfg = SolverConfig(refine=False) if alpha == 1.0 else SolverConfig()
     p = expect_gnormal(box, YX_SQUARED, cfg=cfg).value
     q = expect_gnormal(box, XY_SQUARED, cfg=cfg).value
     gap = abs(math.sqrt(alpha) * p - q)

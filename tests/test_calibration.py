@@ -4,7 +4,8 @@ Each case runs with refinement on, at the default SolverConfig unless its
 name gives h, and asserts |value - exact| <= error_estimate. Run with
 `pytest tests/test_calibration.py -v -s` to see the tightness ratio
 error_estimate / |value - exact| of each case; a ratio far above 1 is a
-loose bound, one below 1 a miss.
+loose bound, one below 1 a miss. The last tests pin the three outcomes of
+the three-grid order check in pde.refinement_delta.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from gexpect.expectation import expect_gnormal, expect_sequential
+from gexpect.expectation import GNormal, expect_gnormal, expect_sequential, lower_expectation
 from gexpect.gamma import DiagonalBox, Interval1D, UncertaintyInterval, g_function
 from gexpect.pde import SolverConfig
 from gexpect.testfuncs import (ABS, NEG_SQUARE, POS_PART, QUARTIC, SQUARE,
@@ -53,8 +54,7 @@ def _call_value(k, sigma):
 def _off_grid_kinks():
     """(x - K)^+ and sequential (x + y - K)^+ with K off every grid node, at
     the default config and at h = 0.2; both are convex, so they see the upper
-    variance, 4 and 8. A case whose error_estimate misses is a strict xfail."""
-    misses = {"1d (x-0.71)^+ h=0.2"}
+    variance, 4 and 8."""
     for k in (0.137, 0.71, -1.23):
         for cfg, tag in ((SolverConfig(), ""), (SolverConfig(h=0.2), " h=0.2")):
             one = _gnormal_1d(_call(k), _call_value(k, SIGMA_HIGH), cfg)
@@ -62,9 +62,17 @@ def _off_grid_kinks():
                               _call_value(k, SIGMA_HIGH * math.sqrt(2.0)), cfg)
             for name, compute, exact in (one, two):
                 name += tag
-                marks = pytest.mark.xfail(strict=True, reason="error_estimate misses an "
-                                          "off-grid kink") if name in misses else ()
-                yield pytest.param(name, compute, exact, id=name, marks=marks)
+                yield pytest.param(name, compute, exact, id=name)
+
+
+# a seeded benchmark case (perfbench/cases.gnormal(13), "interval-lower
+# (x-K)+") whose observed order is p = 2.08: it extrapolates, and a grid
+# term of |u_h - u_2h| / 3 (1.18e-4) would miss its error of 1.35e-4
+SEEDED_K = 1.0670303604147928
+SEEDED_IV = UncertaintyInterval(0.6440839268310753, 1.8496482274545551)
+SEEDED = ("seeded lower (x-1.067)^+",
+          lambda: lower_expectation(GNormal(Interval1D(SEEDED_IV)), _call(SEEDED_K)),
+          _call_value(SEEDED_K, math.sqrt(SEEDED_IV.sigma_low_sq)))
 
 
 QUADRATIC_FORMS = [np.diag([1.0, -1.0]), np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -91,6 +99,7 @@ CASES = [
       for w in INNER_PRODUCT_ROWS
       for phi, moment in ((SQUARE, lambda s: s * s),
                           (ABS, lambda s: s * math.sqrt(2.0 / math.pi)))),
+    SEEDED,
 ]
 
 
@@ -103,3 +112,33 @@ def test_error_estimate_bounds_the_error(name, compute, exact):
     print(f"\n{name}: value {res.value:.10g}, exact {exact:.10g}, error {err:.3e}, "
           f"estimate {res.error_estimate:.3e}, tightness {ratio:.3g}")
     assert err <= res.error_estimate
+
+
+# the three outcomes of the order check
+
+
+def test_off_grid_kink_falls_back_to_the_fine_value():
+    kink, one = _call(0.71), Interval1D(IV)
+    res = expect_gnormal(one, kink, SolverConfig(h=0.2))
+    plain = expect_gnormal(one, kink, SolverConfig(h=0.2, refine=False))
+    assert res.value == plain.value
+    assert res.error_estimate > abs(res.value - _call_value(0.71, SIGMA_HIGH))
+
+
+def test_quartic_extrapolates():
+    # at h = 0.1 the h and 2h grids take 1000 and 250 steps, exactly 4:1, so
+    # their error is C h^2 alone and the extrapolation removes nearly all of it
+    res = expect_gnormal(Interval1D(IV), QUARTIC, SolverConfig(h=0.1))
+    plain = expect_gnormal(Interval1D(IV), QUARTIC, SolverConfig(h=0.1, refine=False))
+    assert res.value != plain.value
+    assert 100.0 * abs(res.value - 48.0) <= abs(plain.value - 48.0)
+    assert abs(res.value - 48.0) <= res.error_estimate
+
+
+@pytest.mark.parametrize("compute, exact", [
+    (lambda: expect_gnormal(Interval1D(IV), SQUARE), 4.0),
+    (lambda: expect_gnormal(Interval1D(IV), NEG_SQUARE), -1.0),
+    (lambda: expect_sequential((IV, IV), _quadratic_form(np.eye(2))), 8.0),
+], ids=["x^2", "-(x^2)", "sequential x^2+y^2"])
+def test_quadratic_data_stays_exact(compute, exact):
+    assert abs(compute().value - exact) <= 1e-12

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr
 from pathlib import Path
 from unittest.mock import patch
@@ -294,3 +295,22 @@ def test_import_loads_no_scipy():
                                "if m.split('.')[0] == 'scipy'))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("flags", [["--h", "1e-4"], ["--h", "0.2", "--refine", "40"]])
+def test_oversized_grids_exit_2_before_solving(flags, capsys):
+    # a level over the grid budget is refused before any coarser level runs:
+    # well under a second, where running the h = 0.1 level alone takes tens
+    t0 = time.perf_counter()
+    assert main(["run", "--scenario", "all"] + flags) == 2
+    assert time.perf_counter() - t0 < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "budget" in err
+
+
+def test_failed_assertion_exits_1(capsys):
+    # a half width of one sigma_high leaves a tail bound of about 100, so
+    # "strictly positive" (value > 10 x error_estimate) fails
+    assert main(["run", "--scenario", "asymmetric-independence", "--L", "2", "--h", "0.25"]) == 1
+    assert "FAIL earlier-linear moment: strictly positive" in capsys.readouterr().out

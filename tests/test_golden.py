@@ -1,12 +1,15 @@
-"""Golden safety net: a cheap fixed CLI report and four pinned solves.
+"""Golden safety net: two fixed CLI reports and four pinned solves.
 
-The golden CSV was written by ``gexpect run`` with GOLDEN_ARGV below. It
-covers nested solves, 2D box solves and one ``--refine`` level. At h = 0.25
-three "strictly positive" assertions fail because the error estimate is
-loose there; they are pinned as they are, so the run exits 1.
+The golden CSVs were written by ``gexpect run``: one with GOLDEN_ARGV
+below, which covers nested solves, 2D box solves and one ``--refine``
+level at h = 0.25, and one with the default settings (the whole catalog
+at each scenario's derived grid). Every assertion of both passes.
 
-Regenerate (only when a change is meant to move the numbers) with
+Regenerate (only when a change is meant to move the numbers, and after
+checking row by row that every value moves by less than the old row's
+error_estimate and no pass flag flips to fail) with
     python -m gexpect run <GOLDEN_ARGV> --out tests/golden/report_h0.25_refine1.csv
+    python -m gexpect run <DEFAULT_ARGV> --out tests/golden/report_default.csv
 """
 
 import csv
@@ -22,10 +25,11 @@ from gexpect.gamma import ConvexHull, DiagonalBox, RankOneFamily, UncertaintyInt
 from gexpect.pde import SolverConfig, solve_gheat_diag, solve_gheat_hull
 from gexpect.testfuncs import XY_SQUARED, TestFunction
 
-GOLDEN = Path(__file__).with_name("golden") / "report_h0.25_refine1.csv"
+GOLDEN_DIR = Path(__file__).with_name("golden")
 GOLDEN_ARGV = ["run", "--scenario", "asymmetric-independence", "--scenario", "quadratic-form",
                "--scenario", "reverse-independence", "--scenario", "invertible-scan",
                "--scenario", "diag-not-indep", "--h", "0.25", "--refine", "1"]
+DEFAULT_ARGV = ["run", "--scenario", "all"]
 NUMERIC_COLUMNS = {"value", "error_estimate", "margin", "refinement_delta_1"}
 
 
@@ -34,11 +38,11 @@ def _read(path):
         return list(csv.reader(fh))
 
 
-def test_golden_report(tmp_path, capsys):
+def _assert_same_report(argv, golden, tmp_path, capsys):
     out = tmp_path / "report.csv"
-    assert main(GOLDEN_ARGV + ["--out", str(out)]) == 1
+    assert main(argv + ["--out", str(out)]) == 0
     capsys.readouterr()
-    want, got = _read(GOLDEN), _read(out)
+    want, got = _read(GOLDEN_DIR / golden), _read(out)
     assert got[0] == want[0]
     assert len(got) == len(want)
     header = want[0]
@@ -52,6 +56,14 @@ def test_golden_report(tmp_path, capsys):
                 assert g == w, (w_row[:2], col)  # labels, assertion texts, pass flags
 
 
+def test_golden_report(tmp_path, capsys):
+    _assert_same_report(GOLDEN_ARGV, "report_h0.25_refine1.csv", tmp_path, capsys)
+
+
+def test_golden_default_catalog(tmp_path, capsys):
+    _assert_same_report(DEFAULT_ARGV, "report_default.csv", tmp_path, capsys)
+
+
 IV = UncertaintyInterval(1.0, 4.0)
 HULL = ConvexHull((np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([[1.0, -0.5], [-0.5, 3.0]])))
 COARSE = SolverConfig(h=0.25)  # refinement on
@@ -60,17 +72,18 @@ KINK = TestFunction(lambda x, y: np.maximum(x - 0.5 * y - 0.3, 0.0), arity=2, gr
 
 
 @pytest.mark.parametrize("solve, pinned", [
+    # box and sequential extrapolate; hull and rank-one fall back to u_h
     (lambda: solve_gheat_diag(DiagonalBox((IV, IV)), XY_SQUARED, 1.0, cfg=COARSE),
-     (1.5845718148833705, 0.2, 0.03331378298029941, 320)),
+     (1.595676409210137, 5.876172814779698e-11, 0.03331378298029941, 320)),
     (lambda: solve_gheat_hull(HULL, XY_SQUARED, 1.0, cfg=COARSE),
-     (1.2902047883147163, 0.20625, 0.010443552684413548, 240)),
+     (1.2902047883147163, 1.726140097584274e-11, 0.05387472388573733, 240)),
     (lambda: expect_sequential((IV, IV), XY_SQUARED, cfg=COARSE).diagnostics[0],
-     (2.3908465987703322, 0.4000000000000228, 0.008446095800599629, 320)),
+     (2.3936619640371988, 5.876172814779698e-11, 0.008446095800599629, 320)),
     (lambda: expect_gnormal(RankOneFamily(np.array([1.2, -0.7]), IV), KINK,
                             cfg=COARSE).diagnostics[0],
-     (1.0927480028916354, 2.131628207280301e-15, 0.003096354687107006, 160)),
+     (1.0927480028916354, 8.799062223510633e-13, 0.003096354687107006, 160)),
 ], ids=["box", "hull", "sequential", "rank-one"])
 def test_pinned_solve_reports(solve, pinned):
     rep = solve()
-    assert (rep.value_at_origin, rep.boundary_influence_estimate,
+    assert (rep.value_at_origin, rep.tail_bound,
             rep.refinement_delta, rep.steps_taken) == pinned
