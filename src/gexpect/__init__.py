@@ -11,11 +11,10 @@ from .errors import CFLViolation, DimensionMismatch, EmptyHull, GExpectError
 from .gamma import (ConvexHull, DiagonalBox, GammaSet, Interval1D,
                     RankOneFamily, UncertaintyInterval,
                     check_scaling_constraint, g_function, gbar, image_gamma,
-                    is_diagonal_image, rank_one_gamma, singleton_zero)
+                    is_diagonal_image, singleton_zero)
 from .testfuncs import TestFunction, linear_pullback, monomial
 from .pde import (GridSpec, SolveReport, SolverConfig, build_grid,
-                  diffuse_last_axis, solve_gheat_diag, solve_gheat_hull,
-                  step_diag)
+                  diffuse_last_axis, solve_gheat_diag, solve_gheat_hull)
 from .expectation import (ExpectationResult, GNormal, LinearImage,
                           RandomVectorSpec, Sequential, expect, expect_gnormal,
                           expect_sequential, lower_expectation)

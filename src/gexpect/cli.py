@@ -98,7 +98,10 @@ def _worker_count(n_jobs: int) -> int:
     if cap < 0:
         raise GExpectError("GEXPECT_THREADS must be >= 0")
     if cap == 0:
-        cap = os.cpu_count() or 1
+        # the CPUs this process may run on, which taskset or a cgroup can
+        # make fewer than the machine's
+        cap = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
     return max(1, min(cap, n_jobs))
 
 
@@ -177,7 +180,9 @@ def _names(text: str) -> list:
 def _read_config_file(path: str, flags) -> dict:
     """key = value lines; '#' starts a comment. A key is a run flag's name or
     its dest ('-' and '_' alike), and its value converts through that flag's
-    type and choices. Returns {dest: value}."""
+    type and choices. A repeated key overrides, except that a repeated
+    scenario key extends the list, as the repeatable flag does. Returns
+    {dest: value}."""
     keys = {}
     for action in flags:
         for name in (action.option_strings[0].lstrip("-"), action.dest):
@@ -207,7 +212,10 @@ def _read_config_file(path: str, flags) -> dict:
         if action.choices is not None and value not in action.choices:
             raise GExpectError(f"{path}:{lineno}: {key}: expected one of "
                                f"{', '.join(action.choices)}, got {val!r}")
-        values[action.dest] = value
+        if isinstance(value, list):  # only --scenario's type gives a list
+            values.setdefault(action.dest, []).extend(value)
+        else:
+            values[action.dest] = value
     return values
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, GExpectError
-from .gamma import (ConvexHull, DiagonalBox, GammaSet, Interval1D, RankOneFamily,
-                    UncertaintyInterval, image_gamma)
+from .gamma import (ConvexHull, DiagonalBox, GammaSet, RankOneFamily, UncertaintyInterval,
+                    image_gamma)
 from .pde import (SolverConfig, SolveReport, _eval_initial, build_grid, diffuse_last_axis,
                   refinement_delta, solve_gheat_diag, solve_gheat_hull)
 from .testfuncs import TestFunction, linear_pullback
@@ -121,7 +121,7 @@ def expect_gnormal(gamma: GammaSet, phi: TestFunction,
     elif isinstance(gamma, ConvexHull) and gamma.dim == 1:
         vals = [float(b[0, 0]) for b in gamma.generators]
         gamma = DiagonalBox((UncertaintyInterval(min(vals), max(vals)),))
-    if isinstance(gamma, (Interval1D, DiagonalBox)):
+    if isinstance(gamma, DiagonalBox):
         rep = solve_gheat_diag(gamma, phi, 1.0, cfg=cfg)
     elif isinstance(gamma, ConvexHull):
         if gamma.dim != 2:

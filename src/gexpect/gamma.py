@@ -1,8 +1,9 @@
 """Covariance-uncertainty sets and the sublinear function G.
 
 An uncertainty set here is a bounded, closed, convex family of positive
-semidefinite matrices, stored symbolically by variant (a 1D variance
-interval, a diagonal box, a finite convex hull, or a rank-one family).
+semidefinite matrices, stored symbolically by variant (a diagonal box,
+whose one-interval case is a 1D law, a finite convex hull, or a rank-one
+family).
 G(A) = 1/2 sup over the set of tr[A B]; since the objective is linear in
 B, only the extreme points of each variant ever matter, so every
 evaluation below is exact up to rounding.
@@ -60,20 +61,11 @@ def _as_sym_array(a) -> np.ndarray:
 
 
 class GammaSet:
-    """Base class for the four uncertainty-set variants."""
+    """Base class for the three uncertainty-set variants."""
 
     @property
     def dim(self) -> int:
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Interval1D(GammaSet):
-    interval: UncertaintyInterval
-
-    @property
-    def dim(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -137,6 +129,11 @@ class RankOneFamily(GammaSet):
         return self.direction.size
 
 
+def Interval1D(iv: UncertaintyInterval) -> DiagonalBox:
+    """The 1D law with variance interval iv: the one-interval box."""
+    return DiagonalBox((iv,))
+
+
 def singleton_zero(n: int) -> GammaSet:
     """The degenerate set containing only the n x n zero matrix."""
     return ConvexHull((np.zeros((n, n)),))
@@ -159,8 +156,6 @@ def g_function(gamma: GammaSet, a) -> float:
         raise DimensionMismatch(
             f"matrix is {arr.shape[0]}x{arr.shape[0]} but the set has dimension {gamma.dim}"
         )
-    if isinstance(gamma, Interval1D):
-        return float(gbar(gamma.interval, arr[0, 0]))
     if isinstance(gamma, DiagonalBox):
         # tr[A diag(r)] = sum_i a_ii r_i, separable across coordinates.
         return float(sum(gbar(iv, arr[i, i]) for i, iv in enumerate(gamma.intervals)))
@@ -171,20 +166,6 @@ def g_function(gamma: GammaSet, a) -> float:
         u = gamma.direction
         return float(gbar(gamma.scalar_range, float(u @ arr @ u)))
     raise TypeError(f"unknown uncertainty-set variant {type(gamma).__name__}")
-
-
-def rank_one_gamma(u, w, iv: UncertaintyInterval) -> GammaSet:
-    """Uncertainty set of (u w^T) Y for a sequential Y with common interval iv.
-
-    Returns {u r u^T : r in [||w||^2 s_low, ||w||^2 s_high]}; a zero u or w
-    degenerates to the singleton {0}.
-    """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    wsq = float(w @ w)
-    if not np.any(u) or wsq == 0.0:
-        return singleton_zero(u.size)
-    return RankOneFamily(u, iv.scaled(wsq))
 
 
 def _box_vertices(box: DiagonalBox):
@@ -208,11 +189,8 @@ def image_gamma(m, gamma: GammaSet) -> GammaSet:
         if not np.any(v):
             return singleton_zero(rows)
         if rows == 1:
-            return Interval1D(gamma.scalar_range.scaled(float(v[0] ** 2)))
+            return DiagonalBox((gamma.scalar_range.scaled(float(v[0] ** 2)),))
         return RankOneFamily(v, gamma.scalar_range)
-
-    if isinstance(gamma, Interval1D):
-        gamma = DiagonalBox((gamma.interval,))
 
     if isinstance(gamma, DiagonalBox):
         if np.linalg.matrix_rank(m, tol=1e-12) <= 1:
@@ -224,7 +202,7 @@ def image_gamma(m, gamma: GammaSet) -> GammaSet:
             if hi == 0.0:
                 return singleton_zero(rows)
             if rows == 1:
-                return Interval1D(UncertaintyInterval(lo * u[0] ** 2, hi * u[0] ** 2))
+                return DiagonalBox((UncertaintyInterval(lo * u[0] ** 2, hi * u[0] ** 2),))
             return RankOneFamily(u, UncertaintyInterval(lo, hi))
         if gamma.dim > _VERTEX_DIM_CAP:
             raise ValueError(

@@ -6,21 +6,21 @@ Boundary nodes keep zero discrete curvature (linear extrapolation), so no
 flux is generated there, and the domain is truncated wide enough that the
 Gaussian-type tail of the initial data cannot reach the evaluation point.
 
-Every diagonal step -- full box solves, one step of ``step_diag`` and the
-batched last-axis sweeps of the nested recursion -- runs through one kernel,
-``_advance_diag``; hull solves run through ``_advance_hull``. Both advance a
-C-contiguous array in place, allocate their work buffers once per solve
-and use only ``out=`` ufuncs inside the step loop. Their results are
-bit-identical to the allocating form of the same scheme (a fresh zero
-increment per step, one sign-selected product per axis or generator).
+Every diagonal step -- full box solves and the batched last-axis sweeps
+of the nested recursion -- runs through one kernel, ``_advance_diag``;
+hull solves run through ``_advance_hull``. Both advance a C-contiguous
+array in place, allocate their work buffers once per solve and use only
+``out=`` ufuncs inside the step loop. Their results are bit-identical to
+the allocating form of the same scheme (a fresh zero increment per step,
+one sign-selected product per axis or generator).
 
-When the leading axis is a passive batch axis (the nested sweeps and
-``step_diag`` with batch axes), ``_advance_diag`` cuts it into slabs of
-whole rows of at most ``_SLAB_CELLS`` cells and runs each slab through all
-of its steps before the next, so a slab and its buffers are reused from L2
-cache instead of the whole grid streaming from memory once per step. The
-rows are independent problems and every op is elementwise, so the values
-are the same bits. A 67^3 nested sweep drops from about 9 to about 6 ns per
+When the leading axis is a passive batch axis (the nested sweeps),
+``_advance_diag`` cuts it into slabs of whole rows of at most
+``_SLAB_CELLS`` cells and runs each slab through all of its steps before
+the next, so a slab and its buffers are reused from L2 cache instead of
+the whole grid streaming from memory once per step. The rows are
+independent problems and every op is elementwise, so the values are the
+same bits. A 67^3 nested sweep drops from about 9 to about 6 ns per
 cell-step on a 2-vCPU Xeon with 2 MiB of L2 per core.
 
 The box and hull solvers check their own set, then share one skeleton,
@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CFLViolation, DimensionMismatch, GExpectError
-from .gamma import ConvexHull, DiagonalBox, Interval1D, UncertaintyInterval
+from .gamma import ConvexHull, DiagonalBox, UncertaintyInterval
 from .testfuncs import TestFunction
 
 _TAIL_FACTOR = 8.0
@@ -277,17 +277,6 @@ def _advance_slab(u: np.ndarray, ivs, axes, lam: float, steps: int):
         u += incr
 
 
-def step_diag(u: np.ndarray, intervals, h: float, dt: float) -> np.ndarray:
-    """One explicit step of du/dt = sum_i Gbar_i(d2u/dx_i^2); monotone under CFL.
-
-    The intervals act on the trailing axes of u; leading axes are batch axes.
-    """
-    ivs = list(intervals)
-    out = np.array(u, dtype=float, order="C")
-    _advance_diag(out, ivs, range(out.ndim - len(ivs), out.ndim), h, dt, 1)
-    return out
-
-
 def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float, t: float,
                       dt: float | None = None) -> tuple:
     """Diffuse a tabulated array along its last axis only (nested recursion step).
@@ -373,8 +362,6 @@ def _solve(phi: TestFunction, t: float, x0, cfg: SolverConfig, sig_sqs, degenera
 def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, t: float, x0=None,
                      cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """u(t, x0) for du/dt = sum_i Gbar_i(d2u/dx_i^2) on a tensor grid."""
-    if isinstance(box, Interval1D):
-        box = DiagonalBox((box.interval,))
     n = box.dim
     if n > 3:
         raise DimensionMismatch(f"diagonal solver supports dimension <= 3, got {n}")

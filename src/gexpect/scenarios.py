@@ -17,9 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GExpectError
-from .gamma import (DiagonalBox, Interval1D, UncertaintyInterval,
-                    check_scaling_constraint, is_diagonal_image, g_function,
-                    rank_one_gamma)
+from .gamma import (DiagonalBox, UncertaintyInterval, check_scaling_constraint,
+                    g_function, image_gamma, is_diagonal_image)
 from .pde import SolverConfig
 from .expectation import (ExpectationResult, expect_gnormal, expect_sequential)
 from .testfuncs import (ABS, SQUARE, SUM_OF_SQUARES, TestFunction, XY,
@@ -170,7 +169,7 @@ def run_linear_image(iv: UncertaintyInterval, a, v, cfg: SolverConfig = SolverCo
     w_row = v @ a
     scale = float(w_row @ w_row)
     rec.quantity("||v^T A||^2", scale)
-    scaled = Interval1D(iv.scaled(scale))
+    scaled = DiagonalBox((iv.scaled(scale),))
     for phi in (SQUARE, ABS):
         lhs = rec.record(f"nested E[{phi.name}(<v,AY>)]",
                          expect_sequential((iv,) * n, linear_pullback(phi, w_row.reshape(1, -1)),
@@ -179,9 +178,7 @@ def run_linear_image(iv: UncertaintyInterval, a, v, cfg: SolverConfig = SolverCo
                          expect_gnormal(scaled, phi, cfg=cfg))
         rec.assert_close(f"inner-product law for {phi.name}", lhs.value, rhs.value, tol)
     if np.linalg.matrix_rank(a, tol=1e-12) <= 1 and m == 2:
-        uu, ss, vh = np.linalg.svd(a)
-        u_dir, w_vec = uu[:, 0], ss[0] * vh[0]
-        family = rank_one_gamma(u_dir, w_vec, iv)
+        family = image_gamma(a, DiagonalBox((iv,) * n))
         for phi in (SUM_OF_SQUARES, XY):
             lhs = rec.record(f"nested E[{phi.name}(AY)]",
                              expect_sequential((iv,) * n, linear_pullback(phi, a), cfg=cfg))

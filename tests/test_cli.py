@@ -46,6 +46,16 @@ class TestParseArgs:
         assert cfg.sigma_high_sq == 9.0
         assert cfg.h == 0.25  # flag wins over file
 
+    def test_config_file_repeated_scenario_extends(self, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("scenario = asymmetric-independence\nh = 0.5\n"
+                           "scenario = quadratic-form\nh = 0.25\n")
+        cfg = parse_args(["run", "--config", str(cfgfile)])
+        assert cfg.scenarios == ("asymmetric-independence", "quadratic-form")
+        assert cfg.scenarios == parse_args(["run", "--scenario", "asymmetric-independence",
+                                            "--scenario", "quadratic-form"]).scenarios
+        assert cfg.h == 0.25  # a repeated scalar key: the last one wins
+
     def test_config_file_rejects_garbage(self, tmp_path):
         bad = tmp_path / "run.cfg"
         bad.write_text("h 0.5\n")
@@ -192,7 +202,8 @@ class TestExecute:
         out = tmp_path / "results.csv"
         code = execute(RunConfig(scenarios=("invertible-scan",), out=str(out)))
         assert code == 0
-        rows = list(csv.reader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == list(CSV_COLUMNS)
         assert len(rows) > 10
         assert all(r[0] == "invertible-scan" for r in rows[1:])
@@ -227,6 +238,14 @@ class TestThreads:
         monkeypatch.setenv("GEXPECT_THREADS", "1")
         outcomes, _ = run_scenarios(RunConfig(scenarios=("invertible-scan",)))
         assert outcomes[0].name == "invertible-scan"
+
+    def test_auto_count_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv("GEXPECT_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert cli._worker_count(8) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._worker_count(8) == 8
 
     def test_invalid_env_rejected(self, monkeypatch):
         monkeypatch.setenv("GEXPECT_THREADS", "many")

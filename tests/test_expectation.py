@@ -8,7 +8,7 @@ from gexpect.expectation import (GNormal, LinearImage, Sequential, expect,
                                  expect_gnormal, expect_sequential,
                                  lower_expectation)
 from gexpect.gamma import (ConvexHull, DiagonalBox, Interval1D, RankOneFamily,
-                           UncertaintyInterval, rank_one_gamma)
+                           UncertaintyInterval, image_gamma)
 from gexpect.pde import SolverConfig
 from gexpect.testfuncs import (ABS, NEG_SQUARE, POS_PART, SQUARE, QUARTIC,
                                XY_SQUARED, YX_SQUARED, TestFunction)
@@ -52,8 +52,16 @@ class TestExpectGNormal:
         assert expect_gnormal(Interval1D(IV), ABS, cfg=FAST).value == \
             pytest.approx(ABS_MOMENT, abs=2e-3)
 
+    def test_interval1d_and_one_interval_box_agree_bitwise(self):
+        for phi in (SQUARE, ABS, POS_PART):
+            a = expect_gnormal(Interval1D(IV), phi)
+            b = expect_gnormal(DiagonalBox((IV,)), phi)
+            assert (a.value, a.error_estimate) == (b.value, b.error_estimate)
+
     def test_rank_one_reduces_to_ray(self):
-        fam = rank_one_gamma([3.0, 4.0], [1.0], UncertaintyInterval(1.0, 1.0))
+        # (3, 4)^T S for S ~ N(0, 1): the image of the 1D box under u w^T, w = 1
+        fam = image_gamma(np.array([[3.0], [4.0]]), DiagonalBox((UncertaintyInterval(1.0, 1.0),)))
+        assert isinstance(fam, RankOneFamily)
         phi = TestFunction(lambda x, y: x * y, arity=2, growth_order=1,
                            growth_const=8.0, name="")
         # E[(3S)(4S)] = 12 E[S^2] = 12 for S ~ N(0, 1)

@@ -4,7 +4,7 @@ import pytest
 from gexpect.gamma import (ConvexHull, DiagonalBox, Interval1D, RankOneFamily,
                            UncertaintyInterval, check_scaling_constraint,
                            g_function, gbar, image_gamma, is_diagonal_image,
-                           rank_one_gamma, singleton_zero)
+                           singleton_zero)
 from oracles import gamma_sets_equal
 
 IV = UncertaintyInterval(1.0, 4.0)
@@ -69,9 +69,12 @@ class TestImageGamma:
 
     def test_row_vector_gives_interval(self):
         out = image_gamma(np.array([[3.0, 4.0]]), DiagonalBox((IV, IV)))
-        assert isinstance(out, Interval1D)
-        assert out.interval.sigma_low_sq == pytest.approx(25.0, rel=1e-12)
-        assert out.interval.sigma_high_sq == pytest.approx(100.0, rel=1e-12)
+        assert isinstance(out, DiagonalBox) and out.dim == 1
+        (iv,) = out.intervals
+        assert iv.sigma_low_sq == pytest.approx(25.0, rel=1e-12)
+        assert iv.sigma_high_sq == pytest.approx(100.0, rel=1e-12)
+        ray = image_gamma(np.array([[2.0, 0.0]]), RankOneFamily(np.array([1.0, 1.0]), IV))
+        assert ray == DiagonalBox((IV.scaled(4.0),))
 
     def test_rank_one_matrix_gives_family(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])  # (1,2)^T (1,2)
@@ -99,12 +102,30 @@ class TestImageGamma:
         assert g_function(out, np.eye(2)) == 0.0
 
 
+# symmetric test matrices for comparing G of two sets
+SYMMETRIC = [np.eye(2), -np.eye(2), np.diag([1.0, -3.0]), np.array([[0.0, 1.0], [1.0, 0.0]]),
+             np.array([[2.0, -0.7], [-0.7, 0.5]]), np.array([[-1.0, 2.5], [2.5, 4.0]])]
+
+
 def test_rank_one_gamma():
-    fam = rank_one_gamma([1.0, 0.0], [1.0, 2.0], IV)
-    assert isinstance(fam, RankOneFamily)
-    assert fam.scalar_range == UncertaintyInterval(5.0, 20.0)
-    degenerate = rank_one_gamma([0.0, 0.0], [1.0, 2.0], IV)
-    assert g_function(degenerate, np.eye(2)) == 0.0
+    # (u w^T) Y for a sequential Y with common interval IV has the set
+    # {u r u^T : r in ||w||^2 IV}
+    for u, w in (([1.0, 0.0], [1.0, 2.0]), ([3.0, -4.0], [0.5, 0.5]),
+                 ([1.0, 2.0], [2.0, -1.0, 0.5]), ([2.0, 1.0], [3.0])):
+        u, w = np.array(u), np.array(w)
+        fam = image_gamma(np.outer(u, w), DiagonalBox((IV,) * w.size))
+        assert isinstance(fam, RankOneFamily)
+        expected = RankOneFamily(u, IV.scaled(float(w @ w)))
+        for a in SYMMETRIC:
+            assert g_function(fam, a) == pytest.approx(g_function(expected, a),
+                                                       rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("u, w", [([0.0, 0.0], [1.0, 2.0]), ([1.0, 2.0], [0.0, 0.0])])
+def test_rank_one_gamma_with_zero_factor_is_singleton(u, w):
+    out = image_gamma(np.outer(u, w), DiagonalBox((IV, IV)))
+    assert gamma_sets_equal(out, singleton_zero(2))
+    assert all(g_function(out, a) == 0.0 for a in SYMMETRIC)
 
 
 class TestIsDiagonalImage:
