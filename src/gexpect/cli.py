@@ -74,8 +74,8 @@ class RunConfig:
             self.interval()
         except ValueError as exc:
             raise GExpectError(str(exc)) from None
-        if self.refine < 0:
-            raise GExpectError("refine must be >= 0")
+        if not isinstance(self.refine, int) or isinstance(self.refine, bool) or self.refine < 0:
+            raise GExpectError(f"refine must be an integer >= 0, got {self.refine!r}")
         if self.refine > 0 and self.h is None:
             raise GExpectError("refine needs h: levels run at h/2, ..., h/2^refine")
         if self.report not in ("csv", "md"):

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import DimensionMismatch, GExpectError
 from .gamma import (ConvexHull, DiagonalBox, GammaSet, RankOneFamily, UncertaintyInterval,
                     image_gamma)
-from .pde import (SolverConfig, SolveReport, _eval_initial, build_grid, diffuse_last_axis,
-                  refinement_delta, solve_gheat_diag, solve_gheat_hull)
+from .pde import (SolverConfig, SolveReport, _at_origin, _at_rest, _eval_initial, build_grid,
+                  diffuse_last_axis, refinement_delta, solve_gheat_diag, solve_gheat_hull)
 from .testfuncs import TestFunction, linear_pullback
 
 
@@ -122,11 +122,11 @@ def expect_gnormal(gamma: GammaSet, phi: TestFunction,
         vals = [float(b[0, 0]) for b in gamma.generators]
         gamma = DiagonalBox((UncertaintyInterval(min(vals), max(vals)),))
     if isinstance(gamma, DiagonalBox):
-        rep = solve_gheat_diag(gamma, phi, 1.0, cfg=cfg)
+        rep = solve_gheat_diag(gamma, phi, cfg=cfg)
     elif isinstance(gamma, ConvexHull):
         if gamma.dim != 2:
             raise DimensionMismatch("convex-hull sets are solvable in dimension 2 only")
-        rep = solve_gheat_hull(gamma, phi, 1.0, cfg=cfg)
+        rep = solve_gheat_hull(gamma, phi, cfg=cfg)
     else:
         raise GExpectError(f"uncertainty set {type(gamma).__name__} is not solvable")
     return ExpectationResult(rep.value_at_origin, _report_error(rep), "pde", (rep,))
@@ -138,15 +138,14 @@ def expect_gnormal(gamma: GammaSet, phi: TestFunction,
 
 def _nested_value(intervals, order, phi, cfg: SolverConfig):
     n = len(intervals)
-    probe = build_grid([iv.sigma_high_sq for iv in intervals], phi, 1.0, None, cfg)
+    probe = build_grid([iv.sigma_high_sq for iv in intervals], phi, cfg)
     # reorder axes so axis k holds the variable at sequence position k
     u = np.transpose(_eval_initial(phi, probe), axes=order)
     steps = 0
     for k in range(n - 1, -1, -1):
         iv = intervals[order[k]]
-        u, _, s = diffuse_last_axis(u, iv, probe.h, 1.0, cfg.dt)
-        center = (u.shape[-1] - 1) // 2
-        u = u[..., center]
+        u, _, s = diffuse_last_axis(u, iv, probe.h, cfg.dt)
+        u = _at_origin(u, 1)
         steps += s
     return float(u), steps, probe
 
@@ -165,12 +164,14 @@ def expect_sequential(intervals, phi: TestFunction, order=None,
     if sorted(order) != list(range(n)):
         raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
 
-    u_h, steps, probe = _nested_value(intervals, order, phi, cfg)
-    value, grid_term = refinement_delta(
-        u_h, probe.h, cfg, lambda c: _nested_value(intervals, order, phi, c)[0])
-    rep = SolveReport(value, probe.tail_bound, grid_term, steps,
-                      degenerate=any(iv.sigma_low_sq == 0.0 for iv in intervals))
-    return ExpectationResult(value, _report_error(rep), "nested", (rep,))
+    if max(iv.sigma_high_sq for iv in intervals) == 0.0:
+        rep = _at_rest(phi, cfg)
+    else:
+        u_h, steps, probe = _nested_value(intervals, order, phi, cfg)
+        value, grid_term = refinement_delta(
+            u_h, probe.h, cfg, lambda c: _nested_value(intervals, order, phi, c)[0])
+        rep = SolveReport(value, probe.tail_bound, grid_term, steps)
+    return ExpectationResult(rep.value_at_origin, _report_error(rep), "nested", (rep,))
 
 
 # ---------------------------------------------------------------------------

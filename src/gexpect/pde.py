@@ -4,7 +4,11 @@ All schemes are forward Euler in time with 3-point second differences per
 axis; cross terms (hull generators) use the upwinded 9-point splitting.
 Boundary nodes keep zero discrete curvature (linear extrapolation), so no
 flux is generated there, and the domain is truncated wide enough that the
-Gaussian-type tail of the initial data cannot reach the evaluation point.
+Gaussian-type tail of the initial data cannot reach the origin.
+
+Every solve computes u(1, 0) = E^[phi(X)], read at the centre node of the
+grid. The value at a horizon t and a start y is E^[phi(y + X)] over
+variances scaled by t.
 
 Every diagonal step -- full box solves and the batched last-axis sweeps
 of the nested recursion -- runs through one kernel, ``_advance_diag``;
@@ -24,7 +28,7 @@ same bits. A 67^3 nested sweep drops from about 9 to about 6 ns per
 cell-step on a 2-vCPU Xeon with 2 MiB of L2 per core.
 
 The box and hull solvers check their own set, then share one skeleton,
-``_solve`` (which returns phi(x0) when t = 0 or every variance is zero).
+``_solve`` (which returns phi(0) when every variance is zero).
 A solve's error estimate is the analytic tail bound of its grid (computed
 once by ``build_grid``) plus the grid term of ``refinement_delta``, the one
 three-grid helper of every solve, nested recursions included. ``build_grid``
@@ -64,8 +68,10 @@ _CELL_STEP_BUDGET = 1e10
 _SLAB_CELLS = 1 << 16
 
 
-def _step_count(t: float, dt: float) -> int:
-    return max(1, math.ceil(t / dt - 1e-12))
+def _step_count(dt: float) -> int:
+    # the tolerance is relative: 1 / (1 / s) can exceed s by more than any
+    # fixed 1e-12 (from s = 23294 on), and an extra step overshoots time 1
+    return max(1, math.ceil((1.0 - 1e-12) / dt))
 
 
 def _require_finite_positive(**values):
@@ -93,27 +99,22 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform tensor grid: [-L_i, L_i] per axis at spacing h, stepped by dt.
-    tail_bound bounds what truncating the domain at L_i costs the solve."""
+    """Uniform tensor grid: [-L_i, L_i] per axis at spacing h, stepped by dt
+    up to time 1. tail_bound bounds what truncating the domain at L_i costs
+    the solve."""
 
     half_width: tuple
     h: float
     dims: int
-    time_horizon: float
     dt: float
     tail_bound: float = 0.0
 
     def __post_init__(self):
-        hw = self.half_width
-        if np.isscalar(hw):
-            hw = (float(hw),) * self.dims
-        hw = tuple(float(v) for v in hw)
+        hw = tuple(float(v) for v in self.half_width)
         object.__setattr__(self, "half_width", hw)
         if len(hw) != self.dims:
             raise ValueError("half_width must have one entry per axis")
         _require_finite_positive(h=self.h, dt=self.dt)
-        if not (math.isfinite(self.time_horizon) and self.time_horizon >= 0):
-            raise ValueError(f"time_horizon must be finite and >= 0, got {self.time_horizon}")
         for L in hw:
             _require_finite_positive(half_width=L)
             cells = L / self.h
@@ -126,7 +127,7 @@ class GridSpec:
 
     @property
     def steps(self) -> int:
-        return _step_count(self.time_horizon, self.dt)
+        return _step_count(self.dt)
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,6 @@ class SolveReport:
     tail_bound: float
     refinement_delta: float | None  # the grid term; None with refinement off
     steps_taken: int
-    degenerate: bool = False
 
 
 def _tail(phi: TestFunction, L: float, k: float) -> float:
@@ -144,22 +144,16 @@ def _tail(phi: TestFunction, L: float, k: float) -> float:
     return phi.growth_const * (1.0 + (1.0 + L) ** phi.growth_order) * math.exp(-0.5 * k * k)
 
 
-def _scale(sigma: float, t: float) -> float:
-    return max(sigma, 1e-6) * math.sqrt(max(t, 1e-12))
-
-
-def _tail_halfwidth(center: float, sigma: float, t: float, phi: TestFunction, tol: float) -> float:
-    """Per-axis truncation radius whose tail bound is at most tol / 10."""
+def _tail_halfwidth(sigma: float, phi: TestFunction, tol: float) -> float:
+    """Per-axis truncation radius k sigma, 8 <= k <= 20, whose tail bound is
+    at most tol / 10 if any is."""
     k = _TAIL_FACTOR
-    while k < 20.0:
-        L = abs(center) + k * _scale(sigma, t)
-        if _tail(phi, L, k) <= 0.1 * tol:
-            return L
+    while k < 20.0 and _tail(phi, k * sigma, k) > 0.1 * tol:
         k += 1.0
-    return abs(center) + k * _scale(sigma, t)
+    return k * sigma
 
 
-def build_grid(sigma_high_sqs, phi: TestFunction, t: float, x0, cfg: SolverConfig,
+def build_grid(sigma_high_sqs, phi: TestFunction, cfg: SolverConfig,
                cfl_denominator: float | None = None) -> GridSpec:
     """Derive a grid from the variance scales and the declared growth of phi.
 
@@ -171,35 +165,34 @@ def build_grid(sigma_high_sqs, phi: TestFunction, t: float, x0, cfg: SolverConfi
     """
     sig_sq = np.asarray(sigma_high_sqs, dtype=float)
     n = sig_sq.size
-    x0 = np.zeros(n) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.size != n:
-        raise DimensionMismatch(f"x0 has {x0.size} entries for a {n}-dimensional solve")
     sig_max = math.sqrt(float(sig_sq.max()))
     if sig_max == 0.0:
         raise GExpectError("all variances are zero; nothing to diffuse")
 
+    # floored so that an axis of zero variance has a finite tail; it needs
+    # only its minimum of 8 cells
+    sigmas = [max(math.sqrt(s), 1e-6) for s in sig_sq]
     if cfg.half_width is not None:
         halves = [cfg.half_width] * n
     else:
-        halves = [_tail_halfwidth(float(x0[i]), math.sqrt(sig_sq[i]), t, phi, cfg.target_tol)
-                  for i in range(n)]
-    h = cfg.h if cfg.h is not None else min(0.02 * min(halves), 0.1 * sig_max * math.sqrt(t))
+        halves = [_tail_halfwidth(s, phi, cfg.target_tol) for s in sigmas]
+    # only diffusing axes set the default h
+    h = cfg.h if cfg.h is not None else min(
+        0.02 * min(L for L, s in zip(halves, sig_sq) if s > 0.0), 0.1 * sig_max)
     denom = cfl_denominator if cfl_denominator is not None else float(sig_sq.sum())
     dt = cfg.dt if cfg.dt is not None else _CFL_SAFETY * h * h / denom
     # counted before the half widths round up to whole cells, since L / h may
     # overflow; steps >= 1, so a grid over budget in cells alone needs no
     # step count (whose h * h may underflow)
     cells = math.prod(2.0 * max(L / h, 8.0) + 1.0 for L in halves)
-    steps = _step_count(t, dt) if cells <= _CELL_STEP_BUDGET else 1
+    steps = _step_count(dt) if cells <= _CELL_STEP_BUDGET else 1
     cost = cells * steps
     if cost > _CELL_STEP_BUDGET:
         raise GExpectError(f"grid of about {cost:.1e} cells x steps at h={h:g} exceeds the "
                            f"budget of {_CELL_STEP_BUDGET:.0e}; use a coarser h or a smaller L")
     halves = [max(math.ceil(L / h - 1e-9), 8) * h for L in halves]
-    tail = sum(_tail(phi, L, max(L - abs(c), 0.0) / _scale(math.sqrt(s), t))
-               for L, c, s in zip(halves, x0, sig_sq))
-    return GridSpec(half_width=tuple(halves), h=h, dims=n, time_horizon=t, dt=t / steps,
-                    tail_bound=tail)
+    tail = sum(_tail(phi, L, L / s) for L, s in zip(halves, sigmas))
+    return GridSpec(half_width=tuple(halves), h=h, dims=n, dt=1.0 / steps, tail_bound=tail)
 
 
 def _check_monotone(dt: float, h: float, weight: float):
@@ -277,33 +270,24 @@ def _advance_slab(u: np.ndarray, ivs, axes, lam: float, steps: int):
         u += incr
 
 
-def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float, t: float,
+def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float,
                       dt: float | None = None) -> tuple:
-    """Diffuse a tabulated array along its last axis only (nested recursion step).
-
-    Returns (final array, dt used, steps taken); dt is 0.0 when t = 0.
+    """Diffuse a tabulated array along its last axis only, up to time 1
+    (nested recursion step). Returns (final array, dt used, steps taken).
     """
     u = np.array(u0, dtype=float, order="C")
-    if t == 0.0:
-        return u, 0.0, 0
     if dt is None:
         dt = _CFL_SAFETY * h * h / max(iv.sigma_high_sq, 1e-300)
-    _require_finite_positive(h=h, t=t, dt=dt)
-    dt = t / _step_count(t, dt)
-    steps = _step_count(t, dt)
+    _require_finite_positive(h=h, dt=dt)
+    dt = 1.0 / _step_count(dt)
+    steps = _step_count(dt)
     _advance_diag(u, [iv], [u.ndim - 1], h, dt, steps)
     return u, dt, steps
 
 
-def _interp_multilinear(u: np.ndarray, axes, point) -> float:
-    for coord, g in zip(point, axes):
-        if coord < g[0] - 1e-12 or coord > g[-1] + 1e-12:
-            raise GExpectError(f"evaluation point {coord} outside the grid [{g[0]}, {g[-1]}]")
-        j = min(int(np.searchsorted(g, coord, side="right")) - 1, g.size - 2)
-        j = max(j, 0)
-        w = (coord - g[j]) / (g[j + 1] - g[j])
-        u = (1.0 - w) * u[j] + w * u[j + 1]
-    return float(u)
+def _at_origin(u: np.ndarray, k: int) -> np.ndarray:
+    """u at the centre node, the origin, of its last k axes."""
+    return u[(...,) + tuple(n // 2 for n in u.shape[u.ndim - k:])]
 
 
 def _eval_initial(phi: TestFunction, grid: GridSpec) -> np.ndarray:
@@ -341,37 +325,37 @@ def refinement_delta(u_h: float, h: float, cfg: SolverConfig, solve_at) -> tuple
     return u_h, max(abs(d1), abs(d2))
 
 
-def _solve(phi: TestFunction, t: float, x0, cfg: SolverConfig, sig_sqs, degenerate: bool,
-           advance, solve_at, cfl_denominator: float | None = None) -> SolveReport:
+def _at_rest(phi: TestFunction, cfg: SolverConfig) -> SolveReport:
+    """The solve of a law whose variances are all zero: phi(0), exactly."""
+    return SolveReport(float(phi(*np.zeros(phi.arity))), 0.0, 0.0 if cfg.refine else None, 0)
+
+
+def _solve(phi: TestFunction, cfg: SolverConfig, sig_sqs, advance, solve_at,
+           cfl_denominator: float | None = None) -> SolveReport:
     """Solve skeleton shared by the box and hull solvers: grid, initial data,
-    advance(u, grid), interpolation at x0, and the re-solves solve_at(cfg)
-    -> value of refinement_delta."""
-    if t < 0:
-        raise GExpectError("time horizon must be nonnegative")
-    x0 = np.zeros(len(sig_sqs)) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-    if t == 0.0 or max(sig_sqs) == 0.0:
-        return SolveReport(float(phi(*x0)), 0.0, 0.0 if cfg.refine else None, 0, degenerate)
-    grid = build_grid(sig_sqs, phi, t, x0, cfg, cfl_denominator)
+    advance(u, grid), the centre node, and the re-solves solve_at(cfg) ->
+    value of refinement_delta."""
+    if max(sig_sqs) == 0.0:
+        return _at_rest(phi, cfg)
+    grid = build_grid(sig_sqs, phi, cfg, cfl_denominator)
     u = _eval_initial(phi, grid)
     advance(u, grid)
-    u_h = _interp_multilinear(u, [grid.axis(i) for i in range(grid.dims)], x0)
-    value, grid_term = refinement_delta(u_h, grid.h, cfg, solve_at)
-    return SolveReport(value, grid.tail_bound, grid_term, grid.steps, degenerate)
+    value, grid_term = refinement_delta(float(_at_origin(u, u.ndim)), grid.h, cfg, solve_at)
+    return SolveReport(value, grid.tail_bound, grid_term, grid.steps)
 
 
-def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, t: float, x0=None,
+def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, *,
                      cfg: SolverConfig = SolverConfig()) -> SolveReport:
-    """u(t, x0) for du/dt = sum_i Gbar_i(d2u/dx_i^2) on a tensor grid."""
+    """u(1, 0) = E^[phi(X)] for du/dt = sum_i Gbar_i(d2u/dx_i^2) on a tensor grid."""
     n = box.dim
     if n > 3:
         raise DimensionMismatch(f"diagonal solver supports dimension <= 3, got {n}")
     if phi.arity != n:
         raise DimensionMismatch(f"phi takes {phi.arity} arguments but the box has dimension {n}")
     return _solve(
-        phi, t, x0, cfg, [iv.sigma_high_sq for iv in box.intervals],
-        any(iv.sigma_low_sq == 0.0 for iv in box.intervals),
+        phi, cfg, [iv.sigma_high_sq for iv in box.intervals],
         lambda u, g: _advance_diag(u, box.intervals, range(n), g.h, g.dt, g.steps),
-        lambda c: solve_gheat_diag(box, phi, t, x0, cfg=c).value_at_origin,
+        lambda c: solve_gheat_diag(box, phi, cfg=c).value_at_origin,
     )
 
 
@@ -429,9 +413,10 @@ def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int):
         c += best
 
 
-def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, t: float, x0=None,
+def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, *,
                      cfg: SolverConfig = SolverConfig()) -> SolveReport:
-    """2D solve with flux max over hull generators (Kushner 9-point stencil)."""
+    """u(1, 0) = E^[phi(X)] in 2D with the flux max over the hull generators
+    (Kushner 9-point stencil)."""
     if hull.dim != 2:
         raise DimensionMismatch("hull solver is 2D only")
     if phi.arity != 2:
@@ -443,9 +428,8 @@ def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, t: float, x0=None,
                 f"hull generator is not diagonally dominant (scheme would lose monotonicity):\n{b}"
             )
     return _solve(
-        phi, t, x0, cfg, [max(b[i, i] for b in gens) for i in range(2)],
-        any(np.linalg.eigvalsh(b).min() <= 1e-12 for b in gens),
+        phi, cfg, [max(b[i, i] for b in gens) for i in range(2)],
         lambda u, g: _advance_hull(u, gens, g.h, g.dt, g.steps),
-        lambda c: solve_gheat_hull(hull, phi, t, x0, cfg=c).value_at_origin,
+        lambda c: solve_gheat_hull(hull, phi, cfg=c).value_at_origin,
         cfl_denominator=_hull_weight(gens),
     )

@@ -97,6 +97,12 @@ class TestParseArgs:
             RunConfig(refine=-1)
 
 
+@pytest.mark.parametrize("refine", [1.5, "1", True, None])
+def test_run_config_refine_must_be_an_int(refine):
+    with pytest.raises(GExpectError, match="refine must be an integer"):
+        RunConfig(h=0.25, refine=refine)
+
+
 def test_variance_error_shows_the_given_bounds():
     # checked before the horizon t scales them
     with pytest.raises(GExpectError, match=r"got \[5\.0, 4\.0\]"):

@@ -161,3 +161,31 @@ def test_zero_2d_linear_image_is_phi_at_origin():
                        growth_const=4.0)
     res = expect(LinearImage(np.zeros((2, 2)), GNormal(DiagonalBox((IV, IV)))), phi)
     assert (res.value, res.error_estimate) == (2.0, 0.0)
+
+
+ZERO = UncertaintyInterval(0.0, 0.0)
+SUM_OF_SQUARES = TestFunction(lambda x, y: x**2 + y**2, arity=2, growth_order=1,
+                              growth_const=4.0, tags={"convex"}, name="x^2+y^2")
+
+
+@pytest.mark.parametrize("law", [GNormal(DiagonalBox((ZERO, IV))), GNormal(DiagonalBox((IV, ZERO))),
+                                 Sequential((IV, ZERO)), Sequential((ZERO, IV))],
+                         ids=["box zero first", "box zero last", "sequential zero last",
+                              "sequential zero first"])
+def test_zero_variance_coordinate_keeps_the_default_h(law):
+    # the zero-variance axis must not set h for the whole grid: its 8e-6
+    # truncation radius would ask for h = 1.6e-7, far over the budget
+    res = expect(law, SUM_OF_SQUARES)
+    assert abs(res.value - 4.0) <= res.error_estimate + 1e-12
+    assert res.error_estimate < 1e-6
+
+
+def test_all_zero_sequential_law_is_phi_at_origin():
+    # E^[phi(X)] = phi(0) for X = 0, on every path: a box, a sequential law
+    # and a linear image of it
+    phi = TestFunction(lambda x, y: (x + 1.0) ** 2 + y, arity=2, growth_order=1,
+                       growth_const=4.0, name="(x+1)^2+y")
+    for law in (GNormal(DiagonalBox((ZERO, ZERO))), Sequential((ZERO, ZERO)),
+                LinearImage(np.array([[1.0, 2.0], [0.0, 1.0]]), Sequential((ZERO, ZERO)))):
+        res = expect(law, phi)
+        assert (res.value, res.error_estimate) == (1.0, 0.0)

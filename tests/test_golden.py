@@ -73,9 +73,9 @@ KINK = TestFunction(lambda x, y: np.maximum(x - 0.5 * y - 0.3, 0.0), arity=2, gr
 
 @pytest.mark.parametrize("solve, pinned", [
     # box and sequential extrapolate; hull and rank-one fall back to u_h
-    (lambda: solve_gheat_diag(DiagonalBox((IV, IV)), XY_SQUARED, 1.0, cfg=COARSE),
+    (lambda: solve_gheat_diag(DiagonalBox((IV, IV)), XY_SQUARED, cfg=COARSE),
      (1.595676409210137, 5.876172814779698e-11, 0.03331378298029941, 320)),
-    (lambda: solve_gheat_hull(HULL, XY_SQUARED, 1.0, cfg=COARSE),
+    (lambda: solve_gheat_hull(HULL, XY_SQUARED, cfg=COARSE),
      (1.2902047883147163, 1.726140097584274e-11, 0.05387472388573733, 240)),
     (lambda: expect_sequential((IV, IV), XY_SQUARED, cfg=COARSE).diagnostics[0],
      (2.3936619640371988, 5.876172814779698e-11, 0.008446095800599629, 320)),

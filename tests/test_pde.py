@@ -5,6 +5,7 @@ import pytest
 
 from gexpect import pde
 from gexpect.errors import CFLViolation, DimensionMismatch, GExpectError
+from gexpect.expectation import GNormal, expect
 from gexpect.gamma import ConvexHull, DiagonalBox, UncertaintyInterval, singleton_zero
 from gexpect.pde import (GridSpec, SolverConfig, build_grid, diffuse_last_axis,
                          solve_gheat_diag, solve_gheat_hull)
@@ -18,21 +19,30 @@ FAST = SolverConfig(h=0.2, refine=False)
 
 class TestGridSpec:
     def test_axis_centered_at_zero(self):
-        g = GridSpec(half_width=(2.0,), h=0.25, dims=1, time_horizon=1.0, dt=0.01)
+        g = GridSpec(half_width=(2.0,), h=0.25, dims=1, dt=0.01)
         ax = g.axis(0)
         assert ax.size == 17
         assert ax[(ax.size - 1) // 2] == 0.0
 
     def test_half_width_multiple_of_h(self):
         with pytest.raises(ValueError, match="multiple"):
-            GridSpec(half_width=(2.1,), h=0.25, dims=1, time_horizon=1.0, dt=0.01)
+            GridSpec(half_width=(2.1,), h=0.25, dims=1, dt=0.01)
         with pytest.raises(ValueError, match="multiple"):
             # fewer than 8 cells per side
-            GridSpec(half_width=(1.0,), h=0.25, dims=1, time_horizon=1.0, dt=0.01)
+            GridSpec(half_width=(1.0,), h=0.25, dims=1, dt=0.01)
 
     def test_steps_cover_horizon(self):
-        g = GridSpec(half_width=(2.0,), h=0.25, dims=1, time_horizon=1.0, dt=0.3)
+        g = GridSpec(half_width=(2.0,), h=0.25, dims=1, dt=0.3)
         assert g.steps == 4
+
+    def test_steps_of_a_derived_dt_reach_time_one(self):
+        # 1 / (1 / s) exceeds s by more than 1e-12 for these s; s + 1 steps
+        # of 1 / s would overshoot time 1 (a 1D x^2 solve at h = 0.020661
+        # would return 4.00017 for 4)
+        for s in (23294, 23427, 10**6):
+            assert pde._step_count(1.0 / s) == s
+        g = build_grid([4.0], SQUARE, SolverConfig(h=0.020661, half_width=8.0))
+        assert g.steps * g.dt == pytest.approx(1.0, rel=1e-12)
 
 
 BAD_VALUES = [math.nan, math.inf, -math.inf, 0.0]
@@ -48,74 +58,60 @@ def test_solver_config_rejects_non_finite(name, bad):
 @pytest.mark.parametrize("bad", BAD_VALUES)
 @pytest.mark.parametrize("name", ["h", "dt", "half_width"])
 def test_grid_spec_rejects_non_finite(name, bad):
-    kwargs = dict(half_width=(2.0,), h=0.25, dims=1, time_horizon=1.0, dt=0.01)
+    kwargs = dict(half_width=(2.0,), h=0.25, dims=1, dt=0.01)
     kwargs[name] = (bad,) if name == "half_width" else bad
     with pytest.raises(ValueError):
         GridSpec(**kwargs)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
-def test_grid_spec_rejects_bad_horizon(bad):
-    with pytest.raises(ValueError, match="time_horizon"):
-        GridSpec(half_width=(2.0,), h=0.25, dims=1, time_horizon=bad, dt=0.01)
-
-
-@pytest.mark.parametrize("kwargs", [dict(h=math.nan), dict(h=0.0), dict(t=-1.0),
-                                    dict(t=math.inf), dict(dt=math.nan)])
+@pytest.mark.parametrize("kwargs", [dict(h=math.nan), dict(h=0.0), dict(h=math.inf),
+                                    dict(dt=0.0), dict(dt=math.nan)])
 def test_diffuse_last_axis_rejects_bad_settings(kwargs):
-    args = dict(h=0.2, t=1.0, dt=None) | kwargs
+    args = dict(h=0.2, dt=None) | kwargs
     with pytest.raises(ValueError, match="finite and positive"):
         diffuse_last_axis(np.zeros((3, 21)), IV, **args)
 
 
 class TestBuildGrid:
     def test_domain_covers_tails(self):
-        g = build_grid([4.0], SQUARE, 1.0, None, SolverConfig())
+        g = build_grid([4.0], SQUARE, SolverConfig())
         assert g.half_width[0] >= 8.0 * 2.0  # 8 sigma_high
         assert g.dt <= 0.4 * g.h * g.h / 4.0 + 1e-15
 
     def test_overrides_respected(self):
-        g = build_grid([4.0], SQUARE, 1.0, None, SolverConfig(h=0.5, half_width=20.0))
+        g = build_grid([4.0], SQUARE, SolverConfig(h=0.5, half_width=20.0))
         assert g.h == 0.5
         assert g.half_width == (20.0, 20.0) or g.half_width == (20.0,)
 
     def test_zero_variance_rejected(self):
         with pytest.raises(GExpectError):
-            build_grid([0.0], SQUARE, 1.0, None, SolverConfig())
+            build_grid([0.0], SQUARE, SolverConfig())
 
 
 class TestSolve1D:
     def test_upper_and_lower_variance(self):
-        up = solve_gheat_diag(BOX_1D, SQUARE, 1.0, cfg=FAST)
-        lo = solve_gheat_diag(BOX_1D, NEG_SQUARE, 1.0, cfg=FAST)
+        up = solve_gheat_diag(BOX_1D, SQUARE, cfg=FAST)
+        lo = solve_gheat_diag(BOX_1D, NEG_SQUARE, cfg=FAST)
         assert up.value_at_origin == pytest.approx(4.0, rel=1e-6)
         assert -lo.value_at_origin == pytest.approx(1.0, rel=1e-6)
 
     def test_linear_data_is_invariant(self):
-        rep = solve_gheat_diag(BOX_1D, IDENTITY, 1.0, cfg=FAST)
+        rep = solve_gheat_diag(BOX_1D, IDENTITY, cfg=FAST)
         assert abs(rep.value_at_origin) < 1e-12
 
     def test_quartic_moment(self):
-        rep = solve_gheat_diag(BOX_1D, QUARTIC, 1.0, cfg=SolverConfig(refine=False))
+        rep = solve_gheat_diag(BOX_1D, QUARTIC, cfg=SolverConfig(refine=False))
         assert rep.value_at_origin == pytest.approx(48.0, rel=2e-3)
 
     def test_shifted_start_and_time_scaling(self):
-        # u(t, x0) = E[(x0 + sqrt(t) X)^2] = x0^2 + t sigma_high^2; x0 on-grid
-        rep = solve_gheat_diag(BOX_1D, SQUARE, 0.5, [1.6], cfg=FAST)
-        assert rep.value_at_origin == pytest.approx(1.6**2 + 0.5 * 4.0, rel=1e-5)
-
-    def test_t_zero_returns_initial(self):
-        rep = solve_gheat_diag(BOX_1D, SQUARE, 0.0, [3.0], cfg=FAST)
-        assert rep.value_at_origin == 9.0
-        assert rep.steps_taken == 0
-
-    def test_degenerate_flagged(self):
-        rep = solve_gheat_diag(DiagonalBox((UncertaintyInterval(0.0, 4.0),)), SQUARE, 1.0,
-                               cfg=FAST)
-        assert rep.degenerate
+        # u(t, x0) = E^[(x0 + X)^2] over the t-scaled box = x0^2 + t sigma_high^2
+        shifted = TestFunction(lambda x: (x + 1.6) ** 2, arity=1, growth_order=1,
+                               growth_const=4.0, name="(x+1.6)^2")
+        res = expect(GNormal(DiagonalBox((IV.scaled(0.5),))), shifted, FAST)
+        assert res.value == pytest.approx(1.6**2 + 0.5 * 4.0, rel=1e-5)
 
     def test_refinement_delta_reported(self):
-        rep = solve_gheat_diag(BOX_1D, ABS, 1.0, cfg=SolverConfig(h=0.2))
+        rep = solve_gheat_diag(BOX_1D, ABS, cfg=SolverConfig(h=0.2))
         assert rep.refinement_delta is not None
         assert rep.refinement_delta < 0.05
 
@@ -125,7 +121,7 @@ class TestSolveDiag:
         box = DiagonalBox((IV, IV.scaled(2.0)))
         phi = TestFunction(lambda x, y: x**2 + y**2, arity=2, growth_order=1,
                            growth_const=8.0, tags={"convex"}, name="")
-        rep = solve_gheat_diag(box, phi, 1.0, cfg=FAST)
+        rep = solve_gheat_diag(box, phi, cfg=FAST)
         assert rep.value_at_origin == pytest.approx(4.0 + 8.0, rel=1e-6)
 
     def test_dimension_cap(self):
@@ -133,11 +129,11 @@ class TestSolveDiag:
         phi = TestFunction(lambda *c: sum(c), arity=4, growth_order=1,
                            growth_const=4.0, name="")
         with pytest.raises(DimensionMismatch):
-            solve_gheat_diag(box, phi, 1.0, cfg=FAST)
+            solve_gheat_diag(box, phi, cfg=FAST)
 
     def test_arity_check(self):
         with pytest.raises(DimensionMismatch):
-            solve_gheat_diag(DiagonalBox((IV, IV)), SQUARE, 1.0, cfg=FAST)
+            solve_gheat_diag(DiagonalBox((IV, IV)), SQUARE, cfg=FAST)
 
 
 def _one_step(u, h, dt):
@@ -165,10 +161,10 @@ class TestStepDiag:
 def test_diffuse_last_axis_matches_full_solve():
     # batched 1D diffusion of x*y^2 along y, sliced at x rows, equals
     # per-row 1D solves of the scaled quadratic
-    g = build_grid([4.0], SQUARE, 1.0, None, SolverConfig(h=0.2))
+    g = build_grid([4.0], SQUARE, SolverConfig(h=0.2))
     x = np.array([-1.0, 0.5, 2.0])
     u0 = x[:, None] * g.axis(0)[None, :] ** 2
-    out, _, steps = diffuse_last_axis(u0, IV, g.h, 1.0)
+    out, _, steps = diffuse_last_axis(u0, IV, g.h)
     center = (out.shape[-1] - 1) // 2
     # E[x Y^2] = 4x for x > 0, -(-x) E[-Y^2] -> 1x for x < 0
     assert out[:, center] == pytest.approx([-1.0, 2.0, 8.0], rel=1e-6)
@@ -178,34 +174,34 @@ def test_diffuse_last_axis_matches_full_solve():
 class TestSolveHull:
     def test_singleton_cross_term(self):
         hull = ConvexHull((np.array([[2.0, 1.0], [1.0, 2.0]]),))
-        rep = solve_gheat_hull(hull, XY, 1.0, cfg=SolverConfig(h=0.25, refine=False))
+        rep = solve_gheat_hull(hull, XY, cfg=SolverConfig(h=0.25, refine=False))
         assert rep.value_at_origin == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_diag_on_diagonal_generators(self):
         hull = ConvexHull(tuple(np.diag([a, b]) for a in (1.0, 4.0) for b in (1.0, 4.0)))
-        rh = solve_gheat_hull(hull, XY_SQUARED, 1.0, cfg=SolverConfig(h=0.25, refine=False))
-        rd = solve_gheat_diag(DiagonalBox((IV, IV)), XY_SQUARED, 1.0,
+        rh = solve_gheat_hull(hull, XY_SQUARED, cfg=SolverConfig(h=0.25, refine=False))
+        rd = solve_gheat_diag(DiagonalBox((IV, IV)), XY_SQUARED,
                               cfg=SolverConfig(h=0.25, refine=False))
         assert rh.value_at_origin == pytest.approx(rd.value_at_origin, abs=1e-9)
 
     def test_rejects_non_dominant_generator(self):
         hull = ConvexHull((np.array([[1.0, 2.0], [2.0, 5.0]]),))
         with pytest.raises(GExpectError, match="diagonally dominant"):
-            solve_gheat_hull(hull, XY, 1.0, cfg=FAST)
+            solve_gheat_hull(hull, XY, cfg=FAST)
 
     def test_2d_only(self):
         hull = ConvexHull((np.eye(3),))
         with pytest.raises(DimensionMismatch):
-            solve_gheat_hull(hull, XY, 1.0, cfg=FAST)
+            solve_gheat_hull(hull, XY, cfg=FAST)
 
 
 def test_tail_bound_is_small_on_sized_grids():
     # the derived half width keeps the tail bound below target_tol / 10;
     # a user-set L that truncates 1.5 sigma out gets an honest, larger term
     cfg = SolverConfig(h=0.2, refine=False)
-    sized = solve_gheat_diag(BOX_1D, ABS, 1.0, cfg=cfg)
+    sized = solve_gheat_diag(BOX_1D, ABS, cfg=cfg)
     assert 0.0 < sized.tail_bound <= 0.1 * cfg.target_tol
-    narrow = solve_gheat_diag(BOX_1D, ABS, 1.0, cfg=SolverConfig(h=0.2, half_width=3.0,
+    narrow = solve_gheat_diag(BOX_1D, ABS, cfg=SolverConfig(h=0.2, half_width=3.0,
                                                                  refine=False))
     # 2 (1 + (1 + L)) exp(-k^2 / 2) at L = 3, k = L / sigma_high = 1.5
     assert narrow.tail_bound == pytest.approx(10.0 * math.exp(-1.125))
@@ -215,17 +211,17 @@ def test_tail_bound_is_small_on_sized_grids():
 def test_tail_bound_sums_over_axes():
     box = DiagonalBox((IV, IV.scaled(2.0)))
     cfg = SolverConfig(h=0.25, half_width=4.0, refine=False)
-    grid = build_grid([4.0, 8.0], XY, 1.0, None, cfg)
+    grid = build_grid([4.0, 8.0], XY, cfg)
     want = sum(4.0 * (1.0 + 5.0) * math.exp(-0.5 * (4.0 / s) ** 2)
                for s in (2.0, math.sqrt(8.0)))
     assert grid.tail_bound == pytest.approx(want)
-    assert solve_gheat_diag(box, XY, 1.0, cfg=cfg).tail_bound == grid.tail_bound
+    assert solve_gheat_diag(box, XY, cfg=cfg).tail_bound == grid.tail_bound
 
 
 @pytest.mark.parametrize("h", [1e-4, 1e-300, 5e-324])
 def test_build_grid_refuses_oversized_grids(h):
     with pytest.raises(GExpectError, match="budget"):
-        build_grid([4.0], SQUARE, 1.0, None, SolverConfig(h=h))
+        build_grid([4.0], SQUARE, SolverConfig(h=h))
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +315,9 @@ class TestKernelEquivalence:
         base = _rough((17, 9, 23), 11)
         u0 = np.transpose(base, (2, 0, 1))  # F-ordered view, as _nested_value passes
         assert not u0.flags.c_contiguous
-        h, t = 0.2, 0.3
-        out, used_dt, steps = diffuse_last_axis(u0, IV, h, t)
-        dt = t / math.ceil(t / (0.4 * h * h / IV.sigma_high_sq) - 1e-12)
+        h = 0.4  # 63 steps
+        out, used_dt, steps = diffuse_last_axis(u0, IV, h)
+        dt = 1.0 / math.ceil(1.0 / (0.4 * h * h / IV.sigma_high_sq) - 1e-12)
         assert used_dt == dt
         assert _same_bits(out, _ref_run_diag(u0, [IV], h, dt, steps, [2]))
         assert np.array_equal(u0, np.transpose(_rough((17, 9, 23), 11), (2, 0, 1)))
@@ -346,10 +342,10 @@ class TestKernelEquivalence:
         u0 = np.transpose(np.ascontiguousarray(np.transpose(data, np.argsort(order))), order)
         assert np.array_equal(u0, data)
         assert u0.flags.c_contiguous == (order == tuple(range(len(shape))))
-        h, t = 0.2, 0.1
+        h = 0.625  # 13 steps
         iv = KERNEL_IVS[0]
-        out, used_dt, steps = diffuse_last_axis(u0, iv, h, t)
-        dt = t / math.ceil(t / (0.4 * h * h / iv.sigma_high_sq) - 1e-12)
+        out, used_dt, steps = diffuse_last_axis(u0, iv, h)
+        dt = 1.0 / math.ceil(1.0 / (0.4 * h * h / iv.sigma_high_sq) - 1e-12)
         assert used_dt == dt
         assert _same_bits(out, _ref_run_diag(u0, [iv], h, dt, steps, [u0.ndim - 1]))
 
@@ -383,8 +379,8 @@ def test_initial_data_mesh_is_read_only():
 
     phi = TestFunction(shift_in_place, arity=2, growth_order=2, growth_const=4.0, name="")
     with pytest.raises(ValueError, match="read-only"):
-        solve_gheat_diag(DiagonalBox((IV, IV)), phi, 1.0, cfg=FAST)
-    grid = GridSpec(half_width=(2.0, 3.0), h=0.25, dims=2, time_horizon=1.0, dt=0.01)
+        solve_gheat_diag(DiagonalBox((IV, IV)), phi, cfg=FAST)
+    grid = GridSpec(half_width=(2.0, 3.0), h=0.25, dims=2, dt=0.01)
     u0 = pde._eval_initial(XY, grid)
     x, y = np.meshgrid(grid.axis(0), grid.axis(1), indexing="ij")
     assert u0.flags.c_contiguous and u0.flags.writeable
@@ -392,9 +388,11 @@ def test_initial_data_mesh_is_read_only():
 
 
 def test_hull_with_zero_variance_returns_phi_at_x0():
-    rep = solve_gheat_hull(singleton_zero(2), XY, 1.0, x0=[1.5, -2.0])
+    # E^[phi(x0 + X)] for phi = xy, x0 = (1.5, -2) and X = 0 is phi(x0)
+    shifted = TestFunction(lambda x, y: (x + 1.5) * (y - 2.0), arity=2, growth_order=1,
+                           growth_const=4.0, name="(x+1.5)(y-2)")
+    rep = solve_gheat_hull(singleton_zero(2), shifted)
     assert (rep.value_at_origin, rep.refinement_delta, rep.steps_taken) == (-3.0, 0.0, 0)
-    assert rep.degenerate
 
 
 @pytest.mark.parametrize("refine", ["coarsen", "halve", None, 1])
