@@ -15,8 +15,8 @@ import numpy as np
 from .errors import DimensionMismatch, GExpectError
 from .gamma import (ConvexHull, DiagonalBox, GammaSet, RankOneFamily, UncertaintyInterval,
                     image_gamma)
-from .pde import (SolverConfig, SolveReport, _at_origin, _at_rest, _eval_initial, build_grid,
-                  diffuse_last_axis, refinement_delta, solve_gheat_diag, solve_gheat_hull)
+from .pde import (SolverConfig, SolveReport, _at_rest, _eval_initial, build_grid, diffuse_last_axis,
+                  refinement_delta, solve_gheat_diag, solve_gheat_hull)
 from .testfuncs import TestFunction, linear_pullback
 
 
@@ -143,9 +143,7 @@ def _nested_value(intervals, order, phi, cfg: SolverConfig):
     u = np.transpose(_eval_initial(phi, probe), axes=order)
     steps = 0
     for k in range(n - 1, -1, -1):
-        iv = intervals[order[k]]
-        u, _, s = diffuse_last_axis(u, iv, probe.h, cfg.dt)
-        u = _at_origin(u, 1)
+        u, _, s = diffuse_last_axis(u, intervals[order[k]], probe.h, cfg.dt)
         steps += s
     return float(u), steps, probe
 

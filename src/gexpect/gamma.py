@@ -21,7 +21,7 @@ from .errors import DimensionMismatch, EmptyHull
 EPS_PSD = 1e-10
 EPS_ALG = 1e-12
 
-# image_gamma on a diagonal box enumerates all 2^n vertices.
+# image_gamma enumerates all 2^n vertices of a box whose image is not a box.
 _VERTEX_DIM_CAP = 12
 
 
@@ -204,6 +204,14 @@ def image_gamma(m, gamma: GammaSet) -> GammaSet:
             if rows == 1:
                 return DiagonalBox((UncertaintyInterval(lo * u[0] ** 2, hi * u[0] ** 2),))
             return RankOneFamily(u, UncertaintyInterval(lo, hi))
+        if np.all(np.count_nonzero(m, axis=0) <= 1):
+            # each coordinate feeds at most one row, so M diag(r) M^T is
+            # diagonal and row i sweeps sum_k m_ik^2 r_k independently of the rest
+            ivs = gamma.intervals
+            return DiagonalBox(tuple(
+                UncertaintyInterval(float(sum(a * a * iv.sigma_low_sq for a, iv in zip(row, ivs))),
+                                    float(sum(a * a * iv.sigma_high_sq for a, iv in zip(row, ivs))))
+                for row in m))
         if gamma.dim > _VERTEX_DIM_CAP:
             raise ValueError(
                 f"vertex enumeration capped at dimension {_VERTEX_DIM_CAP}, got {gamma.dim}"

@@ -12,20 +12,32 @@ variances scaled by t.
 
 Every diagonal step -- full box solves and the batched last-axis sweeps
 of the nested recursion -- runs through one kernel, ``_advance_diag``;
-hull solves run through ``_advance_hull``. Both advance a C-contiguous
-array in place, allocate their work buffers once per solve and use only
-``out=`` ufuncs inside the step loop. Their results are bit-identical to
-the allocating form of the same scheme (a fresh zero increment per step,
-one sign-selected product per axis or generator).
+hull solves run through ``_advance_hull``. Both advance an array in place,
+allocate their work buffers once per call and use only ``out=`` ufuncs
+inside the step loop. Their results are bit-identical to the allocating
+form of the same scheme (a fresh zero increment per step, one
+sign-selected product per axis or generator).
 
-When the leading axis is a passive batch axis (the nested sweeps),
-``_advance_diag`` cuts it into slabs of whole rows of at most
-``_SLAB_CELLS`` cells and runs each slab through all of its steps before
-the next, so a slab and its buffers are reused from L2 cache instead of
-the whole grid streaming from memory once per step. The rows are
-independent problems and every op is elementwise, so the values are the
-same bits. A 67^3 nested sweep drops from about 9 to about 6 ns per
-cell-step on a 2-vCPU Xeon with 2 MiB of L2 per core.
+A solve needs only u(1, 0), and one explicit step moves information one
+node along each axis, so with `left` steps to go only the nodes within
+`left` of the centre can still reach it. ``_advance_cone`` runs the
+kernels on views of the grid that shrink with this cone of dependence
+(Courant, Friedrichs and Lewy); the centre value is the same bits.
+
+A box solve first drops every axis along which the initial data is
+exactly constant: the flux along it is (v - 2v) + v = 0 at every step, so
+the other axes step alone at the same grid, dt and steps. A nested sweep
+along such an axis returns without stepping. Hull solves drop nothing,
+since their cross stencil does not cancel exactly.
+
+``diffuse_last_axis`` copies its input once with the swept axis moved to
+the front, so cone views are contiguous blocks, and returns the centre
+slice along it. ``_advance_diag`` cuts the first passive axis into slabs
+of at most ``_SLAB_CELLS`` cells and runs each slab through all of its
+steps before the next, so a slab and its buffers are reused from L2 cache
+instead of the whole grid streaming from memory once per step. The rows
+are independent problems and every op is elementwise, so the values are
+the same bits.
 
 The box and hull solvers check their own set, then share one skeleton,
 ``_solve`` (which returns phi(0) when every variance is zero).
@@ -59,13 +71,20 @@ _ORDER_BAND = 0.25
 # 4e7), and a minute or two of one core at the measured 6-12 ns per
 # cell-step.
 _CELL_STEP_BUDGET = 1e10
-# Rows along a passive leading axis are independent problems, so
+# Rows along a passive axis are independent problems, so
 # _advance_diag steps them a slab at a time, sized for a 2 MiB per-core L2
 # cache: 2**16 float64 cells are 512 KiB per buffer. Of 2**14, 2**15 and
 # 2**16 cells, 2**15 and 2**16 were fastest on one thread; 2**16 makes half
 # the ufunc calls (each a GIL hand-over), and under the two-thread scenario
 # pool only 2**16 did not slow the sweeps against one pass.
 _SLAB_CELLS = 1 << 16
+# _advance_cone runs all steps left on a view of at most this many cells
+# without re-cutting it: a step of so few cells costs mostly dispatch, which
+# a narrower view does not save, while each cut costs a kernel set-up. Cut
+# down to radius 0, 1D box solves of 161 nodes ran 5-10% slower than on the
+# whole grid; 2**8, 2**10 and 2**12 cells timed alike on 1D, 2D and nested
+# 3D grids.
+_CONE_CELLS = 1 << 12
 
 
 def _step_count(dt: float) -> int:
@@ -215,20 +234,23 @@ def _advance_diag(u: np.ndarray, intervals, axes, h: float, dt: float, steps: in
     """Advance u in place by `steps` explicit steps of du/dt = sum_k Gbar_k(d2u/dx_k^2),
     interval k acting along axis axes[k]; other axes are passive batch axes.
 
-    A passive leading axis is cut into slabs of whole rows of at most
-    _SLAB_CELLS cells, and each slab runs through all steps before the next
-    (see _advance_slab).
+    The first passive axis is cut into slabs of at most _SLAB_CELLS cells,
+    and each slab runs through all steps before the next (see _advance_slab).
     """
     ivs, axes = list(intervals), list(axes)
     _check_monotone(dt, h, sum(iv.sigma_high_sq for iv in ivs))
     lam = dt / (h * h)
-    rows = len(u) if 0 in axes else max(1, _SLAB_CELLS // u[0].size)
-    for i in range(0, len(u), rows):
-        _advance_slab(u[i:i + rows], ivs, axes, lam, steps)
+    p = next((a for a in range(u.ndim) if a not in axes), None)
+    if p is None:
+        _advance_slab(u, ivs, axes, lam, steps)
+        return
+    rows = max(1, _SLAB_CELLS // (u.size // u.shape[p]))
+    for i in range(0, u.shape[p], rows):
+        _advance_slab(u[(slice(None),) * p + (slice(i, i + rows),)], ivs, axes, lam, steps)
 
 
 def _advance_slab(u: np.ndarray, ivs, axes, lam: float, steps: int):
-    """_advance_diag on one C-contiguous slab, lam = dt/h^2. Buffers are
+    """_advance_diag on one slab (any view), lam = dt/h^2. Buffers are
     allocated once; each step runs on out= ufuncs only."""
     incr = np.zeros_like(u)
     work = []
@@ -270,24 +292,55 @@ def _advance_slab(u: np.ndarray, ivs, axes, lam: float, steps: int):
         u += incr
 
 
+def _advance_cone(u: np.ndarray, lead: int, steps: int, advance):
+    """Run advance(view, k) on views of u for `steps` steps in all, each view
+    cut to the dependence cone of the centre node along the first `lead`
+    axes, and return u at that centre (a slice over the other axes).
+
+    A step moves information one node along each axis, so with `left` steps
+    to go only nodes within `left` of the centre can still reach it. The
+    view is the whole grid while the cone is wider, then of radius `left`,
+    re-cut each time the cone has shrunk by a quarter, until the view has
+    at most _CONE_CELLS cells. A view's faces are not stepped; the error this
+    leaves moves one node inward per step, as the cone shrinks by one, so
+    it never reaches a node that the centre reads.
+    """
+    centre = tuple(n // 2 for n in u.shape[:lead])
+    widest = max(centre)
+    left = steps
+    while left:
+        view = u[tuple(slice(max(c - left, 0), c + left + 1) for c in centre)]
+        k = left if view.size <= _CONE_CELLS else max(left - widest, left // 4, 1)
+        advance(view, k)
+        left -= k
+    return u[centre]
+
+
+def _flat_along(u: np.ndarray, axis: int) -> bool:
+    """Whether u is exactly constant along axis, so that the flux along it,
+    (v - 2v) + v, is exactly 0 at every step."""
+    return bool(np.all(u == u[(slice(None),) * axis + (slice(0, 1),)]))
+
+
 def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float,
                       dt: float | None = None) -> tuple:
     """Diffuse a tabulated array along its last axis only, up to time 1
-    (nested recursion step). Returns (final array, dt used, steps taken).
+    (nested recursion step). Returns (the result at the centre node of that
+    axis, an array over the other axes; dt used; steps taken).
     """
-    u = np.array(u0, dtype=float, order="C")
+    # the one copy puts the swept axis first, so cone views are contiguous
+    # blocks and the slabs cut the next axis
+    u = np.array(np.moveaxis(u0, -1, 0), dtype=float, order="C")
     if dt is None:
         dt = _CFL_SAFETY * h * h / max(iv.sigma_high_sq, 1e-300)
     _require_finite_positive(h=h, dt=dt)
     dt = 1.0 / _step_count(dt)
     steps = _step_count(dt)
-    _advance_diag(u, [iv], [u.ndim - 1], h, dt, steps)
-    return u, dt, steps
-
-
-def _at_origin(u: np.ndarray, k: int) -> np.ndarray:
-    """u at the centre node, the origin, of its last k axes."""
-    return u[(...,) + tuple(n // 2 for n in u.shape[u.ndim - k:])]
+    _check_monotone(dt, h, iv.sigma_high_sq)
+    if _flat_along(u, 0):
+        # no flux along the axis; + 0.0 clears -0.0 as a step would
+        return u[len(u) // 2] + 0.0, dt, steps
+    return _advance_cone(u, 1, steps, lambda v, k: _advance_diag(v, [iv], [0], h, dt, k)), dt, steps
 
 
 def _eval_initial(phi: TestFunction, grid: GridSpec) -> np.ndarray:
@@ -330,18 +383,36 @@ def _at_rest(phi: TestFunction, cfg: SolverConfig) -> SolveReport:
     return SolveReport(float(phi(*np.zeros(phi.arity))), 0.0, 0.0 if cfg.refine else None, 0)
 
 
-def _solve(phi: TestFunction, cfg: SolverConfig, sig_sqs, advance, solve_at,
+def _solve(phi: TestFunction, cfg: SolverConfig, sig_sqs, centre, solve_at,
            cfl_denominator: float | None = None) -> SolveReport:
     """Solve skeleton shared by the box and hull solvers: grid, initial data,
-    advance(u, grid), the centre node, and the re-solves solve_at(cfg) ->
-    value of refinement_delta."""
+    centre(u, grid) -> u(1, 0), and the re-solves solve_at(cfg) -> value of
+    refinement_delta."""
     if max(sig_sqs) == 0.0:
         return _at_rest(phi, cfg)
     grid = build_grid(sig_sqs, phi, cfg, cfl_denominator)
-    u = _eval_initial(phi, grid)
-    advance(u, grid)
-    value, grid_term = refinement_delta(float(_at_origin(u, u.ndim)), grid.h, cfg, solve_at)
+    u_h = centre(_eval_initial(phi, grid), grid)
+    value, grid_term = refinement_delta(u_h, grid.h, cfg, solve_at)
     return SolveReport(value, grid.tail_bound, grid_term, grid.steps)
+
+
+def _box_centre(u: np.ndarray, intervals, g: GridSpec) -> float:
+    """u(1, 0) of a box solve from the initial data u, stepped in place.
+
+    An axis along which u is constant carries no flux at any step, so it is
+    dropped and the rest is stepped at the same h, dt and steps; the value
+    is the same bits.
+    """
+    # checked on every axis, dropped ones included
+    _check_monotone(g.dt, g.h, sum(iv.sigma_high_sq for iv in intervals))
+    keep = [a for a in range(u.ndim) if not _flat_along(u, a)]
+    cut = tuple(slice(None) if a in keep else n // 2 for a, n in enumerate(u.shape))
+    if not keep:
+        return float(u[cut]) + 0.0  # + 0.0 clears -0.0 as a step would
+    ivs = [intervals[a] for a in keep]
+    u = np.ascontiguousarray(u[cut])
+    return float(_advance_cone(u, u.ndim, g.steps,
+                               lambda v, k: _advance_diag(v, ivs, range(v.ndim), g.h, g.dt, k)))
 
 
 def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, *,
@@ -354,7 +425,7 @@ def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, *,
         raise DimensionMismatch(f"phi takes {phi.arity} arguments but the box has dimension {n}")
     return _solve(
         phi, cfg, [iv.sigma_high_sq for iv in box.intervals],
-        lambda u, g: _advance_diag(u, box.intervals, range(n), g.h, g.dt, g.steps),
+        lambda u, g: _box_centre(u, box.intervals, g),
         lambda c: solve_gheat_diag(box, phi, cfg=c).value_at_origin,
     )
 
@@ -413,6 +484,11 @@ def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int):
         c += best
 
 
+def _hull_centre(u: np.ndarray, gens, g: GridSpec) -> float:
+    """u(1, 0) of a hull solve from the initial data u, stepped in place."""
+    return float(_advance_cone(u, 2, g.steps, lambda v, k: _advance_hull(v, gens, g.h, g.dt, k)))
+
+
 def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, *,
                      cfg: SolverConfig = SolverConfig()) -> SolveReport:
     """u(1, 0) = E^[phi(X)] in 2D with the flux max over the hull generators
@@ -429,7 +505,7 @@ def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, *,
             )
     return _solve(
         phi, cfg, [max(b[i, i] for b in gens) for i in range(2)],
-        lambda u, g: _advance_hull(u, gens, g.h, g.dt, g.steps),
+        lambda u, g: _hull_centre(u, gens, g),
         lambda c: solve_gheat_hull(hull, phi, cfg=c).value_at_origin,
         cfl_denominator=_hull_weight(gens),
     )

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,18 @@ class TestImageGamma:
         out = image_gamma(a, DiagonalBox((IV, IV)))
         assert isinstance(out, ConvexHull)
         assert len(out.generators) == 4
+
+    @pytest.mark.parametrize("a", [np.diag([2.0, -3.0]), np.array([[0.0, 1.5], [5.0, 0.0]]),
+                                   np.array([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])],
+                             ids=["diagonal", "anti-diagonal", "columns-merged"])
+    def test_axis_aligned_image_is_a_box(self, a):
+        # every column has at most one nonzero, so M diag(r) M^T is diagonal
+        box = DiagonalBox((IV, IV.scaled(2.0), UncertaintyInterval(0.0, 1.0))[:a.shape[1]])
+        out = image_gamma(a, box)
+        assert isinstance(out, DiagonalBox)
+        ranges = [(iv.sigma_low_sq, iv.sigma_high_sq) for iv in box.intervals]
+        vertices = ConvexHull(tuple(a @ np.diag(r) @ a.T for r in itertools.product(*ranges)))
+        assert gamma_sets_equal(out, vertices)
 
     def test_hull_of_vertices_equals_box(self):
         box = DiagonalBox((IV, IV.scaled(2.0)))

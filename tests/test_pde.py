@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -165,9 +166,8 @@ def test_diffuse_last_axis_matches_full_solve():
     x = np.array([-1.0, 0.5, 2.0])
     u0 = x[:, None] * g.axis(0)[None, :] ** 2
     out, _, steps = diffuse_last_axis(u0, IV, g.h)
-    center = (out.shape[-1] - 1) // 2
     # E[x Y^2] = 4x for x > 0, -(-x) E[-Y^2] -> 1x for x < 0
-    assert out[:, center] == pytest.approx([-1.0, 2.0, 8.0], rel=1e-6)
+    assert out == pytest.approx([-1.0, 2.0, 8.0], rel=1e-6)
     assert steps >= 1
 
 
@@ -282,6 +282,11 @@ def _rough(shape, seed):
     return u
 
 
+def _centre_slice(u):
+    # u at the centre node of its last axis, as diffuse_last_axis returns it
+    return u[..., u.shape[-1] // 2]
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -319,7 +324,7 @@ class TestKernelEquivalence:
         out, used_dt, steps = diffuse_last_axis(u0, IV, h)
         dt = 1.0 / math.ceil(1.0 / (0.4 * h * h / IV.sigma_high_sq) - 1e-12)
         assert used_dt == dt
-        assert _same_bits(out, _ref_run_diag(u0, [IV], h, dt, steps, [2]))
+        assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [IV], h, dt, steps, [2])))
         assert np.array_equal(u0, np.transpose(_rough((17, 9, 23), 11), (2, 0, 1)))
 
     # slabs: a passive leading axis is stepped pde._SLAB_CELLS cells at a time
@@ -347,7 +352,7 @@ class TestKernelEquivalence:
         out, used_dt, steps = diffuse_last_axis(u0, iv, h)
         dt = 1.0 / math.ceil(1.0 / (0.4 * h * h / iv.sigma_high_sq) - 1e-12)
         assert used_dt == dt
-        assert _same_bits(out, _ref_run_diag(u0, [iv], h, dt, steps, [u0.ndim - 1]))
+        assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [iv], h, dt, steps, [u0.ndim - 1])))
 
     def test_slabs_advance_diag_two_batch_axes(self):
         u0, rows = self._slab_data((7, 9, 31, 37), 19)  # slabs of 6 and 1 rows
@@ -368,6 +373,103 @@ class TestKernelEquivalence:
         got = u0.copy()
         pde._advance_hull(got, gens, h, dt, 30)
         assert _same_bits(got, _ref_run_hull(u0, gens, h, dt, 30))
+
+
+# the solves step only the dependence cone of the centre node, cut along a
+# swept leading axis, and drop the axes along which the data is constant; the
+# centre values are the bits of the full-grid reference
+
+
+def _centre(u):
+    return u[tuple(n // 2 for n in u.shape)]
+
+
+def _grid(h, dt, steps):
+    return SimpleNamespace(h=h, dt=dt, steps=steps)
+
+
+class TestCone:
+    # _CONE_CELLS = 0 re-cuts the view down to radius 0; the default stops
+    # re-cutting small views
+    @pytest.fixture(params=[0, pde._CONE_CELLS], ids=["recut", "default"], autouse=True)
+    def cone_cells(self, request, monkeypatch):
+        monkeypatch.setattr(pde, "_CONE_CELLS", request.param)
+
+    @pytest.mark.parametrize("shape", [(41,), (23, 31), (13, 11, 17)])
+    @pytest.mark.parametrize("extra", [-4, 0, 5], ids=["below", "at", "above"])
+    def test_box_centre(self, shape, extra):
+        # steps below, equal to and above the widest half width
+        ivs = KERNEL_IVS[:len(shape)]
+        h = 0.2
+        dt = 0.4 * h * h / sum(iv.sigma_high_sq for iv in ivs)
+        steps = max(shape) // 2 + extra
+        u0 = _rough(shape, len(shape))
+        want = _centre(_ref_run_diag(u0, ivs, h, dt, steps, range(len(shape))))
+        got = pde._box_centre(u0.copy(), ivs, _grid(h, dt, steps))
+        assert _same_bits(np.float64(got), want)
+
+    @pytest.mark.parametrize("steps", [9, 13, 16, 22])  # half widths 13 and 16
+    def test_hull_centre(self, steps):
+        gens = (np.array([[2.0, 1.0], [1.0, 1.5]]), np.array([[1.0, -0.5], [-0.5, 3.0]]))
+        h = 0.2
+        dt = 0.4 * h * h / max(float(np.abs(b).sum()) for b in gens)
+        u0 = _rough((27, 33), 5)
+        got = pde._hull_centre(u0.copy(), gens, _grid(h, dt, steps))
+        assert _same_bits(np.float64(got), _centre(_ref_run_hull(u0, gens, h, dt, steps)))
+
+    @pytest.mark.parametrize("steps", [6, 10, 15])  # half width 10 along the swept axis
+    def test_nested_sweep_with_passive_axes(self, steps):
+        u0 = _rough((9, 5, 21), 23)
+        iv = KERNEL_IVS[0]
+        out, dt, taken = diffuse_last_axis(u0, iv, 1.0, 1.0 / steps)
+        assert (dt, taken) == (1.0 / steps, steps)
+        assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [iv], 1.0, dt, steps, [2])))
+
+
+@pytest.mark.parametrize("axes", [(0,), (0, 2)])
+def test_slabs_cut_a_non_leading_passive_axis(axes):
+    # axis 1 is the first passive axis: slabs of 259 and 41 of its 300 rows
+    u0 = _rough((23, 300, 11), 29)
+    assert pde._SLAB_CELLS // (u0.size // 300) == 259
+    ivs = KERNEL_IVS[:len(axes)]
+    h = 0.25
+    dt = 0.4 * h * h / sum(iv.sigma_high_sq for iv in ivs)
+    got = u0.copy()
+    pde._advance_diag(got, ivs, axes, h, dt, 12)
+    assert _same_bits(got, _ref_run_diag(u0, ivs, h, dt, 12, axes))
+
+
+def _fn(fn, arity):
+    return TestFunction(fn, arity=arity, growth_order=2, growth_const=4.0, name="")
+
+
+class TestConstantAxes:
+    # solve_gheat_diag against the unreduced path: every axis stepped on the
+    # whole grid by the full-array kernel
+    @pytest.mark.parametrize("phi, box", [
+        (XY_SQUARED, DiagonalBox((IV, IV.scaled(0.5)))),  # no constant axis
+        (_fn(lambda x, y: x * x + 0.0 * y, 2), DiagonalBox((IV, IV.scaled(0.5)))),
+        (_fn(lambda x, y: y * y + 0.0 * x, 2), DiagonalBox((IV, IV.scaled(0.5)))),
+        (_fn(lambda x, y, z: np.abs(y - 0.3) + 0.0 * x * z, 3),
+         DiagonalBox((IV.scaled(0.25),) * 3)),
+        (_fn(lambda x, y: 3.0 + 0.0 * x * y, 2), DiagonalBox((IV, IV))),
+        # -0.0 and 0.0 compare equal; the solve still returns the stepped 0.0
+        (_fn(lambda x: -0.0 * x, 1), BOX_1D),
+    ], ids=["xy2", "x2+0y", "y2+0x", "3d-two-constant", "constant", "signed-zero"])
+    def test_box_solve_drops_constant_axes(self, phi, box):
+        cfg = SolverConfig(h=0.4, refine=False)
+        grid = build_grid([iv.sigma_high_sq for iv in box.intervals], phi, cfg)
+        u = pde._eval_initial(phi, grid)
+        pde._advance_diag(u, box.intervals, range(box.dim), grid.h, grid.dt, grid.steps)
+        rep = solve_gheat_diag(box, phi, cfg=cfg)
+        assert _same_bits(np.float64(rep.value_at_origin), _centre(u))
+        assert rep.steps_taken == grid.steps
+
+    def test_nested_sweep_along_a_constant_axis(self):
+        u0 = np.repeat(_rough((7, 5), 31)[:, :, None], 21, axis=2)
+        out, dt, steps = diffuse_last_axis(u0, IV, 0.5)
+        assert steps == 40
+        assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [IV], 0.5, dt, steps, [2])))
 
 
 def test_initial_data_mesh_is_read_only():
