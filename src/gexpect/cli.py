@@ -106,23 +106,35 @@ def _worker_count(n_jobs: int) -> int:
 
 
 def run_scenarios(cfg: RunConfig):
-    """Run the selected scenarios, then each --refine level at h/2^k, all on
-    one thread pool; outcomes (level 0) come back in catalog order.
+    """Run the selected scenarios, then each --refine level at h/2^k;
+    outcomes (level 0) come back in catalog order.
 
-    The finest level runs first, so a level whose grids exceed the solver's
-    budget is refused before any coarser one runs, and the failure cancels
-    every job not yet started."""
+    Without --refine the scenarios run one after another on the calling
+    thread: their grids are too small for a second thread to gain, since
+    every ufunc call of a step hands the GIL over. The --refine
+    levels run on a thread pool (GEXPECT_THREADS caps it; it is checked on
+    every run). The finest level runs first, so a level whose grids exceed
+    the solver's budget is refused before any coarser one runs, and the
+    failure cancels every job not yet started."""
     iv = cfg.interval()
     solver = cfg.solver()
     levels = [solver] + [replace(solver, h=cfg.h / 2**k, dt=None)
                          for k in range(1, cfg.refine + 1)]
     names = [s for s in SCENARIO_NAMES if s in cfg.scenarios]
     jobs = [(n, lv) for lv in reversed(levels) for n in names]
-    pool = ThreadPoolExecutor(max_workers=_worker_count(len(jobs)))
-    try:
-        results = list(pool.map(lambda job: SCENARIOS[job[0]](iv, cfg.alpha, job[1]), jobs))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    workers = _worker_count(len(jobs))
+
+    def run(job):
+        return SCENARIOS[job[0]](iv, cfg.alpha, job[1])
+
+    if cfg.refine == 0:
+        results = list(map(run, jobs))
+    else:
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            results = list(pool.map(run, jobs))
+        finally:
+            pool.shutdown(cancel_futures=True)
     by_level = [results[i:i + len(names)] for i in range(0, len(results), len(names))][::-1]
     outcomes = by_level[0]
 

@@ -12,11 +12,15 @@ variances scaled by t.
 
 Every diagonal step -- full box solves and the batched last-axis sweeps
 of the nested recursion -- runs through one kernel, ``_advance_diag``;
-hull solves run through ``_advance_hull``. Both advance an array in place,
-allocate their work buffers once per call and use only ``out=`` ufuncs
-inside the step loop. Their results are bit-identical to the allocating
-form of the same scheme (a fresh zero increment per step, one
-sign-selected product per axis or generator).
+hull solves run through ``_advance_hull``. Each call copies the view it is
+given (a cone view or a slab, usually strided) into one C-ordered buffer,
+steps it in place as a flat 1D array and writes it back. Along an axis of
+stride s, node f reads f - s and f + s, so every op of a step is one
+contiguous slice, and 2u is formed once per step for all axes. The slice
+also covers the axis' two end faces, where f +- s wraps into the next row:
+the flux there is junk and is overwritten with -0.0 before it is added,
+since x + (-0.0) is x for every x, zero signs included. Work buffers are
+allocated once per call and only ``out=`` ufuncs run inside the step loop.
 
 A solve needs only u(1, 0), and one explicit step moves information one
 node along each axis, so with `left` steps to go only the nodes within
@@ -73,10 +77,10 @@ _ORDER_BAND = 0.25
 _CELL_STEP_BUDGET = 1e10
 # Rows along a passive axis are independent problems, so
 # _advance_diag steps them a slab at a time, sized for a 2 MiB per-core L2
-# cache: 2**16 float64 cells are 512 KiB per buffer. Of 2**14, 2**15 and
-# 2**16 cells, 2**15 and 2**16 were fastest on one thread; 2**16 makes half
-# the ufunc calls (each a GIL hand-over), and under the two-thread scenario
-# pool only 2**16 did not slow the sweeps against one pass.
+# cache: 2**16 float64 cells are 512 KiB per buffer, and a one-axis slab
+# uses four (its copy, 2u, the increment and one product). On 67**3 and
+# 101**3 nested sweeps, 2**14, 2**15 and 2**16 cells timed alike within the
+# host's noise and 2**17 was 20-40% slower; 2**16 makes the fewest ufunc calls.
 _SLAB_CELLS = 1 << 16
 # _advance_cone runs all steps left on a view of at most this many cells
 # without re-cutting it: a step of so few cells costs mostly dispatch, which
@@ -222,14 +226,6 @@ def _check_monotone(dt: float, h: float, weight: float):
         )
 
 
-def _axis_slices(ndim: int, axis: int):
-    """(interior, lower neighbour, upper neighbour) index tuples along axis."""
-    mid = [slice(None)] * ndim
-    lo, hi = list(mid), list(mid)
-    mid[axis], lo[axis], hi[axis] = slice(1, -1), slice(None, -2), slice(2, None)
-    return tuple(mid), tuple(lo), tuple(hi)
-
-
 def _advance_diag(u: np.ndarray, intervals, axes, h: float, dt: float, steps: int):
     """Advance u in place by `steps` explicit steps of du/dt = sum_k Gbar_k(d2u/dx_k^2),
     interval k acting along axis axes[k]; other axes are passive batch axes.
@@ -249,47 +245,57 @@ def _advance_diag(u: np.ndarray, intervals, axes, h: float, dt: float, steps: in
         _advance_slab(u[(slice(None),) * p + (slice(i, i + rows),)], ivs, axes, lam, steps)
 
 
+def _faces(a: np.ndarray, axis: int) -> np.ndarray:
+    """Both end faces along `axis` of the C-ordered array a, as one view."""
+    n = a.shape[axis]
+    return a.reshape(-1, n, math.prod(a.shape[axis + 1:]))[:, ::max(n - 1, 1)]
+
+
 def _advance_slab(u: np.ndarray, ivs, axes, lam: float, steps: int):
-    """_advance_diag on one slab (any view), lam = dt/h^2. Buffers are
-    allocated once; each step runs on out= ufuncs only."""
-    incr = np.zeros_like(u)
+    """_advance_diag on one slab (any view), lam = dt/h^2. A C-ordered copy
+    of the slab (unless it is one) is stepped flat and written back after
+    the last step; an axis of stride s steps the slice [s, N - s), whose
+    flux on the axis' end faces is junk, overwritten with -0.0."""
+    buf = np.ascontiguousarray(u)
+    flat = buf.reshape(-1)
+    size = flat.size
+    two_u, incr, d_hi = np.empty(size), np.zeros(size), np.empty(size)
+    d = np.empty(size) if len(axes) > 1 else None
     work = []
     for k, (iv, ax) in enumerate(zip(ivs, axes)):
-        mid, lo, hi = _axis_slices(u.ndim, ax)
-        shape = u[mid].shape
-        flux = incr[mid] if k == 0 else np.empty(shape)
-        work.append((mid, lo, hi, 0.5 * iv.sigma_low_sq, 0.5 * iv.sigma_high_sq,
-                     np.empty(shape), np.empty(shape), flux))
-    # the first axis writes its flux straight into the interior of incr; the
-    # later axes add theirs on top, also onto the first axis' two end faces,
-    # which are cleared each step (they carry no flux of their own)
-    faces = []
-    if len(axes) > 1:
-        for end in (0, -1):
-            face = [slice(None)] * u.ndim
-            face[axes[0]] = end
-            faces.append(tuple(face))
-    # the allocating form of the scheme sums each increment onto zeros
-    # (0.0 + flux is never -0.0), so its u holds no -0.0 after one step;
-    # clearing -0.0 from u once here keeps the in-place steps bit-identical
-    # to it, zero signs included
-    u += 0.0
+        s = math.prod(buf.shape[ax + 1:])
+        mid = slice(s, size - s)
+        # the first axis works straight in incr, whose faces along it hold
+        # junk unless the axis leads, and the flux of later axes unless it
+        # is alone; a lone leading axis leaves them at zero
+        flux = d if k else incr
+        alone = len(axes) == 1 and s * buf.shape[ax] == size
+        faces = None if alone else _faces(flux.reshape(buf.shape), ax)
+        work.append((flat[2 * s:], two_u[mid], flat[:size - 2 * s], flux[mid], d_hi[mid],
+                     incr[mid], faces, 0.5 * iv.sigma_low_sq, 0.5 * iv.sigma_high_sq))
+    # the reference scheme sums each increment onto zeros (0.0 + flux is
+    # never -0.0), so its u holds no -0.0 after one step; clearing -0.0 from
+    # u once here gives the same bits, and u + incr is then the same bits
+    # whatever the zero signs in incr
+    flat += 0.0
     for _ in range(steps):
-        for f in faces:
-            incr[f] = 0.0
-        for k, (mid, lo, hi, c_lo, c_hi, d, d_hi, flux) in enumerate(work):
-            np.multiply(u[mid], 2.0, out=d)
-            np.subtract(u[hi], d, out=d)
-            np.add(d, u[lo], out=d)
+        np.multiply(flat, 2.0, out=two_u)
+        for k, (hi, two_mid, lo, flux, flux_hi, incr_mid, faces, c_lo, c_hi) in enumerate(work):
+            np.subtract(hi, two_mid, out=flux)
+            np.add(flux, lo, out=flux)
             # Gbar(d) = max(c_lo d, c_hi d) since c_lo <= c_hi: the same
             # product as selecting on the sign of d, without a masked pass
-            np.multiply(d, c_hi, out=d_hi)
-            np.multiply(d, c_lo, out=d)
-            np.maximum(d, d_hi, out=flux)
+            np.multiply(flux, c_hi, out=flux_hi)
+            np.multiply(flux, c_lo, out=flux)
+            np.maximum(flux, flux_hi, out=flux)
+            if faces is not None:
+                faces[...] = -0.0
             if k:
-                np.add(incr[mid], flux, out=incr[mid])
+                np.add(incr_mid, flux, out=incr_mid)
         incr *= lam
-        u += incr
+        flat += incr
+    if buf is not u:
+        u[...] = buf
 
 
 def _advance_cone(u: np.ndarray, lead: int, steps: int, advance):
@@ -438,15 +444,29 @@ def _hull_weight(gens) -> float:
 def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int):
     """Advance the 2D array u in place by `steps` explicit steps of the flux max
     over the hull generators (upwinded 9-point cross stencil); boundary nodes
-    stay fixed. Buffers are allocated once."""
+    stay fixed. Stepped flat as _advance_slab is: each op is one slice of
+    the interior rows, whose flux on the second axis' end faces is junk,
+    overwritten with -0.0, so the faces keep their bits."""
     _check_monotone(dt, h, _hull_weight(gens))
-    shape = (u.shape[0] - 2, u.shape[1] - 2)
-    c = u[1:-1, 1:-1]
-    xp, xm, yp, ym = u[2:, 1:-1], u[:-2, 1:-1], u[1:-1, 2:], u[1:-1, :-2]
-    two_c, dxx, dyy, best, flux, cross = (np.empty(shape) for _ in range(6))
+    if min(u.shape) < 3:
+        return  # every node is a boundary node
+    buf = np.ascontiguousarray(u)
+    flat = buf.reshape(-1)
+    size, n1 = flat.size, buf.shape[1]
+    o = n1 + 1  # node (1, 1); the stepped slice is [o, size - o)
+
+    def at(shift):
+        # the stepped slice, each node moved by `shift` flat nodes
+        return flat[o + shift:size - o + shift]
+
+    c, xp, xm, yp, ym = at(0), at(n1), at(-n1), at(1), at(-1)
+    pp, mm, pm, mp = at(n1 + 1), at(-n1 - 1), at(n1 - 1), at(1 - n1)  # diagonal neighbours
+    two_c, dxx, dyy, flux, cross = (np.empty(c.size) for _ in range(5))
+    best_all = np.empty(size)
+    best, faces = best_all[o:size - o], _faces(best_all.reshape(buf.shape), 1)
     # plus serves generators with b12 >= 0, minus those with b12 < 0
-    plus = np.empty(shape) if any(b[0, 1] >= 0 for b in gens) else None
-    minus = np.empty(shape) if any(b[0, 1] < 0 for b in gens) else None
+    plus = np.empty(c.size) if any(b[0, 1] >= 0 for b in gens) else None
+    minus = np.empty(c.size) if any(b[0, 1] < 0 for b in gens) else None
     for _ in range(steps):
         np.multiply(c, 2.0, out=two_c)
         np.subtract(xp, two_c, out=dxx)
@@ -454,7 +474,7 @@ def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int):
         np.subtract(yp, two_c, out=dyy)
         dyy += ym
         if plus is not None:
-            np.add(u[2:, 2:], u[:-2, :-2], out=plus)
+            np.add(pp, mm, out=plus)
             plus += two_c
             plus -= xp
             plus -= xm
@@ -465,8 +485,8 @@ def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int):
             minus += yp
             minus += ym
             minus -= two_c
-            minus -= u[2:, :-2]
-            minus -= u[:-2, 2:]
+            minus -= pm
+            minus -= mp
         for k, b in enumerate(gens):
             out = flux if k else best
             # 0.5 * (b00 dxx + b11 dyy) + 0.5 * (b01 * plus|minus), in this op order
@@ -481,7 +501,10 @@ def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int):
                 np.maximum(best, flux, out=best)
         best /= h * h
         best *= dt
+        faces[...] = -0.0
         c += best
+    if buf is not u:
+        u[...] = buf
 
 
 def _hull_centre(u: np.ndarray, gens, g: GridSpec) -> float:

@@ -259,6 +259,22 @@ class TestThreads:
             run_scenarios(RunConfig(scenarios=("invertible-scan",)))
 
 
+def test_default_run_builds_no_pool(monkeypatch):
+    # the default catalog runs on the calling thread; only --refine levels
+    # reach the thread pool
+    class PoolBuilt(Exception):
+        pass
+
+    def no_pool(*args, **kwargs):
+        raise PoolBuilt
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+    outcomes, deltas = run_scenarios(RunConfig())
+    assert tuple(o.name for o in outcomes) == SCENARIO_NAMES and deltas == {}
+    with pytest.raises(PoolBuilt):
+        run_scenarios(RunConfig(scenarios=("invertible-scan",), h=0.25, refine=1))
+
+
 def test_outcome_rows_order_follows_catalog():
     outcomes, _ = run_scenarios(RunConfig(scenarios=("invertible-scan",)))
     rows = outcome_rows(outcomes)

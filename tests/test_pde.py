@@ -375,6 +375,143 @@ class TestKernelEquivalence:
         assert _same_bits(got, _ref_run_hull(u0, gens, h, dt, 30))
 
 
+# the kernels step a C-ordered copy of their view as one flat buffer: each
+# stencil op is one contiguous slice, and the flux it computes on an axis'
+# end faces, where f +- s wraps into the next row, is overwritten with -0.0
+
+HULL_GENS = (np.array([[2.0, 1.0], [1.0, 1.5]]), np.array([[1.0, -0.5], [-0.5, 3.0]]),
+             np.diag([4.0, 1.0]))
+
+
+def _box_dt(ivs, h):
+    return 0.4 * h * h / sum(iv.sigma_high_sq for iv in ivs)
+
+
+def _hull_dt(gens, h):
+    return 0.4 * h * h / max(float(np.abs(b).sum()) for b in gens)
+
+
+def _signed_zeros(shape, seed, kind):
+    # -0.0 on both end faces of every axis and on interior nodes, in rough
+    # data or in data that is -0.0 but for a few nodes
+    if kind == "rough":
+        u = _rough(shape, seed)
+    else:
+        rng = np.random.default_rng(seed)
+        u = np.full(shape, -0.0)
+        few = rng.random(shape) < 0.1
+        u[few] = rng.standard_normal(int(few.sum()))
+    for ax in range(len(shape)):
+        for end in (0, -1):
+            u[(slice(None),) * ax + (end,)] = -0.0
+    assert np.signbit(u[0]).all() and np.signbit(u[1:-1][u[1:-1] == 0.0]).any()
+    return u
+
+
+class TestFlatKernels:
+    @pytest.mark.parametrize("shape", [(7, 11), (11, 7), (3, 40), (5, 9, 13), (9, 4, 6),
+                                       (2, 9), (1, 9), (9, 1, 5)])
+    def test_box_every_axis_active(self, shape):
+        # non-square grids; an axis of fewer than 3 nodes is all end faces
+        ivs = KERNEL_IVS[:len(shape)]
+        h = 0.2
+        dt = _box_dt(ivs, h)
+        u0 = _rough(shape, 41)
+        got = u0.copy()
+        pde._advance_diag(got, ivs, range(len(shape)), h, dt, 17)
+        assert _same_bits(got, _ref_run_diag(u0, ivs, h, dt, 17, range(len(shape))))
+
+    @pytest.mark.parametrize("axes", [(1,), (2,), (1, 2), (2, 1), (2, 0)])
+    def test_first_active_axis_not_leading(self, axes):
+        u0 = _rough((6, 9, 11), 43)
+        ivs = KERNEL_IVS[:len(axes)]
+        h = 0.25
+        dt = _box_dt(ivs, h)
+        got = u0.copy()
+        pde._advance_diag(got, ivs, axes, h, dt, 15)
+        assert _same_bits(got, _ref_run_diag(u0, ivs, h, dt, 15, axes))
+
+    @pytest.mark.parametrize("shape", [(9, 14), (14, 9), (3, 7), (7, 3)])
+    @pytest.mark.parametrize("gens", [HULL_GENS, HULL_GENS[:1], HULL_GENS[1:2]],
+                             ids=["both-signs", "plus", "minus"])
+    def test_hull_non_square(self, shape, gens):
+        h = 0.2
+        dt = _hull_dt(gens, h)
+        u0 = _rough(shape, 47)
+        got = u0.copy()
+        pde._advance_hull(got, gens, h, dt, 12)
+        assert _same_bits(got, _ref_run_hull(u0, gens, h, dt, 12))
+
+    @pytest.mark.parametrize("kind", ["rough", "sparse"])
+    @pytest.mark.parametrize("shape, axes", [((13, 8), (0, 1)), ((5, 7, 9), (0, 1, 2)),
+                                             ((5, 7, 9), (2,)), ((6, 9, 11), (1, 2))])
+    def test_box_signed_zeros(self, shape, axes, kind):
+        ivs = KERNEL_IVS[:len(axes)]
+        h = 0.2
+        dt = _box_dt(ivs, h)
+        u0 = _signed_zeros(shape, 53, kind)
+        for steps in (1, 9):
+            got = u0.copy()
+            pde._advance_diag(got, ivs, axes, h, dt, steps)
+            assert _same_bits(got, _ref_run_diag(u0, ivs, h, dt, steps, axes))
+
+    @pytest.mark.parametrize("kind", ["rough", "sparse"])
+    def test_hull_signed_zeros(self, kind):
+        h = 0.2
+        dt = _hull_dt(HULL_GENS, h)
+        u0 = _signed_zeros((12, 17), 59, kind)
+        got = u0.copy()
+        pde._advance_hull(got, HULL_GENS, h, dt, 10)
+        assert _same_bits(got, _ref_run_hull(u0, HULL_GENS, h, dt, 10))
+        # the fixed faces keep their -0.0
+        assert np.signbit(got[[0, -1]]).all() and np.signbit(got[:, [0, -1]]).all()
+
+
+class TestViews:
+    # a kernel steps the view it is given and nothing else: a random border
+    # around the view keeps its bits, and so do the hull view's fixed faces
+
+    CUTS = {"block": np.s_[3:14, 4:19], "stepped": np.s_[1:18:2, 2:24:3]}
+
+    @staticmethod
+    def _step_view(big, cut, advance):
+        before = big.copy()
+        inside = np.zeros(big.shape, dtype=bool)
+        inside[cut] = True
+        advance(big[cut])
+        assert _same_bits(big[~inside], before[~inside])
+        return before[cut], big[cut]
+
+    @pytest.mark.parametrize("cut", CUTS.values(), ids=CUTS.keys())
+    def test_box_view(self, cut):
+        ivs = KERNEL_IVS[:2]
+        h = 0.2
+        dt = _box_dt(ivs, h)
+        view0, got = self._step_view(_rough((20, 25), 61), cut,
+                                     lambda v: pde._advance_diag(v, ivs, (0, 1), h, dt, 9))
+        assert _same_bits(got, _ref_run_diag(view0, ivs, h, dt, 9, (0, 1)))
+
+    def test_slabbed_view(self, monkeypatch):
+        # slabs of 2 of the view's 25 rows along its passive axis 1
+        monkeypatch.setattr(pde, "_SLAB_CELLS", 100)
+        ivs = KERNEL_IVS[:2]
+        h = 0.25
+        dt = _box_dt(ivs, h)
+        view0, got = self._step_view(_rough((8, 30, 12), 67), np.s_[1:7, 2:27, 3:11],
+                                     lambda v: pde._advance_diag(v, ivs, (0, 2), h, dt, 11))
+        assert _same_bits(got, _ref_run_diag(view0, ivs, h, dt, 11, (0, 2)))
+
+    @pytest.mark.parametrize("cut", CUTS.values(), ids=CUTS.keys())
+    def test_hull_view(self, cut):
+        h = 0.2
+        dt = _hull_dt(HULL_GENS, h)
+        view0, got = self._step_view(_rough((20, 25), 71), cut,
+                                     lambda v: pde._advance_hull(v, HULL_GENS, h, dt, 9))
+        assert _same_bits(got, _ref_run_hull(view0, HULL_GENS, h, dt, 9))
+        for face in (np.s_[[0, -1], :], np.s_[:, [0, -1]]):
+            assert _same_bits(got[face], view0[face])
+
+
 # the solves step only the dependence cone of the centre node, cut along a
 # swept leading axis, and drop the axes along which the data is constant; the
 # centre values are the bits of the full-grid reference
