@@ -152,7 +152,8 @@ def run_scenarios(cfg: RunConfig):
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.10g}"
+    # + 0.0 prints an exact -0.0 (a lower expectation of zero) as 0
+    return f"{x + 0.0:.10g}"
 
 
 def outcome_rows(outcomes, deltas=None, refine: int = 0):

@@ -34,6 +34,21 @@ the other axes step alone at the same grid, dt and steps. A nested sweep
 along such an axis returns without stepping. Hull solves drop nothing,
 since their cross stencil does not cancel exactly.
 
+A solve whose initial data is exactly even and has more than
+``_CONE_CELLS`` cells steps half the grid (a mirror fold). The nodes are
+h * k, antisymmetric bit for bit, so evenness is one ``np.array_equal``
+against ``np.flip``. Along a folded axis the half starts at the centre
+node - 1: plane 0 is a ghost, overwritten from plane 2 before every step
+(in a point fold, plane 2 flipped over the other axes), and u(1, 0) is
+read at node 1. A box is unchanged by flipping any one axis, so a box
+solve folds every axis along which the data is even, and failing all the
+point reflection x -> -x; a hull is unchanged only by x -> -x, which is
+all a hull solve folds. A nested sweep folds its swept axis behind a ghost
+and keeps half the rows of an even passive axis, mirroring the centre
+slice back. The unfolded scheme rounds mirror images differently,
+(a - b) + c against (c - b) + a, so a ghost fold moves u(1, 0) at
+rounding level; a passive-axis fold gives the same bits.
+
 ``diffuse_last_axis`` copies its input once with the swept axis moved to
 the front, so cone views are contiguous blocks, and returns the centre
 slice along it. ``_advance_diag`` cuts the first passive axis into slabs
@@ -145,8 +160,10 @@ class GridSpec:
                 raise ValueError(f"half width {L} must be an integer multiple >= 8 of h={self.h}")
 
     def axis(self, i: int) -> np.ndarray:
+        # h * k is exactly -(h * -k): the nodes are antisymmetric, bit for
+        # bit, so even data is even under ==; linspace's are not
         n = round(self.half_width[i] / self.h)
-        return np.linspace(-self.half_width[i], self.half_width[i], 2 * n + 1)
+        return self.h * np.arange(-n, n + 1)
 
     @property
     def steps(self) -> int:
@@ -226,9 +243,12 @@ def _check_monotone(dt: float, h: float, weight: float):
         )
 
 
-def _advance_diag(u: np.ndarray, intervals, axes, h: float, dt: float, steps: int):
+def _advance_diag(u: np.ndarray, intervals, axes, h: float, dt: float, steps: int,
+                  ghosts=(), point: bool = False):
     """Advance u in place by `steps` explicit steps of du/dt = sum_k Gbar_k(d2u/dx_k^2),
     interval k acting along axis axes[k]; other axes are passive batch axes.
+    Plane 0 along each axis in `ghosts` is the ghost of a fold, a point
+    fold when `point` (see _ghost_pairs).
 
     The first passive axis is cut into slabs of at most _SLAB_CELLS cells,
     and each slab runs through all steps before the next (see _advance_slab).
@@ -238,11 +258,12 @@ def _advance_diag(u: np.ndarray, intervals, axes, h: float, dt: float, steps: in
     lam = dt / (h * h)
     p = next((a for a in range(u.ndim) if a not in axes), None)
     if p is None:
-        _advance_slab(u, ivs, axes, lam, steps)
+        _advance_slab(u, ivs, axes, lam, steps, ghosts, point)
         return
     rows = max(1, _SLAB_CELLS // (u.size // u.shape[p]))
     for i in range(0, u.shape[p], rows):
-        _advance_slab(u[(slice(None),) * p + (slice(i, i + rows),)], ivs, axes, lam, steps)
+        _advance_slab(u[(slice(None),) * p + (slice(i, i + rows),)], ivs, axes, lam, steps,
+                      ghosts, point)
 
 
 def _faces(a: np.ndarray, axis: int) -> np.ndarray:
@@ -251,11 +272,25 @@ def _faces(a: np.ndarray, axis: int) -> np.ndarray:
     return a.reshape(-1, n, math.prod(a.shape[axis + 1:]))[:, ::max(n - 1, 1)]
 
 
-def _advance_slab(u: np.ndarray, ivs, axes, lam: float, steps: int):
+def _ghost_pairs(buf: np.ndarray, ghosts, point: bool) -> list:
+    """(ghost, source) views of buf for a fold: plane 0 along each axis in
+    `ghosts` mirrors plane 2 across plane 1, where the centre lies; in a
+    point fold (one ghost axis) plane 2 is also flipped over every other
+    axis, which the caller keeps symmetric about its centre."""
+    pairs = []
+    for a in ghosts:
+        ghost, src = (buf[(slice(None),) * a + (i,)] for i in (0, 2))
+        pairs.append((ghost, np.flip(src) if point else src))
+    return pairs
+
+
+def _advance_slab(u: np.ndarray, ivs, axes, lam: float, steps: int, ghosts=(),
+                  point: bool = False):
     """_advance_diag on one slab (any view), lam = dt/h^2. A C-ordered copy
     of the slab (unless it is one) is stepped flat and written back after
     the last step; an axis of stride s steps the slice [s, N - s), whose
-    flux on the axis' end faces is junk, overwritten with -0.0."""
+    flux on the axis' end faces is junk, overwritten with -0.0. Each ghost
+    plane is overwritten from its source before every step."""
     buf = np.ascontiguousarray(u)
     flat = buf.reshape(-1)
     size = flat.size
@@ -278,7 +313,10 @@ def _advance_slab(u: np.ndarray, ivs, axes, lam: float, steps: int):
     # u once here gives the same bits, and u + incr is then the same bits
     # whatever the zero signs in incr
     flat += 0.0
+    pairs = _ghost_pairs(buf, ghosts, point)
     for _ in range(steps):
+        for ghost, src in pairs:
+            ghost[...] = src
         np.multiply(flat, 2.0, out=two_u)
         for k, (hi, two_mid, lo, flux, flux_hi, incr_mid, faces, c_lo, c_hi) in enumerate(work):
             np.subtract(hi, two_mid, out=flux)
@@ -298,10 +336,11 @@ def _advance_slab(u: np.ndarray, ivs, axes, lam: float, steps: int):
         u[...] = buf
 
 
-def _advance_cone(u: np.ndarray, lead: int, steps: int, advance):
+def _advance_cone(u: np.ndarray, centre: tuple, steps: int, advance):
     """Run advance(view, k) on views of u for `steps` steps in all, each view
-    cut to the dependence cone of the centre node along the first `lead`
-    axes, and return u at that centre (a slice over the other axes).
+    cut to the dependence cone of the node `centre` along the first
+    len(centre) axes, and return u at that centre (a slice over the other
+    axes). The centre is the middle node, or node 1 along a folded axis.
 
     A step moves information one node along each axis, so with `left` steps
     to go only nodes within `left` of the centre can still reach it. The
@@ -311,8 +350,7 @@ def _advance_cone(u: np.ndarray, lead: int, steps: int, advance):
     leaves moves one node inward per step, as the cone shrinks by one, so
     it never reaches a node that the centre reads.
     """
-    centre = tuple(n // 2 for n in u.shape[:lead])
-    widest = max(centre)
+    widest = max(n - 1 - c for n, c in zip(u.shape, centre))  # to the far face
     left = steps
     while left:
         view = u[tuple(slice(max(c - left, 0), c + left + 1) for c in centre)]
@@ -320,6 +358,32 @@ def _advance_cone(u: np.ndarray, lead: int, steps: int, advance):
         advance(view, k)
         left -= k
     return u[centre]
+
+
+def _even(u: np.ndarray, axis: int | None = None) -> bool:
+    """Whether u is exactly even about its centre node under a flip of
+    `axis`, or of every axis (a point reflection) when axis is None; an
+    axis of even length has no centre node. The end planes along the axis
+    (axis 0 for a point reflection) are compared first: at the cost of one
+    plane, that rejects most data that is not even."""
+    if any(u.shape[a] % 2 == 0 for a in (range(u.ndim) if axis is None else [axis])):
+        return False
+    a = 0 if axis is None else axis
+    first, last = (u[(slice(None),) * a + (i,)] for i in (0, -1))
+    if not np.array_equal(first, last if axis is not None else np.flip(last)):
+        return False
+    return np.array_equal(u, np.flip(u, axis))
+
+
+def _fold(u: np.ndarray, ghosts, halves=()) -> tuple:
+    """(view, centre): u cut to its half from the centre node - 1 along each
+    axis in `ghosts` (plane 0 a ghost, the centre at node 1) and from the
+    centre along each axis in `halves`; the centre node of the view along
+    every axis."""
+    start = [n // 2 - 1 if a in ghosts else n // 2 if a in halves else 0
+             for a, n in enumerate(u.shape)]
+    centre = tuple(n // 2 - s for n, s in zip(u.shape, start))
+    return u[tuple(slice(s, None) for s in start)], centre
 
 
 def _flat_along(u: np.ndarray, axis: int) -> bool:
@@ -346,7 +410,18 @@ def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float,
     if _flat_along(u, 0):
         # no flux along the axis; + 0.0 clears -0.0 as a step would
         return u[len(u) // 2] + 0.0, dt, steps
-    return _advance_cone(u, 1, steps, lambda v, k: _advance_diag(v, [iv], [0], h, dt, k)), dt, steps
+    fold = u.size > _CONE_CELLS
+    ghosts = [0] if fold and _even(u, 0) else []
+    # rows along a passive axis are independent: a mirrored row has the
+    # same bits, so only the half from the centre on is stepped
+    halves = [a for a in range(1, u.ndim) if fold and _even(u, a)]
+    u, centre = _fold(u, ghosts, halves)
+    out = _advance_cone(u, centre[:1], steps,
+                        lambda v, k: _advance_diag(v, [iv], [0], h, dt, k, ghosts))
+    for a in halves:
+        ax = a - 1  # out has no swept axis
+        out = np.concatenate([out[(slice(None),) * ax + (slice(None, 0, -1),)], out], axis=ax)
+    return out, dt, steps
 
 
 def _eval_initial(phi: TestFunction, grid: GridSpec) -> np.ndarray:
@@ -407,7 +482,8 @@ def _box_centre(u: np.ndarray, intervals, g: GridSpec) -> float:
 
     An axis along which u is constant carries no flux at any step, so it is
     dropped and the rest is stepped at the same h, dt and steps; the value
-    is the same bits.
+    is the same bits. What is left is then folded if it is even (see the
+    module docstring), which moves the value at rounding level.
     """
     # checked on every axis, dropped ones included
     _check_monotone(g.dt, g.h, sum(iv.sigma_high_sq for iv in intervals))
@@ -416,9 +492,18 @@ def _box_centre(u: np.ndarray, intervals, g: GridSpec) -> float:
     if not keep:
         return float(u[cut]) + 0.0  # + 0.0 clears -0.0 as a step would
     ivs = [intervals[a] for a in keep]
-    u = np.ascontiguousarray(u[cut])
-    return float(_advance_cone(u, u.ndim, g.steps,
-                               lambda v, k: _advance_diag(v, ivs, range(v.ndim), g.h, g.dt, k)))
+    u = u[cut]
+    # a box is unchanged by flipping any one axis, so the solution keeps
+    # each mirror symmetry of the data; failing all, the point reflection
+    fold = u.size > _CONE_CELLS
+    ghosts = [a for a in range(u.ndim) if fold and _even(u, a)]
+    point = fold and not ghosts and _even(u)
+    if point:
+        ghosts = [0]
+    u, centre = _fold(u, ghosts)
+    u = np.ascontiguousarray(u)
+    return float(_advance_cone(u, centre, g.steps, lambda v, k: _advance_diag(
+        v, ivs, range(v.ndim), g.h, g.dt, k, ghosts, point)))
 
 
 def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, *,
@@ -441,12 +526,14 @@ def _hull_weight(gens) -> float:
     return max(float(np.abs(b).sum()) for b in gens)
 
 
-def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int):
+def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int, point: bool = False):
     """Advance the 2D array u in place by `steps` explicit steps of the flux max
     over the hull generators (upwinded 9-point cross stencil); boundary nodes
     stay fixed. Stepped flat as _advance_slab is: each op is one slice of
     the interior rows, whose flux on the second axis' end faces is junk,
-    overwritten with -0.0, so the faces keep their bits."""
+    overwritten with -0.0, so the faces keep their bits. With `point`, row 0
+    is the ghost of a point fold, overwritten from row 2 reversed before
+    every step."""
     _check_monotone(dt, h, _hull_weight(gens))
     if min(u.shape) < 3:
         return  # every node is a boundary node
@@ -467,7 +554,10 @@ def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int):
     # plus serves generators with b12 >= 0, minus those with b12 < 0
     plus = np.empty(c.size) if any(b[0, 1] >= 0 for b in gens) else None
     minus = np.empty(c.size) if any(b[0, 1] < 0 for b in gens) else None
+    pairs = _ghost_pairs(buf, [0] if point else [], point)
     for _ in range(steps):
+        for ghost, src in pairs:
+            ghost[...] = src
         np.multiply(c, 2.0, out=two_c)
         np.subtract(xp, two_c, out=dxx)
         dxx += xm
@@ -508,8 +598,14 @@ def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int):
 
 
 def _hull_centre(u: np.ndarray, gens, g: GridSpec) -> float:
-    """u(1, 0) of a hull solve from the initial data u, stepped in place."""
-    return float(_advance_cone(u, 2, g.steps, lambda v, k: _advance_hull(v, gens, g.h, g.dt, k)))
+    """u(1, 0) of a hull solve from the initial data u, stepped in place.
+
+    A hull is unchanged by x -> -x but not by flipping one axis, so only
+    the point reflection folds."""
+    point = u.size > _CONE_CELLS and _even(u)
+    u, centre = _fold(u, [0] if point else [])
+    return float(_advance_cone(u, centre, g.steps,
+                               lambda v, k: _advance_hull(v, gens, g.h, g.dt, k, point)))
 
 
 def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, *,

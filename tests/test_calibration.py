@@ -1,7 +1,8 @@
 """Calibration: error_estimate bounds the true error on every pinned closed form.
 
 Each case runs with refinement on, at the default SolverConfig unless its
-name gives h, and asserts |value - exact| <= error_estimate. Run with
+name gives h, and asserts |value - exact| <= error_estimate; the cases
+cover 1D and 2D G-normal solves (box and hull) and nested solves. Run with
 `pytest tests/test_calibration.py -v -s` to see the tightness ratio
 error_estimate / |value - exact| of each case; a ratio far above 1 is a
 loose bound, one below 1 a miss. The last tests pin the three outcomes of
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from gexpect.expectation import GNormal, expect_gnormal, expect_sequential, lower_expectation
-from gexpect.gamma import DiagonalBox, Interval1D, UncertaintyInterval, g_function
+from gexpect.gamma import ConvexHull, DiagonalBox, Interval1D, UncertaintyInterval, g_function
 from gexpect.pde import SolverConfig
 from gexpect.testfuncs import (ABS, NEG_SQUARE, POS_PART, QUARTIC, SQUARE,
                                XY_SQUARED, YX_SQUARED, TestFunction,
@@ -75,6 +76,29 @@ SEEDED = ("seeded lower (x-1.067)^+",
           _call_value(SEEDED_K, math.sqrt(SEEDED_IV.sigma_low_sq)))
 
 
+# 2D G-normal laws: a box and a three-generator, diagonally dominant hull.
+# psi(<w, X>) with psi convex is the 1D law at the largest variance w^T g w
+# over the set, a vertex of the hull
+BOX_2D = DiagonalBox((IV, UncertaintyInterval(0.5, 2.0)))
+HULL_2D = ConvexHull((np.array([[2.0, 1.0], [1.0, 1.5]]), np.array([[1.0, -0.5], [-0.5, 3.0]]),
+                      np.diag([4.0, 1.0])))
+
+
+def _gnormal_2d():
+    """|<w, x>| (even under x -> -x, so its solves fold) and (<w, x> - 0.37)^+
+    (not even) on BOX_2D and HULL_2D."""
+    box_top = np.diag([iv.sigma_high_sq for iv in BOX_2D.intervals])
+    for law, gamma, tops in (("box", BOX_2D, [box_top]), ("hull", HULL_2D, HULL_2D.generators)):
+        for w in (np.array([1.0, 1.0]), np.array([0.6, -0.8])):
+            sigma = math.sqrt(max(float(w @ g @ w) for g in tops))
+            for phi, exact in ((ABS, sigma * math.sqrt(2.0 / math.pi)),
+                               (_call(0.37), _call_value(0.37, sigma))):
+                name = f"2d {law} {phi.name} w=({w[0]:g}, {w[1]:g})"
+                pulled = linear_pullback(phi, w.reshape(1, -1))
+                yield pytest.param(name, lambda g=gamma, f=pulled: expect_gnormal(g, f), exact,
+                                   id=name)
+
+
 QUADRATIC_FORMS = [np.diag([1.0, -1.0]), np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]),
                    np.array([[1.0, 0.5], [0.5, -1.0]]), np.array([[2.0, 1.0], [1.0, 0.0]])]
 # <v, AY> = <w, Y> with w = v^T A: the 1D G-normal law scaled by ||w||^2
@@ -104,7 +128,8 @@ CASES = [
 
 
 @pytest.mark.parametrize("name, compute, exact",
-                         [pytest.param(*c, id=c[0]) for c in CASES] + list(_off_grid_kinks()))
+                         [pytest.param(*c, id=c[0]) for c in CASES] + list(_off_grid_kinks())
+                         + list(_gnormal_2d()))
 def test_error_estimate_bounds_the_error(name, compute, exact):
     res = compute()
     err = abs(res.value - exact)

@@ -18,6 +18,7 @@ from gexpect import cli
 from gexpect.cli import (CSV_COLUMNS, RunConfig, SCENARIO_NAMES, execute, main,
                          outcome_rows, parse_args, render_report, run_scenarios)
 from gexpect.errors import GExpectError
+from gexpect.scenarios import Assertion, Quantity, ScenarioOutcome
 
 
 class TestParseArgs:
@@ -287,6 +288,16 @@ def test_render_report_csv_roundtrip():
     rows = [list(CSV_COLUMNS), ["s", "l", "1", "0", "", "", ""]]
     text = render_report(rows, "csv")
     assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+
+def test_report_prints_negative_zero_as_zero():
+    # a lower expectation of an exactly zero moment is -0.0; the report
+    # prints it as 0, and keeps the sign of any other value
+    out = ScenarioOutcome("s", (Quantity("-E[-X1 X2]", -0.0, 1e-12), Quantity("q", -1e-16, 0.0)),
+                          (Assertion("a", True, -0.0),), 0.0)
+    rows = outcome_rows([out])
+    assert [r[2] for r in rows[1:3]] == ["0", "-1e-16"]
+    assert rows[3][6] == "0"
 
 
 def test_refine_without_h_exits_2_without_traceback(capsys):

@@ -4,6 +4,10 @@ The golden CSVs were written by ``gexpect run``: one with GOLDEN_ARGV
 below, which covers nested solves, 2D box solves and one ``--refine``
 level at h = 0.25, and one with the default settings (the whole catalog
 at each scenario's derived grid). Every assertion of both passes.
+Numeric columns compare within rel 1e-9 / abs 1e-12, but assertion texts
+compare as text, and some print rounding-level residues (such as
+|lhs-rhs|=3.553e-15), so a change that only moves values at rounding
+level can still change the text and need the file regenerated.
 
 Regenerate (only when a change is meant to move the numbers, and after
 checking row by row that every value moves by less than the old row's

@@ -6,12 +6,12 @@ import pytest
 
 from gexpect import pde
 from gexpect.errors import CFLViolation, DimensionMismatch, GExpectError
-from gexpect.expectation import GNormal, expect
+from gexpect.expectation import GNormal, expect, expect_sequential
 from gexpect.gamma import ConvexHull, DiagonalBox, UncertaintyInterval, singleton_zero
 from gexpect.pde import (GridSpec, SolverConfig, build_grid, diffuse_last_axis,
                          solve_gheat_diag, solve_gheat_hull)
 from gexpect.testfuncs import (ABS, IDENTITY, NEG_SQUARE, QUARTIC, SQUARE,
-                               XY, XY_SQUARED, TestFunction)
+                               XY, XY_SQUARED, YX_SQUARED, TestFunction)
 
 IV = UncertaintyInterval(1.0, 4.0)
 BOX_1D = DiagonalBox((IV,))
@@ -638,3 +638,233 @@ def test_hull_with_zero_variance_returns_phi_at_x0():
 def test_refine_must_be_a_bool(refine):
     with pytest.raises(ValueError, match="refine"):
         SolverConfig(refine=refine)
+
+
+# mirror folds: a solve whose data is exactly even steps the half from the
+# centre - 1 on, plane 0 a ghost overwritten from plane 2 before every step.
+# The unfolded scheme rounds mirror images differently, so the centre values
+# agree within rounding, not in bits.
+
+
+def _made_even(u, axis=None):
+    # a + b and b + a are the same bits, so this is exactly even
+    return u + np.flip(u, axis)
+
+
+def _assert_rounding_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
+
+
+def _xy(shape, h):
+    x, y = np.meshgrid(*(h * np.arange(-(n // 2), n // 2 + 1) for n in shape), indexing="ij")
+    return x * y  # even under the point reflection, odd along each axis
+
+
+@pytest.fixture
+def folds(monkeypatch):
+    # the (ghost axes, point) of every kernel call; the shapes of the views
+    seen, shapes = set(), []
+    diag, hull = pde._advance_diag, pde._advance_hull
+
+    def spy_diag(u, ivs, axes, h, dt, steps, ghosts=(), point=False):
+        seen.add((tuple(ghosts), point))
+        shapes.append(u.shape)
+        diag(u, ivs, axes, h, dt, steps, ghosts, point)
+
+    def spy_hull(u, gens, h, dt, steps, point=False):
+        seen.add(((0,) if point else (), point))
+        shapes.append(u.shape)
+        hull(u, gens, h, dt, steps, point)
+
+    monkeypatch.setattr(pde, "_advance_diag", spy_diag)
+    monkeypatch.setattr(pde, "_advance_hull", spy_hull)
+    return SimpleNamespace(seen=seen, shapes=shapes)
+
+
+EXTRA = pytest.mark.parametrize("extra", [-4, 0, 5], ids=["below", "at", "above"])
+
+
+class TestFolds:
+    @EXTRA
+    @pytest.mark.parametrize("shape, even", [((67, 71), [0]), ((69, 67), [1]),
+                                             ((67, 71), [0, 1]), ((19, 17, 21), [0, 2])])
+    def test_box_axis_folds(self, shape, even, extra, folds):
+        # steps below, equal to and above the widest half width
+        ivs = KERNEL_IVS[:len(shape)]
+        h = 0.2
+        dt = _box_dt(ivs, h)
+        steps = max(shape) // 2 + extra
+        u0 = _rough(shape, 83)
+        for a in even:
+            u0 = _made_even(u0, a)
+        assert u0.size > pde._CONE_CELLS
+        want = _centre(_ref_run_diag(u0, ivs, h, dt, steps, range(len(shape))))
+        got = pde._box_centre(u0.copy(), ivs, _grid(h, dt, steps))
+        _assert_rounding_close(got, want)
+        assert folds.seen == {(tuple(even), False)}
+
+    @EXTRA
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["xy", "-xy"])
+    @pytest.mark.parametrize("shape", [(67, 71), (17, 19, 21)])
+    def test_box_point_fold(self, shape, sign, extra, folds):
+        ivs = KERNEL_IVS[:len(shape)]
+        h = 0.2
+        dt = _box_dt(ivs, h)
+        steps = max(shape) // 2 + extra
+        cross = _xy(shape[:2], h).reshape(shape[:2] + (1,) * (len(shape) - 2))
+        u0 = _made_even(_rough(shape, 89)) + sign * 5.0 * cross
+        assert not any(np.array_equal(u0, np.flip(u0, a)) for a in range(len(shape)))
+        want = _centre(_ref_run_diag(u0, ivs, h, dt, steps, range(len(shape))))
+        got = pde._box_centre(u0.copy(), ivs, _grid(h, dt, steps))
+        _assert_rounding_close(got, want)
+        assert folds.seen == {((0,), True)}
+
+    @pytest.mark.parametrize("steps", [28, 33, 40])  # half widths 33 and 35
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["xy", "-xy"])
+    @pytest.mark.parametrize("gens", [HULL_GENS, HULL_GENS[:1], HULL_GENS[1:2]],
+                             ids=["both-signs", "plus", "minus"])
+    def test_hull_point_fold(self, gens, sign, steps, folds):
+        h = 0.2
+        dt = _hull_dt(gens, h)
+        u0 = _made_even(_rough((67, 71), 97)) + sign * 5.0 * _xy((67, 71), h)
+        want = _centre(_ref_run_hull(u0, gens, h, dt, steps))
+        got = pde._hull_centre(u0.copy(), gens, _grid(h, dt, steps))
+        _assert_rounding_close(got, want)
+        assert folds.seen == {((0,), True)}
+
+    def test_hull_does_not_fold_one_axis(self, folds):
+        # a hull is not invariant under one axis flip: data even along an
+        # axis but not under the point reflection is stepped whole
+        h = 0.2
+        dt = _hull_dt(HULL_GENS, h)
+        u0 = _made_even(_rough((67, 71), 101), 1)
+        want = _centre(_ref_run_hull(u0, HULL_GENS, h, dt, 30))
+        got = pde._hull_centre(u0.copy(), HULL_GENS, _grid(h, dt, 30))
+        assert _same_bits(np.float64(got), want)
+        assert folds.seen == {((), False)}
+
+    @pytest.mark.parametrize("steps", [26, 30, 35])  # half width 30 along the swept axis
+    def test_nested_swept_axis_fold_in_slabs(self, steps, folds):
+        # moved to the front, the swept axis leads a (61, 31, 41) array of
+        # more than _SLAB_CELLS cells: slabs of 26 and 5 rows of axis 1
+        u0 = _made_even(_rough((31, 41, 61), 103), 2)
+        assert u0.size > pde._SLAB_CELLS
+        iv = KERNEL_IVS[0]
+        out, dt, _ = diffuse_last_axis(u0, iv, 1.0, 1.0 / steps)
+        _assert_rounding_close(out, _centre_slice(_ref_run_diag(u0, [iv], 1.0, dt, steps, [2])))
+        assert folds.seen == {((0,), False)}
+
+    @pytest.mark.parametrize("even", [[0], [1], [0, 1], [0, 1, 2]])
+    def test_nested_passive_folds_same_bits(self, even, folds):
+        # the passive rows are independent: the mirrored half has the bits
+        # of the unfolded sweep; a swept-axis fold (axis 2) does not
+        u0 = _rough((13, 11, 41), 107)
+        for a in even:
+            u0 = _made_even(u0, a)
+        iv = KERNEL_IVS[1]
+        out, dt, steps = diffuse_last_axis(u0, iv, 0.5)
+        want = _centre_slice(_ref_run_diag(u0, [iv], 0.5, dt, steps, [2]))
+        if 2 in even:
+            _assert_rounding_close(out, want)
+        else:
+            assert _same_bits(out, want)
+        assert folds.seen == {((0,) if 2 in even else (), False)}
+        # the passive axes, 1 and 2 once the swept axis leads, keep half the rows
+        assert folds.shapes[0][1:] == tuple(n // 2 + 1 if a in even else n
+                                            for a, n in enumerate(u0.shape[:2]))
+
+    def _assert_unfolded(self, u0, kind, folds):
+        # the solve of u0 by kind has the bits of the unfolded reference
+        h = 0.2
+        if kind == "hull":
+            dt = _hull_dt(HULL_GENS, h)
+            got = pde._hull_centre(u0.copy(), HULL_GENS, _grid(h, dt, 30))
+            want = _centre(_ref_run_hull(u0, HULL_GENS, h, dt, 30))
+        elif kind == "box":
+            ivs = KERNEL_IVS[:u0.ndim]
+            dt = _box_dt(ivs, h)
+            got = pde._box_centre(u0.copy(), ivs, _grid(h, dt, 30))
+            want = _centre(_ref_run_diag(u0, ivs, h, dt, 30, range(u0.ndim)))
+        else:
+            out, dt, steps = diffuse_last_axis(u0, KERNEL_IVS[0], 1.0, 1.0 / 30)
+            got, want = out, _centre_slice(_ref_run_diag(u0, [KERNEL_IVS[0]], 1.0, dt, 30,
+                                                         [u0.ndim - 1]))
+        assert _same_bits(np.float64(got), np.float64(want))
+        assert folds.seen == {((), False)}
+
+    @pytest.mark.parametrize("kind, shape", [("box", (67, 71)), ("box", (19, 17, 21)),
+                                             ("hull", (67, 71)), ("nested", (5, 13, 67))])
+    def test_one_ulp_off_even_is_not_folded(self, kind, shape, folds):
+        u0 = _made_even(_rough(shape, 109))
+        for a in range(len(shape)):
+            u0 = _made_even(u0, a)
+        u0[(1,) * len(shape)] = np.nextafter(u0[(1,) * len(shape)], np.inf)
+        self._assert_unfolded(u0, kind, folds)
+
+    @pytest.mark.parametrize("kind, shape", [("box", (61, 67)), ("box", (15, 15, 17)),
+                                             ("hull", (61, 67)), ("nested", (3, 21, 65))])
+    def test_small_grids_are_not_folded(self, kind, shape, folds):
+        u0 = _rough(shape, 113)
+        for a in range(len(shape)):
+            u0 = _made_even(u0, a)
+        assert u0.size <= pde._CONE_CELLS
+        self._assert_unfolded(u0, kind, folds)
+
+
+def test_even_length_axes_are_not_folded(folds):
+    # data equal to its flip along an axis of even length is symmetric about
+    # a midpoint between nodes, not about the centre node the sweep reads
+    u0 = _rough((14, 12, 66), 137)
+    for a in range(3):
+        u0 = _made_even(u0, a)
+    out, dt, steps = diffuse_last_axis(u0, KERNEL_IVS[0], 1.0, 1.0 / 40)
+    assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [KERNEL_IVS[0]], 1.0, dt, steps, [2])))
+    assert folds.seen == {((), False)}
+
+
+class TestGhostKernels:
+    # a kernel overwrites each ghost plane before every step, so what the
+    # ghost holds when the kernel is called is never read
+
+    @pytest.mark.parametrize("ghosts, point", [([0], False), ([1], False), ([0, 1], False),
+                                               ([0], True)])
+    def test_box_ghost_is_written_before_it_is_read(self, ghosts, point):
+        ivs = KERNEL_IVS[:2]
+        h = 0.2
+        dt = _box_dt(ivs, h)
+        u0 = _made_even(_rough((21, 25), 127)) if point else _rough((21, 25), 127)
+        for a in ([] if point else ghosts):
+            u0 = _made_even(u0, a)
+        want = _ref_run_diag(u0, ivs, h, dt, 12, (0, 1))
+        half, _ = pde._fold(u0.copy(), ghosts)
+        half = np.ascontiguousarray(half)
+        for a in ghosts:
+            half[(slice(None),) * a + (0,)] = np.nan
+        pde._advance_diag(half, ivs, (0, 1), h, dt, 12, ghosts, point)
+        inner = tuple(slice(1, None) if a in ghosts else slice(None) for a in range(2))
+        _assert_rounding_close(half[inner], pde._fold(want, ghosts)[0][inner])
+
+    def test_hull_ghost_is_written_before_it_is_read(self):
+        h = 0.2
+        dt = _hull_dt(HULL_GENS, h)
+        u0 = _made_even(_rough((21, 25), 131)) + 5.0 * _xy((21, 25), h)
+        want = _ref_run_hull(u0, HULL_GENS, h, dt, 12)
+        half = np.ascontiguousarray(u0[9:])
+        half[0] = np.nan
+        pde._advance_hull(half, HULL_GENS, h, dt, 12, point=True)
+        _assert_rounding_close(half[1:], want[10:])
+
+
+def test_grid_nodes_and_odd_moments_are_exact():
+    # the nodes are antisymmetric bit for bit (the centre is +0.0), so the
+    # sequential odd moments E[Y2 Y1^2] and E[X1 X2] come out exactly 0.0
+    g = build_grid([4.0, 1.0], XY, SolverConfig(h=0.1 * math.sqrt(4.0 / 3.0)))
+    for i in range(2):
+        ax = g.axis(i)
+        n = ax.size // 2
+        assert _same_bits(ax[:n], -ax[:n:-1]) and _same_bits(ax[n:n + 1], np.zeros(1))
+    for phi in (YX_SQUARED, XY):
+        value = expect_sequential((IV, IV), phi).value
+        assert value == 0.0, value
