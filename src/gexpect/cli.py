@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +56,6 @@ class RunConfig:
     dt: float | None = None
     t: float = 1.0
     tol: float = 1e-3
-    refine: int = 0
     out: str | None = None
     report: str = "csv"
 
@@ -74,10 +71,6 @@ class RunConfig:
             self.interval()
         except ValueError as exc:
             raise GExpectError(str(exc)) from None
-        if not isinstance(self.refine, int) or isinstance(self.refine, bool) or self.refine < 0:
-            raise GExpectError(f"refine must be an integer >= 0, got {self.refine!r}")
-        if self.refine > 0 and self.h is None:
-            raise GExpectError("refine needs h: levels run at h/2, ..., h/2^refine")
         if self.report not in ("csv", "md"):
             raise GExpectError("report must be 'csv' or 'md'")
 
@@ -89,66 +82,12 @@ class RunConfig:
         return SolverConfig(h=self.h, half_width=self.half_width, dt=self.dt, target_tol=self.tol)
 
 
-def _worker_count(n_jobs: int) -> int:
-    raw = os.environ.get("GEXPECT_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise GExpectError(f"GEXPECT_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise GExpectError("GEXPECT_THREADS must be >= 0")
-    if cap == 0:
-        # the CPUs this process may run on, which taskset or a cgroup can
-        # make fewer than the machine's
-        cap = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
-    return max(1, min(cap, n_jobs))
-
-
 def run_scenarios(cfg: RunConfig):
-    """Run the selected scenarios, then each --refine level at h/2^k;
-    outcomes (level 0) come back in catalog order.
-
-    Without --refine the scenarios run one after another on the calling
-    thread: their grids are too small for a second thread to gain, since
-    every ufunc call of a step hands the GIL over. The --refine
-    levels run on a thread pool (GEXPECT_THREADS caps it; it is checked on
-    every run). The finest level runs first, so a level whose grids exceed
-    the solver's budget is refused before any coarser one runs, and the
-    failure cancels every job not yet started."""
-    iv = cfg.interval()
-    solver = cfg.solver()
-    levels = [solver] + [replace(solver, h=cfg.h / 2**k, dt=None)
-                         for k in range(1, cfg.refine + 1)]
-    names = [s for s in SCENARIO_NAMES if s in cfg.scenarios]
-    jobs = [(n, lv) for lv in reversed(levels) for n in names]
-    workers = _worker_count(len(jobs))
-
-    def run(job):
-        return SCENARIOS[job[0]](iv, cfg.alpha, job[1])
-
-    if cfg.refine == 0:
-        results = list(map(run, jobs))
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            results = list(pool.map(run, jobs))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    by_level = [results[i:i + len(names)] for i in range(0, len(results), len(names))][::-1]
-    outcomes = by_level[0]
-
-    deltas = {}
-    if cfg.refine > 0:
-        for j, out in enumerate(outcomes):
-            per_level = [level[j].quantities for level in by_level]
-            for i, q in enumerate(per_level[0]):
-                row = []
-                for prev, cur in zip(per_level, per_level[1:]):
-                    row.append(abs(cur[i].value - prev[i].value)
-                               if i < len(cur) and cur[i].label == prev[i].label else float("nan"))
-                deltas[(out.name, q.label)] = row
-    return outcomes, deltas
+    """Run the selected scenarios one after another on the calling thread;
+    outcomes come back in catalog order."""
+    iv, solver = cfg.interval(), cfg.solver()
+    return [SCENARIOS[name](iv, cfg.alpha, solver) for name in SCENARIO_NAMES
+            if name in cfg.scenarios]
 
 
 def _fmt(x: float) -> str:
@@ -156,21 +95,15 @@ def _fmt(x: float) -> str:
     return f"{x + 0.0:.10g}"
 
 
-def outcome_rows(outcomes, deltas=None, refine: int = 0):
+def outcome_rows(outcomes):
     """Flatten outcomes into report rows with the fixed column schema."""
-    header = list(CSV_COLUMNS) + [f"refinement_delta_{k}" for k in range(1, refine + 1)]
-    rows = [header]
+    rows = [list(CSV_COLUMNS)]
     for out in outcomes:
         for q in out.quantities:
-            row = [out.name, q.label, _fmt(q.value), _fmt(q.error_estimate), "", "", ""]
-            for d in (deltas or {}).get((out.name, q.label), [float("nan")] * refine):
-                row.append(_fmt(d))
-            rows.append(row)
+            rows.append([out.name, q.label, _fmt(q.value), _fmt(q.error_estimate), "", "", ""])
         for a in out.assertions:
             desc = a.description + (" [classical-zero]" if a.classical_zero else "")
-            row = [out.name, "", "", "", desc, str(a.passed).lower(), _fmt(a.margin)]
-            row.extend([""] * refine)
-            rows.append(row)
+            rows.append([out.name, "", "", "", desc, str(a.passed).lower(), _fmt(a.margin)])
     return rows
 
 
@@ -262,9 +195,6 @@ def parse_args(argv) -> RunConfig:
         run.add_argument("--dt", type=float, default=None, help="time step override"),
         run.add_argument("--t", type=float, default=None, help="time horizon (default 1)"),
         run.add_argument("--tol", type=float, default=None, help="solver target tolerance"),
-        run.add_argument("--refine", type=int, default=None, metavar="K",
-                         help="rerun at h, h/2, ..., h/2^K and append refinement deltas "
-                              "(needs --h)"),
         run.add_argument("--out", default=None, help="report file path (default: stdout only)"),
         run.add_argument("--report", choices=("csv", "md"), default=None),
     ]
@@ -280,9 +210,8 @@ def parse_args(argv) -> RunConfig:
 
 
 def execute(cfg: RunConfig) -> int:
-    outcomes, deltas = run_scenarios(cfg)
-    rows = outcome_rows(outcomes, deltas, cfg.refine)
-    text = render_report(rows, cfg.report)
+    outcomes = run_scenarios(cfg)
+    text = render_report(outcome_rows(outcomes), cfg.report)
     if cfg.out:
         try:
             with open(cfg.out, "w", encoding="utf-8", newline="") as fh:

@@ -124,8 +124,6 @@ def expect_gnormal(gamma: GammaSet, phi: TestFunction,
     if isinstance(gamma, DiagonalBox):
         rep = solve_gheat_diag(gamma, phi, cfg=cfg)
     elif isinstance(gamma, ConvexHull):
-        if gamma.dim != 2:
-            raise DimensionMismatch("convex-hull sets are solvable in dimension 2 only")
         rep = solve_gheat_hull(gamma, phi, cfg=cfg)
     else:
         raise GExpectError(f"uncertainty set {type(gamma).__name__} is not solvable")

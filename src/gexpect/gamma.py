@@ -135,8 +135,9 @@ def Interval1D(iv: UncertaintyInterval) -> DiagonalBox:
 
 
 def singleton_zero(n: int) -> GammaSet:
-    """The degenerate set containing only the n x n zero matrix."""
-    return ConvexHull((np.zeros((n, n)),))
+    """The degenerate set containing only the n x n zero matrix: the box of
+    n zero-variance intervals, which every box solve takes at rest."""
+    return DiagonalBox((UncertaintyInterval(0.0, 0.0),) * n)
 
 
 def gbar(iv: UncertaintyInterval, x: float):

@@ -27,7 +27,7 @@ class TestParseArgs:
         assert cfg.scenarios == SCENARIO_NAMES
         assert cfg.sigma_low_sq == 1.0 and cfg.sigma_high_sq == 4.0
         assert cfg.alpha == 4.0 and cfg.tol == 1e-3
-        assert cfg.report == "csv" and cfg.refine == 0
+        assert cfg.report == "csv"
 
     def test_single_scenario_and_overrides(self):
         cfg = parse_args(["run", "--scenario", "invertible-scan", "--h", "0.25",
@@ -77,14 +77,14 @@ class TestParseArgs:
 
     def test_config_file_values_convert_through_the_flags(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("scenario = invertible-scan, quadratic-form\nrefine = 1\nh = 0.5\n"
+        cfgfile.write_text("scenario = invertible-scan, quadratic-form\nh = 0.5\n"
                            "report = md\nout = r.md\n")
         cfg = parse_args(["run", "--config", str(cfgfile)])
         assert cfg.scenarios == ("invertible-scan", "quadratic-form")
         assert parse_args(["run", "--scenario", "invertible-scan,quadratic-form"]).scenarios \
             == cfg.scenarios  # the flag takes the same comma list
-        assert (cfg.refine, cfg.h, cfg.report, cfg.out) == (1, 0.5, "md", "r.md")
-        for bad, msg in (("refine = 1.5", "expected int"), ("report = pdf", "expected one of")):
+        assert (cfg.h, cfg.report, cfg.out) == (0.5, "md", "r.md")
+        for bad, msg in (("h = x", "expected float"), ("report = pdf", "expected one of")):
             cfgfile.write_text(bad + "\n")
             with pytest.raises(GExpectError, match=msg):
                 parse_args(["run", "--config", str(cfgfile)])
@@ -94,14 +94,6 @@ class TestParseArgs:
             RunConfig(alpha=-1.0)
         with pytest.raises(GExpectError):
             RunConfig(report="pdf")
-        with pytest.raises(GExpectError):
-            RunConfig(refine=-1)
-
-
-@pytest.mark.parametrize("refine", [1.5, "1", True, None])
-def test_run_config_refine_must_be_an_int(refine):
-    with pytest.raises(GExpectError, match="refine must be an integer"):
-        RunConfig(h=0.25, refine=refine)
 
 
 def test_variance_error_shows_the_given_bounds():
@@ -120,7 +112,7 @@ def test_run_config_rejects_non_finite(name, bad):
 @pytest.mark.parametrize("flags", [
     ["--h", "nan"], ["--t", "inf"], ["--sigma-low-sq", "5"],
     # argparse's own refusals (once a usage block and SystemExit from main)
-    ["--h", "junk"], ["--refine", "nan"], ["--bogus"],
+    ["--h", "junk"], ["--report", "pdf"], ["--bogus"],
     ["--config", "{tmp}/missing.cfg"], ["--config", "{tmp}"], ["--config", "{tmp}/latin1.cfg"],
     ["--config", "{tmp}/unknown.cfg"],
 ])
@@ -150,8 +142,7 @@ NEGATIVE = st.floats(max_value=0.0, exclude_max=True, allow_infinity=False).map(
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity", "1e400"])
 # every numeric flag (config key) with values it must refuse at the default
 # variance bounds [1, 4]: the bounds refuse a swapped pair, the grid, time
-# and tolerance settings anything but finite and positive, refine any
-# negative or non-integer value
+# and tolerance settings anything but finite and positive
 BAD_NUMERIC = {
     "sigma-low-sq": st.one_of(NON_FINITE, NEGATIVE, JUNK,
                               st.floats(4.0, 1e300, exclude_min=True).map(repr)),
@@ -159,8 +150,6 @@ BAD_NUMERIC = {
                                st.floats(0.0, 1.0, exclude_max=True).map(repr)),
     **{name: st.one_of(NON_FINITE, NEGATIVE, JUNK, st.sampled_from(["0", "-0", "0.0"]))
        for name in ("alpha", "h", "L", "dt", "t", "tol")},
-    "refine": st.one_of(NON_FINITE, JUNK, st.sampled_from(["1.5", "1e3", "0x1"]),
-                        st.integers(max_value=-1).map(str)),
 }
 FIELD_NAMES = {"sigma-low-sq": "sigma_low_sq", "sigma-high-sq": "sigma_high_sq", "L": "half_width"}
 BAD_SETTING = st.sampled_from(sorted(BAD_NUMERIC)).flatmap(
@@ -204,6 +193,15 @@ def test_fuzz_swapped_variance_bounds_exit_2(bounds):
     _exits_2_with_one_error_line([f"--sigma-low-sq={low}", f"--sigma-high-sq={high}"])
 
 
+def test_refine_flag_and_config_key_exit_2(tmp_path):
+    # one grid-refinement path: each solve's own three-grid check; to see a
+    # value move under refinement, run at --h h and at --h h/2
+    _exits_2_with_one_error_line(["--h", "0.25", "--refine", "1"])
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("h = 0.25\nrefine = 1\n", encoding="utf-8")
+    _exits_2_with_one_error_line(["--config", str(cfgfile)])
+
+
 class TestExecute:
     def test_fast_scenario_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "results.csv"
@@ -240,45 +238,8 @@ class TestExecute:
         assert "valid names" in capsys.readouterr().err
 
 
-class TestThreads:
-    def test_env_cap_respected(self, monkeypatch):
-        monkeypatch.setenv("GEXPECT_THREADS", "1")
-        outcomes, _ = run_scenarios(RunConfig(scenarios=("invertible-scan",)))
-        assert outcomes[0].name == "invertible-scan"
-
-    def test_auto_count_follows_cpu_affinity(self, monkeypatch):
-        monkeypatch.delenv("GEXPECT_THREADS", raising=False)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert cli._worker_count(8) == 1
-        monkeypatch.delattr(os, "sched_getaffinity")
-        assert cli._worker_count(8) == 8
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("GEXPECT_THREADS", "many")
-        with pytest.raises(GExpectError, match="GEXPECT_THREADS"):
-            run_scenarios(RunConfig(scenarios=("invertible-scan",)))
-
-
-def test_default_run_builds_no_pool(monkeypatch):
-    # the default catalog runs on the calling thread; only --refine levels
-    # reach the thread pool
-    class PoolBuilt(Exception):
-        pass
-
-    def no_pool(*args, **kwargs):
-        raise PoolBuilt
-
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
-    outcomes, deltas = run_scenarios(RunConfig())
-    assert tuple(o.name for o in outcomes) == SCENARIO_NAMES and deltas == {}
-    with pytest.raises(PoolBuilt):
-        run_scenarios(RunConfig(scenarios=("invertible-scan",), h=0.25, refine=1))
-
-
 def test_outcome_rows_order_follows_catalog():
-    outcomes, _ = run_scenarios(RunConfig(scenarios=("invertible-scan",)))
-    rows = outcome_rows(outcomes)
+    rows = outcome_rows(run_scenarios(RunConfig(scenarios=("invertible-scan",))))
     # quantities first (assertion column empty), then assertions
     kinds = ["q" if r[4] == "" else "a" for r in rows[1:]]
     assert kinds == sorted(kinds, key=lambda k: k == "a")
@@ -300,30 +261,10 @@ def test_report_prints_negative_zero_as_zero():
     assert rows[3][6] == "0"
 
 
-def test_refine_without_h_exits_2_without_traceback(capsys):
-    with pytest.raises(GExpectError, match="refine needs h"):
-        RunConfig(refine=1)
-    assert main(["run", "--scenario", "asymmetric-independence", "--refine", "1"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-
-
 def test_readme_scenario_table_lists_the_catalog():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     names = re.findall(r"^\| `([a-z-]+)` \|", readme.read_text(encoding="utf-8"), re.M)
     assert tuple(names) == SCENARIO_NAMES
-
-
-def test_refine_rows_same_with_one_thread_and_auto(monkeypatch):
-    cfg = RunConfig(scenarios=("asymmetric-independence", "quadratic-form"), h=0.25, refine=1)
-    rows = []
-    for threads in ("1", "0"):
-        monkeypatch.setenv("GEXPECT_THREADS", threads)
-        outcomes, deltas = run_scenarios(cfg)
-        rows.append(outcome_rows(outcomes, deltas, cfg.refine))
-    assert rows[0] == rows[1]
-    assert rows[0][0][-1] == "refinement_delta_1" and len(rows[0]) > 10
 
 
 def _run_with_src(*args):
@@ -349,10 +290,10 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("flags", [["--h", "1e-4"], ["--h", "0.2", "--refine", "40"]])
+@pytest.mark.parametrize("flags", [["--h", "1e-4"]])
 def test_oversized_grids_exit_2_before_solving(flags, capsys):
-    # a level over the grid budget is refused before any coarser level runs:
-    # well under a second, where running the h = 0.1 level alone takes tens
+    # a grid over the budget is refused before it is allocated or stepped,
+    # so the run fails in well under a second
     t0 = time.perf_counter()
     assert main(["run", "--scenario", "all"] + flags) == 2
     assert time.perf_counter() - t0 < 10.0

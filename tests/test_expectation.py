@@ -156,11 +156,21 @@ def test_mean_certainty_check():
 
 
 def test_zero_2d_linear_image_is_phi_at_origin():
-    # the image set is the zero singleton, a hull: X = 0, so E[phi(X)] = phi(0)
-    phi = TestFunction(lambda x, y: (x + 1.0) * (y + 2.0), arity=2, growth_order=2,
-                       growth_const=4.0)
-    res = expect(LinearImage(np.zeros((2, 2)), GNormal(DiagonalBox((IV, IV)))), phi)
-    assert (res.value, res.error_estimate) == (2.0, 0.0)
+    # the image set is the zero singleton, a box of zero-variance intervals:
+    # X = 0, so E[phi(X)] = phi(0), in 2D and in 3D
+    phi2 = TestFunction(lambda x, y: (x + 1.0) * (y + 2.0), arity=2, growth_order=2,
+                        growth_const=4.0)
+    phi3 = TestFunction(lambda x, y, z: (x + 1.0) * (y + 2.0) * (z + 3.0), arity=3,
+                        growth_order=3, growth_const=8.0)
+    box = GNormal(DiagonalBox((IV, IV)))
+    killed = np.array([[1.0, -1.0]] * 3)  # maps the direction (1, 1) to 0
+    for law, phi, want in [
+        (LinearImage(np.zeros((2, 2)), box), phi2, 2.0),
+        (LinearImage(np.zeros((3, 2)), box), phi3, 6.0),
+        (LinearImage(killed, GNormal(RankOneFamily(np.array([1.0, 1.0]), IV))), phi3, 6.0),
+    ]:
+        res = expect(law, phi)
+        assert (res.value, res.error_estimate) == (want, 0.0)
 
 
 ZERO = UncertaintyInterval(0.0, 0.0)

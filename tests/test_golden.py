@@ -1,9 +1,9 @@
 """Golden safety net: two fixed CLI reports and four pinned solves.
 
 The golden CSVs were written by ``gexpect run``: one with GOLDEN_ARGV
-below, which covers nested solves, 2D box solves and one ``--refine``
-level at h = 0.25, and one with the default settings (the whole catalog
-at each scenario's derived grid). Every assertion of both passes.
+below, which covers nested solves and 2D box solves at h = 0.25, and one
+with the default settings (the whole catalog at each scenario's derived
+grid). Every assertion of both passes.
 Numeric columns compare within rel 1e-9 / abs 1e-12, but assertion texts
 compare as text, and some print rounding-level residues (such as
 |lhs-rhs|=3.553e-15), so a change that only moves values at rounding
@@ -12,7 +12,7 @@ level can still change the text and need the file regenerated.
 Regenerate (only when a change is meant to move the numbers, and after
 checking row by row that every value moves by less than the old row's
 error_estimate and no pass flag flips to fail) with
-    python -m gexpect run <GOLDEN_ARGV> --out tests/golden/report_h0.25_refine1.csv
+    python -m gexpect run <GOLDEN_ARGV> --out tests/golden/report_h0.25.csv
     python -m gexpect run <DEFAULT_ARGV> --out tests/golden/report_default.csv
 """
 
@@ -32,9 +32,9 @@ from gexpect.testfuncs import XY_SQUARED, TestFunction
 GOLDEN_DIR = Path(__file__).with_name("golden")
 GOLDEN_ARGV = ["run", "--scenario", "asymmetric-independence", "--scenario", "quadratic-form",
                "--scenario", "reverse-independence", "--scenario", "invertible-scan",
-               "--scenario", "diag-not-indep", "--h", "0.25", "--refine", "1"]
+               "--scenario", "diag-not-indep", "--h", "0.25"]
 DEFAULT_ARGV = ["run", "--scenario", "all"]
-NUMERIC_COLUMNS = {"value", "error_estimate", "margin", "refinement_delta_1"}
+NUMERIC_COLUMNS = {"value", "error_estimate", "margin"}
 
 
 def _read(path):
@@ -61,7 +61,7 @@ def _assert_same_report(argv, golden, tmp_path, capsys):
 
 
 def test_golden_report(tmp_path, capsys):
-    _assert_same_report(GOLDEN_ARGV, "report_h0.25_refine1.csv", tmp_path, capsys)
+    _assert_same_report(GOLDEN_ARGV, "report_h0.25.csv", tmp_path, capsys)
 
 
 def test_golden_default_catalog(tmp_path, capsys):

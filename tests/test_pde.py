@@ -7,7 +7,7 @@ import pytest
 from gexpect import pde
 from gexpect.errors import CFLViolation, DimensionMismatch, GExpectError
 from gexpect.expectation import GNormal, expect, expect_sequential
-from gexpect.gamma import ConvexHull, DiagonalBox, UncertaintyInterval, singleton_zero
+from gexpect.gamma import ConvexHull, DiagonalBox, UncertaintyInterval
 from gexpect.pde import (GridSpec, SolverConfig, build_grid, diffuse_last_axis,
                          solve_gheat_diag, solve_gheat_hull)
 from gexpect.testfuncs import (ABS, IDENTITY, NEG_SQUARE, QUARTIC, SQUARE,
@@ -630,7 +630,7 @@ def test_hull_with_zero_variance_returns_phi_at_x0():
     # E^[phi(x0 + X)] for phi = xy, x0 = (1.5, -2) and X = 0 is phi(x0)
     shifted = TestFunction(lambda x, y: (x + 1.5) * (y - 2.0), arity=2, growth_order=1,
                            growth_const=4.0, name="(x+1.5)(y-2)")
-    rep = solve_gheat_hull(singleton_zero(2), shifted)
+    rep = solve_gheat_hull(ConvexHull((np.zeros((2, 2)),)), shifted)
     assert (rep.value_at_origin, rep.refinement_delta, rep.steps_taken) == (-3.0, 0.0, 0)
 
 
