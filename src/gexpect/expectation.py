@@ -2,8 +2,8 @@
 
 G-normal expectations are solved through the G-heat equation; sequential
 vectors (each coordinate independent from all earlier ones) are evaluated
-by a backward recursion of 1D solves on a shared tensor grid; linear
-images of either reduce to one of the two.
+by a backward recursion of 1D solves on a shared tensor grid; a linear
+image M X of either is solved as E^[(phi o M)(X)] on X's own law.
 """
 
 from __future__ import annotations
@@ -56,10 +56,10 @@ class Sequential(RandomVectorSpec):
             raise TypeError("intervals must be a nonempty list of UncertaintyInterval")
         object.__setattr__(self, "intervals", ivs)
         if self.order is not None:
-            order = tuple(int(i) for i in self.order)
+            order = tuple(self.order)
             if sorted(order) != list(range(len(ivs))):
                 raise ValueError(f"order {order} is not a permutation of 0..{len(ivs) - 1}")
-            object.__setattr__(self, "order", order)
+            object.__setattr__(self, "order", tuple(int(i) for i in order))
 
     @property
     def dim(self) -> int:
@@ -73,6 +73,8 @@ class LinearImage(RandomVectorSpec):
 
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix entries must be finite")
         if a.shape[1] != self.inner.dim:
             raise DimensionMismatch(
                 f"matrix has {a.shape[1]} columns but the inner vector has dimension {self.inner.dim}"
@@ -156,9 +158,7 @@ def expect_sequential(intervals, phi: TestFunction, order=None,
         raise DimensionMismatch(f"phi takes {phi.arity} arguments for {n} variables")
     if n > 3:
         raise DimensionMismatch("nested recursion supports at most 3 variables")
-    order = tuple(range(n)) if order is None else tuple(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"order {order} is not a permutation of 0..{n - 1}")
+    order = Sequential(intervals, order).order or tuple(range(n))
 
     if max(iv.sigma_high_sq for iv in intervals) == 0.0:
         rep = _at_rest(phi, cfg)
@@ -176,7 +176,10 @@ def expect_sequential(intervals, phi: TestFunction, order=None,
 
 def expect(spec: RandomVectorSpec, phi: TestFunction,
            cfg: SolverConfig = SolverConfig()) -> ExpectationResult:
-    """E^[phi(X)] for any supported law description."""
+    """E^[phi(X)] for any supported law description. A linear image M X is
+    E^[(phi o M)(X)] on X's law, unless M is wide (pulling back would add axes)
+    or the G-normal image set is a box, a rank-one family or a 1D law: those
+    solve the image set."""
     if phi.arity != spec.dim:
         raise DimensionMismatch(f"phi takes {phi.arity} arguments but X has dimension {spec.dim}")
     if isinstance(spec, GNormal):
@@ -188,10 +191,10 @@ def expect(spec: RandomVectorSpec, phi: TestFunction,
         if isinstance(inner, LinearImage):
             return expect(LinearImage(a @ inner.matrix, inner.inner), phi, cfg)
         if isinstance(inner, GNormal):
-            return expect_gnormal(image_gamma(a, inner.gamma), phi, cfg=cfg)
-        if isinstance(inner, Sequential):
-            pulled = linear_pullback(phi, a)
-            return expect_sequential(inner.intervals, pulled, order=inner.order, cfg=cfg)
+            image = image_gamma(a, inner.gamma)
+            if not isinstance(image, ConvexHull) or a.shape[1] > a.shape[0]:
+                return expect_gnormal(image, phi, cfg=cfg)
+        return expect(inner, linear_pullback(phi, a), cfg)
     raise GExpectError(f"unsupported law description {type(spec).__name__}")
 
 

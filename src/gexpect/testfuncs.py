@@ -75,6 +75,8 @@ class TestFunction:
 def linear_pullback(phi: TestFunction, a, name: str = "") -> TestFunction:
     """phi(A x) as a function of x; growth metadata rescaled by ||A||."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
     if a.shape[0] != phi.arity:
         raise ValueError(f"matrix has {a.shape[0]} rows but phi takes {phi.arity} arguments")
     norm = max(float(np.linalg.norm(a, 2)), 1.0)

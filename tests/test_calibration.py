@@ -2,7 +2,8 @@
 
 Each case runs with refinement on, at the default SolverConfig unless its
 name gives h, and asserts |value - exact| <= error_estimate; the cases
-cover 1D and 2D G-normal solves (box and hull) and nested solves. Run with
+cover 1D and 2D G-normal solves (box and hull), linear images of them
+that are solved by pulling phi back, and nested solves. Run with
 `pytest tests/test_calibration.py -v -s` to see the tightness ratio
 error_estimate / |value - exact| of each case; a ratio far above 1 is a
 loose bound, one below 1 a miss. The last tests pin the three outcomes of
@@ -14,7 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from gexpect.expectation import GNormal, expect_gnormal, expect_sequential, lower_expectation
+from gexpect.expectation import (GNormal, LinearImage, expect, expect_gnormal, expect_sequential,
+                                 lower_expectation)
 from gexpect.gamma import ConvexHull, DiagonalBox, Interval1D, UncertaintyInterval, g_function
 from gexpect.pde import SolverConfig
 from gexpect.testfuncs import (ABS, NEG_SQUARE, POS_PART, QUARTIC, SQUARE,
@@ -76,27 +78,62 @@ SEEDED = ("seeded lower (x-1.067)^+",
           _call_value(SEEDED_K, math.sqrt(SEEDED_IV.sigma_low_sq)))
 
 
-# 2D G-normal laws: a box and a three-generator, diagonally dominant hull.
-# psi(<w, X>) with psi convex is the 1D law at the largest variance w^T g w
-# over the set, a vertex of the hull
+# 2D G-normal laws: a box and a three-generator, diagonally dominant hull;
+# and linear images M X whose image set is a hull, which expect solves on X's
+# law with phi pulled back through M (the hull solver would refuse the image
+# hulls: not diagonally dominant, or not 2D)
 BOX_2D = DiagonalBox((IV, UncertaintyInterval(0.5, 2.0)))
+BOX_3D = DiagonalBox((IV, UncertaintyInterval(0.5, 2.0), UncertaintyInterval(1.0, 2.0)))
 HULL_2D = ConvexHull((np.array([[2.0, 1.0], [1.0, 1.5]]), np.array([[1.0, -0.5], [-0.5, 3.0]]),
                       np.diag([4.0, 1.0])))
+SHEAR = np.array([[1.0, 2.0], [0.0, 1.0]])  # the linear-image scenario's A
+ROTATION_30 = np.array([[math.sqrt(3.0) / 2.0, -0.5], [0.5, math.sqrt(3.0) / 2.0]])
+
+KINKS = ((ABS, lambda s: s * math.sqrt(2.0 / math.pi)), (_call(0.37), lambda s: _call_value(0.37, s)))
+CONVEX_PSI = ((SQUARE, lambda s: s * s), *KINKS, (_call(-1.23), lambda s: _call_value(-1.23, s)))
+
+
+def _inner_product_cases(law, gamma, m, w, moments, cfg=SolverConfig()):
+    """psi(<w, M X>) for X ~ N(0, gamma) (M = I when m is None), for each
+    (psi, moment) in moments with psi convex. <w, M X> = <M^T w, X> is the 1D
+    law at the largest variance v^T g v, v = M^T w, over the set's vertices g
+    (a box's upper corner), so the exact value is moment(sqrt of that)."""
+    w = np.array(w)
+    spec, v = (GNormal(gamma), w) if m is None else (LinearImage(m, GNormal(gamma)), m.T @ w)
+    tops = (gamma.generators if isinstance(gamma, ConvexHull)
+            else [np.diag([iv.sigma_high_sq for iv in gamma.intervals])])
+    sigma = math.sqrt(max(float(v @ g @ v) for g in tops))
+    tag = f" h={cfg.h:g}" if cfg.h else ""
+    for phi, moment in moments:
+        name = f"{law} {phi.name} w=({', '.join(f'{x:g}' for x in w)}){tag}"
+        pulled = linear_pullback(phi, w.reshape(1, -1))
+        yield pytest.param(name, lambda f=pulled: expect(spec, f, cfg), moment(sigma), id=name)
 
 
 def _gnormal_2d():
     """|<w, x>| (even under x -> -x, so its solves fold) and (<w, x> - 0.37)^+
-    (not even) on BOX_2D and HULL_2D."""
-    box_top = np.diag([iv.sigma_high_sq for iv in BOX_2D.intervals])
-    for law, gamma, tops in (("box", BOX_2D, [box_top]), ("hull", HULL_2D, HULL_2D.generators)):
-        for w in (np.array([1.0, 1.0]), np.array([0.6, -0.8])):
-            sigma = math.sqrt(max(float(w @ g @ w) for g in tops))
-            for phi, exact in ((ABS, sigma * math.sqrt(2.0 / math.pi)),
-                               (_call(0.37), _call_value(0.37, sigma))):
-                name = f"2d {law} {phi.name} w=({w[0]:g}, {w[1]:g})"
-                pulled = linear_pullback(phi, w.reshape(1, -1))
-                yield pytest.param(name, lambda g=gamma, f=pulled: expect_gnormal(g, f), exact,
-                                   id=name)
+    (not even) on the box, the hull, and the box's shear and rotation images."""
+    for law, gamma, m in (("box", BOX_2D, None), ("hull", HULL_2D, None),
+                          ("shear image", BOX_2D, SHEAR), ("rotation image", BOX_2D, ROTATION_30)):
+        for w in ((1.0, 1.0), (0.6, -0.8)):
+            yield from _inner_product_cases(f"2d {law}", gamma, m, w, KINKS)
+
+
+def _pulled_back_images():
+    """x^2, |x| and (x - K)^+ at K = 0.37 and -1.23 on one w for each hull
+    image of a square or tall map: the shear and the rotation of the box, a
+    tall 3 x 2 map of it, a full-rank 3 x 3 map of a 3D box and a shear of the
+    hull."""
+    for law, gamma, m, w, cfg in (
+            ("shear of a box", BOX_2D, SHEAR, (1.0, 0.3), SolverConfig()),
+            ("rotation of a box", BOX_2D, ROTATION_30, (1.0, 0.3), SolverConfig()),
+            ("tall 3x2 map of a box", BOX_2D, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+             (1.0, -1.0, 0.5), SolverConfig()),
+            ("3x3 map of a 3D box", BOX_3D,
+             np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]), (1.0, 0.5, -1.0),
+             SolverConfig(h=0.4)),
+            ("shear of a hull", HULL_2D, SHEAR, (1.0, 1.0), SolverConfig())):
+        yield from _inner_product_cases(f"image {law}", gamma, m, w, CONVEX_PSI, cfg)
 
 
 QUADRATIC_FORMS = [np.diag([1.0, -1.0]), np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]),
@@ -129,7 +166,7 @@ CASES = [
 
 @pytest.mark.parametrize("name, compute, exact",
                          [pytest.param(*c, id=c[0]) for c in CASES] + list(_off_grid_kinks())
-                         + list(_gnormal_2d()))
+                         + list(_gnormal_2d()) + list(_pulled_back_images()))
 def test_error_estimate_bounds_the_error(name, compute, exact):
     res = compute()
     err = abs(res.value - exact)

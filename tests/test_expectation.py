@@ -10,7 +10,7 @@ from gexpect.expectation import (GNormal, LinearImage, Sequential, expect,
 from gexpect.gamma import (ConvexHull, DiagonalBox, Interval1D, RankOneFamily,
                            UncertaintyInterval, image_gamma)
 from gexpect.pde import SolverConfig
-from gexpect.testfuncs import (ABS, NEG_SQUARE, POS_PART, SQUARE, QUARTIC,
+from gexpect.testfuncs import (ABS, NEG_SQUARE, POS_PART, SQUARE, QUARTIC, XY,
                                XY_SQUARED, YX_SQUARED, TestFunction)
 from oracles import (convex_oracle_1d, gauss_hermite_expectation,
                      gauss_hermite_expectation_nd)
@@ -89,8 +89,13 @@ class TestExpectSequential:
     def test_validation(self):
         with pytest.raises(DimensionMismatch):
             expect_sequential((IV,), XY_SQUARED, cfg=FAST)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^order \(0, 0\) is not a permutation of 0..1$"):
             expect_sequential((IV, IV), XY_SQUARED, order=(0, 0), cfg=FAST)
+        # a fractional index is not truncated into a permutation
+        with pytest.raises(ValueError, match=r"^order \(0.5, 1\) is not a permutation"):
+            expect_sequential((IV, IV), XY_SQUARED, order=(0.5, 1), cfg=FAST)
+        with pytest.raises(ValueError, match=r"^order \(0.5, 1\) is not a permutation"):
+            Sequential((IV, IV), order=(0.5, 1))
         with pytest.raises(DimensionMismatch):
             expect_sequential((IV,) * 4,
                               TestFunction(lambda *c: sum(c), arity=4, growth_order=1,
@@ -199,3 +204,32 @@ def test_all_zero_sequential_law_is_phi_at_origin():
                 LinearImage(np.array([[1.0, 2.0], [0.0, 1.0]]), Sequential((ZERO, ZERO)))):
         res = expect(law, phi)
         assert (res.value, res.error_estimate) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("m, gamma, image_type", [
+    (np.array([[0.0, 2.0], [0.5, 0.0]]), DiagonalBox((IV, IV)), DiagonalBox),
+    (np.array([[1.0, 0.0, 0.2], [0.0, 1.0, 0.2]]), DiagonalBox((IV,) * 3), ConvexHull),
+], ids=["scaled permutation", "wide 2x3 map"])
+def test_box_and_wide_images_are_solved_as_the_image_set(m, gamma, image_type):
+    # the hull images of square and tall maps are pulled back instead; their
+    # calibration cases are in test_calibration.py
+    image = image_gamma(m, gamma)
+    assert isinstance(image, image_type)
+    res = expect(LinearImage(m, GNormal(gamma)), XY, cfg=FAST)
+    direct = expect_gnormal(image, XY, cfg=FAST)
+    assert (res.value, res.error_estimate) == (direct.value, direct.error_estimate)
+
+
+def test_wide_map_with_a_non_dominant_image_hull_is_refused():
+    # pulling back would solve on the 3D box; the 2D image hull is refused
+    spec = LinearImage(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0]]), GNormal(DiagonalBox((IV,) * 3)))
+    with pytest.raises(GExpectError, match="diagonally dominant"):
+        expect(spec, XY, cfg=FAST)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("inner", [GNormal(DiagonalBox((IV, IV))), Sequential((IV, IV))],
+                         ids=["gnormal", "sequential"])
+def test_linear_image_refuses_non_finite_matrices(inner, bad):
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        LinearImage(np.array([[1.0, bad], [0.0, 1.0]]), inner)

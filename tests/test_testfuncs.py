@@ -49,6 +49,12 @@ def test_linear_pullback_shape_check():
         linear_pullback(XY_SQUARED, np.eye(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_linear_pullback_refuses_non_finite_matrices(bad):
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        linear_pullback(XY_SQUARED, np.array([[1.0, bad], [0.0, 1.0]]))
+
+
 def test_monomial():
     assert monomial(3)(2.0) == 8.0
     assert "convex" in monomial(4).tags
