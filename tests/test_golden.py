@@ -1,4 +1,4 @@
-"""Golden safety net: two fixed CLI reports and four pinned solves.
+"""Golden safety net: two fixed CLI reports and eight pinned solves.
 
 The golden CSVs were written by ``gexpect run``: one with GOLDEN_ARGV
 below, which covers nested solves and 2D box solves at h = 0.25, and one
@@ -73,6 +73,12 @@ HULL = ConvexHull((np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([[1.0, -0.5], [-
 COARSE = SolverConfig(h=0.25)  # refinement on
 KINK = TestFunction(lambda x, y: np.maximum(x - 0.5 * y - 0.3, 0.0), arity=2, growth_order=1,
                     growth_const=2.0, name="(x-y/2-0.3)^+")
+ABS_SUM = TestFunction(lambda x, y: np.abs(x + y), arity=2, growth_order=1, growth_const=2.0,
+                       name="|x+y|")
+X2_0Y = TestFunction(lambda x, y: x**2 + 0.0 * y, arity=2, growth_order=1, growth_const=6.0,
+                     name="x^2+0y")
+QUAD_3 = TestFunction(lambda x, y, z: x**2 + (y - 0.5) ** 2 + z**2, arity=3, growth_order=1,
+                      growth_const=12.0, name="x^2+(y-1/2)^2+z^2")
 
 
 @pytest.mark.parametrize("solve, pinned", [
@@ -86,7 +92,20 @@ KINK = TestFunction(lambda x, y: np.maximum(x - 0.5 * y - 0.3, 0.0), arity=2, gr
     (lambda: expect_gnormal(RankOneFamily(np.array([1.2, -0.7]), IV), KINK,
                             cfg=COARSE).diagnostics[0],
      (1.0927480028916354, 8.799062223510633e-13, 0.003096354687107006, 160)),
-], ids=["box", "hull", "sequential", "rank-one"])
+    # |x+y| is even only under x -> -x: point folds of the box and the hull
+    (lambda: solve_gheat_diag(DiagonalBox((IV, IV)), ABS_SUM, cfg=COARSE),
+     (2.256760256505919, 9.118199195347805e-13, 0.0039741495976151064, 320)),
+    (lambda: solve_gheat_hull(HULL, ABS_SUM, cfg=COARSE),
+     (1.954478407167076, 3.262326800948795e-13, 0.009923318821932536, 240)),
+    # y is dropped as a constant axis: a 1D solve on the 2D grid
+    (lambda: solve_gheat_diag(DiagonalBox((IV, IV)), X2_0Y, cfg=COARSE),
+     (3.999999999999973, 2.735459758604342e-12, 2.2648549702353193e-14, 320)),
+    # 65^3 nodes: the first sweep folds its swept axis and x, and cuts slabs
+    (lambda: expect_sequential((UncertaintyInterval(0.5, 1.0),) * 3, QUAD_3,
+                               cfg=COARSE).diagnostics[0],
+     (3.2500000000000018, 4.559099597673904e-12, 2.6645352591003757e-15, 120)),
+], ids=["box", "hull", "sequential", "rank-one", "box-point-fold", "hull-point-fold",
+        "box-constant-axis", "sequential-3d-slabs"])
 def test_pinned_solve_reports(solve, pinned):
     rep = solve()
     assert (rep.value_at_origin, rep.tail_bound,
