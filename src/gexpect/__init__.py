@@ -13,9 +13,9 @@ from .gamma import (ConvexHull, DiagonalBox, GammaSet, Interval1D,
                     check_scaling_constraint, g_function, gbar, image_gamma,
                     is_diagonal_image, singleton_zero)
 from .testfuncs import TestFunction, linear_pullback, monomial
-from .pde import (GridSpec, SolveReport, SolverConfig, build_grid,
+from .pde import (ExpectationResult, GridSpec, SolverConfig, build_grid,
                   diffuse_last_axis, solve_gheat_diag, solve_gheat_hull)
-from .expectation import (ExpectationResult, GNormal, LinearImage,
+from .expectation import (GNormal, LinearImage,
                           RandomVectorSpec, Sequential, expect, expect_gnormal,
                           expect_sequential, lower_expectation)
 from .scenarios import (Assertion, Quantity, ScenarioOutcome,

@@ -40,7 +40,7 @@ SCENARIOS = {
         (iv, iv), np.array([[1.0, 0.5], [0.5, -1.0]]), cfg=s),
     "reverse-independence": lambda iv, alpha, s: run_reverse_independence_witness(
         (iv, iv), 0, 1, cfg=s),
-    "invertible-scan": lambda iv, alpha, s: run_invertible_scan(iv, cfg=s),
+    "invertible-scan": lambda iv, alpha, s: run_invertible_scan(iv),
 }
 SCENARIO_NAMES = tuple(SCENARIOS)
 
@@ -205,7 +205,9 @@ def parse_args(argv) -> RunConfig:
                   if getattr(ns, a.dest) is not None)
     scenarios = values.pop("scenario", None)
     if scenarios is not None:
-        values["scenarios"] = SCENARIO_NAMES if "all" in scenarios else tuple(scenarios)
+        # 'all' expands in place, so a name beside it is still checked
+        values["scenarios"] = tuple(dict.fromkeys(
+            n for name in scenarios for n in (SCENARIO_NAMES if name == "all" else (name,))))
     return RunConfig(**values)
 
 

@@ -8,15 +8,15 @@ image M X of either is solved as E^[(phi o M)(X)] on X's own law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionMismatch, GExpectError
 from .gamma import (ConvexHull, DiagonalBox, GammaSet, RankOneFamily, UncertaintyInterval,
                     image_gamma)
-from .pde import (SolverConfig, SolveReport, _at_rest, _eval_initial, build_grid, diffuse_last_axis,
-                  refinement_delta, solve_gheat_diag, solve_gheat_hull)
+from .pde import (ExpectationResult, SolverConfig, _at_rest, _eval_initial, build_grid,
+                  diffuse_last_axis, refinement_delta, solve_gheat_diag, solve_gheat_hull)
 from .testfuncs import TestFunction, linear_pullback
 
 
@@ -87,22 +87,6 @@ class LinearImage(RandomVectorSpec):
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class ExpectationResult:
-    value: float
-    error_estimate: float
-    method: str  # "pde" | "nested"
-    diagnostics: tuple = ()
-
-    def __post_init__(self):
-        if not (np.isfinite(self.value) and np.isfinite(self.error_estimate)):
-            raise GExpectError("expectation produced a non-finite value or error estimate")
-
-
-def _report_error(r: SolveReport) -> float:
-    return r.tail_bound + (r.refinement_delta or 0.0)
-
-
 # ---------------------------------------------------------------------------
 # G-normal expectations
 
@@ -124,12 +108,10 @@ def expect_gnormal(gamma: GammaSet, phi: TestFunction,
         vals = [float(b[0, 0]) for b in gamma.generators]
         gamma = DiagonalBox((UncertaintyInterval(min(vals), max(vals)),))
     if isinstance(gamma, DiagonalBox):
-        rep = solve_gheat_diag(gamma, phi, cfg=cfg)
-    elif isinstance(gamma, ConvexHull):
-        rep = solve_gheat_hull(gamma, phi, cfg=cfg)
-    else:
-        raise GExpectError(f"uncertainty set {type(gamma).__name__} is not solvable")
-    return ExpectationResult(rep.value_at_origin, _report_error(rep), "pde", (rep,))
+        return solve_gheat_diag(gamma, phi, cfg=cfg)
+    if isinstance(gamma, ConvexHull):
+        return solve_gheat_hull(gamma, phi, cfg=cfg)
+    raise GExpectError(f"uncertainty set {type(gamma).__name__} is not solvable")
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +143,11 @@ def expect_sequential(intervals, phi: TestFunction, order=None,
     order = Sequential(intervals, order).order or tuple(range(n))
 
     if max(iv.sigma_high_sq for iv in intervals) == 0.0:
-        rep = _at_rest(phi, cfg)
-    else:
-        u_h, steps, probe = _nested_value(intervals, order, phi, cfg)
-        value, grid_term = refinement_delta(
-            u_h, probe.h, cfg, lambda c: _nested_value(intervals, order, phi, c)[0])
-        rep = SolveReport(value, probe.tail_bound, grid_term, steps)
-    return ExpectationResult(rep.value_at_origin, _report_error(rep), "nested", (rep,))
+        return _at_rest(phi, cfg, "nested")
+    u_h, steps, probe = _nested_value(intervals, order, phi, cfg)
+    value, grid_term = refinement_delta(
+        u_h, probe.h, cfg, lambda c: _nested_value(intervals, order, phi, c)[0])
+    return ExpectationResult(value, probe.tail_bound, grid_term, steps, "nested")
 
 
 # ---------------------------------------------------------------------------
@@ -202,4 +182,4 @@ def lower_expectation(spec: RandomVectorSpec, phi: TestFunction,
                       cfg: SolverConfig = SolverConfig()) -> ExpectationResult:
     """-E^[-phi(X)], the conjugate (lower) expectation."""
     res = expect(spec, phi.negated(), cfg)
-    return ExpectationResult(-res.value, res.error_estimate, res.method, res.diagnostics)
+    return replace(res, value=-res.value)

@@ -10,17 +10,20 @@ Every solve computes u(1, 0) = E^[phi(X)], read at the centre node of the
 grid. The value at a horizon t and a start y is E^[phi(y + X)] over
 variances scaled by t.
 
-Every diagonal step -- full box solves and the batched last-axis sweeps
-of the nested recursion -- runs through one kernel, ``_advance_diag``;
-hull solves run through ``_advance_hull``. Each call copies the view it is
-given (a cone view or a slab, usually strided) into one C-ordered buffer,
-steps it in place as a flat 1D array and writes it back. Along an axis of
-stride s, node f reads f - s and f + s, so every op of a step is one
-contiguous slice, and 2u is formed once per step for all axes. The slice
-also covers the axis' two end faces, where f +- s wraps into the next row:
-the flux there is junk and is overwritten with -0.0 before it is added,
-since x + (-0.0) is x for every x, zero signs included. Work buffers are
-allocated once per call and only ``out=`` ufuncs run inside the step loop.
+A box solve and a sweep of the nested recursion are the same diagonal
+solve, run by one driver, ``_diag_centre``: its intervals diffuse along
+the leading axes of u, and any later axes are passive rows (a sweep is a
+box solve whose other coordinates are passive). Every diagonal step runs
+through one kernel, ``_advance_diag``; hull solves run through
+``_advance_hull``. Each call copies the view it is given (a cone view or a
+slab, usually strided) into one C-ordered buffer, steps it in place as a
+flat 1D array and writes it back. Along an axis of stride s, node f reads
+f - s and f + s, so every op of a step is one contiguous slice, and 2u is
+formed once per step for all axes. The slice also covers the axis' two
+end faces, where f +- s wraps into the next row: the flux there is junk
+and is overwritten with -0.0 before it is added, since x + (-0.0) is x
+for every x, zero signs included. Work buffers are allocated once per
+call and only ``out=`` ufuncs run inside the step loop.
 
 A solve needs only u(1, 0), and one explicit step moves information one
 node along each axis, so with `left` steps to go only the nodes within
@@ -28,11 +31,11 @@ node along each axis, so with `left` steps to go only the nodes within
 kernels on views of the grid that shrink with this cone of dependence
 (Courant, Friedrichs and Lewy); the centre value is the same bits.
 
-A box solve first drops every axis along which the initial data is
-exactly constant: the flux along it is (v - 2v) + v = 0 at every step, so
-the other axes step alone at the same grid, dt and steps. A nested sweep
-along such an axis returns without stepping. Hull solves drop nothing,
-since their cross stencil does not cancel exactly.
+The diagonal driver first drops every diffusing axis along which the
+initial data is exactly constant: the flux along it is (v - 2v) + v = 0
+at every step, so the other axes step alone at the same grid, dt and
+steps, and a sweep along such an axis returns without stepping. Hull
+solves drop nothing, since their cross stencil does not cancel exactly.
 
 A solve whose initial data is exactly even and has more than
 ``_CONE_CELLS`` cells steps half the grid (a mirror fold). The nodes are
@@ -40,14 +43,14 @@ h * k, antisymmetric bit for bit, so evenness is one ``np.array_equal``
 against ``np.flip``. Along a folded axis the half starts at the centre
 node - 1: plane 0 is a ghost, overwritten from plane 2 before every step
 (in a point fold, plane 2 flipped over the other axes), and u(1, 0) is
-read at node 1. A box is unchanged by flipping any one axis, so a box
-solve folds every axis along which the data is even, and failing all the
-point reflection x -> -x; a hull is unchanged only by x -> -x, which is
-all a hull solve folds. A nested sweep folds its swept axis behind a ghost
-and keeps half the rows of an even passive axis, mirroring the centre
-slice back. The unfolded scheme rounds mirror images differently,
-(a - b) + c against (c - b) + a, so a ghost fold moves u(1, 0) at
-rounding level; a passive-axis fold gives the same bits.
+read at node 1. A box is unchanged by flipping any one axis, so the
+diagonal driver folds every diffusing axis along which the data is even,
+and failing all, when no axis is passive, the point reflection x -> -x; a
+hull is unchanged only by x -> -x, which is all a hull solve folds. An
+even passive axis keeps half its rows, and the centre slice is mirrored
+back. The unfolded scheme rounds mirror images differently, (a - b) + c
+against (c - b) + a, so a ghost fold moves u(1, 0) at rounding level; a
+passive half gives the same bits.
 
 ``diffuse_last_axis`` copies its input once with the swept axis moved to
 the front, so cone views are contiguous blocks, and returns the centre
@@ -59,11 +62,13 @@ are independent problems and every op is elementwise, so the values are
 the same bits.
 
 The box and hull solvers check their own set, then share one skeleton,
-``_solve`` (which returns phi(0) when every variance is zero).
-A solve's error estimate is the analytic tail bound of its grid (computed
-once by ``build_grid``) plus the grid term of ``refinement_delta``, the one
-three-grid helper of every solve, nested recursions included. ``build_grid``
-refuses a grid of more than ``_CELL_STEP_BUDGET`` cells times steps.
+``_solve`` (which returns phi(0) when every variance is zero). Every
+solve, nested recursions included, returns one record,
+``ExpectationResult``: its error estimate is the analytic tail bound of
+its grid (computed once by ``build_grid``) plus the grid term of
+``refinement_delta``, the one three-grid helper of every solve.
+``build_grid`` refuses a grid of more than ``_CELL_STEP_BUDGET`` cells
+times steps.
 """
 
 from __future__ import annotations
@@ -171,11 +176,23 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class SolveReport:
-    value_at_origin: float
+class ExpectationResult:
+    """One solve: its value, the tail bound of its grid, its grid term and
+    the steps of its finest grid (a nested solve sums its sweeps)."""
+
+    value: float
     tail_bound: float
     refinement_delta: float | None  # the grid term; None with refinement off
     steps_taken: int
+    method: str  # "pde" | "nested"
+
+    def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.error_estimate)):
+            raise GExpectError("expectation produced a non-finite value or error estimate")
+
+    @property
+    def error_estimate(self) -> float:
+        return self.tail_bound + (self.refinement_delta or 0.0)
 
 
 def _tail(phi: TestFunction, L: float, k: float) -> float:
@@ -243,26 +260,26 @@ def _check_monotone(dt: float, h: float, weight: float):
         )
 
 
-def _advance_diag(u: np.ndarray, intervals, axes, h: float, dt: float, steps: int,
+def _advance_diag(u: np.ndarray, intervals, h: float, dt: float, steps: int,
                   ghosts=(), point: bool = False):
     """Advance u in place by `steps` explicit steps of du/dt = sum_k Gbar_k(d2u/dx_k^2),
-    interval k acting along axis axes[k]; other axes are passive batch axes.
-    Plane 0 along each axis in `ghosts` is the ghost of a fold, a point
-    fold when `point` (see _ghost_pairs).
+    interval k acting along axis k; the axes after the last interval are
+    passive batch axes. Plane 0 along each axis in `ghosts` is the ghost of
+    a fold, a point fold when `point` (see _ghost_pairs).
 
     The first passive axis is cut into slabs of at most _SLAB_CELLS cells,
     and each slab runs through all steps before the next (see _advance_slab).
     """
-    ivs, axes = list(intervals), list(axes)
+    ivs = list(intervals)
     _check_monotone(dt, h, sum(iv.sigma_high_sq for iv in ivs))
     lam = dt / (h * h)
-    p = next((a for a in range(u.ndim) if a not in axes), None)
-    if p is None:
-        _advance_slab(u, ivs, axes, lam, steps, ghosts, point)
+    p = len(ivs)
+    if p == u.ndim:
+        _advance_slab(u, ivs, lam, steps, ghosts, point)
         return
     rows = max(1, _SLAB_CELLS // (u.size // u.shape[p]))
     for i in range(0, u.shape[p], rows):
-        _advance_slab(u[(slice(None),) * p + (slice(i, i + rows),)], ivs, axes, lam, steps,
+        _advance_slab(u[(slice(None),) * p + (slice(i, i + rows),)], ivs, lam, steps,
                       ghosts, point)
 
 
@@ -284,7 +301,7 @@ def _ghost_pairs(buf: np.ndarray, ghosts, point: bool) -> list:
     return pairs
 
 
-def _advance_slab(u: np.ndarray, ivs, axes, lam: float, steps: int, ghosts=(),
+def _advance_slab(u: np.ndarray, ivs, lam: float, steps: int, ghosts=(),
                   point: bool = False):
     """_advance_diag on one slab (any view), lam = dt/h^2. A C-ordered copy
     of the slab (unless it is one) is stepped flat and written back after
@@ -295,17 +312,16 @@ def _advance_slab(u: np.ndarray, ivs, axes, lam: float, steps: int, ghosts=(),
     flat = buf.reshape(-1)
     size = flat.size
     two_u, incr, d_hi = np.empty(size), np.zeros(size), np.empty(size)
-    d = np.empty(size) if len(axes) > 1 else None
+    d = np.empty(size) if len(ivs) > 1 else None
     work = []
-    for k, (iv, ax) in enumerate(zip(ivs, axes)):
-        s = math.prod(buf.shape[ax + 1:])
+    for k, iv in enumerate(ivs):
+        s = math.prod(buf.shape[k + 1:])
         mid = slice(s, size - s)
-        # the first axis works straight in incr, whose faces along it hold
-        # junk unless the axis leads, and the flux of later axes unless it
-        # is alone; a lone leading axis leaves them at zero
+        # the first axis works straight in incr, whose faces along it lie
+        # outside its slice; they keep last step's flux of the later axes
+        # unless cleared, and stay at zero when the axis is alone
         flux = d if k else incr
-        alone = len(axes) == 1 and s * buf.shape[ax] == size
-        faces = None if alone else _faces(flux.reshape(buf.shape), ax)
+        faces = None if len(ivs) == 1 else _faces(flux.reshape(buf.shape), k)
         work.append((flat[2 * s:], two_u[mid], flat[:size - 2 * s], flux[mid], d_hi[mid],
                      incr[mid], faces, 0.5 * iv.sigma_low_sq, 0.5 * iv.sigma_high_sq))
     # the reference scheme sums each increment onto zeros (0.0 + flux is
@@ -392,6 +408,39 @@ def _flat_along(u: np.ndarray, axis: int) -> bool:
     return bool(np.all(u == u[(slice(None),) * axis + (slice(0, 1),)]))
 
 
+def _diag_centre(u: np.ndarray, ivs, h: float, dt: float, steps: int) -> np.ndarray:
+    """u(1, 0) of a diagonal solve from the initial data u, stepped in place:
+    interval k diffuses along axis k, and later axes are passive rows. A 0-d
+    value for a box solve, an array over the passive axes for a sweep.
+    Constant axes are dropped and even data is folded (see the module
+    docstring); only a ghost fold moves the value, at rounding level.
+    """
+    # checked on every axis, dropped ones included
+    _check_monotone(dt, h, sum(iv.sigma_high_sq for iv in ivs))
+    keep = [a for a in range(len(ivs)) if not _flat_along(u, a)]
+    u = u[tuple(slice(None) if a in keep else u.shape[a] // 2 for a in range(len(ivs)))]
+    if not keep:
+        return u + 0.0  # + 0.0 clears -0.0 as a step would
+    ivs, n = [ivs[a] for a in keep], len(keep)
+    # a box is unchanged by flipping any one axis, so the solution keeps each
+    # mirror symmetry of the data; failing all, when every axis diffuses, the
+    # point reflection. Passive rows are independent: a mirrored row has the
+    # same bits, so only the half from the centre on is stepped
+    fold = u.size > _CONE_CELLS
+    ghosts = [a for a in range(n) if fold and _even(u, a)]
+    point = fold and not ghosts and n == u.ndim and _even(u)
+    if point:
+        ghosts = [0]
+    halves = [a for a in range(n, u.ndim) if fold and _even(u, a)]
+    u, centre = _fold(u, ghosts, halves)
+    out = _advance_cone(np.ascontiguousarray(u), centre[:n], steps,
+                        lambda v, k: _advance_diag(v, ivs, h, dt, k, ghosts, point))
+    for a in halves:
+        ax = a - n  # out has no diffusing axes
+        out = np.concatenate([out[(slice(None),) * ax + (slice(None, 0, -1),)], out], axis=ax)
+    return out
+
+
 def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float,
                       dt: float | None = None) -> tuple:
     """Diffuse a tabulated array along its last axis only, up to time 1
@@ -406,22 +455,7 @@ def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float,
     _require_finite_positive(h=h, dt=dt)
     dt = 1.0 / _step_count(dt)
     steps = _step_count(dt)
-    _check_monotone(dt, h, iv.sigma_high_sq)
-    if _flat_along(u, 0):
-        # no flux along the axis; + 0.0 clears -0.0 as a step would
-        return u[len(u) // 2] + 0.0, dt, steps
-    fold = u.size > _CONE_CELLS
-    ghosts = [0] if fold and _even(u, 0) else []
-    # rows along a passive axis are independent: a mirrored row has the
-    # same bits, so only the half from the centre on is stepped
-    halves = [a for a in range(1, u.ndim) if fold and _even(u, a)]
-    u, centre = _fold(u, ghosts, halves)
-    out = _advance_cone(u, centre[:1], steps,
-                        lambda v, k: _advance_diag(v, [iv], [0], h, dt, k, ghosts))
-    for a in halves:
-        ax = a - 1  # out has no swept axis
-        out = np.concatenate([out[(slice(None),) * ax + (slice(None, 0, -1),)], out], axis=ax)
-    return out, dt, steps
+    return _diag_centre(u, [iv], h, dt, steps), dt, steps
 
 
 def _eval_initial(phi: TestFunction, grid: GridSpec) -> np.ndarray:
@@ -431,7 +465,13 @@ def _eval_initial(phi: TestFunction, grid: GridSpec) -> np.ndarray:
     mesh = np.meshgrid(*axes, indexing="ij", copy=False)
     for m in mesh:
         m.setflags(write=False)
-    u0 = np.array(phi(*mesh), dtype=float, order="C")  # stepped in place
+    values = np.asarray(phi(*mesh), dtype=float)
+    try:  # a phi that ignores its arguments may return a scalar
+        values = np.broadcast_to(values, mesh[0].shape)
+    except ValueError:
+        raise GExpectError(f"phi returned shape {values.shape}, which does not broadcast to "
+                           f"the grid {mesh[0].shape}") from None
+    u0 = np.array(values, order="C")  # stepped in place
     if not np.all(np.isfinite(u0)):
         raise GExpectError("initial data evaluates to non-finite values on the grid")
     return u0
@@ -459,55 +499,27 @@ def refinement_delta(u_h: float, h: float, cfg: SolverConfig, solve_at) -> tuple
     return u_h, max(abs(d1), abs(d2))
 
 
-def _at_rest(phi: TestFunction, cfg: SolverConfig) -> SolveReport:
+def _at_rest(phi: TestFunction, cfg: SolverConfig, method: str) -> ExpectationResult:
     """The solve of a law whose variances are all zero: phi(0), exactly."""
-    return SolveReport(float(phi(*np.zeros(phi.arity))), 0.0, 0.0 if cfg.refine else None, 0)
+    return ExpectationResult(float(phi(*np.zeros(phi.arity))), 0.0,
+                             0.0 if cfg.refine else None, 0, method)
 
 
 def _solve(phi: TestFunction, cfg: SolverConfig, sig_sqs, centre, solve_at,
-           cfl_denominator: float | None = None) -> SolveReport:
+           cfl_denominator: float | None = None) -> ExpectationResult:
     """Solve skeleton shared by the box and hull solvers: grid, initial data,
     centre(u, grid) -> u(1, 0), and the re-solves solve_at(cfg) -> value of
     refinement_delta."""
     if max(sig_sqs) == 0.0:
-        return _at_rest(phi, cfg)
+        return _at_rest(phi, cfg, "pde")
     grid = build_grid(sig_sqs, phi, cfg, cfl_denominator)
-    u_h = centre(_eval_initial(phi, grid), grid)
+    u_h = float(centre(_eval_initial(phi, grid), grid))
     value, grid_term = refinement_delta(u_h, grid.h, cfg, solve_at)
-    return SolveReport(value, grid.tail_bound, grid_term, grid.steps)
-
-
-def _box_centre(u: np.ndarray, intervals, g: GridSpec) -> float:
-    """u(1, 0) of a box solve from the initial data u, stepped in place.
-
-    An axis along which u is constant carries no flux at any step, so it is
-    dropped and the rest is stepped at the same h, dt and steps; the value
-    is the same bits. What is left is then folded if it is even (see the
-    module docstring), which moves the value at rounding level.
-    """
-    # checked on every axis, dropped ones included
-    _check_monotone(g.dt, g.h, sum(iv.sigma_high_sq for iv in intervals))
-    keep = [a for a in range(u.ndim) if not _flat_along(u, a)]
-    cut = tuple(slice(None) if a in keep else n // 2 for a, n in enumerate(u.shape))
-    if not keep:
-        return float(u[cut]) + 0.0  # + 0.0 clears -0.0 as a step would
-    ivs = [intervals[a] for a in keep]
-    u = u[cut]
-    # a box is unchanged by flipping any one axis, so the solution keeps
-    # each mirror symmetry of the data; failing all, the point reflection
-    fold = u.size > _CONE_CELLS
-    ghosts = [a for a in range(u.ndim) if fold and _even(u, a)]
-    point = fold and not ghosts and _even(u)
-    if point:
-        ghosts = [0]
-    u, centre = _fold(u, ghosts)
-    u = np.ascontiguousarray(u)
-    return float(_advance_cone(u, centre, g.steps, lambda v, k: _advance_diag(
-        v, ivs, range(v.ndim), g.h, g.dt, k, ghosts, point)))
+    return ExpectationResult(value, grid.tail_bound, grid_term, grid.steps, "pde")
 
 
 def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, *,
-                     cfg: SolverConfig = SolverConfig()) -> SolveReport:
+                     cfg: SolverConfig = SolverConfig()) -> ExpectationResult:
     """u(1, 0) = E^[phi(X)] for du/dt = sum_i Gbar_i(d2u/dx_i^2) on a tensor grid."""
     n = box.dim
     if n > 3:
@@ -516,8 +528,8 @@ def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, *,
         raise DimensionMismatch(f"phi takes {phi.arity} arguments but the box has dimension {n}")
     return _solve(
         phi, cfg, [iv.sigma_high_sq for iv in box.intervals],
-        lambda u, g: _box_centre(u, box.intervals, g),
-        lambda c: solve_gheat_diag(box, phi, cfg=c).value_at_origin,
+        lambda u, g: _diag_centre(u, box.intervals, g.h, g.dt, g.steps),
+        lambda c: solve_gheat_diag(box, phi, cfg=c).value,
     )
 
 
@@ -609,7 +621,7 @@ def _hull_centre(u: np.ndarray, gens, g: GridSpec) -> float:
 
 
 def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, *,
-                     cfg: SolverConfig = SolverConfig()) -> SolveReport:
+                     cfg: SolverConfig = SolverConfig()) -> ExpectationResult:
     """u(1, 0) = E^[phi(X)] in 2D with the flux max over the hull generators
     (Kushner 9-point stencil)."""
     if hull.dim != 2:
@@ -625,6 +637,6 @@ def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, *,
     return _solve(
         phi, cfg, [max(b[i, i] for b in gens) for i in range(2)],
         lambda u, g: _hull_centre(u, gens, g),
-        lambda c: solve_gheat_hull(hull, phi, cfg=c).value_at_origin,
+        lambda c: solve_gheat_hull(hull, phi, cfg=c).value,
         cfl_denominator=_hull_weight(gens),
     )

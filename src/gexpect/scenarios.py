@@ -103,9 +103,9 @@ def asymmetric_closed_form(iv1: UncertaintyInterval, iv2: UncertaintyInterval) -
 
 
 def run_asymmetric_independence(iv1: UncertaintyInterval, iv2: UncertaintyInterval,
-                                cfg: SolverConfig = SolverConfig(),
-                                tol: float = 1e-2) -> ScenarioOutcome:
+                                cfg: SolverConfig = SolverConfig()) -> ScenarioOutcome:
     """Independence is asymmetric: E^[Y2 Y1^2] = 0 yet E^[Y1 Y2^2] > 0."""
+    tol = 1e-2
     if iv1.sigma_high_sq <= 0:
         raise GExpectError("first variable needs sigma_high_sq > 0")
     if iv2.width <= 0:
@@ -122,10 +122,11 @@ def run_asymmetric_independence(iv1: UncertaintyInterval, iv2: UncertaintyInterv
     return rec.outcome()
 
 
-def run_linear_combination(iv: UncertaintyInterval, cfg: SolverConfig = SolverConfig(),
-                           tol: float = 2e-2) -> ScenarioOutcome:
+def run_linear_combination(iv: UncertaintyInterval,
+                           cfg: SolverConfig = SolverConfig()) -> ScenarioOutcome:
     """U = Y1+Y2, V = Y1-Y2: E^[UV^2] = E^[VU^2], both positive, so neither
     is independent from the other despite the orthogonal coefficients."""
+    tol = 2e-2
     if iv.sigma_high_sq <= 0:
         raise GExpectError("interval must have sigma_high_sq > 0")
     classical = iv.is_classical
@@ -154,10 +155,11 @@ def run_linear_combination(iv: UncertaintyInterval, cfg: SolverConfig = SolverCo
     return rec.outcome()
 
 
-def run_linear_image(iv: UncertaintyInterval, a, v, cfg: SolverConfig = SolverConfig(),
-                     tol: float = 1e-2) -> ScenarioOutcome:
+def run_linear_image(iv: UncertaintyInterval, a, v,
+                     cfg: SolverConfig = SolverConfig()) -> ScenarioOutcome:
     """<v, AY> is 1D G-normal with the ||v^T A||^2-scaled interval; for
     rank(A) <= 1 the whole image AY is G-normal with a rank-one set."""
+    tol = 1e-2
     a = np.atleast_2d(np.asarray(a, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     m, n = a.shape
@@ -189,11 +191,11 @@ def run_linear_image(iv: UncertaintyInterval, a, v, cfg: SolverConfig = SolverCo
 
 
 def run_symmetry_identity(iv: UncertaintyInterval, alpha: float = 4.0,
-                          cfg: SolverConfig = SolverConfig(),
-                          tol: float = 2e-2) -> ScenarioOutcome:
+                          cfg: SolverConfig = SolverConfig()) -> ScenarioOutcome:
     """For the 2D G-normal with box [s_low,s_high] x alpha*[s_low,s_high]:
     sqrt(alpha) E^[W2 W1^2] = E^[W1 W2^2]; the sequential construction
     instead gives (0, positive), so the two joint laws differ."""
+    tol = 2e-2
     if alpha <= 0:
         raise GExpectError("alpha must be positive")
     if iv.sigma_high_sq <= 0:
@@ -223,11 +225,12 @@ def run_symmetry_identity(iv: UncertaintyInterval, alpha: float = 4.0,
     return rec.outcome()
 
 
-def run_diag_not_indep(iv: UncertaintyInterval, cfg: SolverConfig = SolverConfig(),
-                       tol: float = 1e-2) -> ScenarioOutcome:
+def run_diag_not_indep(iv: UncertaintyInterval,
+                       cfg: SolverConfig = SolverConfig()) -> ScenarioOutcome:
     """Square-box 2D G-normal: marginals are the expected 1D laws, the joint
     law is swap-symmetric, yet that symmetry is incompatible with the
     asymmetric (0, positive) pattern independence would impose."""
+    tol = 1e-2
     if iv.sigma_high_sq <= 0:
         raise GExpectError("interval must have sigma_high_sq > 0")
     classical = iv.is_classical
@@ -263,10 +266,10 @@ def run_diag_not_indep(iv: UncertaintyInterval, cfg: SolverConfig = SolverConfig
     return rec.outcome()
 
 
-def run_quadratic_form(intervals, a, cfg: SolverConfig = SolverConfig(),
-                       order=None, tol: float = 1e-2) -> ScenarioOutcome:
+def run_quadratic_form(intervals, a, cfg: SolverConfig = SolverConfig()) -> ScenarioOutcome:
     """Nested E^[<AX, X>] equals the closed form sum of per-coordinate
     gbar terms, i.e. 2 G(A); cross moments vanish in both directions."""
+    tol = 1e-2
     intervals = tuple(intervals)
     n = len(intervals)
     if n > 3:
@@ -282,7 +285,7 @@ def run_quadratic_form(intervals, a, cfg: SolverConfig = SolverConfig(),
         name="<Ax,x>")
     box = DiagonalBox(intervals)
     nested = rec.record("nested E[<AX,X>]",
-                        expect_sequential(intervals, quad, order=order, cfg=cfg))
+                        expect_sequential(intervals, quad, cfg=cfg))
     closed = rec.quantity("closed form 2 G(A)", 2.0 * g_function(box, a))
     rec.assert_close("quadratic form matches closed form", nested.value, closed, tol)
     for i in range(n):
@@ -291,8 +294,8 @@ def run_quadratic_form(intervals, a, cfg: SolverConfig = SolverConfig(),
                 fn=lambda *c, i=i, j=j: c[i] * c[j], arity=n, growth_order=1,
                 growth_const=4.0, name=f"x{i + 1}*x{j + 1}")
             up = rec.record(f"E[X{i + 1} X{j + 1}]",
-                            expect_sequential(intervals, cross, order=order, cfg=cfg))
-            lo = expect_sequential(intervals, cross.negated(), order=order, cfg=cfg)
+                            expect_sequential(intervals, cross, cfg=cfg))
+            lo = expect_sequential(intervals, cross.negated(), cfg=cfg)
             rec.quantity(f"-E[-X{i + 1} X{j + 1}]", -lo.value, lo.error_estimate)
             rec.assert_close(f"cross moment E[X{i + 1} X{j + 1}] vanishes", up.value, 0.0, tol)
             rec.assert_close(f"cross moment -E[-X{i + 1} X{j + 1}] vanishes", -lo.value, 0.0, tol)
@@ -300,17 +303,16 @@ def run_quadratic_form(intervals, a, cfg: SolverConfig = SolverConfig(),
 
 
 def run_reverse_independence_witness(intervals, i: int, j: int,
-                                     cfg: SolverConfig = SolverConfig(), order=None,
-                                     tol: float = 1e-2) -> ScenarioOutcome:
+                                     cfg: SolverConfig = SolverConfig()) -> ScenarioOutcome:
     """The later coordinate (sequence position j) cannot also leave the
     earlier one (position i) independent from it: a concrete third-moment
     functional takes incompatible values under the two hypotheses."""
+    tol = 1e-2
     intervals = tuple(intervals)
     n = len(intervals)
-    order = tuple(range(n)) if order is None else tuple(order)
     if not (0 <= i < j < n):
         raise GExpectError(f"need 0 <= i < j < {n}")
-    iv_i, iv_j = intervals[order[i]], intervals[order[j]]
+    iv_i, iv_j = intervals[i], intervals[j]
     cond_a = iv_i.width > 0 and iv_j.sigma_high_sq > 0
     cond_b = iv_j.width > 0 and iv_i.sigma_high_sq > 0
     if not (cond_a or cond_b):
@@ -349,8 +351,7 @@ def default_invertible_sample():
     return mats
 
 
-def run_invertible_scan(iv: UncertaintyInterval, sample=None,
-                        cfg: SolverConfig = SolverConfig()) -> ScenarioOutcome:
+def run_invertible_scan(iv: UncertaintyInterval, sample=None) -> ScenarioOutcome:
     """No invertible A decouples the square-box 2D G-normal: either A Gamma A^T
     leaves the diagonal matrices, or the two marginals are positive scalings
     of one uncertain interval, which the box-coordinate constraint forbids."""

@@ -2,7 +2,7 @@
 
 Solvers evaluate these on whole grids, so the wrapped callable must
 accept numpy arrays (one per argument, broadcast together and read-only)
-and return an array of the broadcast shape.
+and return an array that broadcasts to their shape, or a scalar.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class TestFunction:
         )
 
 
-def linear_pullback(phi: TestFunction, a, name: str = "") -> TestFunction:
+def linear_pullback(phi: TestFunction, a) -> TestFunction:
     """phi(A x) as a function of x; growth metadata rescaled by ||A||."""
     a = np.atleast_2d(np.asarray(a, dtype=float))
     if not np.all(np.isfinite(a)):
@@ -98,7 +98,7 @@ def linear_pullback(phi: TestFunction, a, name: str = "") -> TestFunction:
         growth_order=phi.growth_order,
         growth_const=phi.growth_const * norm ** (phi.growth_order + 1),
         tags=phi.tags - {"convex", "concave"} | (phi.tags & {"bounded"}),
-        name=name or (f"{phi.name}(A.)" if phi.name else ""),
+        name=f"{phi.name}(A.)" if phi.name else "",
     )
 
 

@@ -126,6 +126,17 @@ def test_bad_flags_exit_2_without_traceback(flags, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_unknown_name_beside_all_exits_2(where, tmp_path, capsys):
+    # 'all' does not hide a bogus name beside it, on the command line or in a file
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("scenario = all, bogus\n")
+    argv = ["--scenario", "all,bogus"] if where == "flag" else ["--config", str(cfgfile)]
+    assert main(["run"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown scenario(s) bogus;") and err.count("\n") == 1
+
+
 def _rejects(value: str) -> bool:
     try:
         float(value)

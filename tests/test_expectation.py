@@ -233,3 +233,34 @@ def test_wide_map_with_a_non_dominant_image_hull_is_refused():
 def test_linear_image_refuses_non_finite_matrices(inner, bad):
     with pytest.raises(ValueError, match="matrix entries must be finite"):
         LinearImage(np.array([[1.0, bad], [0.0, 1.0]]), inner)
+
+
+CONSTANT = TestFunction(lambda x, y: 1.0, arity=2, name="1")
+BOX_2D = DiagonalBox((IV, UncertaintyInterval(0.5, 2.0)))
+
+
+@pytest.mark.parametrize("law", [
+    GNormal(BOX_2D),
+    GNormal(ConvexHull((np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([[1.0, -0.5], [-0.5, 3.0]])))),
+    Sequential((IV, IV)),
+    LinearImage(np.array([[1.0, 2.0], [0.0, 1.0]]), GNormal(BOX_2D)),
+], ids=["box", "hull", "sequential", "shear image"])
+def test_phi_returning_a_scalar_gives_the_constant(law):
+    # the scalar is broadcast to the grid, and a constant does not diffuse
+    assert expect(law, CONSTANT, cfg=FAST).value == 1.0
+
+
+def test_phi_of_a_shape_off_the_grid_is_refused():
+    # transposed, the values of a non-square grid do not broadcast to it
+    phi = TestFunction(lambda x, y: (x * y).T, arity=2, growth_order=1, growth_const=4.0)
+    with pytest.raises(GExpectError, match="does not broadcast to the grid"):
+        expect(GNormal(BOX_2D), phi, cfg=FAST)
+
+
+def test_lower_expectation_keeps_the_solve_record():
+    up = expect(GNormal(Interval1D(IV)), NEG_SQUARE, cfg=SolverConfig(h=0.2))
+    lo = lower_expectation(GNormal(Interval1D(IV)), SQUARE, cfg=SolverConfig(h=0.2))
+    assert lo.value == -up.value
+    assert (lo.tail_bound, lo.refinement_delta, lo.steps_taken, lo.method) == \
+        (up.tail_bound, up.refinement_delta, up.steps_taken, "pde")
+    assert lo.error_estimate == up.error_estimate == up.tail_bound + up.refinement_delta

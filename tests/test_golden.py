@@ -87,10 +87,9 @@ QUAD_3 = TestFunction(lambda x, y, z: x**2 + (y - 0.5) ** 2 + z**2, arity=3, gro
      (1.595676409210137, 5.876172814779698e-11, 0.03331378298029941, 320)),
     (lambda: solve_gheat_hull(HULL, XY_SQUARED, cfg=COARSE),
      (1.2902047883147163, 1.726140097584274e-11, 0.05387472388573733, 240)),
-    (lambda: expect_sequential((IV, IV), XY_SQUARED, cfg=COARSE).diagnostics[0],
+    (lambda: expect_sequential((IV, IV), XY_SQUARED, cfg=COARSE),
      (2.3936619640371988, 5.876172814779698e-11, 0.008446095800599629, 320)),
-    (lambda: expect_gnormal(RankOneFamily(np.array([1.2, -0.7]), IV), KINK,
-                            cfg=COARSE).diagnostics[0],
+    (lambda: expect_gnormal(RankOneFamily(np.array([1.2, -0.7]), IV), KINK, cfg=COARSE),
      (1.0927480028916354, 8.799062223510633e-13, 0.003096354687107006, 160)),
     # |x+y| is even only under x -> -x: point folds of the box and the hull
     (lambda: solve_gheat_diag(DiagonalBox((IV, IV)), ABS_SUM, cfg=COARSE),
@@ -101,12 +100,10 @@ QUAD_3 = TestFunction(lambda x, y, z: x**2 + (y - 0.5) ** 2 + z**2, arity=3, gro
     (lambda: solve_gheat_diag(DiagonalBox((IV, IV)), X2_0Y, cfg=COARSE),
      (3.999999999999973, 2.735459758604342e-12, 2.2648549702353193e-14, 320)),
     # 65^3 nodes: the first sweep folds its swept axis and x, and cuts slabs
-    (lambda: expect_sequential((UncertaintyInterval(0.5, 1.0),) * 3, QUAD_3,
-                               cfg=COARSE).diagnostics[0],
+    (lambda: expect_sequential((UncertaintyInterval(0.5, 1.0),) * 3, QUAD_3, cfg=COARSE),
      (3.2500000000000018, 4.559099597673904e-12, 2.6645352591003757e-15, 120)),
 ], ids=["box", "hull", "sequential", "rank-one", "box-point-fold", "hull-point-fold",
         "box-constant-axis", "sequential-3d-slabs"])
 def test_pinned_solve_reports(solve, pinned):
     rep = solve()
-    assert (rep.value_at_origin, rep.tail_bound,
-            rep.refinement_delta, rep.steps_taken) == pinned
+    assert (rep.value, rep.tail_bound, rep.refinement_delta, rep.steps_taken) == pinned

@@ -93,16 +93,16 @@ class TestSolve1D:
     def test_upper_and_lower_variance(self):
         up = solve_gheat_diag(BOX_1D, SQUARE, cfg=FAST)
         lo = solve_gheat_diag(BOX_1D, NEG_SQUARE, cfg=FAST)
-        assert up.value_at_origin == pytest.approx(4.0, rel=1e-6)
-        assert -lo.value_at_origin == pytest.approx(1.0, rel=1e-6)
+        assert up.value == pytest.approx(4.0, rel=1e-6)
+        assert -lo.value == pytest.approx(1.0, rel=1e-6)
 
     def test_linear_data_is_invariant(self):
         rep = solve_gheat_diag(BOX_1D, IDENTITY, cfg=FAST)
-        assert abs(rep.value_at_origin) < 1e-12
+        assert abs(rep.value) < 1e-12
 
     def test_quartic_moment(self):
         rep = solve_gheat_diag(BOX_1D, QUARTIC, cfg=SolverConfig(refine=False))
-        assert rep.value_at_origin == pytest.approx(48.0, rel=2e-3)
+        assert rep.value == pytest.approx(48.0, rel=2e-3)
 
     def test_shifted_start_and_time_scaling(self):
         # u(t, x0) = E^[(x0 + X)^2] over the t-scaled box = x0^2 + t sigma_high^2
@@ -123,7 +123,7 @@ class TestSolveDiag:
         phi = TestFunction(lambda x, y: x**2 + y**2, arity=2, growth_order=1,
                            growth_const=8.0, tags={"convex"}, name="")
         rep = solve_gheat_diag(box, phi, cfg=FAST)
-        assert rep.value_at_origin == pytest.approx(4.0 + 8.0, rel=1e-6)
+        assert rep.value == pytest.approx(4.0 + 8.0, rel=1e-6)
 
     def test_dimension_cap(self):
         box = DiagonalBox((IV,) * 4)
@@ -139,14 +139,14 @@ class TestSolveDiag:
 
 def _one_step(u, h, dt):
     out = u.copy()
-    pde._advance_diag(out, [IV], [0], h, dt, 1)
+    pde._advance_diag(out, [IV], h, dt, 1)
     return out
 
 
 class TestStepDiag:
     def test_cfl_violation_raises(self):
         with pytest.raises(CFLViolation):
-            pde._advance_diag(np.zeros(17), [IV], [0], 0.1, 1.0, 1)
+            pde._advance_diag(np.zeros(17), [IV], 0.1, 1.0, 1)
 
     def test_monotone_and_constant_preserving(self):
         rng = np.random.default_rng(3)
@@ -175,14 +175,14 @@ class TestSolveHull:
     def test_singleton_cross_term(self):
         hull = ConvexHull((np.array([[2.0, 1.0], [1.0, 2.0]]),))
         rep = solve_gheat_hull(hull, XY, cfg=SolverConfig(h=0.25, refine=False))
-        assert rep.value_at_origin == pytest.approx(1.0, abs=1e-6)
+        assert rep.value == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_diag_on_diagonal_generators(self):
         hull = ConvexHull(tuple(np.diag([a, b]) for a in (1.0, 4.0) for b in (1.0, 4.0)))
         rh = solve_gheat_hull(hull, XY_SQUARED, cfg=SolverConfig(h=0.25, refine=False))
         rd = solve_gheat_diag(DiagonalBox((IV, IV)), XY_SQUARED,
                               cfg=SolverConfig(h=0.25, refine=False))
-        assert rh.value_at_origin == pytest.approx(rd.value_at_origin, abs=1e-9)
+        assert rh.value == pytest.approx(rd.value, abs=1e-9)
 
     def test_rejects_non_dominant_generator(self):
         hull = ConvexHull((np.array([[1.0, 2.0], [2.0, 5.0]]),))
@@ -205,7 +205,7 @@ def test_tail_bound_is_small_on_sized_grids():
                                                                  refine=False))
     # 2 (1 + (1 + L)) exp(-k^2 / 2) at L = 3, k = L / sigma_high = 1.5
     assert narrow.tail_bound == pytest.approx(10.0 * math.exp(-1.125))
-    assert abs(narrow.value_at_origin - 2.0 * math.sqrt(2.0 / math.pi)) <= narrow.tail_bound
+    assert abs(narrow.value - 2.0 * math.sqrt(2.0 / math.pi)) <= narrow.tail_bound
 
 
 def test_tail_bound_sums_over_axes():
@@ -304,7 +304,7 @@ class TestKernelEquivalence:
         u0 = _rough(shape, len(shape))
         want = _ref_run_diag(u0, ivs, h, dt, 25, range(len(shape)))
         got = u0.copy()
-        pde._advance_diag(got, ivs, range(len(shape)), h, dt, 25)
+        pde._advance_diag(got, ivs, h, dt, 25)
         assert _same_bits(got, want)
 
     def test_advance_diag_batch_axis(self):
@@ -313,7 +313,7 @@ class TestKernelEquivalence:
         h, dt = 0.25, 0.4 * 0.25**2 / 6.0
         want = _ref_run_diag(u0, ivs, h, dt, 1, (1, 2))
         got = u0.copy()
-        pde._advance_diag(got, ivs, (1, 2), h, dt, 1)
+        pde._advance_diag(np.moveaxis(got, (1, 2), (0, 1)), ivs, h, dt, 1)
         assert _same_bits(got, want)
 
     def test_diffuse_last_axis_transposed_input(self):
@@ -361,7 +361,7 @@ class TestKernelEquivalence:
         h, dt = 0.25, 0.4 * 0.25**2 / 6.0
         for steps in (1, 20):
             got = u0.copy()
-            pde._advance_diag(got, ivs, (2, 3), h, dt, steps)
+            pde._advance_diag(np.moveaxis(got, (2, 3), (0, 1)), ivs, h, dt, steps)
             assert _same_bits(got, _ref_run_diag(u0, ivs, h, dt, steps, (2, 3)))
 
     def test_hull_both_cross_signs(self):
@@ -418,7 +418,7 @@ class TestFlatKernels:
         dt = _box_dt(ivs, h)
         u0 = _rough(shape, 41)
         got = u0.copy()
-        pde._advance_diag(got, ivs, range(len(shape)), h, dt, 17)
+        pde._advance_diag(got, ivs, h, dt, 17)
         assert _same_bits(got, _ref_run_diag(u0, ivs, h, dt, 17, range(len(shape))))
 
     @pytest.mark.parametrize("axes", [(1,), (2,), (1, 2), (2, 1), (2, 0)])
@@ -428,7 +428,7 @@ class TestFlatKernels:
         h = 0.25
         dt = _box_dt(ivs, h)
         got = u0.copy()
-        pde._advance_diag(got, ivs, axes, h, dt, 15)
+        pde._advance_diag(np.moveaxis(got, axes, range(len(axes))), ivs, h, dt, 15)
         assert _same_bits(got, _ref_run_diag(u0, ivs, h, dt, 15, axes))
 
     @pytest.mark.parametrize("shape", [(9, 14), (14, 9), (3, 7), (7, 3)])
@@ -452,7 +452,7 @@ class TestFlatKernels:
         u0 = _signed_zeros(shape, 53, kind)
         for steps in (1, 9):
             got = u0.copy()
-            pde._advance_diag(got, ivs, axes, h, dt, steps)
+            pde._advance_diag(np.moveaxis(got, axes, range(len(axes))), ivs, h, dt, steps)
             assert _same_bits(got, _ref_run_diag(u0, ivs, h, dt, steps, axes))
 
     @pytest.mark.parametrize("kind", ["rough", "sparse"])
@@ -488,7 +488,7 @@ class TestViews:
         h = 0.2
         dt = _box_dt(ivs, h)
         view0, got = self._step_view(_rough((20, 25), 61), cut,
-                                     lambda v: pde._advance_diag(v, ivs, (0, 1), h, dt, 9))
+                                     lambda v: pde._advance_diag(v, ivs, h, dt, 9))
         assert _same_bits(got, _ref_run_diag(view0, ivs, h, dt, 9, (0, 1)))
 
     def test_slabbed_view(self, monkeypatch):
@@ -498,7 +498,8 @@ class TestViews:
         h = 0.25
         dt = _box_dt(ivs, h)
         view0, got = self._step_view(_rough((8, 30, 12), 67), np.s_[1:7, 2:27, 3:11],
-                                     lambda v: pde._advance_diag(v, ivs, (0, 2), h, dt, 11))
+                                     lambda v: pde._advance_diag(np.moveaxis(v, (0, 2), (0, 1)),
+                                                                ivs, h, dt, 11))
         assert _same_bits(got, _ref_run_diag(view0, ivs, h, dt, 11, (0, 2)))
 
     @pytest.mark.parametrize("cut", CUTS.values(), ids=CUTS.keys())
@@ -542,7 +543,7 @@ class TestCone:
         steps = max(shape) // 2 + extra
         u0 = _rough(shape, len(shape))
         want = _centre(_ref_run_diag(u0, ivs, h, dt, steps, range(len(shape))))
-        got = pde._box_centre(u0.copy(), ivs, _grid(h, dt, steps))
+        got = pde._diag_centre(u0.copy(), ivs, h, dt, steps)
         assert _same_bits(np.float64(got), want)
 
     @pytest.mark.parametrize("steps", [9, 13, 16, 22])  # half widths 13 and 16
@@ -572,7 +573,7 @@ def test_slabs_cut_a_non_leading_passive_axis(axes):
     h = 0.25
     dt = 0.4 * h * h / sum(iv.sigma_high_sq for iv in ivs)
     got = u0.copy()
-    pde._advance_diag(got, ivs, axes, h, dt, 12)
+    pde._advance_diag(np.moveaxis(got, axes, range(len(axes))), ivs, h, dt, 12)
     assert _same_bits(got, _ref_run_diag(u0, ivs, h, dt, 12, axes))
 
 
@@ -597,9 +598,9 @@ class TestConstantAxes:
         cfg = SolverConfig(h=0.4, refine=False)
         grid = build_grid([iv.sigma_high_sq for iv in box.intervals], phi, cfg)
         u = pde._eval_initial(phi, grid)
-        pde._advance_diag(u, box.intervals, range(box.dim), grid.h, grid.dt, grid.steps)
+        pde._advance_diag(u, box.intervals, grid.h, grid.dt, grid.steps)
         rep = solve_gheat_diag(box, phi, cfg=cfg)
-        assert _same_bits(np.float64(rep.value_at_origin), _centre(u))
+        assert _same_bits(np.float64(rep.value), _centre(u))
         assert rep.steps_taken == grid.steps
 
     def test_nested_sweep_along_a_constant_axis(self):
@@ -631,7 +632,7 @@ def test_hull_with_zero_variance_returns_phi_at_x0():
     shifted = TestFunction(lambda x, y: (x + 1.5) * (y - 2.0), arity=2, growth_order=1,
                            growth_const=4.0, name="(x+1.5)(y-2)")
     rep = solve_gheat_hull(ConvexHull((np.zeros((2, 2)),)), shifted)
-    assert (rep.value_at_origin, rep.refinement_delta, rep.steps_taken) == (-3.0, 0.0, 0)
+    assert (rep.value, rep.refinement_delta, rep.steps_taken) == (-3.0, 0.0, 0)
 
 
 @pytest.mark.parametrize("refine", ["coarsen", "halve", None, 1])
@@ -668,10 +669,10 @@ def folds(monkeypatch):
     seen, shapes = set(), []
     diag, hull = pde._advance_diag, pde._advance_hull
 
-    def spy_diag(u, ivs, axes, h, dt, steps, ghosts=(), point=False):
+    def spy_diag(u, ivs, h, dt, steps, ghosts=(), point=False):
         seen.add((tuple(ghosts), point))
         shapes.append(u.shape)
-        diag(u, ivs, axes, h, dt, steps, ghosts, point)
+        diag(u, ivs, h, dt, steps, ghosts, point)
 
     def spy_hull(u, gens, h, dt, steps, point=False):
         seen.add(((0,) if point else (), point))
@@ -701,7 +702,7 @@ class TestFolds:
             u0 = _made_even(u0, a)
         assert u0.size > pde._CONE_CELLS
         want = _centre(_ref_run_diag(u0, ivs, h, dt, steps, range(len(shape))))
-        got = pde._box_centre(u0.copy(), ivs, _grid(h, dt, steps))
+        got = pde._diag_centre(u0.copy(), ivs, h, dt, steps)
         _assert_rounding_close(got, want)
         assert folds.seen == {(tuple(even), False)}
 
@@ -717,7 +718,7 @@ class TestFolds:
         u0 = _made_even(_rough(shape, 89)) + sign * 5.0 * cross
         assert not any(np.array_equal(u0, np.flip(u0, a)) for a in range(len(shape)))
         want = _centre(_ref_run_diag(u0, ivs, h, dt, steps, range(len(shape))))
-        got = pde._box_centre(u0.copy(), ivs, _grid(h, dt, steps))
+        got = pde._diag_centre(u0.copy(), ivs, h, dt, steps)
         _assert_rounding_close(got, want)
         assert folds.seen == {((0,), True)}
 
@@ -785,7 +786,7 @@ class TestFolds:
         elif kind == "box":
             ivs = KERNEL_IVS[:u0.ndim]
             dt = _box_dt(ivs, h)
-            got = pde._box_centre(u0.copy(), ivs, _grid(h, dt, 30))
+            got = pde._diag_centre(u0.copy(), ivs, h, dt, 30)
             want = _centre(_ref_run_diag(u0, ivs, h, dt, 30, range(u0.ndim)))
         else:
             out, dt, steps = diffuse_last_axis(u0, KERNEL_IVS[0], 1.0, 1.0 / 30)
@@ -842,7 +843,7 @@ class TestGhostKernels:
         half = np.ascontiguousarray(half)
         for a in ghosts:
             half[(slice(None),) * a + (0,)] = np.nan
-        pde._advance_diag(half, ivs, (0, 1), h, dt, 12, ghosts, point)
+        pde._advance_diag(half, ivs, h, dt, 12, ghosts, point)
         inner = tuple(slice(1, None) if a in ghosts else slice(None) for a in range(2))
         _assert_rounding_close(half[inner], pde._fold(want, ghosts)[0][inner])
 

@@ -81,7 +81,7 @@ def test_advance_diag_monotone_constant_translation(seed, shift):
 
     def step(w):
         out = w.copy()
-        pde._advance_diag(out, [iv], [0], h, dt, 1)
+        pde._advance_diag(out, [iv], h, dt, 1)
         return out
 
     u = rng.standard_normal(33)
