@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import GExpectError
 from .gamma import UncertaintyInterval
-from .pde import SolverConfig, _require_finite_positive
+from .pde import SolverConfig, _require_finite_positive, solve_once
 from .scenarios import (run_asymmetric_independence,
                         run_diag_not_indep, run_invertible_scan,
                         run_linear_combination, run_linear_image,
@@ -83,11 +83,12 @@ class RunConfig:
 
 
 def run_scenarios(cfg: RunConfig):
-    """Run the selected scenarios one after another on the calling thread;
-    outcomes come back in catalog order."""
+    """Run the selected scenarios one after another on the calling thread,
+    solving each distinct problem once; outcomes come back in catalog order."""
     iv, solver = cfg.interval(), cfg.solver()
-    return [SCENARIOS[name](iv, cfg.alpha, solver) for name in SCENARIO_NAMES
-            if name in cfg.scenarios]
+    with solve_once():
+        return [SCENARIOS[name](iv, cfg.alpha, solver) for name in SCENARIO_NAMES
+                if name in cfg.scenarios]
 
 
 def _fmt(x: float) -> str:

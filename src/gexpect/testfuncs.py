@@ -45,14 +45,25 @@ class TestFunction:
         pts = rng.uniform(-_SPOT_CHECK_RADIUS, _SPOT_CHECK_RADIUS,
                           size=(2, _SPOT_CHECK_PAIRS, self.arity))
         x, y = pts[0], pts[1]
-        fx = np.asarray(self(*(x[:, i] for i in range(self.arity))), dtype=float)
-        fy = np.asarray(self(*(y[:, i] for i in range(self.arity))), dtype=float)
+        fx, fy = (self._values_at(p) for p in (x, y))
         nx = np.linalg.norm(x, axis=1)
         ny = np.linalg.norm(y, axis=1)
         bound = self.growth_const * (1 + nx**self.growth_order + ny**self.growth_order)
         bound = bound * np.linalg.norm(x - y, axis=1)
         if np.any(np.abs(fx - fy) > bound * (1 + 1e-9) + 1e-12):
             raise ValueError(f"declared growth bound violated for {self.name or 'test function'}")
+
+    def _values_at(self, pts) -> np.ndarray:
+        """The values at the rows of pts, one per point; a scalar broadcasts."""
+        values = np.asarray(self(*(pts[:, i] for i in range(self.arity))), dtype=float)
+        if values.shape == pts.shape[:1]:
+            return values
+        try:
+            return np.broadcast_to(values, pts.shape[:1])
+        except ValueError:
+            raise ValueError(f"{self.name or 'test function'} returned shape {values.shape} for "
+                             f"{len(pts)} points; expected shape {pts.shape[:1]} or a "
+                             f"scalar") from None
 
     def __call__(self, *coords):
         if len(coords) != self.arity:

@@ -8,13 +8,14 @@ import sys
 import time
 from contextlib import redirect_stderr
 from pathlib import Path
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gexpect
-from gexpect import cli
+from gexpect import cli, pde
 from gexpect.cli import (CSV_COLUMNS, RunConfig, SCENARIO_NAMES, execute, main,
                          outcome_rows, parse_args, render_report, run_scenarios)
 from gexpect.errors import GExpectError
@@ -254,6 +255,51 @@ def test_outcome_rows_order_follows_catalog():
     # quantities first (assertion column empty), then assertions
     kinds = ["q" if r[4] == "" else "a" for r in rows[1:]]
     assert kinds == sorted(kinds, key=lambda k: k == "a")
+
+
+@pytest.fixture
+def stepped(monkeypatch):
+    # the number of kernel calls so far, and whether a run's memo was set
+    seen = SimpleNamespace(calls=0, memo=set())
+    diag = pde._advance_diag
+
+    def spy(*args, **kwargs):
+        seen.calls += 1
+        seen.memo.add(pde._MEMO.get() is not None)
+        diag(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "_advance_diag", spy)
+    return seen
+
+
+def _bits(outcomes):
+    return [(o.name, [(q.label, q.value.hex(), q.error_estimate.hex()) for q in o.quantities],
+             [(a.description, a.passed, a.margin.hex()) for a in o.assertions])
+            for o in outcomes]
+
+
+def test_a_run_solves_each_problem_once_to_the_same_bits(stepped):
+    cfg = RunConfig()
+    iv, solver = cfg.interval(), cfg.solver()
+    alone = [cli.SCENARIOS[name](iv, cfg.alpha, solver) for name in SCENARIO_NAMES]
+    calls_alone = stepped.calls
+    assert stepped.memo == {False}
+    run = run_scenarios(cfg)
+    assert _bits(run) == _bits(alone)
+    assert stepped.memo == {False, True}
+    assert 0 < stepped.calls - calls_alone < calls_alone
+    assert pde._MEMO.get() is None
+
+
+def test_the_memo_goes_when_a_runner_raises(stepped, monkeypatch):
+    def broken(*args, **kwargs):
+        raise GExpectError("broken runner")
+
+    monkeypatch.setattr(cli, "run_linear_image", broken)
+    with pytest.raises(GExpectError, match="broken runner"):
+        run_scenarios(RunConfig(scenarios=("asymmetric-independence", "linear-image")))
+    assert stepped.memo == {True}
+    assert pde._MEMO.get() is None
 
 
 def test_render_report_csv_roundtrip():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -869,3 +870,72 @@ def test_grid_nodes_and_odd_moments_are_exact():
     for phi in (YX_SQUARED, XY):
         value = expect_sequential((IV, IV), phi).value
         assert value == 0.0, value
+
+
+@pytest.fixture
+def stepped(monkeypatch):
+    # the number of kernel calls so far
+    calls = []
+    diag = pde._advance_diag
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        diag(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "_advance_diag", spy)
+    return calls
+
+
+class TestSolveOnce:
+    def test_identical_expects_outside_a_run_both_step(self, stepped):
+        assert pde._MEMO.get() is None
+        first = expect(GNormal(DiagonalBox((IV, IV))), XY_SQUARED, FAST)
+        once = len(stepped)
+        assert once > 0
+        second = expect(GNormal(DiagonalBox((IV, IV))), XY_SQUARED, FAST)
+        assert len(stepped) == 2 * once
+        assert second == first
+
+    def test_a_repeat_is_served_the_same_bits_unstepped(self, stepped):
+        u0 = _rough((21, 7), 41)
+        dt = _box_dt(KERNEL_IVS[:1], 0.2)
+        plain = pde._diag_centre(u0.copy(), KERNEL_IVS[:1], 0.2, dt, 12)
+        with pde.solve_once():
+            first = pde._diag_centre(u0.copy(), KERNEL_IVS[:1], 0.2, dt, 12)
+            once = len(stepped)
+            again = pde._diag_centre(u0.copy(), KERNEL_IVS[:1], 0.2, dt, 12)
+            assert len(stepped) == once
+        assert _same_bits(first, plain) and _same_bits(again, plain)
+        assert not again.flags.writeable
+        assert pde._MEMO.get() is None
+
+    def test_a_dropped_axis_matches_the_lower_problem(self, stepped):
+        # x^2 on a 2D box with a constant second axis is the 1D problem
+        x = 0.2 * np.arange(-10, 11)
+        ivs = [IV, IV]
+        dt = _box_dt(ivs, 0.2)
+        with pde.solve_once():
+            one = pde._diag_centre((x * x)[:, None] + np.zeros(15), ivs, 0.2, dt, 30)
+            once = len(stepped)
+            two = pde._diag_centre(np.zeros(15)[:, None] + (x * x)[None, :], ivs, 0.2, dt, 30)
+            assert len(stepped) == once
+        assert one == two
+
+    @pytest.mark.parametrize("change", ["sigma_low_sq", "sigma_high_sq", "h", "ulp"])
+    def test_a_key_one_setting_apart_misses(self, change, stepped):
+        u0 = _rough((21, 9), 43)
+        ivs = [UncertaintyInterval(1.0, 2.0)]
+        h, dt, steps = 0.2, _box_dt([UncertaintyInterval(1.0, 4.0)], 0.2), 10
+        with pde.solve_once():
+            pde._diag_centre(u0.copy(), ivs, h, dt, steps)
+            once = len(stepped)
+            u = u0.copy()
+            if change == "ulp":
+                u[10, 4] = np.nextafter(u[10, 4], np.inf)
+            elif change == "h":
+                h = np.nextafter(h, np.inf)
+            else:
+                ivs = [replace(ivs[0], **{change: 1.5})]
+            pde._diag_centre(u, ivs, h, dt, steps)
+            assert len(stepped) > once
+            assert len(pde._MEMO.get()) == 2

@@ -72,3 +72,15 @@ def test_catalog_sanity():
     assert ABS(-2.0) == 2.0
     assert POS_PART(-2.0) == 0.0
     assert PIECEWISE_LINEAR(-4.0) == -1.0
+
+
+def test_wrong_shape_is_refused_by_name_and_expected_shape():
+    with pytest.raises(ValueError, match=r"wide returned shape \(3,\).*expected shape \(32,\)"):
+        TestFunction(lambda x, y: np.zeros(3), arity=2, name="wide")
+    with pytest.raises(ValueError, match=r"test function returned shape \(32, 1\)"):
+        TestFunction(lambda x, y: np.zeros((x.size, 1)), arity=2)
+
+
+def test_scalar_valued_phi_constructs():
+    const = TestFunction(lambda x, y: 1.5, arity=2, name="1.5")
+    assert const(np.zeros(4), np.ones(4)) == 1.5
