@@ -56,8 +56,6 @@ class TestFunction:
     def _values_at(self, pts) -> np.ndarray:
         """The values at the rows of pts, one per point; a scalar broadcasts."""
         values = np.asarray(self(*(pts[:, i] for i in range(self.arity))), dtype=float)
-        if values.shape == pts.shape[:1]:
-            return values
         try:
             return np.broadcast_to(values, pts.shape[:1])
         except ValueError:

@@ -1,0 +1,20 @@
+from types import SimpleNamespace
+
+import pytest
+
+from gexpect import pde
+
+
+@pytest.fixture
+def stepped(monkeypatch):
+    # the number of kernel calls so far, and whether a run's memo was set
+    seen = SimpleNamespace(calls=0, memo=set())
+    diag = pde._advance_diag
+
+    def spy(*args, **kwargs):
+        seen.calls += 1
+        seen.memo.add(pde._MEMO.get() is not None)
+        diag(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "_advance_diag", spy)
+    return seen

@@ -8,7 +8,6 @@ import sys
 import time
 from contextlib import redirect_stderr
 from pathlib import Path
-from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -255,21 +254,6 @@ def test_outcome_rows_order_follows_catalog():
     # quantities first (assertion column empty), then assertions
     kinds = ["q" if r[4] == "" else "a" for r in rows[1:]]
     assert kinds == sorted(kinds, key=lambda k: k == "a")
-
-
-@pytest.fixture
-def stepped(monkeypatch):
-    # the number of kernel calls so far, and whether a run's memo was set
-    seen = SimpleNamespace(calls=0, memo=set())
-    diag = pde._advance_diag
-
-    def spy(*args, **kwargs):
-        seen.calls += 1
-        seen.memo.add(pde._MEMO.get() is not None)
-        diag(*args, **kwargs)
-
-    monkeypatch.setattr(pde, "_advance_diag", spy)
-    return seen
 
 
 def _bits(outcomes):

@@ -872,28 +872,14 @@ def test_grid_nodes_and_odd_moments_are_exact():
         assert value == 0.0, value
 
 
-@pytest.fixture
-def stepped(monkeypatch):
-    # the number of kernel calls so far
-    calls = []
-    diag = pde._advance_diag
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        diag(*args, **kwargs)
-
-    monkeypatch.setattr(pde, "_advance_diag", spy)
-    return calls
-
-
 class TestSolveOnce:
     def test_identical_expects_outside_a_run_both_step(self, stepped):
         assert pde._MEMO.get() is None
         first = expect(GNormal(DiagonalBox((IV, IV))), XY_SQUARED, FAST)
-        once = len(stepped)
+        once = stepped.calls
         assert once > 0
         second = expect(GNormal(DiagonalBox((IV, IV))), XY_SQUARED, FAST)
-        assert len(stepped) == 2 * once
+        assert stepped.calls == 2 * once
         assert second == first
 
     def test_a_repeat_is_served_the_same_bits_unstepped(self, stepped):
@@ -902,9 +888,9 @@ class TestSolveOnce:
         plain = pde._diag_centre(u0.copy(), KERNEL_IVS[:1], 0.2, dt, 12)
         with pde.solve_once():
             first = pde._diag_centre(u0.copy(), KERNEL_IVS[:1], 0.2, dt, 12)
-            once = len(stepped)
+            once = stepped.calls
             again = pde._diag_centre(u0.copy(), KERNEL_IVS[:1], 0.2, dt, 12)
-            assert len(stepped) == once
+            assert stepped.calls == once
         assert _same_bits(first, plain) and _same_bits(again, plain)
         assert not again.flags.writeable
         assert pde._MEMO.get() is None
@@ -916,9 +902,9 @@ class TestSolveOnce:
         dt = _box_dt(ivs, 0.2)
         with pde.solve_once():
             one = pde._diag_centre((x * x)[:, None] + np.zeros(15), ivs, 0.2, dt, 30)
-            once = len(stepped)
+            once = stepped.calls
             two = pde._diag_centre(np.zeros(15)[:, None] + (x * x)[None, :], ivs, 0.2, dt, 30)
-            assert len(stepped) == once
+            assert stepped.calls == once
         assert one == two
 
     @pytest.mark.parametrize("change", ["sigma_low_sq", "sigma_high_sq", "h", "ulp"])
@@ -928,7 +914,7 @@ class TestSolveOnce:
         h, dt, steps = 0.2, _box_dt([UncertaintyInterval(1.0, 4.0)], 0.2), 10
         with pde.solve_once():
             pde._diag_centre(u0.copy(), ivs, h, dt, steps)
-            once = len(stepped)
+            once = stepped.calls
             u = u0.copy()
             if change == "ulp":
                 u[10, 4] = np.nextafter(u[10, 4], np.inf)
@@ -937,5 +923,5 @@ class TestSolveOnce:
             else:
                 ivs = [replace(ivs[0], **{change: 1.5})]
             pde._diag_centre(u, ivs, h, dt, steps)
-            assert len(stepped) > once
+            assert stepped.calls > once
             assert len(pde._MEMO.get()) == 2
