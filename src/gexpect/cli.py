@@ -116,7 +116,8 @@ def render_report(rows, fmt: str) -> str:
     header, body = rows[0], rows[1:]
     lines = ["| " + " | ".join(header) + " |",
              "| " + " | ".join("---" for _ in header) + " |"]
-    lines += ["| " + " | ".join(str(c) for c in row) + " |" for row in body]
+    # a | in a cell (assertion texts print |lhs-rhs|) would end the cell
+    lines += ["| " + " | ".join(str(c).replace("|", "\\|") for c in row) + " |" for row in body]
     return "\n".join(lines) + "\n"
 
 

@@ -17,13 +17,18 @@ box solve whose other coordinates are passive). Every diagonal step runs
 through one kernel, ``_advance_diag``; hull solves run through
 ``_advance_hull``. Each call copies the view it is given (a cone view or a
 slab, usually strided) into one C-ordered buffer, steps it in place as a
-flat 1D array and writes it back. Along an axis of stride s, node f reads
-f - s and f + s, so every op of a step is one contiguous slice, and 2u is
-formed once per step for all axes. The slice also covers the axis' two
-end faces, where f +- s wraps into the next row: the flux there is junk
-and is overwritten with -0.0 before it is added, since x + (-0.0) is x
-for every x, zero signs included. Work buffers are allocated once per
-call and only ``out=`` ufuncs run inside the step loop.
+flat 1D array and writes it back. The kernels are in the flux form of
+Kushner and Dupuis' monotone schemes: along an axis of stride s, one first
+difference g[f] = u[f + s] - u[f] is formed, then d[f] = g[f] - g[f - s],
+so every op of a step is one contiguous slice. The hull's cross term sums
+two cell differences M[f] = gy[f + n1] - gy[f] of gy[f] = u[f + 1] - u[f].
+lam = dt / h^2 and the 1/2 of the generator are folded into each
+coefficient. The slice also covers the axis' two end faces, where f +- s
+wraps into the next row: the flux there is junk and is overwritten with
+-0.0 before it is added, since x + (-0.0) is x for every x, zero signs
+included. Work buffers are allocated once per call, each aligned so that
+every op writes from a cache line's start (see ``_aligned``), and only
+``out=`` ufuncs run inside the step loop.
 
 A solve needs only u(1, 0), and one explicit step moves information one
 node along each axis, so with `left` steps to go only the nodes within
@@ -32,8 +37,8 @@ kernels on views of the grid that shrink with this cone of dependence
 (Courant, Friedrichs and Lewy); the centre value is the same bits.
 
 The diagonal driver first drops every diffusing axis along which the
-initial data is exactly constant: the flux along it is (v - 2v) + v = 0
-at every step, so the other axes step alone at the same grid, dt and
+initial data is exactly constant: the flux along it is (v - v) - (v - v)
+= 0 at every step, so the other axes step alone at the same grid, dt and
 steps, and a sweep along such an axis returns without stepping. Hull
 solves drop nothing, since their cross stencil does not cancel exactly.
 
@@ -48,9 +53,9 @@ diagonal driver folds every diffusing axis along which the data is even,
 and failing all, when no axis is passive, the point reflection x -> -x; a
 hull is unchanged only by x -> -x, which is all a hull solve folds. An
 even passive axis keeps half its rows, and the centre slice is mirrored
-back. The unfolded scheme rounds mirror images differently, (a - b) + c
-against (c - b) + a, so a ghost fold moves u(1, 0) at rounding level; a
-passive half gives the same bits.
+back. On even data g is exactly odd and d exactly even (a - b is exactly
+-(b - a), and x + y is y + x), so the unfolded scheme keeps even data even
+bit for bit and every fold returns the unfolded bits.
 
 ``diffuse_last_axis`` copies its input once with the swept axis moved to
 the front, so cone views are contiguous blocks, and returns the centre
@@ -110,7 +115,7 @@ _CELL_STEP_BUDGET = 1e10
 # Rows along a passive axis are independent problems, so
 # _advance_diag steps them a slab at a time, sized for a 2 MiB per-core L2
 # cache: 2**16 float64 cells are 512 KiB per buffer, and a one-axis slab
-# uses four (its copy, 2u, the increment and one product). On 67**3 and
+# uses three (its copy, g and d). On 67**3 and
 # 101**3 nested sweeps, 2**14, 2**15 and 2**16 cells timed alike within the
 # host's noise and 2**17 was 20-40% slower; 2**16 makes the fewest ufunc calls.
 _SLAB_CELLS = 1 << 16
@@ -304,6 +309,16 @@ def _faces(a: np.ndarray, axis: int) -> np.ndarray:
     return a.reshape(-1, n, math.prod(a.shape[axis + 1:]))[:, ::max(n - 1, 1)]
 
 
+def _aligned(raw: np.ndarray, size: int, first: int = 0) -> np.ndarray:
+    """The view of `size` elements of the float64 array raw (of size + 7 or
+    more) whose element `first` starts a 64-byte cache line. The kernels
+    write each op's output from such an element: on an AVX-512 host, a
+    subtraction of 26k doubles into an unaligned output took 20-23 us, into
+    an aligned one 10-11 us; numpy aligns its arrays to 16 bytes only."""
+    skip = -(raw.ctypes.data // 8 + first) % 8
+    return raw[skip:skip + size]
+
+
 def _ghost_pairs(buf: np.ndarray, ghosts, point: bool) -> list:
     """(ghost, source) views of buf for a fold: plane 0 along each axis in
     `ghosts` mirrors plane 2 across plane 1, where the centre lies; in a
@@ -320,25 +335,36 @@ def _advance_slab(u: np.ndarray, ivs, lam: float, steps: int, ghosts=(),
                   point: bool = False):
     """_advance_diag on one slab (any view), lam = dt/h^2. A C-ordered copy
     of the slab (unless it is one) is stepped flat and written back after
-    the last step; an axis of stride s steps the slice [s, N - s), whose
-    flux on the axis' end faces is junk, overwritten with -0.0. Each ghost
-    plane is overwritten from its source before every step."""
+    the last step. Along an axis of stride s, g[f] = u[f + s] - u[f] on
+    [0, N - s) and d[f] = g[f] - g[f - s] on [s, N - s); d on the axis' end
+    faces is junk, overwritten with -0.0. Each ghost plane is overwritten
+    from its source before every step."""
     buf = np.ascontiguousarray(u)
     flat = buf.reshape(-1)
     size = flat.size
-    two_u, incr, d_hi = np.empty(size), np.zeros(size), np.empty(size)
-    d = np.empty(size) if len(ivs) > 1 else None
+    g, raw_d = _aligned(np.empty(size + 7), size), np.empty(size + 7)
+    # a lone axis adds its flux to u straight from d; several sum theirs in
+    # incr, where the first axis works straight: its faces along it lie
+    # outside its slice and keep last step's flux of the later axes unless
+    # cleared. Each axis has its own view of d, aligned at its slice
+    s0 = math.prod(buf.shape[1:])
+    if len(ivs) == 1:
+        incr = None
+        dest, add = flat[s0:size - s0], _aligned(raw_d, size, s0)[s0:size - s0]
+    else:
+        incr = _aligned(np.empty(size + 7), size, s0)
+        incr[...] = 0.0
+        dest, add = flat, incr
     work = []
     for k, iv in enumerate(ivs):
         s = math.prod(buf.shape[k + 1:])
+        flux = _aligned(raw_d, size, s) if incr is None or k else incr
+        faces = None if incr is None else _faces(flux.reshape(buf.shape), k)
+        # g is spent once d is formed, so its head holds c_hi d
         mid = slice(s, size - s)
-        # the first axis works straight in incr, whose faces along it lie
-        # outside its slice; they keep last step's flux of the later axes
-        # unless cleared, and stay at zero when the axis is alone
-        flux = d if k else incr
-        faces = None if len(ivs) == 1 else _faces(flux.reshape(buf.shape), k)
-        work.append((flat[2 * s:], two_u[mid], flat[:size - 2 * s], flux[mid], d_hi[mid],
-                     incr[mid], faces, 0.5 * iv.sigma_low_sq, 0.5 * iv.sigma_high_sq))
+        work.append((flat[s:], flat[:size - s], g[:size - s], g[mid], g[:size - 2 * s],
+                     flux[mid], None if k == 0 else incr[mid], faces,
+                     lam * (0.5 * iv.sigma_low_sq), lam * (0.5 * iv.sigma_high_sq)))
     # the reference scheme sums each increment onto zeros (0.0 + flux is
     # never -0.0), so its u holds no -0.0 after one step; clearing -0.0 from
     # u once here gives the same bits, and u + incr is then the same bits
@@ -348,21 +374,19 @@ def _advance_slab(u: np.ndarray, ivs, lam: float, steps: int, ghosts=(),
     for _ in range(steps):
         for ghost, src in pairs:
             ghost[...] = src
-        np.multiply(flat, 2.0, out=two_u)
-        for k, (hi, two_mid, lo, flux, flux_hi, incr_mid, faces, c_lo, c_hi) in enumerate(work):
-            np.subtract(hi, two_mid, out=flux)
-            np.add(flux, lo, out=flux)
+        for hi, lo, g_all, g_hi, g_lo, flux, incr_mid, faces, c_lo, c_hi in work:
+            np.subtract(hi, lo, out=g_all)
+            np.subtract(g_hi, g_lo, out=flux)
             # Gbar(d) = max(c_lo d, c_hi d) since c_lo <= c_hi: the same
             # product as selecting on the sign of d, without a masked pass
-            np.multiply(flux, c_hi, out=flux_hi)
+            np.multiply(flux, c_hi, out=g_lo)
             np.multiply(flux, c_lo, out=flux)
-            np.maximum(flux, flux_hi, out=flux)
+            np.maximum(flux, g_lo, out=flux)
             if faces is not None:
                 faces[...] = -0.0
-            if k:
+            if incr_mid is not None:
                 np.add(incr_mid, flux, out=incr_mid)
-        incr *= lam
-        flat += incr
+        np.add(dest, add, out=dest)
     if buf is not u:
         u[...] = buf
 
@@ -419,7 +443,7 @@ def _fold(u: np.ndarray, ghosts, halves=()) -> tuple:
 
 def _flat_along(u: np.ndarray, axis: int) -> bool:
     """Whether u is exactly constant along axis, so that the flux along it,
-    (v - 2v) + v, is exactly 0 at every step."""
+    (v - v) - (v - v), is exactly 0 at every step."""
     return bool(np.all(u == u[(slice(None),) * axis + (slice(0, 1),)]))
 
 
@@ -439,7 +463,7 @@ def _diag_centre(u: np.ndarray, ivs, h: float, dt: float, steps: int) -> np.ndar
     interval k diffuses along axis k, and later axes are passive rows. A 0-d
     value for a box solve, an array over the passive axes for a sweep.
     Constant axes are dropped and even data is folded (see the module
-    docstring); only a ghost fold moves the value, at rounding level.
+    docstring); neither moves the value.
     Within solve_once() a repeated problem is not stepped again.
     """
     # checked on every axis, dropped ones included
@@ -529,14 +553,20 @@ def refinement_delta(u_h: float, h: float, cfg: SolverConfig, solve_at) -> tuple
     p = log2(d2 / d1). When p is within _ORDER_BAND of 2 the error behaves
     as C h^2 and the value is the extrapolated (4 u_h - u_2h) / 3, with |d1|
     as its grid term; otherwise the value is u_h with max(|d1|, |d2|).
+    When d1 = 0 the value is u_h with grid term 0, and u_4h is not solved.
     This is the three-grid check of Roache's grid convergence index.
     """
     if not cfg.refine:
         return u_h, None
-    u_2h, u_4h = (solve_at(replace(cfg, refine=False, h=k * h, dt=None)) for k in (2.0, 4.0))
-    d1, d2 = u_h - u_2h, u_2h - u_4h
+
+    def at(k):
+        return solve_at(replace(cfg, refine=False, h=k * h, dt=None))
+
+    u_2h = at(2.0)
+    d1 = u_h - u_2h
     if d1 == 0.0:
         return u_h, 0.0
+    d2 = u_2h - at(4.0)
     if d1 * d2 > 0.0 and abs(math.log2(d2 / d1) - 2.0) <= _ORDER_BAND:
         return (4.0 * u_h - u_2h) / 3.0, abs(d1)
     return u_h, max(abs(d1), abs(d2))
@@ -597,55 +627,55 @@ def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int, point: b
     size, n1 = flat.size, buf.shape[1]
     o = n1 + 1  # node (1, 1); the stepped slice is [o, size - o)
 
-    def at(shift):
-        # the stepped slice, each node moved by `shift` flat nodes
-        return flat[o + shift:size - o + shift]
+    def at(a, shift=0):
+        # the stepped slice of a flat buffer, each node moved by `shift` nodes
+        return a[o + shift:size - o + shift]
 
-    c, xp, xm, yp, ym = at(0), at(n1), at(-n1), at(1), at(-1)
-    pp, mm, pm, mp = at(n1 + 1), at(-n1 - 1), at(n1 - 1), at(1 - n1)  # diagonal neighbours
-    two_c, dxx, dyy, flux, cross = (np.empty(c.size) for _ in range(5))
-    best_all = np.empty(size)
-    best, faces = best_all[o:size - o], _faces(best_all.reshape(buf.shape), 1)
-    # plus serves generators with b12 >= 0, minus those with b12 < 0
-    plus = np.empty(c.size) if any(b[0, 1] >= 0 for b in gens) else None
-    minus = np.empty(c.size) if any(b[0, 1] < 0 for b in gens) else None
+    m = size - 2 * o  # nodes in the stepped slice
+
+    def work():
+        # a buffer of the stepped slice's length, aligned as _aligned says
+        return _aligned(np.empty(m + 7), m)
+
+    # g holds gx[f] = u[f + n1] - u[f] on [0, size - o), then gy[f] =
+    # u[f + 1] - u[f] on [0, size - 1), then each generator's product with
+    # dyy or with plus|minus; mixed holds M[f] = gy[f + n1] - gy[f] on
+    # [0, size - o), then the flux of each generator after the first
+    g, mixed = (_aligned(np.empty(size + 7), size) for _ in range(2))
+    dxx, dyy = work(), work()
+    best_all = _aligned(np.empty(size + 7), size, o)
+    c, best, flux, cross = at(flat), at(best_all), mixed[:m], g[:m]
+    faces = _faces(best_all.reshape(buf.shape), 1)
+    # plus = M[f] + M[f - n1 - 1] serves generators with b01 >= 0, minus =
+    # M[f - 1] + M[f - n1] those with b01 < 0; both are 2 h^2 u_xy + O(h^4)
+    plus = work() if any(b[0, 1] >= 0 for b in gens) else None
+    minus = work() if any(b[0, 1] < 0 for b in gens) else None
+    lam = dt / (h * h)
+    coeffs = [(lam * (0.5 * b[0, 0]), lam * (0.5 * b[1, 1]), lam * (0.5 * b[0, 1]),
+               plus if b[0, 1] >= 0 else minus) for b in gens]
+    ops = [(flat[n1:size - 1], flat[:size - o], g[:size - o]), (at(g), at(g, -n1), dxx),
+           (flat[1:], flat[:size - 1], g[:size - 1]), (at(g), at(g, -1), dyy),
+           (g[n1:size - 1], g[:size - o], mixed[:size - o])]
+    sums = [(at(mixed), at(mixed, -o), plus), (at(mixed, -1), at(mixed, -n1), minus)]
+    sums = [s for s in sums if s[2] is not None]
     pairs = _ghost_pairs(buf, [0] if point else [], point)
     for _ in range(steps):
         for ghost, src in pairs:
             ghost[...] = src
-        np.multiply(c, 2.0, out=two_c)
-        np.subtract(xp, two_c, out=dxx)
-        dxx += xm
-        np.subtract(yp, two_c, out=dyy)
-        dyy += ym
-        if plus is not None:
-            np.add(pp, mm, out=plus)
-            plus += two_c
-            plus -= xp
-            plus -= xm
-            plus -= yp
-            plus -= ym
-        if minus is not None:
-            np.add(xp, xm, out=minus)
-            minus += yp
-            minus += ym
-            minus -= two_c
-            minus -= pm
-            minus -= mp
-        for k, b in enumerate(gens):
+        for hi, lo, out in ops:
+            np.subtract(hi, lo, out=out)
+        for a, b, out in sums:
+            np.add(a, b, out=out)
+        for k, (c00, c11, c01, pm) in enumerate(coeffs):
             out = flux if k else best
-            # 0.5 * (b00 dxx + b11 dyy) + 0.5 * (b01 * plus|minus), in this op order
-            np.multiply(dxx, b[0, 0], out=out)
-            np.multiply(dyy, b[1, 1], out=cross)
+            # (c00 dxx + c11 dyy) + c01 (plus|minus), in this op order
+            np.multiply(dxx, c00, out=out)
+            np.multiply(dyy, c11, out=cross)
             out += cross
-            out *= 0.5
-            np.multiply(plus if b[0, 1] >= 0 else minus, b[0, 1], out=cross)
-            cross *= 0.5
+            np.multiply(pm, c01, out=cross)
             out += cross
             if k:
                 np.maximum(best, flux, out=best)
-        best /= h * h
-        best *= dt
         faces[...] = -0.0
         c += best
     if buf is not u:

@@ -238,6 +238,17 @@ class TestExecute:
         assert text.startswith("| scenario |")
         assert "| --- |" in text.splitlines()[1]
 
+    def test_md_report_escapes_bars_in_cells(self, tmp_path):
+        # asymmetric-independence's assertions print |lhs-rhs|=...; an
+        # unescaped | would split their rows into 9 cells
+        out = tmp_path / "results.md"
+        execute(RunConfig(scenarios=("asymmetric-independence",), out=str(out), report="md"))
+        lines = out.read_text().splitlines()
+        assert sum(r"\|lhs-rhs\|=" in line for line in lines) == 2
+        for line in lines:
+            cells = re.split(r"(?<!\\)\|", line)
+            assert cells[0] == cells[-1] == "" and len(cells) - 2 == len(CSV_COLUMNS), line
+
     def test_unwritable_output_fails(self, capsys):
         code = execute(RunConfig(scenarios=("invertible-scan",),
                                  out="/nonexistent-dir/results.csv"))

@@ -118,6 +118,42 @@ class TestSolve1D:
         assert rep.refinement_delta < 0.05
 
 
+class TestRefinementDelta:
+    # solve_at answers u_2h at h = 0.2 and u_4h at h = 0.4 and counts its calls
+    @pytest.mark.parametrize("u_2h, u_4h, calls, want", [
+        (1.0, 7.0, 1, (1.0, 0.0)),  # d1 = 0: u_4h could not matter
+        (0.75, -0.25, 2, (13.0 / 12.0, 0.25)),  # p = 2: extrapolated, |d1|
+        (1.5, 1.0, 2, (1.0, 0.5)),  # d1 and d2 of opposite signs: max(|d1|, |d2|)
+    ], ids=["d1-zero", "order-2", "erratic"])
+    def test_u_4h_is_solved_only_when_d1_is_not_zero(self, u_2h, u_4h, calls, want):
+        seen = []
+
+        def solve_at(c):
+            assert (c.refine, c.dt) == (False, None)
+            seen.append(c.h)
+            return {0.2: u_2h, 0.4: u_4h}[c.h]
+
+        assert pde.refinement_delta(1.0, 0.1, SolverConfig(dt=0.01), solve_at) == want
+        assert seen == [0.2, 0.4][:calls]
+
+    def test_a_solve_with_d1_zero_re_solves_once(self, monkeypatch):
+        # x is invariant on every grid: u_h = u_2h, and only the 2h grid is
+        # re-solved; the value, estimate and steps are those of u_h
+        hs = []
+        solve = pde.solve_gheat_diag
+
+        def spy(box, phi, *, cfg):
+            hs.append(cfg.h)
+            return solve(box, phi, cfg=cfg)
+
+        monkeypatch.setattr(pde, "solve_gheat_diag", spy)
+        rep = pde.solve_gheat_diag(BOX_1D, IDENTITY, cfg=SolverConfig(h=0.2))
+        plain = solve(BOX_1D, IDENTITY, cfg=FAST)
+        assert hs == [0.2, 0.4]
+        assert (rep.value, rep.refinement_delta, rep.steps_taken) == (plain.value, 0.0,
+                                                                       plain.steps_taken)
+
+
 class TestSolveDiag:
     def test_separable_sum(self):
         box = DiagonalBox((IV, IV.scaled(2.0)))
@@ -226,16 +262,21 @@ def test_build_grid_refuses_oversized_grids(h):
 
 
 # ---------------------------------------------------------------------------
-# the in-place kernels against the allocating form of the scheme, written out
-# term by term: fresh zero increments, np.where selection, temporaries
+# the in-place kernels against the allocating flux form of the scheme, written
+# out term by term: first differences g, fresh zero increments, np.where
+# selection, temporaries, lam = dt / h^2 folded into the coefficients
+
+
+def _along(a, axis, lo, hi):
+    return a[(slice(None),) * axis + (slice(lo, hi),)]
 
 
 def _ref_second_diff(u, axis):
+    # g[f] = u[f + 1] - u[f] along axis, d[f] = g[f] - g[f - 1]; d = 0 on the
+    # axis' end faces
+    g = _along(u, axis, 1, None) - _along(u, axis, None, -1)
     d = np.zeros_like(u)
-    mid = [slice(None)] * u.ndim
-    lo, hi = list(mid), list(mid)
-    mid[axis], lo[axis], hi[axis] = slice(1, -1), slice(None, -2), slice(2, None)
-    d[tuple(mid)] = u[tuple(hi)] - 2.0 * u[tuple(mid)] + u[tuple(lo)]
+    d[(slice(None),) * axis + (slice(1, -1),)] = _along(g, axis, 1, None) - _along(g, axis, None, -1)
     return d
 
 
@@ -246,31 +287,71 @@ def _ref_run_diag(u0, ivs, h, dt, steps, axes):
         incr = np.zeros_like(u)
         for iv, ax in zip(ivs, axes):
             d = _ref_second_diff(u, ax)
+            incr += np.where(d > 0.0, lam * (0.5 * iv.sigma_high_sq) * d,
+                             lam * (0.5 * iv.sigma_low_sq) * d)
+        u += incr
+    return u
+
+
+def _ref_hull_fluxes(u, gens, lam):
+    gx = u[1:] - u[:-1]
+    gy = u[:, 1:] - u[:, :-1]
+    dxx = gx[1:, 1:-1] - gx[:-1, 1:-1]
+    dyy = gy[1:-1, 1:] - gy[1:-1, :-1]
+    m = gy[1:] - gy[:-1]  # M[i, j] = gy[i + 1, j] - gy[i, j], the mixed difference of a cell
+    plus = m[1:, 1:] + m[:-1, :-1]  # M[i, j] + M[i - 1, j - 1]
+    minus = m[1:, :-1] + m[:-1, 1:]  # M[i, j - 1] + M[i - 1, j]
+    best = None
+    for b in gens:
+        c00, c11, c01 = (lam * (0.5 * b[i, j]) for i, j in ((0, 0), (1, 1), (0, 1)))
+        flux = c00 * dxx + c11 * dyy + c01 * (plus if b[0, 1] >= 0 else minus)
+        best = flux if best is None else np.maximum(best, flux)
+    return best
+
+
+def _ref_run_hull(u0, gens, h, dt, steps):
+    u = np.array(u0, dtype=float)
+    for _ in range(steps):
+        u[1:-1, 1:-1] += _ref_hull_fluxes(u, gens, dt / (h * h))
+    return u
+
+
+# the same scheme in its 2u form: (u[f + s] - 2 u[f]) + u[f - s], the 9-point
+# cross sums node by node, and dt / h^2 applied to the summed increment. It
+# rounds differently from the flux form, so the two agree only within rounding
+
+
+def _twou_run_diag(u0, ivs, h, dt, steps, axes):
+    lam = dt / (h * h)
+    u = np.array(u0, dtype=float)
+    for _ in range(steps):
+        incr = np.zeros_like(u)
+        for iv, ax in zip(ivs, axes):
+            d = np.zeros_like(u)
+            d[(slice(None),) * ax + (slice(1, -1),)] = (
+                _along(u, ax, 2, None) - 2.0 * _along(u, ax, 1, -1) + _along(u, ax, None, -2))
             incr += np.where(d > 0.0, 0.5 * iv.sigma_high_sq * d, 0.5 * iv.sigma_low_sq * d)
         incr *= lam
         u += incr
     return u
 
 
-def _ref_hull_fluxes(u, gens, h):
-    c = u[1:-1, 1:-1]
-    dxx = u[2:, 1:-1] - 2.0 * c + u[:-2, 1:-1]
-    dyy = u[1:-1, 2:] - 2.0 * c + u[1:-1, :-2]
-    plus = u[2:, 2:] + u[:-2, :-2] + 2.0 * c - u[2:, 1:-1] - u[:-2, 1:-1] - u[1:-1, 2:] - u[1:-1, :-2]
-    minus = u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2] - 2.0 * c - u[2:, :-2] - u[:-2, 2:]
-    best = None
-    for b in gens:
-        b12 = b[0, 1]
-        cross = b12 * (plus if b12 >= 0 else minus)
-        flux = 0.5 * (b[0, 0] * dxx + b[1, 1] * dyy) + 0.5 * cross
-        best = flux if best is None else np.maximum(best, flux)
-    return best / (h * h)
-
-
-def _ref_run_hull(u0, gens, h, dt, steps):
+def _twou_run_hull(u0, gens, h, dt, steps):
     u = np.array(u0, dtype=float)
     for _ in range(steps):
-        u[1:-1, 1:-1] += dt * _ref_hull_fluxes(u, gens, h)
+        c = u[1:-1, 1:-1]
+        dxx = u[2:, 1:-1] - 2.0 * c + u[:-2, 1:-1]
+        dyy = u[1:-1, 2:] - 2.0 * c + u[1:-1, :-2]
+        plus = (u[2:, 2:] + u[:-2, :-2] + 2.0 * c
+                - u[2:, 1:-1] - u[:-2, 1:-1] - u[1:-1, 2:] - u[1:-1, :-2])
+        minus = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2]
+                 - 2.0 * c - u[2:, :-2] - u[:-2, 2:])
+        best = None
+        for b in gens:
+            flux = 0.5 * (b[0, 0] * dxx + b[1, 1] * dyy) + 0.5 * b[0, 1] * (
+                plus if b[0, 1] >= 0 else minus)
+            best = flux if best is None else np.maximum(best, flux)
+        u[1:-1, 1:-1] += dt * (best / (h * h))
     return u
 
 
@@ -390,6 +471,24 @@ def _box_dt(ivs, h):
 
 def _hull_dt(gens, h):
     return 0.4 * h * h / max(float(np.abs(b).sum()) for b in gens)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_flux_form_matches_the_2u_form_within_rounding(seed):
+    # 25 steps on rough data: the two forms differed by at most 2.1e-16 of
+    # max |u| over seeds 0-19 (box) and 1.5e-16 (hull); the bound is 1e-14
+    for shape in [(41,), (23, 31), (13, 11, 17)]:
+        ivs = KERNEL_IVS[:len(shape)]
+        dt = _box_dt(ivs, 0.2)
+        u0 = _rough(shape, seed)
+        flux = _ref_run_diag(u0, ivs, 0.2, dt, 25, range(len(shape)))
+        twou = _twou_run_diag(u0, ivs, 0.2, dt, 25, range(len(shape)))
+        assert np.max(np.abs(flux - twou)) <= 1e-14 * np.max(np.abs(twou))
+    for gens in [HULL_GENS, HULL_GENS[:1], HULL_GENS[1:2]]:
+        dt = _hull_dt(gens, 0.2)
+        u0 = _rough((27, 33), seed)
+        flux, twou = (run(u0, gens, 0.2, dt, 25) for run in (_ref_run_hull, _twou_run_hull))
+        assert np.max(np.abs(flux - twou)) <= 1e-14 * np.max(np.abs(twou))
 
 
 def _signed_zeros(shape, seed, kind):
@@ -644,19 +743,14 @@ def test_refine_must_be_a_bool(refine):
 
 # mirror folds: a solve whose data is exactly even steps the half from the
 # centre - 1 on, plane 0 a ghost overwritten from plane 2 before every step.
-# The unfolded scheme rounds mirror images differently, so the centre values
-# agree within rounding, not in bits.
+# On even data g is exactly odd and d exactly even (a - b is -(b - a)), so
+# the unfolded scheme keeps the data even bit for bit and a fold returns its
+# bits.
 
 
 def _made_even(u, axis=None):
     # a + b and b + a are the same bits, so this is exactly even
     return u + np.flip(u, axis)
-
-
-def _assert_rounding_close(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape
-    assert np.all(np.abs(got - want) <= 1e-13 * (1.0 + np.abs(want)))
 
 
 def _xy(shape, h):
@@ -704,7 +798,7 @@ class TestFolds:
         assert u0.size > pde._CONE_CELLS
         want = _centre(_ref_run_diag(u0, ivs, h, dt, steps, range(len(shape))))
         got = pde._diag_centre(u0.copy(), ivs, h, dt, steps)
-        _assert_rounding_close(got, want)
+        assert _same_bits(np.float64(got), want)
         assert folds.seen == {(tuple(even), False)}
 
     @EXTRA
@@ -720,7 +814,7 @@ class TestFolds:
         assert not any(np.array_equal(u0, np.flip(u0, a)) for a in range(len(shape)))
         want = _centre(_ref_run_diag(u0, ivs, h, dt, steps, range(len(shape))))
         got = pde._diag_centre(u0.copy(), ivs, h, dt, steps)
-        _assert_rounding_close(got, want)
+        assert _same_bits(np.float64(got), want)
         assert folds.seen == {((0,), True)}
 
     @pytest.mark.parametrize("steps", [28, 33, 40])  # half widths 33 and 35
@@ -733,7 +827,7 @@ class TestFolds:
         u0 = _made_even(_rough((67, 71), 97)) + sign * 5.0 * _xy((67, 71), h)
         want = _centre(_ref_run_hull(u0, gens, h, dt, steps))
         got = pde._hull_centre(u0.copy(), gens, _grid(h, dt, steps))
-        _assert_rounding_close(got, want)
+        assert _same_bits(np.float64(got), want)
         assert folds.seen == {((0,), True)}
 
     def test_hull_does_not_fold_one_axis(self, folds):
@@ -755,23 +849,19 @@ class TestFolds:
         assert u0.size > pde._SLAB_CELLS
         iv = KERNEL_IVS[0]
         out, dt, _ = diffuse_last_axis(u0, iv, 1.0, 1.0 / steps)
-        _assert_rounding_close(out, _centre_slice(_ref_run_diag(u0, [iv], 1.0, dt, steps, [2])))
+        assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [iv], 1.0, dt, steps, [2])))
         assert folds.seen == {((0,), False)}
 
     @pytest.mark.parametrize("even", [[0], [1], [0, 1], [0, 1, 2]])
     def test_nested_passive_folds_same_bits(self, even, folds):
         # the passive rows are independent: the mirrored half has the bits
-        # of the unfolded sweep; a swept-axis fold (axis 2) does not
+        # of the unfolded sweep, with or without a swept-axis fold (axis 2)
         u0 = _rough((13, 11, 41), 107)
         for a in even:
             u0 = _made_even(u0, a)
         iv = KERNEL_IVS[1]
         out, dt, steps = diffuse_last_axis(u0, iv, 0.5)
-        want = _centre_slice(_ref_run_diag(u0, [iv], 0.5, dt, steps, [2]))
-        if 2 in even:
-            _assert_rounding_close(out, want)
-        else:
-            assert _same_bits(out, want)
+        assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [iv], 0.5, dt, steps, [2])))
         assert folds.seen == {((0,) if 2 in even else (), False)}
         # the passive axes, 1 and 2 once the swept axis leads, keep half the rows
         assert folds.shapes[0][1:] == tuple(n // 2 + 1 if a in even else n
@@ -815,6 +905,61 @@ class TestFolds:
         self._assert_unfolded(u0, kind, folds)
 
 
+@pytest.mark.parametrize("solver, even, seen", [("box", [0], ((0,), False)),
+                                                 ("box", [0, 1], ((0, 1), False)),
+                                                 ("box", None, ((0,), True)),
+                                                 ("hull", None, ((0,), True))],
+                         ids=["box-axis", "box-both-axes", "box-point", "hull-point"])
+def test_folds_return_the_unfolded_bits(solver, even, seen, folds, monkeypatch):
+    # the folded solve, the same solve with folds off (no view is small
+    # enough to fold) and the unfolded reference return the same bits
+    h, steps, shape = 0.2, 40, (67, 71)
+    u0 = _rough(shape, 139)
+    for a in even or [None]:
+        u0 = _made_even(u0, a)
+    if even is None:  # even under the point reflection only
+        u0 = u0 + 5.0 * _xy(shape, h)
+    if solver == "hull":
+        dt = _hull_dt(HULL_GENS, h)
+        want = _centre(_ref_run_hull(u0, HULL_GENS, h, dt, steps))
+
+        def solve():
+            return pde._hull_centre(u0.copy(), HULL_GENS, _grid(h, dt, steps))
+    else:
+        ivs = KERNEL_IVS[:2]
+        dt = _box_dt(ivs, h)
+        want = _centre(_ref_run_diag(u0, ivs, h, dt, steps, (0, 1)))
+
+        def solve():
+            return pde._diag_centre(u0.copy(), ivs, h, dt, steps)
+    folded = solve()
+    assert folds.seen == {seen}
+    monkeypatch.setattr(pde, "_CONE_CELLS", u0.size)
+    assert _same_bits(np.float64(folded), want) and _same_bits(np.float64(solve()), want)
+    assert folds.seen == {seen, ((), False)}
+
+
+@pytest.mark.parametrize("kind, flips", [("box", (0,)), ("box", (1,)), ("box", (0, 1)),
+                                         ("box", None), ("box3", (2,)), ("box3", None),
+                                         ("hull", None)])
+def test_even_data_stays_even(kind, flips):
+    # a flip of each axis in flips, or of every axis (None): the whole grid
+    # after each of 20 steps equals its mirror image bit for bit
+    shape = (19, 17, 21) if kind == "box3" else (21, 25)
+    u = _rough(shape, 149)
+    for a in flips or [None]:
+        u = _made_even(u, a)
+    if kind == "hull":
+        u = u + 5.0 * _xy(shape, 0.2)
+    ivs = KERNEL_IVS[:len(shape)]
+    for _ in range(20):
+        if kind == "hull":
+            pde._advance_hull(u, HULL_GENS, 0.2, _hull_dt(HULL_GENS, 0.2), 1)
+        else:
+            pde._advance_diag(u, ivs, 0.2, _box_dt(ivs, 0.2), 1)
+        assert _same_bits(u, np.flip(u, flips))
+
+
 def test_even_length_axes_are_not_folded(folds):
     # data equal to its flip along an axis of even length is symmetric about
     # a midpoint between nodes, not about the centre node the sweep reads
@@ -846,7 +991,7 @@ class TestGhostKernels:
             half[(slice(None),) * a + (0,)] = np.nan
         pde._advance_diag(half, ivs, h, dt, 12, ghosts, point)
         inner = tuple(slice(1, None) if a in ghosts else slice(None) for a in range(2))
-        _assert_rounding_close(half[inner], pde._fold(want, ghosts)[0][inner])
+        assert _same_bits(half[inner], pde._fold(want, ghosts)[0][inner])
 
     def test_hull_ghost_is_written_before_it_is_read(self):
         h = 0.2
@@ -856,7 +1001,7 @@ class TestGhostKernels:
         half = np.ascontiguousarray(u0[9:])
         half[0] = np.nan
         pde._advance_hull(half, HULL_GENS, h, dt, 12, point=True)
-        _assert_rounding_close(half[1:], want[10:])
+        assert _same_bits(half[1:], want[10:])
 
 
 def test_grid_nodes_and_odd_moments_are_exact():
