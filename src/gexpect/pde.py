@@ -352,8 +352,7 @@ def _advance_slab(u: np.ndarray, ivs, lam: float, steps: int, ghosts=(),
         incr = None
         dest, add = flat[s0:size - s0], _aligned(raw_d, size, s0)[s0:size - s0]
     else:
-        incr = _aligned(np.empty(size + 7), size, s0)
-        incr[...] = 0.0
+        incr = _aligned(np.zeros(size + 7), size, s0)
         dest, add = flat, incr
     work = []
     for k, iv in enumerate(ivs):
