@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 from dataclasses import dataclass
 
@@ -214,6 +215,11 @@ def parse_args(argv) -> RunConfig:
 
 
 def execute(cfg: RunConfig) -> int:
+    # refused before any scenario runs; an unwritable file still fails at the write
+    folder = os.path.dirname(cfg.out or "") or "."
+    if not os.path.isdir(folder):
+        print(f"error: cannot write {cfg.out}: no directory {folder}", file=sys.stderr)
+        return 2
     outcomes = run_scenarios(cfg)
     text = render_report(outcome_rows(outcomes), cfg.report)
     if cfg.out:

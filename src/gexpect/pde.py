@@ -53,9 +53,20 @@ diagonal driver folds every diffusing axis along which the data is even,
 and failing all, when no axis is passive, the point reflection x -> -x; a
 hull is unchanged only by x -> -x, which is all a hull solve folds. An
 even passive axis keeps half its rows, and the centre slice is mirrored
-back. On even data g is exactly odd and d exactly even (a - b is exactly
--(b - a), and x + y is y + x), so the unfolded scheme keeps even data even
-bit for bit and every fold returns the unfolded bits.
+back. Failing every passive axis, a sweep of data even under x -> -x
+(xy + yz, a pulled-back quadratic form) steps the rows from the first
+passive axis' centre on: row p is row -p flipped along the swept axis,
+so both have the same centre value, and the rest of the centre slice is
+the point mirror of the stepped half. On even data g is exactly odd and d
+exactly even (a - b is exactly -(b - a), and x + y is y + x), so the
+unfolded scheme keeps even data even bit for bit, steps a flipped row to
+the flipped bits, and every fold returns the unfolded bits.
+
+``_eval_initial`` evaluates phi on an open mesh (one array per axis, of
+length 1 along the others), a slab of at most ``_SLAB_CELLS`` cells along
+axis 0 at a time, straight into the C-ordered initial data; it then
+refuses a phi whose values on the grid's end faces break its declared
+growth, which the tail bound relies on.
 
 ``diffuse_last_axis`` copies its input once with the swept axis moved to
 the front, so cone views are contiguous blocks, and returns the centre
@@ -118,6 +129,8 @@ _CELL_STEP_BUDGET = 1e10
 # uses three (its copy, g and d). On 67**3 and
 # 101**3 nested sweeps, 2**14, 2**15 and 2**16 cells timed alike within the
 # host's noise and 2**17 was 20-40% slower; 2**16 makes the fewest ufunc calls.
+# _eval_initial evaluates phi in slabs of the same size along axis 0, so
+# that phi's temporaries stay in L2 as well.
 _SLAB_CELLS = 1 << 16
 # _advance_cone runs all steps left on a view of at most this many cells
 # without re-cutting it: a step of so few cells costs mostly dispatch, which
@@ -491,19 +504,26 @@ def _diag_step(u: np.ndarray, ivs, h: float, dt: float, steps: int) -> np.ndarra
     # a box is unchanged by flipping any one axis, so the solution keeps each
     # mirror symmetry of the data; failing all, when every axis diffuses, the
     # point reflection. Passive rows are independent: a mirrored row has the
-    # same bits, so only the half from the centre on is stepped
+    # same bits, so only the half from the centre on is stepped; failing
+    # every passive axis, under the point reflection row p is row -p flipped
+    # along the diffusing axes, and the rest is the point mirror of the half
+    # from the first passive axis' centre on
     fold = u.size > _CONE_CELLS
     ghosts = [a for a in range(n) if fold and _even(u, a)]
     point = fold and not ghosts and n == u.ndim and _even(u)
     if point:
         ghosts = [0]
     halves = [a for a in range(n, u.ndim) if fold and _even(u, a)]
+    mirrored = fold and n < u.ndim and not halves and _even(u)
+    if mirrored:
+        halves = [n]
     u, centre = _fold(u, ghosts, halves)
     out = _advance_cone(np.ascontiguousarray(u), centre[:n], steps,
                         lambda v, k: _advance_diag(v, ivs, h, dt, k, ghosts, point))
     for a in halves:
         ax = a - n  # out has no diffusing axes
-        out = np.concatenate([out[(slice(None),) * ax + (slice(None, 0, -1),)], out], axis=ax)
+        rest = out[(slice(None),) * ax + (slice(1, None),)]
+        out = np.concatenate([np.flip(rest, None if mirrored else ax), out], axis=ax)
     return out
 
 
@@ -525,22 +545,47 @@ def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float,
 
 
 def _eval_initial(phi: TestFunction, grid: GridSpec) -> np.ndarray:
-    axes = [grid.axis(i) for i in range(grid.dims)]
-    # broadcast views of the axes, not full grid copies; read-only, since
-    # each one aliases a whole axis (a phi writing into one would corrupt it)
-    mesh = np.meshgrid(*axes, indexing="ij", copy=False)
+    """phi on the grid's nodes, as one C-ordered array (stepped in place).
+
+    phi gets an open mesh, one array per axis of length 1 along the others,
+    so a part of phi that depends on fewer coordinates (a pullback's partial
+    sums) is formed on a smaller array. The meshes are read-only, since each
+    entry stands for a whole plane of nodes. phi runs on one slab of at most
+    _SLAB_CELLS cells along axis 0 at a time, written straight into the
+    result, so its temporaries stay in L2 cache; its ops are elementwise, so
+    the values are the same bits as on the full mesh.
+    """
+    mesh = np.meshgrid(*(grid.axis(i) for i in range(grid.dims)), indexing="ij", sparse=True)
     for m in mesh:
         m.setflags(write=False)
-    values = np.asarray(phi(*mesh), dtype=float)
-    try:  # a phi that ignores its arguments may return a scalar
-        values = np.broadcast_to(values, mesh[0].shape)
-    except ValueError:
-        raise GExpectError(f"phi returned shape {values.shape}, which does not broadcast to "
-                           f"the grid {mesh[0].shape}") from None
-    u0 = np.array(values, order="C")  # stepped in place
-    if not np.all(np.isfinite(u0)):
-        raise GExpectError("initial data evaluates to non-finite values on the grid")
+    u0 = np.empty(tuple(m.size for m in mesh))
+    rows = max(1, _SLAB_CELLS // (u0.size // u0.shape[0]))
+    for i in range(0, u0.shape[0], rows):
+        slab = u0[i:i + rows]
+        values = np.asarray(phi(mesh[0][i:i + rows], *mesh[1:]), dtype=float)
+        try:  # a phi that ignores its arguments may return a scalar
+            slab[...] = np.broadcast_to(values, slab.shape)
+        except ValueError:
+            raise GExpectError(f"phi returned shape {values.shape}, which does not broadcast to "
+                               f"the grid {u0.shape} (its slab {slab.shape})") from None
+        if not np.all(np.isfinite(slab)):
+            raise GExpectError("initial data evaluates to non-finite values on the grid")
+    _check_growth(phi, mesh, u0)
     return u0
+
+
+def _check_growth(phi: TestFunction, mesh, u0: np.ndarray):
+    """Refuse phi when its values on an end face of the grid break its
+    declared growth bound against the centre node y = 0, |phi(x) - phi(0)|
+    <= C (1 + |x|^m) |x| for m >= 1: the tail bound relies on that growth
+    out to the half widths, past the radius that the spot check samples."""
+    centre = u0[tuple(n // 2 for n in u0.shape)]
+    for a in range(u0.ndim):
+        r = np.sqrt(sum(np.take(m, [0, -1], axis=a) ** 2 for m in mesh))
+        if np.any(phi.breaks_growth(np.abs(np.take(u0, [0, -1], axis=a) - centre), r, 0.0, r)):
+            raise GExpectError(f"{phi.name or 'phi'} breaks its declared growth bound (order "
+                               f"{phi.growth_order}, constant {phi.growth_const:g}) on the grid's "
+                               f"end faces along axis {a}; declare a larger order or constant")
 
 
 def refinement_delta(u_h: float, h: float, cfg: SolverConfig, solve_at) -> tuple:

@@ -1,8 +1,10 @@
 """Evaluable test functions with declared polynomial-growth metadata.
 
-Solvers evaluate these on whole grids, so the wrapped callable must
-accept numpy arrays (one per argument, broadcast together and read-only)
-and return an array that broadcasts to their shape, or a scalar.
+Solvers evaluate these on grids, so the wrapped callable must accept
+numpy arrays and return an array that broadcasts to their broadcast shape,
+or a scalar. On a grid it gets an open mesh, one read-only array per
+argument of length 1 along every other axis, which broadcast together (the
+first one cut to a slab of rows); it must not assume full-grid shapes.
 """
 
 from __future__ import annotations
@@ -46,12 +48,15 @@ class TestFunction:
                           size=(2, _SPOT_CHECK_PAIRS, self.arity))
         x, y = pts[0], pts[1]
         fx, fy = (self._values_at(p) for p in (x, y))
-        nx = np.linalg.norm(x, axis=1)
-        ny = np.linalg.norm(y, axis=1)
-        bound = self.growth_const * (1 + nx**self.growth_order + ny**self.growth_order)
-        bound = bound * np.linalg.norm(x - y, axis=1)
-        if np.any(np.abs(fx - fy) > bound * (1 + 1e-9) + 1e-12):
+        if np.any(self.breaks_growth(np.abs(fx - fy), np.linalg.norm(x, axis=1),
+                                     np.linalg.norm(y, axis=1), np.linalg.norm(x - y, axis=1))):
             raise ValueError(f"declared growth bound violated for {self.name or 'test function'}")
+
+    def breaks_growth(self, diff, nx, ny, dist) -> np.ndarray:
+        """Where diff = |phi(x) - phi(y)| exceeds the declared bound, given
+        |x|, |y| and |x - y|; a relative 1e-9 is left for rounding."""
+        bound = self.growth_const * (1 + nx**self.growth_order + ny**self.growth_order) * dist
+        return diff > bound * (1 + 1e-9) + 1e-12
 
     def _values_at(self, pts) -> np.ndarray:
         """The values at the rows of pts, one per point; a scalar broadcasts."""

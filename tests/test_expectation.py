@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -255,6 +256,28 @@ def test_phi_of_a_shape_off_the_grid_is_refused():
     phi = TestFunction(lambda x, y: (x * y).T, arity=2, growth_order=1, growth_const=4.0)
     with pytest.raises(GExpectError, match="does not broadcast to the grid"):
         expect(GNormal(BOX_2D), phi, cfg=FAST)
+
+
+def _steep(x):
+    # x^2 inside |x| <= 3, where the spot check samples, and x^8 / 3^6 beyond
+    return x * x * np.maximum(1.0, (np.abs(x) / 3.0) ** 6)
+
+
+STEEP = TestFunction(_steep, arity=1, growth_order=1, growth_const=6.0, name="steep")
+STEEP_2D = TestFunction(lambda x, y: _steep(x) + _steep(y), arity=2, growth_order=1,
+                        growth_const=6.0, name="steep2")
+
+
+@pytest.mark.parametrize("law, phi, name", [
+    (GNormal(Interval1D(IV)), STEEP, "steep"),
+    (Sequential((IV, IV)), STEEP_2D, "steep2"),
+    (LinearImage(np.array([[0.5, 0.5], [0.0, 0.5]]), GNormal(BOX_2D)), STEEP_2D, "steep2(A.)"),
+], ids=["box", "sequential", "pulled-back image"])
+def test_phi_breaking_its_declared_growth_on_the_grid_is_refused(law, phi, name):
+    # the declared order 1 holds where construction samples, not at the
+    # grid's end faces, whose growth the tail bound relies on
+    with pytest.raises(GExpectError, match=re.escape(name) + " breaks its declared growth"):
+        expect(law, phi, cfg=FAST)
 
 
 def test_lower_expectation_keeps_the_solve_record():

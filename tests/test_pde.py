@@ -12,7 +12,7 @@ from gexpect.gamma import ConvexHull, DiagonalBox, UncertaintyInterval
 from gexpect.pde import (GridSpec, SolverConfig, build_grid, diffuse_last_axis,
                          solve_gheat_diag, solve_gheat_hull)
 from gexpect.testfuncs import (ABS, IDENTITY, NEG_SQUARE, QUARTIC, SQUARE,
-                               XY, XY_SQUARED, YX_SQUARED, TestFunction)
+                               XY, XY_SQUARED, YX_SQUARED, TestFunction, linear_pullback)
 
 IV = UncertaintyInterval(1.0, 4.0)
 BOX_1D = DiagonalBox((IV,))
@@ -727,6 +727,44 @@ def test_initial_data_mesh_is_read_only():
     assert _same_bits(u0, x * y)
 
 
+# phi is evaluated on an open mesh, a slab of rows of axis 0 at a time: on a
+# 67^3 grid, slabs of 14, 14, 14, 14 and 11 rows
+GRID_67 = GridSpec(half_width=(6.6,) * 3, h=0.2, dims=3, dt=0.01)
+PULLED = linear_pullback(
+    _fn(lambda x, y, z: x * x + 0.5 * x * y - y * z + 0.25 * z * z, 3),
+    np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("phi", [
+    PULLED,
+    _fn(lambda x, y, z: np.maximum(0.6 * x - 0.3 * y + 0.7 * z - 0.4, 0.0), 3),
+    _fn(lambda x, y, z: np.abs(x - 2.0 * y), 3),
+    _fn(lambda x, y, z: 2.5, 3),
+], ids=["pulled-back-quadratic", "psi(<w,x>)", "ignores-z", "scalar"])
+def test_slabs_of_an_open_mesh_give_the_dense_bits(phi):
+    assert 67**3 > pde._SLAB_CELLS
+    dense = np.meshgrid(*(GRID_67.axis(i) for i in range(3)), indexing="ij")
+    want = np.broadcast_to(np.asarray(phi.fn(*dense), dtype=float), dense[0].shape)
+    got = pde._eval_initial(phi, GRID_67)
+    assert got.flags.c_contiguous and _same_bits(got, np.ascontiguousarray(want))
+
+
+def test_a_shape_off_the_grid_in_a_later_slab_is_refused():
+    # only the slabs past the centre of axis 0 lose their last column
+    slabs = []
+
+    def off_past_the_centre(x, y, z):
+        slabs.append(x.shape)
+        v = x * y * z
+        return v[..., :-1] if v.ndim == 3 and x.min() > 0.0 else v
+
+    phi = _fn(off_past_the_centre, 3)
+    slabs.clear()  # the construction's spot check
+    with pytest.raises(GExpectError, match="does not broadcast to the grid"):
+        pde._eval_initial(phi, GRID_67)
+    assert slabs == [(14, 1, 1)] * 4
+
+
 def test_hull_with_zero_variance_returns_phi_at_x0():
     # E^[phi(x0 + X)] for phi = xy, x0 = (1.5, -2) and X = 0 is phi(x0)
     shifted = TestFunction(lambda x, y: (x + 1.5) * (y - 2.0), arity=2, growth_order=1,
@@ -866,6 +904,52 @@ class TestFolds:
         # the passive axes, 1 and 2 once the swept axis leads, keep half the rows
         assert folds.shapes[0][1:] == tuple(n // 2 + 1 if a in even else n
                                             for a, n in enumerate(u0.shape[:2]))
+
+    @pytest.mark.parametrize("shape, kind, ghosts", [
+        ((71, 67), "rough", ()), ((71, 67), "xy", ()),
+        ((13, 11, 41), "rough", ()), ((13, 11, 41), "(x+y+z)^2", ()),
+        ((13, 11, 41), "xy+yz", ()), ((13, 11, 41), "xy+z^2", (0,))],
+        ids=["2d-rough", "2d-xy", "3d-rough", "3d-(x+y+z)^2", "3d-xy+yz", "3d-xy+z^2"])
+    def test_nested_point_even_rows_are_mirrored(self, shape, kind, ghosts, folds):
+        # data even under x -> -x but along no passive axis alone: row p is
+        # row -p flipped along the swept axis (the last), so the sweep steps
+        # n // 2 + 1 rows of the first passive axis; with xy + z^2 the swept
+        # axis folds too
+        h = 0.2
+        c = np.meshgrid(*(h * np.arange(-(n // 2), n // 2 + 1) for n in shape), indexing="ij")
+        u0 = {"rough": lambda: _made_even(_rough(shape, 151)),
+              "xy": lambda: c[0] * c[1], "(x+y+z)^2": lambda: (c[0] + c[1] + c[2]) ** 2,
+              "xy+yz": lambda: c[0] * c[1] + c[1] * c[2],
+              "xy+z^2": lambda: c[0] * c[1] + c[2] ** 2}[kind]()
+        assert np.array_equal(u0, np.flip(u0)) and u0.size > pde._CONE_CELLS
+        assert not any(np.array_equal(u0, np.flip(u0, a)) for a in range(u0.ndim - 1))
+        iv = KERNEL_IVS[1]
+        out, dt, steps = diffuse_last_axis(u0, iv, h)
+        assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [iv], h, dt, steps,
+                                                           [u0.ndim - 1])))
+        assert folds.seen == {(ghosts, False)}
+        # the swept axis leads the stepped views, so axis 1 is the first passive one
+        assert {v[1:] for v in folds.shapes} == {(shape[0] // 2 + 1,) + shape[1:-1]}
+
+    @pytest.mark.parametrize("kind, shape", [("xy^2", (71, 67)), ("odd", (13, 11, 41)),
+                                             ("small", (3, 21, 65))])
+    def test_nested_rows_not_mirrored(self, kind, shape, folds):
+        # x y^2 (y swept) and point-odd data are not even under x -> -x, and
+        # a grid of at most _CONE_CELLS cells is not folded
+        h = 0.2
+        if kind == "xy^2":
+            x, y = np.meshgrid(*(h * np.arange(-(n // 2), n // 2 + 1) for n in shape),
+                               indexing="ij")
+            u0 = x * y**2  # even along the swept y, which folds
+        else:
+            u0 = _rough(shape, 157)
+            u0 = u0 - np.flip(u0) if kind == "odd" else _made_even(u0)
+        assert (u0.size <= pde._CONE_CELLS) == (kind == "small")
+        out, dt, steps = diffuse_last_axis(u0, KERNEL_IVS[1], h)
+        assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [KERNEL_IVS[1]], h, dt, steps,
+                                                           [u0.ndim - 1])))
+        assert folds.seen == {((0,) if kind == "xy^2" else (), False)}
+        assert {v[1:] for v in folds.shapes} == {shape[:-1]}
 
     def _assert_unfolded(self, u0, kind, folds):
         # the solve of u0 by kind has the bits of the unfolded reference
