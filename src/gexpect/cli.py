@@ -217,8 +217,10 @@ def parse_args(argv) -> RunConfig:
 def execute(cfg: RunConfig) -> int:
     # refused before any scenario runs; an unwritable file still fails at the write
     folder = os.path.dirname(cfg.out or "") or "."
-    if not os.path.isdir(folder):
-        print(f"error: cannot write {cfg.out}: no directory {folder}", file=sys.stderr)
+    why = (f"no directory {folder}" if not os.path.isdir(folder)
+           else "it is a directory" if cfg.out and os.path.isdir(cfg.out) else None)
+    if why:
+        print(f"error: cannot write {cfg.out}: {why}", file=sys.stderr)
         return 2
     outcomes = run_scenarios(cfg)
     text = render_report(outcome_rows(outcomes), cfg.report)

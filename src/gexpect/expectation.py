@@ -4,6 +4,8 @@ G-normal expectations are solved through the G-heat equation; sequential
 vectors (each coordinate independent from all earlier ones) are evaluated
 by a backward recursion of 1D solves on a shared tensor grid; a linear
 image M X of either is solved as E^[(phi o M)(X)] on X's own law.
+A nested solve runs through the skeleton of box and hull solves,
+``pde._solve``, with the recursion's sweeps as its centre.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ import numpy as np
 from .errors import DimensionMismatch, GExpectError
 from .gamma import (ConvexHull, DiagonalBox, GammaSet, RankOneFamily, UncertaintyInterval,
                     image_gamma)
-from .pde import (ExpectationResult, SolverConfig, _at_rest, _eval_initial, build_grid,
-                  diffuse_last_axis, refinement_delta, solve_gheat_diag, solve_gheat_hull)
+from .pde import (ExpectationResult, SolverConfig, _solve, diffuse_last_axis, solve_gheat_diag,
+                  solve_gheat_hull)
+from .pde import build_grid  # noqa: F401  unused here; perfbench/spans.py wraps this binding
 from .testfuncs import TestFunction, linear_pullback
 
 
@@ -118,18 +121,6 @@ def expect_gnormal(gamma: GammaSet, phi: TestFunction,
 # sequential (nested) expectations
 
 
-def _nested_value(intervals, order, phi, cfg: SolverConfig):
-    n = len(intervals)
-    probe = build_grid([iv.sigma_high_sq for iv in intervals], phi, cfg)
-    # reorder axes so axis k holds the variable at sequence position k
-    u = np.transpose(_eval_initial(phi, probe), axes=order)
-    steps = 0
-    for k in range(n - 1, -1, -1):
-        u, _, s = diffuse_last_axis(u, intervals[order[k]], probe.h, cfg.dt)
-        steps += s
-    return float(u), steps, probe
-
-
 def expect_sequential(intervals, phi: TestFunction, order=None,
                       cfg: SolverConfig = SolverConfig()) -> ExpectationResult:
     """Backward recursion: integrate out the last variable in the independence
@@ -142,12 +133,21 @@ def expect_sequential(intervals, phi: TestFunction, order=None,
         raise DimensionMismatch("nested recursion supports at most 3 variables")
     order = Sequential(intervals, order).order or tuple(range(n))
 
-    if max(iv.sigma_high_sq for iv in intervals) == 0.0:
-        return _at_rest(phi, cfg, "nested")
-    u_h, steps, probe = _nested_value(intervals, order, phi, cfg)
-    value, grid_term = refinement_delta(
-        u_h, probe.h, cfg, lambda c: _nested_value(intervals, order, phi, c)[0])
-    return ExpectationResult(value, probe.tail_bound, grid_term, steps, "nested")
+    def solve(c: SolverConfig) -> ExpectationResult:
+        def sweeps(u, grid):
+            # axis k holds the variable at sequence position k; each sweep
+            # derives its dt from this solve's config
+            u = np.transpose(u, axes=order)
+            steps = 0
+            for k in range(n - 1, -1, -1):
+                u, _, s = diffuse_last_axis(u, intervals[order[k]], grid.h, c.dt)
+                steps += s
+            return u, steps
+
+        return _solve(phi, c, [iv.sigma_high_sq for iv in intervals], sweeps,
+                      lambda r: solve(r).value, method="nested")
+
+    return solve(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -77,9 +77,11 @@ instead of the whole grid streaming from memory once per step. The rows
 are independent problems and every op is elementwise, so the values are
 the same bits.
 
-The box and hull solvers check their own set, then share one skeleton,
-``_solve`` (which returns phi(0) when every variance is zero). Every
-solve, nested recursions included, returns one record,
+Box, hull and nested solves (``expectation.expect_sequential``, whose
+sweeps are its centre) check their own input, then share one skeleton,
+``_solve``, which returns phi(0) when every variance is zero. The drivers
+``_diag_centre`` and ``_hull_centre`` check that dt is monotone once per
+solve, not the kernels. Every solve returns one record,
 ``ExpectationResult``: its error estimate is the analytic tail bound of
 its grid (computed once by ``build_grid``) plus the grid term of
 ``refinement_delta``, the one three-grid helper of every solve.
@@ -181,15 +183,12 @@ class GridSpec:
 
     half_width: tuple
     h: float
-    dims: int
     dt: float
     tail_bound: float = 0.0
 
     def __post_init__(self):
         hw = tuple(float(v) for v in self.half_width)
         object.__setattr__(self, "half_width", hw)
-        if len(hw) != self.dims:
-            raise ValueError("half_width must have one entry per axis")
         _require_finite_positive(h=self.h, dt=self.dt)
         for L in hw:
             _require_finite_positive(half_width=L)
@@ -202,6 +201,10 @@ class GridSpec:
         # bit, so even data is even under ==; linspace's are not
         n = round(self.half_width[i] / self.h)
         return self.h * np.arange(-n, n + 1)
+
+    @property
+    def dims(self) -> int:
+        return len(self.half_width)
 
     @property
     def steps(self) -> int:
@@ -282,7 +285,7 @@ def build_grid(sigma_high_sqs, phi: TestFunction, cfg: SolverConfig,
                            f"budget of {_CELL_STEP_BUDGET:.0e}; use a coarser h or a smaller L")
     halves = [max(math.ceil(L / h - 1e-9), 8) * h for L in halves]
     tail = sum(_tail(phi, L, L / s) for L, s in zip(halves, sigmas))
-    return GridSpec(half_width=tuple(halves), h=h, dims=n, dt=1.0 / steps, tail_bound=tail)
+    return GridSpec(half_width=tuple(halves), h=h, dt=1.0 / steps, tail_bound=tail)
 
 
 def _check_monotone(dt: float, h: float, weight: float):
@@ -304,7 +307,6 @@ def _advance_diag(u: np.ndarray, intervals, h: float, dt: float, steps: int,
     and each slab runs through all steps before the next (see _advance_slab).
     """
     ivs = list(intervals)
-    _check_monotone(dt, h, sum(iv.sigma_high_sq for iv in ivs))
     lam = dt / (h * h)
     p = len(ivs)
     if p == u.ndim:
@@ -616,23 +618,19 @@ def refinement_delta(u_h: float, h: float, cfg: SolverConfig, solve_at) -> tuple
     return u_h, max(abs(d1), abs(d2))
 
 
-def _at_rest(phi: TestFunction, cfg: SolverConfig, method: str) -> ExpectationResult:
-    """The solve of a law whose variances are all zero: phi(0), exactly."""
-    return ExpectationResult(float(phi(*np.zeros(phi.arity))), 0.0,
-                             0.0 if cfg.refine else None, 0, method)
-
-
 def _solve(phi: TestFunction, cfg: SolverConfig, sig_sqs, centre, solve_at,
-           cfl_denominator: float | None = None) -> ExpectationResult:
-    """Solve skeleton shared by the box and hull solvers: grid, initial data,
-    centre(u, grid) -> u(1, 0), and the re-solves solve_at(cfg) -> value of
+           cfl_denominator: float | None = None, method: str = "pde") -> ExpectationResult:
+    """Solve skeleton of box, hull and nested solves: phi(0) when every
+    variance is zero, else grid, initial data, centre(u, grid) -> (u(1, 0),
+    steps taken), and the re-solves solve_at(cfg) -> value of
     refinement_delta."""
     if max(sig_sqs) == 0.0:
-        return _at_rest(phi, cfg, "pde")
+        return ExpectationResult(float(phi(*np.zeros(phi.arity))), 0.0,
+                                 0.0 if cfg.refine else None, 0, method)
     grid = build_grid(sig_sqs, phi, cfg, cfl_denominator)
-    u_h = float(centre(_eval_initial(phi, grid), grid))
-    value, grid_term = refinement_delta(u_h, grid.h, cfg, solve_at)
-    return ExpectationResult(value, grid.tail_bound, grid_term, grid.steps, "pde")
+    u_h, steps = centre(_eval_initial(phi, grid), grid)
+    value, grid_term = refinement_delta(float(u_h), grid.h, cfg, solve_at)
+    return ExpectationResult(value, grid.tail_bound, grid_term, steps, method)
 
 
 def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, *,
@@ -645,7 +643,7 @@ def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, *,
         raise DimensionMismatch(f"phi takes {phi.arity} arguments but the box has dimension {n}")
     return _solve(
         phi, cfg, [iv.sigma_high_sq for iv in box.intervals],
-        lambda u, g: _diag_centre(u, box.intervals, g.h, g.dt, g.steps),
+        lambda u, g: (_diag_centre(u, box.intervals, g.h, g.dt, g.steps), g.steps),
         lambda c: solve_gheat_diag(box, phi, cfg=c).value,
     )
 
@@ -663,7 +661,6 @@ def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int, point: b
     overwritten with -0.0, so the faces keep their bits. With `point`, row 0
     is the ghost of a point fold, overwritten from row 2 reversed before
     every step."""
-    _check_monotone(dt, h, _hull_weight(gens))
     if min(u.shape) < 3:
         return  # every node is a boundary node
     buf = np.ascontiguousarray(u)
@@ -731,6 +728,7 @@ def _hull_centre(u: np.ndarray, gens, g: GridSpec) -> float:
 
     A hull is unchanged by x -> -x but not by flipping one axis, so only
     the point reflection folds."""
+    _check_monotone(g.dt, g.h, _hull_weight(gens))
     point = u.size > _CONE_CELLS and _even(u)
     u, centre = _fold(u, [0] if point else [])
     return float(_advance_cone(u, centre, g.steps,
@@ -753,7 +751,7 @@ def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, *,
             )
     return _solve(
         phi, cfg, [max(b[i, i] for b in gens) for i in range(2)],
-        lambda u, g: _hull_centre(u, gens, g),
+        lambda u, g: (_hull_centre(u, gens, g), g.steps),
         lambda c: solve_gheat_hull(hull, phi, cfg=c).value,
         cfl_denominator=_hull_weight(gens),
     )

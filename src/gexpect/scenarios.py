@@ -163,8 +163,6 @@ def run_linear_image(iv: UncertaintyInterval, a, v,
     a = np.atleast_2d(np.asarray(a, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     m, n = a.shape
-    if n > 3:
-        raise GExpectError("at most 3 columns (nested-solve limit)")
     if v.size != m:
         raise GExpectError(f"v has {v.size} entries but A has {m} rows")
     rec = _Recorder("linear-image")
@@ -272,8 +270,6 @@ def run_quadratic_form(intervals, a, cfg: SolverConfig = SolverConfig()) -> Scen
     tol = 1e-2
     intervals = tuple(intervals)
     n = len(intervals)
-    if n > 3:
-        raise GExpectError("at most 3 intervals")
     a = np.asarray(a, dtype=float)
     a = 0.5 * (a + a.T)
     if a.shape != (n, n):

@@ -249,17 +249,19 @@ class TestExecute:
             cells = re.split(r"(?<!\\)\|", line)
             assert cells[0] == cells[-1] == "" and len(cells) - 2 == len(CSV_COLUMNS), line
 
-    def test_unwritable_output_fails(self, capsys, monkeypatch):
-        # a missing directory is refused before any scenario runs
+    def test_unwritable_output_fails(self, tmp_path, capsys, monkeypatch):
+        # a missing directory, or a path that is a directory, is refused
+        # before any scenario runs
         called = []
         runners = [n for n in vars(cli) if n.startswith("run_") and n != "run_scenarios"]
         assert len(runners) == len(SCENARIO_NAMES)
         for name in runners:
             monkeypatch.setattr(cli, name, lambda *a, name=name, **k: called.append(name))
-        code = execute(RunConfig(out="/nonexistent-dir/results.csv"))
-        assert code == 2
-        assert "cannot write" in capsys.readouterr().err
-        assert called == []
+        for out in ("/nonexistent-dir/results.csv", str(tmp_path)):
+            code = execute(RunConfig(out=out))
+            assert code == 2
+            assert "cannot write" in capsys.readouterr().err
+            assert called == []
 
     def test_exit_codes_via_main(self, capsys):
         assert main(["run", "--scenario", "bogus"]) == 2

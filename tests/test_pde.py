@@ -21,20 +21,20 @@ FAST = SolverConfig(h=0.2, refine=False)
 
 class TestGridSpec:
     def test_axis_centered_at_zero(self):
-        g = GridSpec(half_width=(2.0,), h=0.25, dims=1, dt=0.01)
+        g = GridSpec(half_width=(2.0,), h=0.25, dt=0.01)
         ax = g.axis(0)
         assert ax.size == 17
         assert ax[(ax.size - 1) // 2] == 0.0
 
     def test_half_width_multiple_of_h(self):
         with pytest.raises(ValueError, match="multiple"):
-            GridSpec(half_width=(2.1,), h=0.25, dims=1, dt=0.01)
+            GridSpec(half_width=(2.1,), h=0.25, dt=0.01)
         with pytest.raises(ValueError, match="multiple"):
             # fewer than 8 cells per side
-            GridSpec(half_width=(1.0,), h=0.25, dims=1, dt=0.01)
+            GridSpec(half_width=(1.0,), h=0.25, dt=0.01)
 
     def test_steps_cover_horizon(self):
-        g = GridSpec(half_width=(2.0,), h=0.25, dims=1, dt=0.3)
+        g = GridSpec(half_width=(2.0,), h=0.25, dt=0.3)
         assert g.steps == 4
 
     def test_steps_of_a_derived_dt_reach_time_one(self):
@@ -60,7 +60,7 @@ def test_solver_config_rejects_non_finite(name, bad):
 @pytest.mark.parametrize("bad", BAD_VALUES)
 @pytest.mark.parametrize("name", ["h", "dt", "half_width"])
 def test_grid_spec_rejects_non_finite(name, bad):
-    kwargs = dict(half_width=(2.0,), h=0.25, dims=1, dt=0.01)
+    kwargs = dict(half_width=(2.0,), h=0.25, dt=0.01)
     kwargs[name] = (bad,) if name == "half_width" else bad
     with pytest.raises(ValueError):
         GridSpec(**kwargs)
@@ -182,8 +182,9 @@ def _one_step(u, h, dt):
 
 class TestStepDiag:
     def test_cfl_violation_raises(self):
+        # checked once per solve by the driver, before constant axes drop
         with pytest.raises(CFLViolation):
-            pde._advance_diag(np.zeros(17), [IV], 0.1, 1.0, 1)
+            diffuse_last_axis(np.zeros(17), IV, 0.1, dt=1.0)
 
     def test_monotone_and_constant_preserving(self):
         rng = np.random.default_rng(3)
@@ -220,6 +221,11 @@ class TestSolveHull:
         rd = solve_gheat_diag(DiagonalBox((IV, IV)), XY_SQUARED,
                               cfg=SolverConfig(h=0.25, refine=False))
         assert rh.value == pytest.approx(rd.value, abs=1e-9)
+
+    def test_cfl_violation_raises(self):
+        hull = ConvexHull((np.array([[2.0, 1.0], [1.0, 2.0]]),))
+        with pytest.raises(CFLViolation):
+            solve_gheat_hull(hull, XY, cfg=SolverConfig(h=0.25, dt=1.0))
 
     def test_rejects_non_dominant_generator(self):
         hull = ConvexHull((np.array([[1.0, 2.0], [2.0, 5.0]]),))
@@ -400,7 +406,7 @@ class TestKernelEquivalence:
 
     def test_diffuse_last_axis_transposed_input(self):
         base = _rough((17, 9, 23), 11)
-        u0 = np.transpose(base, (2, 0, 1))  # F-ordered view, as _nested_value passes
+        u0 = np.transpose(base, (2, 0, 1))  # F-ordered view, as a nested solve passes
         assert not u0.flags.c_contiguous
         h = 0.4  # 63 steps
         out, used_dt, steps = diffuse_last_axis(u0, IV, h)
@@ -425,7 +431,7 @@ class TestKernelEquivalence:
     def test_slabs_diffuse_last_axis(self, shape, order):
         data, _ = self._slab_data(shape, 17)
         # the same values as a transposed view of a C-ordered grid, the form
-        # _nested_value passes (np.transpose(grid, order))
+        # a nested solve passes (np.transpose(grid, order))
         u0 = np.transpose(np.ascontiguousarray(np.transpose(data, np.argsort(order))), order)
         assert np.array_equal(u0, data)
         assert u0.flags.c_contiguous == (order == tuple(range(len(shape))))
@@ -720,7 +726,7 @@ def test_initial_data_mesh_is_read_only():
     phi = TestFunction(shift_in_place, arity=2, growth_order=2, growth_const=4.0, name="")
     with pytest.raises(ValueError, match="read-only"):
         solve_gheat_diag(DiagonalBox((IV, IV)), phi, cfg=FAST)
-    grid = GridSpec(half_width=(2.0, 3.0), h=0.25, dims=2, dt=0.01)
+    grid = GridSpec(half_width=(2.0, 3.0), h=0.25, dt=0.01)
     u0 = pde._eval_initial(XY, grid)
     x, y = np.meshgrid(grid.axis(0), grid.axis(1), indexing="ij")
     assert u0.flags.c_contiguous and u0.flags.writeable
@@ -729,7 +735,7 @@ def test_initial_data_mesh_is_read_only():
 
 # phi is evaluated on an open mesh, a slab of rows of axis 0 at a time: on a
 # 67^3 grid, slabs of 14, 14, 14, 14 and 11 rows
-GRID_67 = GridSpec(half_width=(6.6,) * 3, h=0.2, dims=3, dt=0.01)
+GRID_67 = GridSpec(half_width=(6.6,) * 3, h=0.2, dt=0.01)
 PULLED = linear_pullback(
     _fn(lambda x, y, z: x * x + 0.5 * x * y - y * z + 0.25 * z * z, 3),
     np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))

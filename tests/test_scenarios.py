@@ -5,7 +5,7 @@ from gexpect.errors import GExpectError
 from gexpect.gamma import UncertaintyInterval
 from gexpect.pde import SolverConfig
 from gexpect.scenarios import (run_asymmetric_independence, run_diag_not_indep,
-                               run_invertible_scan, run_quadratic_form,
+                               run_invertible_scan, run_linear_image, run_quadratic_form,
                                run_reverse_independence_witness,
                                run_symmetry_identity)
 
@@ -68,6 +68,18 @@ class TestQuadraticForm:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(GExpectError):
             run_quadratic_form((IV, IV), np.eye(3), cfg=FAST)
+
+    def test_rejects_four_variables(self):
+        # refused by the nested solve's own dimension check
+        with pytest.raises(GExpectError, match="at most 3"):
+            run_quadratic_form((IV,) * 4, np.eye(4), cfg=FAST)
+
+
+class TestLinearImage:
+    def test_rejects_four_columns(self):
+        # refused by the nested solve's own dimension check
+        with pytest.raises(GExpectError, match="at most 3"):
+            run_linear_image(IV, np.ones((2, 4)), [1.0, -1.0], cfg=FAST)
 
 
 class TestReverseIndependence:
