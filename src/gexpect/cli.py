@@ -20,7 +20,9 @@ import numpy as np
 from .errors import GExpectError
 from .gamma import UncertaintyInterval
 from .pde import SolverConfig, _require_finite_positive, solve_once
-from .scenarios import (run_asymmetric_independence,
+from .scenarios import (check_asymmetric_independence, check_invertible_scan,
+                        check_reverse_independence, check_variance,
+                        run_asymmetric_independence,
                         run_diag_not_indep, run_invertible_scan,
                         run_linear_combination, run_linear_image,
                         run_quadratic_form, run_reverse_independence_witness,
@@ -44,6 +46,17 @@ SCENARIOS = {
     "invertible-scan": lambda iv, alpha, s: run_invertible_scan(iv),
 }
 SCENARIO_NAMES = tuple(SCENARIOS)
+
+# the conditions that each scenario's runner puts on the run's interval;
+# RunConfig checks alpha
+_INTERVAL_CHECKS = {
+    "asymmetric-independence": lambda iv: check_asymmetric_independence(iv, iv),
+    "linear-combination": check_variance,
+    "symmetry-identity": check_variance,
+    "diag-not-indep": check_variance,
+    "reverse-independence": lambda iv: check_reverse_independence(iv, iv),
+    "invertible-scan": check_invertible_scan,
+}
 
 
 @dataclass(frozen=True)
@@ -85,11 +98,15 @@ class RunConfig:
 
 def run_scenarios(cfg: RunConfig):
     """Run the selected scenarios one after another on the calling thread,
-    solving each distinct problem once; outcomes come back in catalog order."""
+    solving each distinct problem once; outcomes come back in catalog order.
+    An interval that a selected scenario refuses is refused before any runs."""
     iv, solver = cfg.interval(), cfg.solver()
+    names = [name for name in SCENARIO_NAMES if name in cfg.scenarios]
+    for name in names:
+        if name in _INTERVAL_CHECKS:
+            _INTERVAL_CHECKS[name](iv)
     with solve_once():
-        return [SCENARIOS[name](iv, cfg.alpha, solver) for name in SCENARIO_NAMES
-                if name in cfg.scenarios]
+        return [SCENARIOS[name](iv, cfg.alpha, solver) for name in names]
 
 
 def _fmt(x: float) -> str:

@@ -22,7 +22,7 @@ class TestFunction:
     """A scalar function on R^n with growth bound C (1 + |x|^m + |y|^m) |x - y|.
 
     The declared bound is spot-checked on random point pairs at
-    construction; tags may include "convex", "concave", "bounded".
+    construction. tags are free labels that nothing in the library reads.
     """
 
     __test__ = False  # keep pytest from collecting the class
@@ -74,14 +74,12 @@ class TestFunction:
         return self.fn(*coords)
 
     def negated(self) -> "TestFunction":
-        flip = {"convex": "concave", "concave": "convex"}
         f = self.fn
         return TestFunction(
             fn=lambda *c: -np.asarray(f(*c), dtype=float),
             arity=self.arity,
             growth_order=self.growth_order,
             growth_const=self.growth_const,
-            tags=frozenset(flip.get(t, t) for t in self.tags),
             name=f"-({self.name})" if self.name else "",
         )
 
@@ -111,34 +109,22 @@ def linear_pullback(phi: TestFunction, a) -> TestFunction:
         arity=a.shape[1],
         growth_order=phi.growth_order,
         growth_const=phi.growth_const * norm ** (phi.growth_order + 1),
-        tags=phi.tags - {"convex", "concave"} | (phi.tags & {"bounded"}),
         name=f"{phi.name}(A.)" if phi.name else "",
     )
 
 
 def monomial(k: int) -> TestFunction:
-    tags = {"convex"} if k in (2, 4) else set()
     return TestFunction(
         fn=lambda x, k=k: np.asarray(x, dtype=float) ** k,
         arity=1,
         growth_order=max(k - 1, 1),
         growth_const=float(2 * k + 2),
-        tags=frozenset(tags),
         name=f"x^{k}",
     )
 
 
-IDENTITY = monomial(1)
 SQUARE = monomial(2)
-QUARTIC = monomial(4)
-NEG_SQUARE = SQUARE.negated()
-ABS = TestFunction(np.abs, arity=1, growth_order=1, growth_const=2.0,
-                   tags={"convex"}, name="|x|")
-POS_PART = TestFunction(lambda x: np.maximum(x, 0.0), arity=1, growth_order=1,
-                        growth_const=2.0, tags={"convex"}, name="x^+")
-PIECEWISE_LINEAR = TestFunction(lambda x: np.maximum(x, 0.0) + 0.25 * np.minimum(x, 0.0),
-                                arity=1, growth_order=1, growth_const=2.0,
-                                tags={"convex"}, name="x^+ + x^-/4")
+ABS = TestFunction(np.abs, arity=1, growth_order=1, growth_const=2.0, name="|x|")
 
 XY_SQUARED = TestFunction(lambda x, y: x * y**2, arity=2, growth_order=2,
                           growth_const=8.0, name="x*y^2")
@@ -146,13 +132,5 @@ YX_SQUARED = TestFunction(lambda x, y: y * x**2, arity=2, growth_order=2,
                           growth_const=8.0, name="y*x^2")
 XY = TestFunction(lambda x, y: x * y, arity=2, growth_order=1, growth_const=4.0,
                   name="x*y")
-SUM_SQUARE = TestFunction(lambda x, y: (x + y) ** 2, arity=2, growth_order=1,
-                          growth_const=8.0, tags={"convex"}, name="(x+y)^2")
-DIFF_SQUARE = TestFunction(lambda x, y: (x - y) ** 2, arity=2, growth_order=1,
-                           growth_const=8.0, tags={"convex"}, name="(x-y)^2")
 SUM_OF_SQUARES = TestFunction(lambda x, y: x**2 + y**2, arity=2, growth_order=1,
-                              growth_const=8.0, tags={"convex"}, name="x^2+y^2")
-
-# Catalogs the acceptance and sanity tests iterate over.
-CATALOG_1D = (SQUARE, QUARTIC, ABS, POS_PART, NEG_SQUARE, PIECEWISE_LINEAR)
-CATALOG_2D = (XY_SQUARED, YX_SQUARED, XY, SUM_SQUARE, DIFF_SQUARE, SUM_OF_SQUARES)
+                              growth_const=8.0, name="x^2+y^2")

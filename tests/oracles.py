@@ -1,7 +1,8 @@
-"""Reference implementations the tests compare the library against.
+"""Reference implementations the tests compare the library against, and
+the test functions only the tests use.
 
 Gauss-Hermite quadrature gives an independent oracle for convex/concave
-test functions, where the extremal variance is known a priori; set
+test functions, where the caller knows the extremal variance; set
 equality of uncertainty sets is decided through G on fixed probes. Only
 the tests use these, so scipy is a test dependency, not a runtime one.
 """
@@ -11,9 +12,10 @@ import math
 import numpy as np
 from scipy.special import roots_hermite
 
-from gexpect.errors import DimensionMismatch, GExpectError
-from gexpect.gamma import GammaSet, UncertaintyInterval, g_function
-from gexpect.testfuncs import TestFunction
+from gexpect.errors import DimensionMismatch
+from gexpect.gamma import GammaSet, g_function
+from gexpect.testfuncs import (ABS, SQUARE, SUM_OF_SQUARES, TestFunction, XY, XY_SQUARED,
+                               YX_SQUARED, monomial)
 
 _GH_NODES = 64
 
@@ -21,6 +23,28 @@ _GH_NODES = 64
 # pseudo-random unit-norm symmetric probes (plus the canonical basis).
 _EQ_PROBES = 64
 _EQ_TOL = 1e-9
+
+IDENTITY = monomial(1)
+QUARTIC = monomial(4)
+NEG_SQUARE = SQUARE.negated()
+POS_PART = TestFunction(lambda x: np.maximum(x, 0.0), arity=1, growth_order=1,
+                        growth_const=2.0, name="x^+")
+PIECEWISE_LINEAR = TestFunction(lambda x: np.maximum(x, 0.0) + 0.25 * np.minimum(x, 0.0),
+                                arity=1, growth_order=1, growth_const=2.0, name="x^+ + x^-/4")
+SUM_SQUARE = TestFunction(lambda x, y: (x + y) ** 2, arity=2, growth_order=1,
+                          growth_const=8.0, name="(x+y)^2")
+DIFF_SQUARE = TestFunction(lambda x, y: (x - y) ** 2, arity=2, growth_order=1,
+                           growth_const=8.0, name="(x-y)^2")
+
+# Catalogs the acceptance and sanity tests iterate over.
+CATALOG_1D = (SQUARE, QUARTIC, ABS, POS_PART, NEG_SQUARE, PIECEWISE_LINEAR)
+CATALOG_2D = (XY_SQUARED, YX_SQUARED, XY, SUM_SQUARE, DIFF_SQUARE, SUM_OF_SQUARES)
+
+# (phi, whether phi is convex) for convex_oracle_1d: the G-expectation of a
+# convex phi is the classical one at the upper variance, of a concave phi
+# at the lower
+ORACLE_1D = ((SQUARE, True), (QUARTIC, True), (ABS, True), (POS_PART, True),
+             (NEG_SQUARE, False))
 
 
 def gauss_hermite_expectation(phi, sigma: float, nodes: int = _GH_NODES) -> float:
@@ -40,8 +64,10 @@ def gauss_hermite_expectation_nd(phi, sigmas, nodes: int = 24) -> float:
     return float((wprod * vals).sum() / math.pi ** (sigmas.size / 2.0))
 
 
-def convex_oracle_1d(iv: UncertaintyInterval, phi: TestFunction) -> float:
-    """Quadrature oracle: convex phi saturates the upper variance, concave the lower.
+def convex_oracle_1d(sigma_sq: float, phi: TestFunction) -> float:
+    """Quadrature oracle E[phi(sigma Z)] at the variance sigma_sq that phi
+    saturates: the caller passes sigma_high_sq for a convex phi and
+    sigma_low_sq for a concave one.
 
     Starts at 64 Gauss-Hermite nodes and doubles until two successive rules
     agree; plain 64-node quadrature is not accurate enough for kinked
@@ -49,12 +75,7 @@ def convex_oracle_1d(iv: UncertaintyInterval, phi: TestFunction) -> float:
     """
     if phi.arity != 1:
         raise DimensionMismatch("convex_oracle_1d needs a 1-argument function")
-    if "convex" in phi.tags:
-        sigma = math.sqrt(iv.sigma_high_sq)
-    elif "concave" in phi.tags:
-        sigma = math.sqrt(iv.sigma_low_sq)
-    else:
-        raise GExpectError("phi must be tagged convex or concave to use the oracle")
+    sigma = math.sqrt(sigma_sq)
     nodes = _GH_NODES
     value = gauss_hermite_expectation(phi, sigma, nodes)
     while nodes < 8192:

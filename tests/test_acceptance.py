@@ -15,10 +15,9 @@ from gexpect.expectation import expect_gnormal, expect_sequential
 from gexpect.gamma import (DiagonalBox, Interval1D, UncertaintyInterval,
                            g_function, is_diagonal_image)
 from gexpect.pde import SolverConfig
-from gexpect.testfuncs import (ABS, CATALOG_1D, NEG_SQUARE, POS_PART, QUARTIC,
-                               SQUARE, XY_SQUARED, YX_SQUARED, TestFunction,
+from gexpect.testfuncs import (ABS, SQUARE, XY_SQUARED, YX_SQUARED, TestFunction,
                                linear_pullback)
-from oracles import convex_oracle_1d
+from oracles import CATALOG_1D, NEG_SQUARE, ORACLE_1D, convex_oracle_1d
 
 IV = UncertaintyInterval(1.0, 4.0)
 THIRD_MOMENT = 6.0 / math.sqrt(2.0 * math.pi)  # E[Y1 Y2^2] for [1,4] twice
@@ -38,9 +37,9 @@ def test_criterion_01_moment_identities():
 
 def test_criterion_02_oracle_agreement():
     worst = ("", 0.0)
-    for phi in (SQUARE, QUARTIC, ABS, POS_PART, NEG_SQUARE):
+    for phi, convex in ORACLE_1D:
         res = expect_gnormal(Interval1D(IV), phi)
-        oracle = convex_oracle_1d(IV, phi)
+        oracle = convex_oracle_1d(IV.sigma_high_sq if convex else IV.sigma_low_sq, phi)
         tol = max(1e-3 * abs(oracle), 5.0 * res.error_estimate)
         excess = abs(res.value - oracle) / tol
         if excess > worst[1]:

@@ -19,9 +19,9 @@ from gexpect.expectation import (GNormal, LinearImage, expect, expect_gnormal, e
                                  lower_expectation)
 from gexpect.gamma import ConvexHull, DiagonalBox, Interval1D, UncertaintyInterval, g_function
 from gexpect.pde import SolverConfig
-from gexpect.testfuncs import (ABS, NEG_SQUARE, POS_PART, QUARTIC, SQUARE,
-                               XY_SQUARED, YX_SQUARED, TestFunction,
+from gexpect.testfuncs import (ABS, SQUARE, XY_SQUARED, YX_SQUARED, TestFunction,
                                linear_pullback)
+from oracles import NEG_SQUARE, POS_PART, QUARTIC
 
 IV = UncertaintyInterval(1.0, 4.0)
 SIGMA_HIGH = 2.0

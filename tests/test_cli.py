@@ -362,6 +362,23 @@ def test_oversized_grids_exit_2_before_solving(flags, capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--scenario", "all", "--sigma-low-sq", "0"], "need 0 < sigma_low_sq < sigma_high_sq"),
+    (["--scenario", "linear-combination,reverse-independence", "--sigma-low-sq", "4"],
+     "neither hypothesis holds: no variance uncertainty on either coordinate with the "
+     "other non-degenerate"),
+])
+def test_an_interval_a_scenario_refuses_exits_2_before_any_step(flags, message, stepped,
+                                                                tmp_path, capsys):
+    # checked for every selected scenario before the first one runs, so no
+    # earlier scenario's solves are stepped and thrown away
+    out = tmp_path / "r.csv"
+    assert main(["run", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert stepped.calls == 0
+    assert not out.exists()
+
+
 def test_failed_assertion_exits_1(capsys):
     # a half width of one sigma_high leaves a tail bound of about 100, so
     # "strictly positive" (value > 10 x error_estimate) fails

@@ -11,10 +11,9 @@ from gexpect.expectation import (GNormal, LinearImage, Sequential, expect,
 from gexpect.gamma import (ConvexHull, DiagonalBox, Interval1D, RankOneFamily,
                            UncertaintyInterval, image_gamma)
 from gexpect.pde import SolverConfig, refinement_delta
-from gexpect.testfuncs import (ABS, NEG_SQUARE, POS_PART, SQUARE, QUARTIC, XY,
-                               XY_SQUARED, YX_SQUARED, TestFunction)
-from oracles import (convex_oracle_1d, gauss_hermite_expectation,
-                     gauss_hermite_expectation_nd)
+from gexpect.testfuncs import ABS, SQUARE, XY, XY_SQUARED, YX_SQUARED, TestFunction
+from oracles import (NEG_SQUARE, POS_PART, QUARTIC, convex_oracle_1d,
+                     gauss_hermite_expectation, gauss_hermite_expectation_nd)
 
 IV = UncertaintyInterval(1.0, 4.0)
 FAST = SolverConfig(h=0.2, refine=False)
@@ -33,16 +32,12 @@ class TestOracles:
             pytest.approx(4.0, rel=1e-10)
 
     def test_convex_oracle_values(self):
-        assert convex_oracle_1d(IV, SQUARE) == pytest.approx(4.0, rel=1e-10)
-        assert convex_oracle_1d(IV, QUARTIC) == pytest.approx(48.0, rel=1e-10)
-        assert convex_oracle_1d(IV, ABS) == pytest.approx(ABS_MOMENT, rel=1e-4)
-        assert convex_oracle_1d(IV, POS_PART) == pytest.approx(POS_MOMENT, rel=1e-4)
-        assert convex_oracle_1d(IV, NEG_SQUARE) == pytest.approx(-1.0, rel=1e-10)
-
-    def test_convex_oracle_needs_tagged_function(self):
-        untagged = TestFunction(np.sin, arity=1, growth_order=0, growth_const=2.0)
-        with pytest.raises(GExpectError):
-            convex_oracle_1d(IV, untagged)
+        hi, lo = IV.sigma_high_sq, IV.sigma_low_sq
+        assert convex_oracle_1d(hi, SQUARE) == pytest.approx(4.0, rel=1e-10)
+        assert convex_oracle_1d(hi, QUARTIC) == pytest.approx(48.0, rel=1e-10)
+        assert convex_oracle_1d(hi, ABS) == pytest.approx(ABS_MOMENT, rel=1e-4)
+        assert convex_oracle_1d(hi, POS_PART) == pytest.approx(POS_MOMENT, rel=1e-4)
+        assert convex_oracle_1d(lo, NEG_SQUARE) == pytest.approx(-1.0, rel=1e-10)
 
 
 class TestExpectGNormal:
@@ -168,7 +163,7 @@ def test_mean_certainty_check():
     # Y2 is independent from Y1 and has no mean uncertainty, so adding
     # alpha Y2 must not move the expectation: E[psi(Y1) + alpha Y2] = E[psi(Y1)]
     psi = TestFunction(lambda x: x**2, arity=1, growth_order=1, growth_const=6.0,
-                       tags={"convex"}, name="x^2")
+                       name="x^2")
     alpha = 2.0
     with_term = expect_sequential(
         (IV, IV), TestFunction(lambda x, y: psi.fn(x) + alpha * y, arity=2, growth_order=1,
@@ -199,7 +194,7 @@ def test_zero_2d_linear_image_is_phi_at_origin():
 
 ZERO = UncertaintyInterval(0.0, 0.0)
 SUM_OF_SQUARES = TestFunction(lambda x, y: x**2 + y**2, arity=2, growth_order=1,
-                              growth_const=4.0, tags={"convex"}, name="x^2+y^2")
+                              growth_const=4.0, name="x^2+y^2")
 
 
 @pytest.mark.parametrize("law", [GNormal(DiagonalBox((ZERO, IV))), GNormal(DiagonalBox((IV, ZERO))),

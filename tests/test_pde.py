@@ -11,8 +11,9 @@ from gexpect.expectation import GNormal, expect, expect_sequential
 from gexpect.gamma import ConvexHull, DiagonalBox, UncertaintyInterval
 from gexpect.pde import (GridSpec, SolverConfig, build_grid, diffuse_last_axis,
                          solve_gheat_diag, solve_gheat_hull)
-from gexpect.testfuncs import (ABS, IDENTITY, NEG_SQUARE, QUARTIC, SQUARE,
-                               XY, XY_SQUARED, YX_SQUARED, TestFunction, linear_pullback)
+from gexpect.testfuncs import (ABS, SQUARE, XY, XY_SQUARED, YX_SQUARED, TestFunction,
+                               linear_pullback)
+from oracles import IDENTITY, NEG_SQUARE, QUARTIC
 
 IV = UncertaintyInterval(1.0, 4.0)
 BOX_1D = DiagonalBox((IV,))
@@ -158,7 +159,7 @@ class TestSolveDiag:
     def test_separable_sum(self):
         box = DiagonalBox((IV, IV.scaled(2.0)))
         phi = TestFunction(lambda x, y: x**2 + y**2, arity=2, growth_order=1,
-                           growth_const=8.0, tags={"convex"}, name="")
+                           growth_const=8.0, name="")
         rep = solve_gheat_diag(box, phi, cfg=FAST)
         assert rep.value == pytest.approx(4.0 + 8.0, rel=1e-6)
 

@@ -110,16 +110,6 @@ class TestInvertibleScan:
         assert out.passed
         assert len(out.assertions) >= 10
 
-    def test_user_sample_appended(self):
-        extra = np.array([[1.0, 0.5], [0.5, 1.0]])
-        base = run_invertible_scan(IV)
-        out = run_invertible_scan(IV, sample=[extra])
-        assert len(out.assertions) == len(base.assertions) + 1
-
-    def test_singular_matrices_skipped(self):
-        out = run_invertible_scan(IV, sample=[np.ones((2, 2))])
-        assert any("skipped" in q.label for q in out.quantities)
-
     def test_requires_strict_interval(self):
         with pytest.raises(GExpectError):
             run_invertible_scan(UncertaintyInterval(2.0, 2.0))
