@@ -30,33 +30,26 @@ from .scenarios import (check_asymmetric_independence, check_invertible_scan,
 
 CSV_COLUMNS = ("scenario", "label", "value", "error_estimate", "assertion", "pass", "margin")
 
-# catalog order: name -> runner(iv, alpha, solver config). The lambdas look the
-# runners up in this module when called, so a patched cli.run_* is used.
+# catalog order: name -> (runner(iv, alpha, solver config), the conditions it
+# puts on the run's interval or None; RunConfig checks alpha). The lambdas look
+# the runners up in this module when called, so a patched cli.run_* is used.
 SCENARIOS = {
-    "asymmetric-independence": lambda iv, alpha, s: run_asymmetric_independence(iv, iv, cfg=s),
-    "linear-combination": lambda iv, alpha, s: run_linear_combination(iv, cfg=s),
-    "linear-image": lambda iv, alpha, s: run_linear_image(
-        iv, np.array([[1.0, 2.0], [0.0, 1.0]]), [3.0, -2.0], cfg=s),
-    "symmetry-identity": lambda iv, alpha, s: run_symmetry_identity(iv, alpha=alpha, cfg=s),
-    "diag-not-indep": lambda iv, alpha, s: run_diag_not_indep(iv, cfg=s),
-    "quadratic-form": lambda iv, alpha, s: run_quadratic_form(
-        (iv, iv), np.array([[1.0, 0.5], [0.5, -1.0]]), cfg=s),
-    "reverse-independence": lambda iv, alpha, s: run_reverse_independence_witness(
-        (iv, iv), 0, 1, cfg=s),
-    "invertible-scan": lambda iv, alpha, s: run_invertible_scan(iv),
+    "asymmetric-independence": (lambda iv, alpha, s: run_asymmetric_independence(iv, iv, cfg=s),
+                                lambda iv: check_asymmetric_independence(iv, iv)),
+    "linear-combination": (lambda iv, alpha, s: run_linear_combination(iv, cfg=s),
+                           check_variance),
+    "linear-image": (lambda iv, alpha, s: run_linear_image(
+        iv, np.array([[1.0, 2.0], [0.0, 1.0]]), [3.0, -2.0], cfg=s), None),
+    "symmetry-identity": (lambda iv, alpha, s: run_symmetry_identity(iv, alpha=alpha, cfg=s),
+                          check_variance),
+    "diag-not-indep": (lambda iv, alpha, s: run_diag_not_indep(iv, cfg=s), check_variance),
+    "quadratic-form": (lambda iv, alpha, s: run_quadratic_form(
+        (iv, iv), np.array([[1.0, 0.5], [0.5, -1.0]]), cfg=s), None),
+    "reverse-independence": (lambda iv, alpha, s: run_reverse_independence_witness(
+        (iv, iv), 0, 1, cfg=s), lambda iv: check_reverse_independence(iv, iv)),
+    "invertible-scan": (lambda iv, alpha, s: run_invertible_scan(iv), check_invertible_scan),
 }
 SCENARIO_NAMES = tuple(SCENARIOS)
-
-# the conditions that each scenario's runner puts on the run's interval;
-# RunConfig checks alpha
-_INTERVAL_CHECKS = {
-    "asymmetric-independence": lambda iv: check_asymmetric_independence(iv, iv),
-    "linear-combination": check_variance,
-    "symmetry-identity": check_variance,
-    "diag-not-indep": check_variance,
-    "reverse-independence": lambda iv: check_reverse_independence(iv, iv),
-    "invertible-scan": check_invertible_scan,
-}
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,7 @@ class RunConfig:
         try:
             _require_finite_positive(alpha=self.alpha, t=self.t, tol=self.tol)
             self.solver()
-            self.interval()
+            self.interval().scaled(self.alpha)  # symmetry-identity's second axis
         except ValueError as exc:
             raise GExpectError(str(exc)) from None
         if self.report not in ("csv", "md"):
@@ -101,12 +94,12 @@ def run_scenarios(cfg: RunConfig):
     solving each distinct problem once; outcomes come back in catalog order.
     An interval that a selected scenario refuses is refused before any runs."""
     iv, solver = cfg.interval(), cfg.solver()
-    names = [name for name in SCENARIO_NAMES if name in cfg.scenarios]
-    for name in names:
-        if name in _INTERVAL_CHECKS:
-            _INTERVAL_CHECKS[name](iv)
+    selected = [SCENARIOS[name] for name in SCENARIO_NAMES if name in cfg.scenarios]
+    for _, check in selected:
+        if check:
+            check(iv)
     with solve_once():
-        return [SCENARIOS[name](iv, cfg.alpha, solver) for name in names]
+        return [run(iv, cfg.alpha, solver) for run, _ in selected]
 
 
 def _fmt(x: float) -> str:

@@ -136,7 +136,7 @@ def expect_sequential(intervals, phi: TestFunction, order=None,
     def solve(c: SolverConfig) -> ExpectationResult:
         def sweeps(u, grid):
             # axis k holds the variable at sequence position k; each sweep
-            # derives its dt from this solve's config
+            # takes the steps of its own variance at this solve's config
             u = np.transpose(u, axes=order)
             steps = 0
             for k in range(n - 1, -1, -1):
@@ -144,8 +144,10 @@ def expect_sequential(intervals, phi: TestFunction, order=None,
                 steps += s
             return u, steps
 
-        return _solve(phi, c, [iv.sigma_high_sq for iv in intervals], sweeps,
-                      lambda r: solve(r).value, method="nested")
+        # the grid counts and checks the steps of the largest variance's sweep
+        sig_sqs = [iv.sigma_high_sq for iv in intervals]
+        return _solve(phi, c, sig_sqs, sweeps, lambda r: solve(r).value,
+                      cfl_denominator=max(sig_sqs), method="nested")
 
     return solve(cfg)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyHull
+from .errors import DimensionMismatch, EmptyHull, GExpectError
 
 EPS_PSD = 1e-10
 EPS_ALG = 1e-12
@@ -35,7 +35,7 @@ class UncertaintyInterval:
     def __post_init__(self):
         lo, hi = self.sigma_low_sq, self.sigma_high_sq
         if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("variance bounds must be finite")
+            raise GExpectError("variance bounds must be finite")
         if lo < 0 or lo > hi:
             raise ValueError(f"need 0 <= sigma_low_sq <= sigma_high_sq, got [{lo}, {hi}]")
 

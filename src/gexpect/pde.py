@@ -79,14 +79,14 @@ the same bits.
 
 Box, hull and nested solves (``expectation.expect_sequential``, whose
 sweeps are its centre) check their own input, then share one skeleton,
-``_solve``, which returns phi(0) when every variance is zero. The drivers
-``_diag_centre`` and ``_hull_centre`` check that dt is monotone once per
-solve, not the kernels. Every solve returns one record,
-``ExpectationResult``: its error estimate is the analytic tail bound of
-its grid (computed once by ``build_grid``) plus the grid term of
-``refinement_delta``, the one three-grid helper of every solve.
-``build_grid`` refuses a grid of more than ``_CELL_STEP_BUDGET`` cells
-times steps.
+``_solve``, which returns phi(0) when every variance is zero. ``_steps``
+alone chooses a time step, checks that it is monotone and counts the steps,
+in ``build_grid`` before phi is evaluated and in each nested sweep. Every
+solve returns one record, ``ExpectationResult``: its error estimate is the
+analytic tail bound of its grid (computed once by ``build_grid``) plus the
+grid term of ``refinement_delta``, the one three-grid helper of every
+solve. ``build_grid`` refuses a grid of more than ``_CELL_STEP_BUDGET``
+cells times steps, or whose tail bound overflows.
 
 Within ``solve_once()`` (the CLI wraps every run in it) the diagonal
 driver solves each distinct problem once. After the constant-axis drop it
@@ -232,9 +232,12 @@ class ExpectationResult:
 
 
 def _tail(phi: TestFunction, L: float, k: float) -> float:
-    """Analytic tail bound C (1 + (1 + L)^m) exp(-k^2/2) of phi's declared
-    growth beyond a half width L that lies k standard deviations out."""
-    return phi.growth_const * (1.0 + (1.0 + L) ** phi.growth_order) * math.exp(-0.5 * k * k)
+    """Analytic tail bound C (1 + (1 + L)^m) exp(-k^2/2), or inf if it overflows,
+    of phi's declared growth beyond a half width L, k standard deviations out."""
+    try:
+        return phi.growth_const * (1.0 + (1.0 + L) ** phi.growth_order) * math.exp(-0.5 * k * k)
+    except OverflowError:
+        return math.inf
 
 
 def _tail_halfwidth(sigma: float, phi: TestFunction, tol: float) -> float:
@@ -250,15 +253,16 @@ def build_grid(sigma_high_sqs, phi: TestFunction, cfg: SolverConfig,
                cfl_denominator: float | None = None) -> GridSpec:
     """Derive a grid from the variance scales and the declared growth of phi.
 
-    cfl_denominator defaults to sum of the per-axis sigma_high_sq values
-    (the diagonal-generator stability weight); hull solves pass their own.
-    The grid's tail_bound sums the analytic tail bound over the axes, each
-    at its actual half width. A grid of more than _CELL_STEP_BUDGET cells
-    times steps is refused before anything is allocated.
+    dt and steps come from _steps at the stencil weight cfl_denominator of
+    the costliest step: by default a box's sum of sigma_high_sq; a hull
+    passes its widest generator's, a nested solve its largest sigma_high_sq.
+    tail_bound sums the analytic tail bound over the axes, each at its actual
+    half width. A grid of more than _CELL_STEP_BUDGET cells times steps, a dt
+    that is not monotone or a tail bound that overflows is refused before allocating.
     """
-    sig_sq = np.asarray(sigma_high_sqs, dtype=float)
-    n = sig_sq.size
-    sig_max = math.sqrt(float(sig_sq.max()))
+    sig_sq = [float(s) for s in sigma_high_sqs]  # numpy would warn where a sum overflows
+    n = len(sig_sq)
+    sig_max = math.sqrt(max(sig_sq))
     if sig_max == 0.0:
         raise GExpectError("all variances are zero; nothing to diffuse")
 
@@ -272,28 +276,40 @@ def build_grid(sigma_high_sqs, phi: TestFunction, cfg: SolverConfig,
     # only diffusing axes set the default h
     h = cfg.h if cfg.h is not None else min(
         0.02 * min(L for L, s in zip(halves, sig_sq) if s > 0.0), 0.1 * sig_max)
-    denom = cfl_denominator if cfl_denominator is not None else float(sig_sq.sum())
-    dt = cfg.dt if cfg.dt is not None else _CFL_SAFETY * h * h / denom
+    weight = cfl_denominator if cfl_denominator is not None else sum(sig_sq)
+    if not math.isfinite(weight):
+        raise GExpectError("the variances' stencil weight overflows; use smaller variances")
     # counted before the half widths round up to whole cells, since L / h may
     # overflow; steps >= 1, so a grid over budget in cells alone needs no
     # step count (whose h * h may underflow)
     cells = math.prod(2.0 * max(L / h, 8.0) + 1.0 for L in halves)
-    steps = _step_count(dt) if cells <= _CELL_STEP_BUDGET else 1
+    steps = _steps(h, weight, cfg.dt) if cells <= _CELL_STEP_BUDGET else 1
     cost = cells * steps
     if cost > _CELL_STEP_BUDGET:
         raise GExpectError(f"grid of about {cost:.1e} cells x steps at h={h:g} exceeds the "
                            f"budget of {_CELL_STEP_BUDGET:.0e}; use a coarser h or a smaller L")
     halves = [max(math.ceil(L / h - 1e-9), 8) * h for L in halves]
     tail = sum(_tail(phi, L, L / s) for L, s in zip(halves, sigmas))
+    if not math.isfinite(tail):
+        raise GExpectError("the grid's tail bound overflows; use smaller variances or a smaller L")
     return GridSpec(half_width=tuple(halves), h=h, dt=1.0 / steps, tail_bound=tail)
 
 
-def _check_monotone(dt: float, h: float, weight: float):
-    # weight = sum of off-center stencil coefficients times h^2
+def _steps(h: float, weight: float, dt: float | None = None) -> int:
+    """Whole explicit steps to time 1 at spacing h, of dt if given, else of
+    the monotone _CFL_SAFETY h^2 / weight (weight: the stencil's off-centre
+    coefficients times h^2); every solve and sweep takes its steps from here.
+    Raises CFLViolation when 1 / steps breaks monotonicity."""
+    if dt is None:
+        dt = _CFL_SAFETY * h * h / max(weight, 1e-300)
+    _require_finite_positive(h=h, dt=dt)
+    steps = _step_count(dt)
+    dt = 1.0 / steps
     if dt * weight / (h * h) > 1.0 + 1e-9:
         raise CFLViolation(
             f"dt={dt:g} breaks monotonicity: need dt <= {h * h / weight:g} for h={h:g}"
         )
+    return steps
 
 
 def _advance_diag(u: np.ndarray, intervals, h: float, dt: float, steps: int,
@@ -480,8 +496,6 @@ def _diag_centre(u: np.ndarray, ivs, h: float, dt: float, steps: int) -> np.ndar
     docstring); neither moves the value.
     Within solve_once() a repeated problem is not stepped again.
     """
-    # checked on every axis, dropped ones included
-    _check_monotone(dt, h, sum(iv.sigma_high_sq for iv in ivs))
     keep = [a for a in range(len(ivs)) if not _flat_along(u, a)]
     u = u[tuple(slice(None) if a in keep else u.shape[a] // 2 for a in range(len(ivs)))]
     if not keep:
@@ -535,15 +549,11 @@ def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float,
     (nested recursion step). Returns (the result at the centre node of that
     axis, an array over the other axes; dt used; steps taken).
     """
+    steps = _steps(h, iv.sigma_high_sq, dt)
     # the one copy puts the swept axis first, so cone views are contiguous
     # blocks and the slabs cut the next axis
     u = np.array(np.moveaxis(u0, -1, 0), dtype=float, order="C")
-    if dt is None:
-        dt = _CFL_SAFETY * h * h / max(iv.sigma_high_sq, 1e-300)
-    _require_finite_positive(h=h, dt=dt)
-    dt = 1.0 / _step_count(dt)
-    steps = _step_count(dt)
-    return _diag_centre(u, [iv], h, dt, steps), dt, steps
+    return _diag_centre(u, [iv], h, 1.0 / steps, steps), 1.0 / steps, steps
 
 
 def _eval_initial(phi: TestFunction, grid: GridSpec) -> np.ndarray:
@@ -648,11 +658,6 @@ def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, *,
     )
 
 
-def _hull_weight(gens) -> float:
-    # off-center stencil weight (times h^2) of the widest generator
-    return max(float(np.abs(b).sum()) for b in gens)
-
-
 def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int, point: bool = False):
     """Advance the 2D array u in place by `steps` explicit steps of the flux max
     over the hull generators (upwinded 9-point cross stencil); boundary nodes
@@ -728,7 +733,6 @@ def _hull_centre(u: np.ndarray, gens, g: GridSpec) -> float:
 
     A hull is unchanged by x -> -x but not by flipping one axis, so only
     the point reflection folds."""
-    _check_monotone(g.dt, g.h, _hull_weight(gens))
     point = u.size > _CONE_CELLS and _even(u)
     u, centre = _fold(u, [0] if point else [])
     return float(_advance_cone(u, centre, g.steps,
@@ -753,5 +757,6 @@ def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, *,
         phi, cfg, [max(b[i, i] for b in gens) for i in range(2)],
         lambda u, g: (_hull_centre(u, gens, g), g.steps),
         lambda c: solve_gheat_hull(hull, phi, cfg=c).value,
-        cfl_denominator=_hull_weight(gens),
+        # the stencil weight of the widest generator
+        cfl_denominator=max(float(np.abs(b).sum()) for b in gens),
     )

@@ -389,8 +389,7 @@ def run_invertible_scan(iv: UncertaintyInterval) -> ScenarioOutcome:
             rec.assert_true(f"A{k}: image leaves the diagonal matrices "
                             f"(|off|={abs(worst):.3e})", abs(worst) > 1e-9, abs(worst))
         else:
-            c1, c2 = (a[0, 0], a[1, 1]) if abs(a[0, 0]) > abs(a[0, 1]) else (a[0, 1], a[1, 0])
-            m1, m2 = iv.scaled(c1 * c1), iv.scaled(c2 * c2)
+            m1, m2 = image_gamma(a, box).intervals
             alpha = m2.sigma_low_sq / m1.sigma_low_sq
             rec.quantity(f"A{k}: marginal scaling ratio alpha", alpha)
             conflict = check_scaling_constraint([m1, m2])

@@ -18,3 +18,17 @@ def stepped(monkeypatch):
 
     monkeypatch.setattr(pde, "_advance_diag", spy)
     return seen
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    # the number of times phi has been evaluated on a solve's grid so far
+    seen = SimpleNamespace(calls=0)
+    evaluate = pde._eval_initial
+
+    def spy(*args, **kwargs):
+        seen.calls += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "_eval_initial", spy)
+    return seen

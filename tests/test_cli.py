@@ -284,7 +284,7 @@ def _bits(outcomes):
 def test_a_run_solves_each_problem_once_to_the_same_bits(stepped):
     cfg = RunConfig()
     iv, solver = cfg.interval(), cfg.solver()
-    alone = [cli.SCENARIOS[name](iv, cfg.alpha, solver) for name in SCENARIO_NAMES]
+    alone = [cli.SCENARIOS[name][0](iv, cfg.alpha, solver) for name in SCENARIO_NAMES]
     calls_alone = stepped.calls
     assert stepped.memo == {False}
     run = run_scenarios(cfg)
@@ -369,14 +369,33 @@ def test_oversized_grids_exit_2_before_solving(flags, capsys):
      "other non-degenerate"),
 ])
 def test_an_interval_a_scenario_refuses_exits_2_before_any_step(flags, message, stepped,
-                                                                tmp_path, capsys):
+                                                                evaluated, tmp_path, capsys):
     # checked for every selected scenario before the first one runs, so no
     # earlier scenario's solves are stepped and thrown away
     out = tmp_path / "r.csv"
     assert main(["run", *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert stepped.calls == 0
+    assert evaluated.calls == 0
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--scenario", "all", "--dt", "1"], "dt=1 breaks monotonicity: need dt <= 0.01 for h=0.2"),
+    (["--scenario", "symmetry-identity", "--alpha", "1e308"], "variance bounds must be finite"),
+    (["--scenario", "all", "--sigma-high-sq", "1e308"], "variance bounds must be finite"),
+    (["--scenario", "linear-image", "--sigma-high-sq", "1e308", "--alpha", "1"],
+     "variance bounds must be finite"),
+    (["--scenario", "diag-not-indep", "--sigma-high-sq", "1e308", "--alpha", "1"],
+     "the variances' stencil weight overflows; use smaller variances"),
+    (["--scenario", "asymmetric-independence", "--sigma-high-sq", "1e308", "--alpha", "1"],
+     "the grid's tail bound overflows; use smaller variances or a smaller L"),
+], ids=["dt", "alpha", "sigma", "image-sigma", "weight", "tail"])
+def test_a_value_the_solver_refuses_exits_2_before_phi_is_evaluated(flags, message, stepped,
+                                                                     evaluated, capsys):
+    assert main(["run", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert stepped.calls == evaluated.calls == 0
 
 
 def test_failed_assertion_exits_1(capsys):

@@ -91,6 +91,37 @@ class TestBuildGrid:
             build_grid([0.0], SQUARE, SolverConfig())
 
 
+    def test_a_tail_bound_that_overflows_is_refused(self):
+        # (1 + L)^2 overflows at L = 20 sigma = 2e155
+        with pytest.raises(GExpectError, match="tail bound overflows"):
+            build_grid([1e308, 1e307], XY_SQUARED, SolverConfig())
+
+    def test_variances_whose_sum_overflows_are_refused(self):
+        with pytest.raises(GExpectError, match="weight overflows"):
+            build_grid([1e308, 1e308], XY, SolverConfig())
+
+
+@pytest.mark.parametrize("solve", [
+    lambda c: solve_gheat_diag(DiagonalBox((IV, IV)), XY_SQUARED, cfg=c),
+    lambda c: solve_gheat_hull(ConvexHull((np.array([[2.0, 1.0], [1.0, 2.0]]),)), XY, cfg=c),
+    lambda c: expect_sequential((IV, IV), XY_SQUARED, cfg=c),
+], ids=["box", "hull", "sequential"])
+def test_a_dt_that_is_not_monotone_is_refused_before_phi_is_evaluated(solve, evaluated):
+    with pytest.raises(CFLViolation, match="breaks monotonicity"):
+        solve(SolverConfig(dt=1.0))
+    assert evaluated.calls == 0
+
+
+def test_a_nested_budget_counts_its_costliest_sweep(monkeypatch):
+    # on 81 x 81 nodes each sweep takes 63 steps (sigma_high^2 = 4), within
+    # the budget; a box step is over the sum 8, 125 steps, which is not
+    monkeypatch.setattr(pde, "_CELL_STEP_BUDGET", 81 * 81 * 100)
+    cfg = SolverConfig(h=0.4, refine=False)
+    assert expect_sequential((IV, IV), XY_SQUARED, cfg=cfg).steps_taken == 2 * 63
+    with pytest.raises(GExpectError, match="budget"):
+        solve_gheat_diag(DiagonalBox((IV, IV)), XY_SQUARED, cfg=cfg)
+
+
 class TestSolve1D:
     def test_upper_and_lower_variance(self):
         up = solve_gheat_diag(BOX_1D, SQUARE, cfg=FAST)
@@ -183,7 +214,7 @@ def _one_step(u, h, dt):
 
 class TestStepDiag:
     def test_cfl_violation_raises(self):
-        # checked once per solve by the driver, before constant axes drop
+        # checked by pde._steps, where every solve and sweep gets its steps
         with pytest.raises(CFLViolation):
             diffuse_last_axis(np.zeros(17), IV, 0.1, dt=1.0)
 
