@@ -7,7 +7,7 @@ identities and inequalities separating the two constructions into
 machine-checkable reports.
 """
 
-from .errors import CFLViolation, DimensionMismatch, EmptyHull, GExpectError
+from .errors import DimensionMismatch, EmptyHull, GExpectError
 from .gamma import (ConvexHull, DiagonalBox, GammaSet, Interval1D,
                     RankOneFamily, UncertaintyInterval,
                     check_scaling_constraint, g_function, gbar, image_gamma,

@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 Runs the scenario catalog with configurable variance bounds and grid
-overrides, prints a human-readable summary, and writes a deterministic
+spacing, prints a human-readable summary, and writes a deterministic
 CSV (or Markdown) report: one row per quantity, one row per assertion,
 in catalog order. Exit status is 0 exactly when every assertion passed.
 """
@@ -59,8 +59,6 @@ class RunConfig:
     sigma_high_sq: float = 4.0
     alpha: float = 4.0
     h: float | None = None
-    half_width: float | None = None
-    dt: float | None = None
     t: float = 1.0
     tol: float = 1e-3
     out: str | None = None
@@ -86,7 +84,7 @@ class RunConfig:
         return UncertaintyInterval(self.sigma_low_sq, self.sigma_high_sq).scaled(self.t)
 
     def solver(self) -> SolverConfig:
-        return SolverConfig(h=self.h, half_width=self.half_width, dt=self.dt, target_tol=self.tol)
+        return SolverConfig(h=self.h, target_tol=self.tol)
 
 
 def run_scenarios(cfg: RunConfig):
@@ -137,15 +135,13 @@ def _names(text: str) -> list:
 
 
 def _read_config_file(path: str, flags) -> dict:
-    """key = value lines; '#' starts a comment. A key is a run flag's name or
-    its dest ('-' and '_' alike), and its value converts through that flag's
-    type and choices. A repeated key overrides, except that a repeated
-    scenario key extends the list, as the repeatable flag does. Returns
-    {dest: value}."""
-    keys = {}
-    for action in flags:
-        for name in (action.option_strings[0].lstrip("-"), action.dest):
-            keys.setdefault(name.replace("_", "-"), action)
+    """key = value lines; '#' starts a comment. A key is a run flag's name
+    without its dashes ('-' and '_' alike), and its value converts through
+    that flag's type and choices. A repeated key overrides, except that a
+    repeated scenario key extends the list, as the repeatable flag does.
+    Returns {dest: value}."""
+    # every flag's dest is its name, '-' read as '_'
+    keys = {action.dest.replace("_", "-"): action for action in flags}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -203,9 +199,6 @@ def parse_args(argv) -> RunConfig:
         run.add_argument("--sigma-high-sq", type=float, default=None),
         run.add_argument("--alpha", type=float, default=None),
         run.add_argument("--h", type=float, default=None, help="grid spacing override"),
-        run.add_argument("--L", dest="half_width", type=float, default=None,
-                         help="spatial half-width override"),
-        run.add_argument("--dt", type=float, default=None, help="time step override"),
         run.add_argument("--t", type=float, default=None, help="time horizon (default 1)"),
         run.add_argument("--tol", type=float, default=None, help="solver target tolerance"),
         run.add_argument("--out", default=None, help="report file path (default: stdout only)"),

@@ -11,7 +11,3 @@ class DimensionMismatch(GExpectError):
 
 class EmptyHull(GExpectError):
     """A convex-hull uncertainty set was given no generators."""
-
-
-class CFLViolation(GExpectError):
-    """An explicit time step is too large for the scheme to stay monotone."""

@@ -140,7 +140,7 @@ def expect_sequential(intervals, phi: TestFunction, order=None,
             u = np.transpose(u, axes=order)
             steps = 0
             for k in range(n - 1, -1, -1):
-                u, _, s = diffuse_last_axis(u, intervals[order[k]], grid.h, c.dt)
+                u, _, s = diffuse_last_axis(u, intervals[order[k]], grid.h)
                 steps += s
             return u, steps
 

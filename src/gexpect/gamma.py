@@ -208,11 +208,12 @@ def image_gamma(m, gamma: GammaSet) -> GammaSet:
         if np.all(np.count_nonzero(m, axis=0) <= 1):
             # each coordinate feeds at most one row, so M diag(r) M^T is
             # diagonal and row i sweeps sum_k m_ik^2 r_k independently of the rest
+            # of Python floats, which overflow to inf without numpy's warning
             ivs = gamma.intervals
             return DiagonalBox(tuple(
-                UncertaintyInterval(float(sum(a * a * iv.sigma_low_sq for a, iv in zip(row, ivs))),
-                                    float(sum(a * a * iv.sigma_high_sq for a, iv in zip(row, ivs))))
-                for row in m))
+                UncertaintyInterval(sum(a * a * float(iv.sigma_low_sq) for a, iv in zip(row, ivs)),
+                                    sum(a * a * float(iv.sigma_high_sq) for a, iv in zip(row, ivs)))
+                for row in m.tolist()))
         if gamma.dim > _VERTEX_DIM_CAP:
             raise ValueError(
                 f"vertex enumeration capped at dimension {_VERTEX_DIM_CAP}, got {gamma.dim}"

@@ -80,8 +80,9 @@ the same bits.
 Box, hull and nested solves (``expectation.expect_sequential``, whose
 sweeps are its centre) check their own input, then share one skeleton,
 ``_solve``, which returns phi(0) when every variance is zero. ``_steps``
-alone chooses a time step, checks that it is monotone and counts the steps,
-in ``build_grid`` before phi is evaluated and in each nested sweep. Every
+alone derives the time step from h and the stencil weight and counts the
+steps, in ``build_grid`` before phi is evaluated and in each nested sweep;
+h is the one grid setting a caller can choose. Every
 solve returns one record, ``ExpectationResult``: its error estimate is the
 analytic tail bound of its grid (computed once by ``build_grid``) plus the
 grid term of ``refinement_delta``, the one three-grid helper of every
@@ -108,7 +109,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CFLViolation, DimensionMismatch, GExpectError
+from .errors import DimensionMismatch, GExpectError
 from .gamma import ConvexHull, DiagonalBox, UncertaintyInterval
 from .testfuncs import TestFunction
 
@@ -160,17 +161,17 @@ def _require_finite_positive(**values):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """User-tunable solver knobs; None means derive automatically."""
+    """User-tunable solver knobs; h None derives the spacing. The half widths
+    and the time step are always derived."""
 
     h: float | None = None
-    half_width: float | None = None
-    dt: float | None = None
     target_tol: float = 1e-3
     refine: bool = True  # re-solve at 2h and 4h (see refinement_delta)
 
     def __post_init__(self):
-        _require_finite_positive(h=self.h, half_width=self.half_width, dt=self.dt,
-                                 target_tol=self.target_tol)
+        _require_finite_positive(h=self.h, target_tol=self.target_tol)
+        if self.h is not None and not math.isfinite(self.h * self.h):  # dt scales with it
+            raise ValueError(f"h={self.h:g} is too coarse: h * h overflows")
         if not isinstance(self.refine, bool):
             raise ValueError(f"refine must be True or False, got {self.refine!r}")
 
@@ -257,11 +258,11 @@ def build_grid(sigma_high_sqs, phi: TestFunction, cfg: SolverConfig,
     the costliest step: by default a box's sum of sigma_high_sq; a hull
     passes its widest generator's, a nested solve its largest sigma_high_sq.
     tail_bound sums the analytic tail bound over the axes, each at its actual
-    half width. A grid of more than _CELL_STEP_BUDGET cells times steps, a dt
-    that is not monotone or a tail bound that overflows is refused before allocating.
+    half width, which _tail_halfwidth derives from sigma and phi's growth.
+    A grid of more than _CELL_STEP_BUDGET cells times steps or a tail bound
+    that overflows is refused before allocating.
     """
     sig_sq = [float(s) for s in sigma_high_sqs]  # numpy would warn where a sum overflows
-    n = len(sig_sq)
     sig_max = math.sqrt(max(sig_sq))
     if sig_max == 0.0:
         raise GExpectError("all variances are zero; nothing to diffuse")
@@ -269,10 +270,7 @@ def build_grid(sigma_high_sqs, phi: TestFunction, cfg: SolverConfig,
     # floored so that an axis of zero variance has a finite tail; it needs
     # only its minimum of 8 cells
     sigmas = [max(math.sqrt(s), 1e-6) for s in sig_sq]
-    if cfg.half_width is not None:
-        halves = [cfg.half_width] * n
-    else:
-        halves = [_tail_halfwidth(s, phi, cfg.target_tol) for s in sigmas]
+    halves = [_tail_halfwidth(s, phi, cfg.target_tol) for s in sigmas]
     # only diffusing axes set the default h
     h = cfg.h if cfg.h is not None else min(
         0.02 * min(L for L, s in zip(halves, sig_sq) if s > 0.0), 0.1 * sig_max)
@@ -283,33 +281,27 @@ def build_grid(sigma_high_sqs, phi: TestFunction, cfg: SolverConfig,
     # overflow; steps >= 1, so a grid over budget in cells alone needs no
     # step count (whose h * h may underflow)
     cells = math.prod(2.0 * max(L / h, 8.0) + 1.0 for L in halves)
-    steps = _steps(h, weight, cfg.dt) if cells <= _CELL_STEP_BUDGET else 1
+    steps = _steps(h, weight) if cells <= _CELL_STEP_BUDGET else 1
     cost = cells * steps
     if cost > _CELL_STEP_BUDGET:
         raise GExpectError(f"grid of about {cost:.1e} cells x steps at h={h:g} exceeds the "
-                           f"budget of {_CELL_STEP_BUDGET:.0e}; use a coarser h or a smaller L")
+                           f"budget of {_CELL_STEP_BUDGET:.0e}; use a coarser h")
     halves = [max(math.ceil(L / h - 1e-9), 8) * h for L in halves]
     tail = sum(_tail(phi, L, L / s) for L, s in zip(halves, sigmas))
     if not math.isfinite(tail):
-        raise GExpectError("the grid's tail bound overflows; use smaller variances or a smaller L")
+        raise GExpectError("the grid's tail bound overflows; use smaller variances")
     return GridSpec(half_width=tuple(halves), h=h, dt=1.0 / steps, tail_bound=tail)
 
 
-def _steps(h: float, weight: float, dt: float | None = None) -> int:
-    """Whole explicit steps to time 1 at spacing h, of dt if given, else of
-    the monotone _CFL_SAFETY h^2 / weight (weight: the stencil's off-centre
+def _steps(h: float, weight: float) -> int:
+    """Whole explicit steps to time 1 at spacing h, of at most the monotone
+    dt = _CFL_SAFETY h^2 / weight (weight: the stencil's off-centre
     coefficients times h^2); every solve and sweep takes its steps from here.
-    Raises CFLViolation when 1 / steps breaks monotonicity."""
-    if dt is None:
-        dt = _CFL_SAFETY * h * h / max(weight, 1e-300)
+    1 / steps <= dt, so every step keeps the scheme monotone. A dt of 1 or
+    more (inf where h^2 / weight overflows) is one step."""
+    dt = min(_CFL_SAFETY * h * h / max(weight, 1e-300), 1.0)
     _require_finite_positive(h=h, dt=dt)
-    steps = _step_count(dt)
-    dt = 1.0 / steps
-    if dt * weight / (h * h) > 1.0 + 1e-9:
-        raise CFLViolation(
-            f"dt={dt:g} breaks monotonicity: need dt <= {h * h / weight:g} for h={h:g}"
-        )
-    return steps
+    return _step_count(dt)
 
 
 def _advance_diag(u: np.ndarray, intervals, h: float, dt: float, steps: int,
@@ -543,13 +535,13 @@ def _diag_step(u: np.ndarray, ivs, h: float, dt: float, steps: int) -> np.ndarra
     return out
 
 
-def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float,
-                      dt: float | None = None) -> tuple:
+def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float) -> tuple:
     """Diffuse a tabulated array along its last axis only, up to time 1
-    (nested recursion step). Returns (the result at the centre node of that
-    axis, an array over the other axes; dt used; steps taken).
+    (nested recursion step), at the time step _steps derives for iv.
+    Returns (the result at the centre node of that axis, an array over the
+    other axes; dt used; steps taken).
     """
-    steps = _steps(h, iv.sigma_high_sq, dt)
+    steps = _steps(h, iv.sigma_high_sq)
     # the one copy puts the swept axis first, so cone views are contiguous
     # blocks and the slabs cut the next axis
     u = np.array(np.moveaxis(u0, -1, 0), dtype=float, order="C")
@@ -574,7 +566,9 @@ def _eval_initial(phi: TestFunction, grid: GridSpec) -> np.ndarray:
     rows = max(1, _SLAB_CELLS // (u0.size // u0.shape[0]))
     for i in range(0, u0.shape[0], rows):
         slab = u0[i:i + rows]
-        values = np.asarray(phi(mesh[0][i:i + rows], *mesh[1:]), dtype=float)
+        # a phi that overflows is refused just below, without numpy's warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(phi(mesh[0][i:i + rows], *mesh[1:]), dtype=float)
         try:  # a phi that ignores its arguments may return a scalar
             slab[...] = np.broadcast_to(values, slab.shape)
         except ValueError:
@@ -602,7 +596,7 @@ def _check_growth(phi: TestFunction, mesh, u0: np.ndarray):
 
 def refinement_delta(u_h: float, h: float, cfg: SolverConfig, solve_at) -> tuple:
     """(value, grid term) from u_h and re-solves u_2h, u_4h by
-    solve_at(cfg at 2h or 4h, dt re-derived, refinement off); (u_h, None)
+    solve_at(cfg at 2h or 4h, refinement off); (u_h, None)
     when cfg.refine is off.
 
     With d1 = u_h - u_2h and d2 = u_2h - u_4h, the observed order is
@@ -616,7 +610,7 @@ def refinement_delta(u_h: float, h: float, cfg: SolverConfig, solve_at) -> tuple
         return u_h, None
 
     def at(k):
-        return solve_at(replace(cfg, refine=False, h=k * h, dt=None))
+        return solve_at(replace(cfg, refine=False, h=k * h))
 
     u_2h = at(2.0)
     d1 = u_h - u_2h

@@ -69,12 +69,6 @@ class TestParseArgs:
         with pytest.raises(GExpectError, match=r"unknown key 'sigma-hi-sq'; valid keys: .*sigma-high-sq"):
             parse_args(["run", "--config", str(cfgfile)])
 
-    @pytest.mark.parametrize("key", ["L", "half_width", "half-width"])
-    def test_config_file_L_sets_half_width(self, tmp_path, key):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(f"{key} = 10\n")
-        assert parse_args(["run", "--config", str(cfgfile)]).half_width == 10.0
-
     def test_config_file_values_convert_through_the_flags(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("scenario = invertible-scan, quadratic-form\nh = 0.5\n"
@@ -105,7 +99,10 @@ def test_variance_error_shows_the_given_bounds():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
 @pytest.mark.parametrize("name", ["alpha", "t", "tol", "h", "half_width", "dt"])
 def test_run_config_rejects_non_finite(name, bad):
-    with pytest.raises(GExpectError, match=f"^{name} "):
+    # the time step and the half widths are derived, never set: refused as unknown
+    error, pattern = ((TypeError, f"'{name}'") if name in ("dt", "half_width")
+                      else (GExpectError, f"^{name} "))
+    with pytest.raises(error, match=pattern):
         RunConfig(**{name: bad})
 
 
@@ -151,18 +148,22 @@ JUNK = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"),
                              blacklist_characters="#"), max_size=12).filter(_rejects)
 NEGATIVE = st.floats(max_value=0.0, exclude_max=True, allow_infinity=False).map(repr)
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity", "1e400"])
+# finite spacings whose square overflows, which the time step scales with
+HUGE = st.one_of(st.sampled_from(["1e200", "1e308"]), st.floats(1.4e154, 1e308).map(repr))
 # every numeric flag (config key) with values it must refuse at the default
 # variance bounds [1, 4]: the bounds refuse a swapped pair, the grid, time
-# and tolerance settings anything but finite and positive
+# and tolerance settings anything but finite and positive, and h a value
+# whose square overflows
 BAD_NUMERIC = {
     "sigma-low-sq": st.one_of(NON_FINITE, NEGATIVE, JUNK,
                               st.floats(4.0, 1e300, exclude_min=True).map(repr)),
     "sigma-high-sq": st.one_of(NON_FINITE, NEGATIVE, JUNK, st.just("0"),
                                st.floats(0.0, 1.0, exclude_max=True).map(repr)),
     **{name: st.one_of(NON_FINITE, NEGATIVE, JUNK, st.sampled_from(["0", "-0", "0.0"]))
-       for name in ("alpha", "h", "L", "dt", "t", "tol")},
+       for name in ("alpha", "t", "tol")},
+    "h": st.one_of(NON_FINITE, NEGATIVE, JUNK, st.sampled_from(["0", "-0", "0.0"]), HUGE),
 }
-FIELD_NAMES = {"sigma-low-sq": "sigma_low_sq", "sigma-high-sq": "sigma_high_sq", "L": "half_width"}
+FIELD_NAMES = {"sigma-low-sq": "sigma_low_sq", "sigma-high-sq": "sigma_high_sq"}
 BAD_SETTING = st.sampled_from(sorted(BAD_NUMERIC)).flatmap(
     lambda name: st.tuples(st.just(name), BAD_NUMERIC[name]))
 SWAPPED = st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6)).filter(
@@ -202,6 +203,20 @@ def test_fuzz_bad_config_value_exits_2(setting, dest_form, tmp_path_factory):
 def test_fuzz_swapped_variance_bounds_exit_2(bounds):
     low, high = bounds
     _exits_2_with_one_error_line([f"--sigma-low-sq={low}", f"--sigma-high-sq={high}"])
+
+
+@pytest.mark.parametrize("where, setting", [
+    ("flag", ["--dt", "0.001"]), ("flag", ["--L", "8"]), ("config", "dt = 0.001"),
+    ("config", "L = 8"), ("config", "half_width = 8"), ("config", "half-width = 8")],
+    ids=["--dt", "--L", "dt-key", "L-key", "half_width-key", "half-width-key"])
+def test_time_step_and_half_width_settings_exit_2_as_unknown(where, setting, tmp_path):
+    # both are derived, so neither is a flag or a config key; h is the one
+    # grid setting
+    if where == "config":
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(setting + "\n", encoding="utf-8")
+        setting = ["--config", str(cfgfile)]
+    _exits_2_with_one_error_line(setting)
 
 
 def test_refine_flag_and_config_key_exit_2(tmp_path):
@@ -381,7 +396,7 @@ def test_an_interval_a_scenario_refuses_exits_2_before_any_step(flags, message, 
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--scenario", "all", "--dt", "1"], "dt=1 breaks monotonicity: need dt <= 0.01 for h=0.2"),
+    (["--scenario", "quadratic-form", "--h", "1e200"], "h=1e+200 is too coarse: h * h overflows"),
     (["--scenario", "symmetry-identity", "--alpha", "1e308"], "variance bounds must be finite"),
     (["--scenario", "all", "--sigma-high-sq", "1e308"], "variance bounds must be finite"),
     (["--scenario", "linear-image", "--sigma-high-sq", "1e308", "--alpha", "1"],
@@ -389,8 +404,8 @@ def test_an_interval_a_scenario_refuses_exits_2_before_any_step(flags, message, 
     (["--scenario", "diag-not-indep", "--sigma-high-sq", "1e308", "--alpha", "1"],
      "the variances' stencil weight overflows; use smaller variances"),
     (["--scenario", "asymmetric-independence", "--sigma-high-sq", "1e308", "--alpha", "1"],
-     "the grid's tail bound overflows; use smaller variances or a smaller L"),
-], ids=["dt", "alpha", "sigma", "image-sigma", "weight", "tail"])
+     "the grid's tail bound overflows; use smaller variances"),
+], ids=["huge-h", "alpha", "sigma", "image-sigma", "weight", "tail"])
 def test_a_value_the_solver_refuses_exits_2_before_phi_is_evaluated(flags, message, stepped,
                                                                      evaluated, capsys):
     assert main(["run", *flags]) == 2
@@ -398,8 +413,20 @@ def test_a_value_the_solver_refuses_exits_2_before_phi_is_evaluated(flags, messa
     assert stepped.calls == evaluated.calls == 0
 
 
-def test_failed_assertion_exits_1(capsys):
-    # a half width of one sigma_high leaves a tail bound of about 100, so
-    # "strictly positive" (value > 10 x error_estimate) fails
-    assert main(["run", "--scenario", "asymmetric-independence", "--L", "2", "--h", "0.25"]) == 1
+def test_failed_assertion_exits_1(capsys, monkeypatch):
+    # a half width of one sigma_high (a tolerance so large that it stays at
+    # _TAIL_FACTOR sigma) leaves a tail bound of about 100, so "strictly
+    # positive" (value > 10 x error_estimate) fails
+    monkeypatch.setattr(pde, "_TAIL_FACTOR", 1.0)
+    assert main(["run", "--scenario", "asymmetric-independence", "--h", "0.25",
+                 "--tol", "1e4"]) == 1
     assert "FAIL earlier-linear moment: strictly positive" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scenario", ["invertible-scan", "quadratic-form"])
+def test_an_overflowing_variance_prints_only_the_error_line(scenario, capsys):
+    # numpy's overflow warnings would print before the error line, and the
+    # suite turns them into errors
+    assert main(["run", "--scenario", scenario, "--sigma-high-sq", "1e308", "--alpha", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -10,7 +10,7 @@ from gexpect.expectation import (GNormal, LinearImage, Sequential, expect,
                                  lower_expectation)
 from gexpect.gamma import (ConvexHull, DiagonalBox, Interval1D, RankOneFamily,
                            UncertaintyInterval, image_gamma)
-from gexpect.pde import SolverConfig, refinement_delta
+from gexpect.pde import SolverConfig
 from gexpect.testfuncs import ABS, SQUARE, XY, XY_SQUARED, YX_SQUARED, TestFunction
 from oracles import (NEG_SQUARE, POS_PART, QUARTIC, convex_oracle_1d,
                      gauss_hermite_expectation, gauss_hermite_expectation_nd)
@@ -76,24 +76,6 @@ class TestExpectSequential:
         assert abs(zero.value) < 1e-10
         assert pos.value == pytest.approx(THIRD_MOMENT, abs=1e-2)
         assert pos.method == "nested"
-
-    def test_re_solves_derive_their_own_dt(self):
-        # the re-solves at 2h and 4h sweep with dt re-derived for their own
-        # grid, not with the caller's dt
-        cfg = SolverConfig(h=0.2, dt=0.004)
-        got = expect_sequential((IV, IV), XY_SQUARED, cfg=cfg)
-        u_h = expect_sequential((IV, IV), XY_SQUARED,
-                                cfg=SolverConfig(h=0.2, dt=0.004, refine=False)).value
-        coarse = {h: expect_sequential((IV, IV), XY_SQUARED,
-                                       cfg=SolverConfig(h=h, dt=None, refine=False)).value
-                  for h in (0.4, 0.8)}
-
-        def solve_at(c):
-            assert c.dt is None
-            return coarse[c.h]
-
-        value, grid_term = refinement_delta(u_h, 0.2, cfg, solve_at)
-        assert (got.value.hex(), got.refinement_delta.hex()) == (value.hex(), grid_term.hex())
 
     def test_order_reverses_roles(self):
         rev = expect_sequential((IV, IV.scaled(2.0)), XY_SQUARED, order=(1, 0), cfg=FAST)

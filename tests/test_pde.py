@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gexpect import pde
-from gexpect.errors import CFLViolation, DimensionMismatch, GExpectError
+from gexpect.errors import DimensionMismatch, GExpectError
 from gexpect.expectation import GNormal, expect, expect_sequential
 from gexpect.gamma import ConvexHull, DiagonalBox, UncertaintyInterval
 from gexpect.pde import (GridSpec, SolverConfig, build_grid, diffuse_last_axis,
@@ -44,18 +44,28 @@ class TestGridSpec:
         # would return 4.00017 for 4)
         for s in (23294, 23427, 10**6):
             assert pde._step_count(1.0 / s) == s
-        g = build_grid([4.0], SQUARE, SolverConfig(h=0.020661, half_width=8.0))
+        g = build_grid([4.0], SQUARE, SolverConfig(h=0.020661))
         assert g.steps * g.dt == pytest.approx(1.0, rel=1e-12)
 
 
 BAD_VALUES = [math.nan, math.inf, -math.inf, 0.0]
+# derived from h and the variances, never set: refused as unknown
+DERIVED = ("dt", "half_width")
 
 
 @pytest.mark.parametrize("bad", BAD_VALUES)
 @pytest.mark.parametrize("name", ["h", "half_width", "dt", "target_tol"])
 def test_solver_config_rejects_non_finite(name, bad):
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(TypeError if name in DERIVED else ValueError, match=name):
         SolverConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("h", [1e200, 1e308, 1.4e154])
+def test_solver_config_rejects_an_h_whose_square_overflows(h):
+    # the time step scales with h * h
+    with pytest.raises(ValueError, match=r"h \* h overflows"):
+        SolverConfig(h=h)
+    assert SolverConfig(h=1.3e154).h == 1.3e154
 
 
 @pytest.mark.parametrize("bad", BAD_VALUES)
@@ -67,12 +77,19 @@ def test_grid_spec_rejects_non_finite(name, bad):
         GridSpec(**kwargs)
 
 
+# 1e-200: h * h, and so the time step, underflows to 0
 @pytest.mark.parametrize("kwargs", [dict(h=math.nan), dict(h=0.0), dict(h=math.inf),
-                                    dict(dt=0.0), dict(dt=math.nan)])
+                                    dict(h=1e-200), dict(h=-0.2)])
 def test_diffuse_last_axis_rejects_bad_settings(kwargs):
-    args = dict(h=0.2, dt=None) | kwargs
+    args = dict(h=0.2) | kwargs
     with pytest.raises(ValueError, match="finite and positive"):
         diffuse_last_axis(np.zeros((3, 21)), IV, **args)
+
+
+def test_a_time_step_of_one_or_more_is_one_step():
+    # h^2 / weight overflows at a subnormal variance: one step, not an error
+    assert pde._steps(1e5, 1e-320) == pde._steps(10.0, 4.0) == 1
+    assert pde._steps(0.2, 4.0) == 250
 
 
 class TestBuildGrid:
@@ -82,9 +99,9 @@ class TestBuildGrid:
         assert g.dt <= 0.4 * g.h * g.h / 4.0 + 1e-15
 
     def test_overrides_respected(self):
-        g = build_grid([4.0], SQUARE, SolverConfig(h=0.5, half_width=20.0))
+        g = build_grid([4.0], SQUARE, SolverConfig(h=0.5))
         assert g.h == 0.5
-        assert g.half_width == (20.0, 20.0) or g.half_width == (20.0,)
+        assert g.half_width == (16.0,)  # 8 sigma_high, a whole number of cells
 
     def test_zero_variance_rejected(self):
         with pytest.raises(GExpectError):
@@ -99,17 +116,6 @@ class TestBuildGrid:
     def test_variances_whose_sum_overflows_are_refused(self):
         with pytest.raises(GExpectError, match="weight overflows"):
             build_grid([1e308, 1e308], XY, SolverConfig())
-
-
-@pytest.mark.parametrize("solve", [
-    lambda c: solve_gheat_diag(DiagonalBox((IV, IV)), XY_SQUARED, cfg=c),
-    lambda c: solve_gheat_hull(ConvexHull((np.array([[2.0, 1.0], [1.0, 2.0]]),)), XY, cfg=c),
-    lambda c: expect_sequential((IV, IV), XY_SQUARED, cfg=c),
-], ids=["box", "hull", "sequential"])
-def test_a_dt_that_is_not_monotone_is_refused_before_phi_is_evaluated(solve, evaluated):
-    with pytest.raises(CFLViolation, match="breaks monotonicity"):
-        solve(SolverConfig(dt=1.0))
-    assert evaluated.calls == 0
 
 
 def test_a_nested_budget_counts_its_costliest_sweep(monkeypatch):
@@ -161,11 +167,11 @@ class TestRefinementDelta:
         seen = []
 
         def solve_at(c):
-            assert (c.refine, c.dt) == (False, None)
+            assert c.refine is False
             seen.append(c.h)
             return {0.2: u_2h, 0.4: u_4h}[c.h]
 
-        assert pde.refinement_delta(1.0, 0.1, SolverConfig(dt=0.01), solve_at) == want
+        assert pde.refinement_delta(1.0, 0.1, SolverConfig(), solve_at) == want
         assert seen == [0.2, 0.4][:calls]
 
     def test_a_solve_with_d1_zero_re_solves_once(self, monkeypatch):
@@ -213,11 +219,6 @@ def _one_step(u, h, dt):
 
 
 class TestStepDiag:
-    def test_cfl_violation_raises(self):
-        # checked by pde._steps, where every solve and sweep gets its steps
-        with pytest.raises(CFLViolation):
-            diffuse_last_axis(np.zeros(17), IV, 0.1, dt=1.0)
-
     def test_monotone_and_constant_preserving(self):
         rng = np.random.default_rng(3)
         u = rng.standard_normal(33)
@@ -254,11 +255,6 @@ class TestSolveHull:
                               cfg=SolverConfig(h=0.25, refine=False))
         assert rh.value == pytest.approx(rd.value, abs=1e-9)
 
-    def test_cfl_violation_raises(self):
-        hull = ConvexHull((np.array([[2.0, 1.0], [1.0, 2.0]]),))
-        with pytest.raises(CFLViolation):
-            solve_gheat_hull(hull, XY, cfg=SolverConfig(h=0.25, dt=1.0))
-
     def test_rejects_non_dominant_generator(self):
         hull = ConvexHull((np.array([[1.0, 2.0], [2.0, 5.0]]),))
         with pytest.raises(GExpectError, match="diagonally dominant"):
@@ -270,25 +266,30 @@ class TestSolveHull:
             solve_gheat_hull(hull, XY, cfg=FAST)
 
 
-def test_tail_bound_is_small_on_sized_grids():
+def test_tail_bound_is_small_on_sized_grids(monkeypatch):
     # the derived half width keeps the tail bound below target_tol / 10;
-    # a user-set L that truncates 1.5 sigma out gets an honest, larger term
+    # a domain truncated 1.5 sigma out (a tolerance so large that the
+    # half width stays at _TAIL_FACTOR sigma) gets an honest, larger term
     cfg = SolverConfig(h=0.2, refine=False)
     sized = solve_gheat_diag(BOX_1D, ABS, cfg=cfg)
     assert 0.0 < sized.tail_bound <= 0.1 * cfg.target_tol
-    narrow = solve_gheat_diag(BOX_1D, ABS, cfg=SolverConfig(h=0.2, half_width=3.0,
+    monkeypatch.setattr(pde, "_TAIL_FACTOR", 1.5)
+    narrow = solve_gheat_diag(BOX_1D, ABS, cfg=SolverConfig(h=0.2, target_tol=1e3,
                                                                  refine=False))
     # 2 (1 + (1 + L)) exp(-k^2 / 2) at L = 3, k = L / sigma_high = 1.5
     assert narrow.tail_bound == pytest.approx(10.0 * math.exp(-1.125))
     assert abs(narrow.value - 2.0 * math.sqrt(2.0 / math.pi)) <= narrow.tail_bound
 
 
-def test_tail_bound_sums_over_axes():
+def test_tail_bound_sums_over_axes(monkeypatch):
+    # half widths of 2 sigma: 4 and 2 sqrt(8), rounded up to 23 cells of 0.25
+    monkeypatch.setattr(pde, "_TAIL_FACTOR", 2.0)
     box = DiagonalBox((IV, IV.scaled(2.0)))
-    cfg = SolverConfig(h=0.25, half_width=4.0, refine=False)
+    cfg = SolverConfig(h=0.25, target_tol=1e3, refine=False)
     grid = build_grid([4.0, 8.0], XY, cfg)
-    want = sum(4.0 * (1.0 + 5.0) * math.exp(-0.5 * (4.0 / s) ** 2)
-               for s in (2.0, math.sqrt(8.0)))
+    assert grid.half_width == (4.0, 5.75)
+    want = sum(4.0 * (1.0 + (1.0 + L)) * math.exp(-0.5 * (L / s) ** 2)
+               for L, s in ((4.0, 2.0), (5.75, math.sqrt(8.0))))
     assert grid.tail_bound == pytest.approx(want)
     assert solve_gheat_diag(box, XY, cfg=cfg).tail_bound == grid.tail_bound
 
@@ -664,6 +665,13 @@ def _grid(h, dt, steps):
     return SimpleNamespace(h=h, dt=dt, steps=steps)
 
 
+def _sweep(u0, iv, steps):
+    # diffuse_last_axis at h = 1 stepped `steps` times: the diagonal driver
+    # on the C-ordered copy with the swept axis moved to the front
+    u = np.array(np.moveaxis(u0, -1, 0), dtype=float, order="C")
+    return pde._diag_centre(u, [iv], 1.0, 1.0 / steps, steps)
+
+
 class TestCone:
     # _CONE_CELLS = 0 re-cuts the view down to radius 0; the default stops
     # re-cutting small views
@@ -697,9 +705,9 @@ class TestCone:
     def test_nested_sweep_with_passive_axes(self, steps):
         u0 = _rough((9, 5, 21), 23)
         iv = KERNEL_IVS[0]
-        out, dt, taken = diffuse_last_axis(u0, iv, 1.0, 1.0 / steps)
-        assert (dt, taken) == (1.0 / steps, steps)
-        assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [iv], 1.0, dt, steps, [2])))
+        out = _sweep(u0, iv, steps)
+        assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [iv], 1.0, 1.0 / steps, steps,
+                                                           [2])))
 
 
 @pytest.mark.parametrize("axes", [(0,), (0, 2)])
@@ -924,8 +932,9 @@ class TestFolds:
         u0 = _made_even(_rough((31, 41, 61), 103), 2)
         assert u0.size > pde._SLAB_CELLS
         iv = KERNEL_IVS[0]
-        out, dt, _ = diffuse_last_axis(u0, iv, 1.0, 1.0 / steps)
-        assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [iv], 1.0, dt, steps, [2])))
+        out = _sweep(u0, iv, steps)
+        assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [iv], 1.0, 1.0 / steps, steps,
+                                                           [2])))
         assert folds.seen == {((0,), False)}
 
     @pytest.mark.parametrize("even", [[0], [1], [0, 1], [0, 1, 2]])
@@ -1002,9 +1011,9 @@ class TestFolds:
             got = pde._diag_centre(u0.copy(), ivs, h, dt, 30)
             want = _centre(_ref_run_diag(u0, ivs, h, dt, 30, range(u0.ndim)))
         else:
-            out, dt, steps = diffuse_last_axis(u0, KERNEL_IVS[0], 1.0, 1.0 / 30)
-            got, want = out, _centre_slice(_ref_run_diag(u0, [KERNEL_IVS[0]], 1.0, dt, 30,
-                                                         [u0.ndim - 1]))
+            got = _sweep(u0, KERNEL_IVS[0], 30)
+            want = _centre_slice(_ref_run_diag(u0, [KERNEL_IVS[0]], 1.0, 1.0 / 30, 30,
+                                               [u0.ndim - 1]))
         assert _same_bits(np.float64(got), np.float64(want))
         assert folds.seen == {((), False)}
 
@@ -1088,8 +1097,9 @@ def test_even_length_axes_are_not_folded(folds):
     u0 = _rough((14, 12, 66), 137)
     for a in range(3):
         u0 = _made_even(u0, a)
-    out, dt, steps = diffuse_last_axis(u0, KERNEL_IVS[0], 1.0, 1.0 / 40)
-    assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [KERNEL_IVS[0]], 1.0, dt, steps, [2])))
+    out = _sweep(u0, KERNEL_IVS[0], 40)
+    assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [KERNEL_IVS[0]], 1.0, 1.0 / 40, 40,
+                                                       [2])))
     assert folds.seen == {((), False)}
 
 
