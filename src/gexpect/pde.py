@@ -38,7 +38,7 @@ kernels on views of the grid that shrink with this cone of dependence
 
 The diagonal driver first drops every diffusing axis along which the
 initial data is exactly constant: the flux along it is (v - v) - (v - v)
-= 0 at every step, so the other axes step alone at the same grid, dt and
+= 0 at every step, so the other axes step alone at the same lam and
 steps, and a sweep along such an axis returns without stepping. Hull
 solves drop nothing, since their cross stencil does not cancel exactly.
 
@@ -80,21 +80,22 @@ the same bits.
 Box, hull and nested solves (``expectation.expect_sequential``, whose
 sweeps are its centre) check their own input, then share one skeleton,
 ``_solve``, which returns phi(0) when every variance is zero. ``_steps``
-alone derives the time step from h and the stencil weight and counts the
-steps, in ``build_grid`` before phi is evaluated and in each nested sweep;
-h is the one grid setting a caller can choose. Every
-solve returns one record, ``ExpectationResult``: its error estimate is the
-analytic tail bound of its grid (computed once by ``build_grid``) plus the
-grid term of ``refinement_delta``, the one three-grid helper of every
-solve. ``build_grid`` refuses a grid of more than ``_CELL_STEP_BUDGET``
-cells times steps, or whose tail bound overflows.
+alone counts the steps to time 1 from h and the stencil weight, in
+``build_grid`` before phi is evaluated and in each nested sweep; a grid
+carries the count, and the kernels read a step as lam = (1 / steps) / h^2.
+h is the one grid setting a caller can choose. Every solve returns one
+record, ``ExpectationResult``: its error estimate is the analytic tail
+bound of its grid (computed once by ``build_grid``) plus the grid term of
+``refinement_delta``, the one three-grid helper of every solve.
+``build_grid`` refuses a grid of more than ``_CELL_STEP_BUDGET`` cells
+times steps, or whose tail bound overflows.
 
 Within ``solve_once()`` (the CLI wraps every run in it) the diagonal
 driver solves each distinct problem once. After the constant-axis drop it
-keys the problem on the kept intervals' bounds, h, dt, steps, the shape
-and a 128-bit BLAKE2b digest of the data (a digest, not the bytes, so the
-memo holds only results), and serves a repeat from the memo: the same
-bits, since the key holds everything the stepping reads. Keying on the
+keys the problem on the kept intervals' bounds, lam = dt / h^2, steps,
+the shape and a 128-bit BLAKE2b digest of the data (a digest, not the
+bytes, so the memo holds only results), and serves a repeat from the
+memo: the same bits, since the key holds everything the stepping reads. Keying on the
 data rather than on phi catches pulled-back duplicates and a marginal
 whose other axes were dropped. Outside the block nothing is kept.
 """
@@ -129,7 +130,7 @@ _CELL_STEP_BUDGET = 1e10
 # Rows along a passive axis are independent problems, so
 # _advance_diag steps them a slab at a time, sized for a 2 MiB per-core L2
 # cache: 2**16 float64 cells are 512 KiB per buffer, and a one-axis slab
-# uses three (its copy, g and d). On 67**3 and
+# uses three (its copy, g and incr). On 67**3 and
 # 101**3 nested sweeps, 2**14, 2**15 and 2**16 cells timed alike within the
 # host's noise and 2**17 was 20-40% slower; 2**16 makes the fewest ufunc calls.
 # _eval_initial evaluates phi in slabs of the same size along axis 0, so
@@ -145,12 +146,6 @@ _CONE_CELLS = 1 << 12
 # u(1, 0) of each diagonal problem solved so far, by key; None outside
 # solve_once(), where nothing is kept
 _MEMO: contextvars.ContextVar = contextvars.ContextVar("gexpect_solve_memo", default=None)
-
-
-def _step_count(dt: float) -> int:
-    # the tolerance is relative: 1 / (1 / s) can exceed s by more than any
-    # fixed 1e-12 (from s = 23294 on), and an extra step overshoots time 1
-    return max(1, math.ceil((1.0 - 1e-12) / dt))
 
 
 def _require_finite_positive(**values):
@@ -170,32 +165,28 @@ class SolverConfig:
 
     def __post_init__(self):
         _require_finite_positive(h=self.h, target_tol=self.target_tol)
-        if self.h is not None and not math.isfinite(self.h * self.h):  # dt scales with it
-            raise ValueError(f"h={self.h:g} is too coarse: h * h overflows")
         if not isinstance(self.refine, bool):
             raise ValueError(f"refine must be True or False, got {self.refine!r}")
+        # dt scales with the square of the coarsest spacing solved, which is
+        # 4h with refinement on (see refinement_delta)
+        k = 4.0 if self.refine else 1.0
+        if self.h is not None and not math.isfinite((k * self.h) * (k * self.h)):
+            raise ValueError(f"h={self.h:g} is too coarse: " + (
+                "4h * 4h overflows, and refinement re-solves at 4h" if self.refine
+                else "h * h overflows"))
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform tensor grid: [-L_i, L_i] per axis at spacing h, stepped by dt
+    """The grid build_grid derives: [-L_i, L_i] per axis at spacing h, each
+    L_i a whole multiple >= 8 of h, and `steps` explicit steps of 1 / steps
     up to time 1. tail_bound bounds what truncating the domain at L_i costs
     the solve."""
 
     half_width: tuple
     h: float
-    dt: float
+    steps: int
     tail_bound: float = 0.0
-
-    def __post_init__(self):
-        hw = tuple(float(v) for v in self.half_width)
-        object.__setattr__(self, "half_width", hw)
-        _require_finite_positive(h=self.h, dt=self.dt)
-        for L in hw:
-            _require_finite_positive(half_width=L)
-            cells = L / self.h
-            if abs(cells - round(cells)) > 1e-9 or round(cells) < 8:
-                raise ValueError(f"half width {L} must be an integer multiple >= 8 of h={self.h}")
 
     def axis(self, i: int) -> np.ndarray:
         # h * k is exactly -(h * -k): the nodes are antisymmetric, bit for
@@ -208,8 +199,9 @@ class GridSpec:
         return len(self.half_width)
 
     @property
-    def steps(self) -> int:
-        return _step_count(self.dt)
+    def lam(self) -> float:
+        """lam = dt / h^2 at dt = 1 / steps: a step as the kernels read it."""
+        return (1.0 / self.steps) / (self.h * self.h)
 
 
 @dataclass(frozen=True)
@@ -254,7 +246,7 @@ def build_grid(sigma_high_sqs, phi: TestFunction, cfg: SolverConfig,
                cfl_denominator: float | None = None) -> GridSpec:
     """Derive a grid from the variance scales and the declared growth of phi.
 
-    dt and steps come from _steps at the stencil weight cfl_denominator of
+    The step count comes from _steps at the stencil weight cfl_denominator of
     the costliest step: by default a box's sum of sigma_high_sq; a hull
     passes its widest generator's, a nested solve its largest sigma_high_sq.
     tail_bound sums the analytic tail bound over the axes, each at its actual
@@ -290,32 +282,34 @@ def build_grid(sigma_high_sqs, phi: TestFunction, cfg: SolverConfig,
     tail = sum(_tail(phi, L, L / s) for L, s in zip(halves, sigmas))
     if not math.isfinite(tail):
         raise GExpectError("the grid's tail bound overflows; use smaller variances")
-    return GridSpec(half_width=tuple(halves), h=h, dt=1.0 / steps, tail_bound=tail)
+    return GridSpec(half_width=tuple(halves), h=h, steps=steps, tail_bound=tail)
 
 
 def _steps(h: float, weight: float) -> int:
-    """Whole explicit steps to time 1 at spacing h, of at most the monotone
-    dt = _CFL_SAFETY h^2 / weight (weight: the stencil's off-centre
-    coefficients times h^2); every solve and sweep takes its steps from here.
-    1 / steps <= dt, so every step keeps the scheme monotone. A dt of 1 or
-    more (inf where h^2 / weight overflows) is one step."""
+    """The fewest whole explicit steps to time 1 at spacing h whose step
+    1 / steps is at most the monotone dt = _CFL_SAFETY h^2 / weight (weight:
+    the stencil's off-centre coefficients times h^2), so every step keeps
+    the scheme monotone; every solve and sweep takes its steps from here. A
+    dt of 1 or more (inf where h^2 / weight overflows) is one step."""
     dt = min(_CFL_SAFETY * h * h / max(weight, 1e-300), 1.0)
     _require_finite_positive(h=h, dt=dt)
-    return _step_count(dt)
+    # the tolerance is relative: 1 / (1 / s) can exceed s by more than any
+    # fixed 1e-12 (from s = 23294 on), and an extra step overshoots time 1
+    return max(1, math.ceil((1.0 - 1e-12) / dt))
 
 
-def _advance_diag(u: np.ndarray, intervals, h: float, dt: float, steps: int,
-                  ghosts=(), point: bool = False):
-    """Advance u in place by `steps` explicit steps of du/dt = sum_k Gbar_k(d2u/dx_k^2),
-    interval k acting along axis k; the axes after the last interval are
-    passive batch axes. Plane 0 along each axis in `ghosts` is the ghost of
-    a fold, a point fold when `point` (see _ghost_pairs).
+def _advance_diag(u: np.ndarray, intervals, lam: float, steps: int, ghosts=(),
+                  point: bool = False):
+    """Advance u in place by `steps` explicit steps, at lam = dt / h^2, of
+    du/dt = sum_k Gbar_k(d2u/dx_k^2), interval k acting along axis k; the
+    axes after the last interval are passive batch axes. Plane 0 along each
+    axis in `ghosts` is the ghost of a fold, a point fold when `point` (see
+    _ghost_pairs).
 
     The first passive axis is cut into slabs of at most _SLAB_CELLS cells,
     and each slab runs through all steps before the next (see _advance_slab).
     """
     ivs = list(intervals)
-    lam = dt / (h * h)
     p = len(ivs)
     if p == u.ndim:
         _advance_slab(u, ivs, lam, steps, ghosts, point)
@@ -356,32 +350,27 @@ def _ghost_pairs(buf: np.ndarray, ghosts, point: bool) -> list:
 
 def _advance_slab(u: np.ndarray, ivs, lam: float, steps: int, ghosts=(),
                   point: bool = False):
-    """_advance_diag on one slab (any view), lam = dt/h^2. A C-ordered copy
-    of the slab (unless it is one) is stepped flat and written back after
-    the last step. Along an axis of stride s, g[f] = u[f + s] - u[f] on
+    """_advance_diag on one slab (any view). A C-ordered copy of the slab
+    (unless it is one) is stepped flat and written back after the last
+    step. Along an axis of stride s, g[f] = u[f + s] - u[f] on
     [0, N - s) and d[f] = g[f] - g[f - s] on [s, N - s); d on the axis' end
     faces is junk, overwritten with -0.0. Each ghost plane is overwritten
     from its source before every step."""
     buf = np.ascontiguousarray(u)
     flat = buf.reshape(-1)
     size = flat.size
-    g, raw_d = _aligned(np.empty(size + 7), size), np.empty(size + 7)
-    # a lone axis adds its flux to u straight from d; several sum theirs in
-    # incr, where the first axis works straight: its faces along it lie
-    # outside its slice and keep last step's flux of the later axes unless
-    # cleared. Each axis has its own view of d, aligned at its slice
-    s0 = math.prod(buf.shape[1:])
-    if len(ivs) == 1:
-        incr = None
-        dest, add = flat[s0:size - s0], _aligned(raw_d, size, s0)[s0:size - s0]
-    else:
-        incr = _aligned(np.zeros(size + 7), size, s0)
-        dest, add = flat, incr
+    # the axes sum their flux in incr, where the first axis works straight:
+    # its faces along it lie outside its slice and keep last step's flux of
+    # the later axes unless cleared (a lone axis leaves them 0.0). Each later
+    # axis has its own view of d, aligned at its slice
+    g = _aligned(np.empty(size + 7), size)
+    incr = _aligned(np.zeros(size + 7), size, math.prod(buf.shape[1:]))
+    raw_d = np.empty(size + 7) if len(ivs) > 1 else None
     work = []
     for k, iv in enumerate(ivs):
         s = math.prod(buf.shape[k + 1:])
-        flux = _aligned(raw_d, size, s) if incr is None or k else incr
-        faces = None if incr is None else _faces(flux.reshape(buf.shape), k)
+        flux = _aligned(raw_d, size, s) if k else incr
+        faces = _faces(flux.reshape(buf.shape), k) if k or len(ivs) > 1 else None
         # g is spent once d is formed, so its head holds c_hi d
         mid = slice(s, size - s)
         work.append((flat[s:], flat[:size - s], g[:size - s], g[mid], g[:size - 2 * s],
@@ -408,7 +397,7 @@ def _advance_slab(u: np.ndarray, ivs, lam: float, steps: int, ghosts=(),
                 faces[...] = -0.0
             if incr_mid is not None:
                 np.add(incr_mid, flux, out=incr_mid)
-        np.add(dest, add, out=dest)
+        np.add(flat, incr, out=flat)
     if buf is not u:
         u[...] = buf
 
@@ -480,7 +469,7 @@ def solve_once():
         _MEMO.reset(token)
 
 
-def _diag_centre(u: np.ndarray, ivs, h: float, dt: float, steps: int) -> np.ndarray:
+def _diag_centre(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
     """u(1, 0) of a diagonal solve from the initial data u, stepped in place:
     interval k diffuses along axis k, and later axes are passive rows. A 0-d
     value for a box solve, an array over the passive axes for a sweep.
@@ -495,18 +484,18 @@ def _diag_centre(u: np.ndarray, ivs, h: float, dt: float, steps: int) -> np.ndar
     ivs = [ivs[a] for a in keep]
     memo = _MEMO.get()
     if memo is None:
-        return _diag_step(u, ivs, h, dt, steps)
-    key = (tuple((iv.sigma_low_sq, iv.sigma_high_sq) for iv in ivs), h, dt, steps, u.shape,
+        return _diag_step(u, ivs, lam, steps)
+    key = (tuple((iv.sigma_low_sq, iv.sigma_high_sq) for iv in ivs), lam, steps, u.shape,
            hashlib.blake2b(np.ascontiguousarray(u), digest_size=16).digest())
     if key not in memo:
         # a copy, so that a centre slice does not keep the whole grid alive
-        out = np.array(_diag_step(u, ivs, h, dt, steps))
+        out = np.array(_diag_step(u, ivs, lam, steps))
         out.setflags(write=False)
         memo[key] = out
     return memo[key]
 
 
-def _diag_step(u: np.ndarray, ivs, h: float, dt: float, steps: int) -> np.ndarray:
+def _diag_step(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
     """_diag_centre once no axis of u is constant: fold and step."""
     n = len(ivs)
     # a box is unchanged by flipping any one axis, so the solution keeps each
@@ -527,7 +516,7 @@ def _diag_step(u: np.ndarray, ivs, h: float, dt: float, steps: int) -> np.ndarra
         halves = [n]
     u, centre = _fold(u, ghosts, halves)
     out = _advance_cone(np.ascontiguousarray(u), centre[:n], steps,
-                        lambda v, k: _advance_diag(v, ivs, h, dt, k, ghosts, point))
+                        lambda v, k: _advance_diag(v, ivs, lam, k, ghosts, point))
     for a in halves:
         ax = a - n  # out has no diffusing axes
         rest = out[(slice(None),) * ax + (slice(1, None),)]
@@ -542,10 +531,11 @@ def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float) -> tupl
     other axes; dt used; steps taken).
     """
     steps = _steps(h, iv.sigma_high_sq)
+    dt = 1.0 / steps
     # the one copy puts the swept axis first, so cone views are contiguous
     # blocks and the slabs cut the next axis
     u = np.array(np.moveaxis(u0, -1, 0), dtype=float, order="C")
-    return _diag_centre(u, [iv], h, 1.0 / steps, steps), 1.0 / steps, steps
+    return _diag_centre(u, [iv], dt / (h * h), steps), dt, steps
 
 
 def _eval_initial(phi: TestFunction, grid: GridSpec) -> np.ndarray:
@@ -587,8 +577,12 @@ def _check_growth(phi: TestFunction, mesh, u0: np.ndarray):
     out to the half widths, past the radius that the spot check samples."""
     centre = u0[tuple(n // 2 for n in u0.shape)]
     for a in range(u0.ndim):
-        r = np.sqrt(sum(np.take(m, [0, -1], axis=a) ** 2 for m in mesh))
-        if np.any(phi.breaks_growth(np.abs(np.take(u0, [0, -1], axis=a) - centre), r, 0.0, r)):
+        # at a huge h the radius or the difference may overflow to inf,
+        # without numpy's warnings; an infinite bound is never broken
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.sqrt(sum(np.take(m, [0, -1], axis=a) ** 2 for m in mesh))
+            diff = np.abs(np.take(u0, [0, -1], axis=a) - centre)
+        if np.any(phi.breaks_growth(diff, r, 0.0, r)):
             raise GExpectError(f"{phi.name or 'phi'} breaks its declared growth bound (order "
                                f"{phi.growth_order}, constant {phi.growth_const:g}) on the grid's "
                                f"end faces along axis {a}; declare a larger order or constant")
@@ -647,19 +641,19 @@ def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, *,
         raise DimensionMismatch(f"phi takes {phi.arity} arguments but the box has dimension {n}")
     return _solve(
         phi, cfg, [iv.sigma_high_sq for iv in box.intervals],
-        lambda u, g: (_diag_centre(u, box.intervals, g.h, g.dt, g.steps), g.steps),
+        lambda u, g: (_diag_centre(u, box.intervals, g.lam, g.steps), g.steps),
         lambda c: solve_gheat_diag(box, phi, cfg=c).value,
     )
 
 
-def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int, point: bool = False):
-    """Advance the 2D array u in place by `steps` explicit steps of the flux max
-    over the hull generators (upwinded 9-point cross stencil); boundary nodes
-    stay fixed. Stepped flat as _advance_slab is: each op is one slice of
-    the interior rows, whose flux on the second axis' end faces is junk,
-    overwritten with -0.0, so the faces keep their bits. With `point`, row 0
-    is the ghost of a point fold, overwritten from row 2 reversed before
-    every step."""
+def _advance_hull(u: np.ndarray, gens, lam: float, steps: int, point: bool = False):
+    """Advance the 2D array u in place by `steps` explicit steps, at lam =
+    dt / h^2, of the flux max over the hull generators (upwinded 9-point
+    cross stencil); boundary nodes stay fixed. Stepped flat as _advance_slab
+    is: each op is one slice of the interior rows, whose flux on the second
+    axis' end faces is junk, overwritten with -0.0, so the faces keep their
+    bits. With `point`, row 0 is the ghost of a point fold, overwritten from
+    row 2 reversed before every step."""
     if min(u.shape) < 3:
         return  # every node is a boundary node
     buf = np.ascontiguousarray(u)
@@ -690,7 +684,6 @@ def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int, point: b
     # M[f - 1] + M[f - n1] those with b01 < 0; both are 2 h^2 u_xy + O(h^4)
     plus = work() if any(b[0, 1] >= 0 for b in gens) else None
     minus = work() if any(b[0, 1] < 0 for b in gens) else None
-    lam = dt / (h * h)
     coeffs = [(lam * (0.5 * b[0, 0]), lam * (0.5 * b[1, 1]), lam * (0.5 * b[0, 1]),
                plus if b[0, 1] >= 0 else minus) for b in gens]
     ops = [(flat[n1:size - 1], flat[:size - o], g[:size - o]), (at(g), at(g, -n1), dxx),
@@ -722,15 +715,15 @@ def _advance_hull(u: np.ndarray, gens, h: float, dt: float, steps: int, point: b
         u[...] = buf
 
 
-def _hull_centre(u: np.ndarray, gens, g: GridSpec) -> float:
+def _hull_centre(u: np.ndarray, gens, lam: float, steps: int) -> float:
     """u(1, 0) of a hull solve from the initial data u, stepped in place.
 
     A hull is unchanged by x -> -x but not by flipping one axis, so only
     the point reflection folds."""
     point = u.size > _CONE_CELLS and _even(u)
     u, centre = _fold(u, [0] if point else [])
-    return float(_advance_cone(u, centre, g.steps,
-                               lambda v, k: _advance_hull(v, gens, g.h, g.dt, k, point)))
+    return float(_advance_cone(u, centre, steps,
+                               lambda v, k: _advance_hull(v, gens, lam, k, point)))
 
 
 def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, *,
@@ -749,7 +742,7 @@ def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, *,
             )
     return _solve(
         phi, cfg, [max(b[i, i] for b in gens) for i in range(2)],
-        lambda u, g: (_hull_centre(u, gens, g), g.steps),
+        lambda u, g: (_hull_centre(u, gens, g.lam, g.steps), g.steps),
         lambda c: solve_gheat_hull(hull, phi, cfg=c).value,
         # the stencil weight of the widest generator
         cfl_denominator=max(float(np.abs(b).sum()) for b in gens),

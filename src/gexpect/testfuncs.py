@@ -54,9 +54,11 @@ class TestFunction:
 
     def breaks_growth(self, diff, nx, ny, dist) -> np.ndarray:
         """Where diff = |phi(x) - phi(y)| exceeds the declared bound, given
-        |x|, |y| and |x - y|; a relative 1e-9 is left for rounding."""
-        bound = self.growth_const * (1 + nx**self.growth_order + ny**self.growth_order) * dist
-        return diff > bound * (1 + 1e-9) + 1e-12
+        |x|, |y| and |x - y|; a relative 1e-9 is left for rounding. A bound
+        that overflows is inf (or nan at inf * 0), which nothing breaks."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = self.growth_const * (1 + nx**self.growth_order + ny**self.growth_order) * dist
+            return diff > bound * (1 + 1e-9) + 1e-12
 
     def _values_at(self, pts) -> np.ndarray:
         """The values at the rows of pts, one per point; a scalar broadcasts."""

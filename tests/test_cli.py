@@ -396,7 +396,10 @@ def test_an_interval_a_scenario_refuses_exits_2_before_any_step(flags, message, 
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--scenario", "quadratic-form", "--h", "1e200"], "h=1e+200 is too coarse: h * h overflows"),
+    (["--scenario", "quadratic-form", "--h", "1e200"],
+     "h=1e+200 is too coarse: 4h * 4h overflows, and refinement re-solves at 4h"),
+    (["--scenario", "diag-not-indep", "--h", "1e154"],
+     "h=1e+154 is too coarse: 4h * 4h overflows, and refinement re-solves at 4h"),
     (["--scenario", "symmetry-identity", "--alpha", "1e308"], "variance bounds must be finite"),
     (["--scenario", "all", "--sigma-high-sq", "1e308"], "variance bounds must be finite"),
     (["--scenario", "linear-image", "--sigma-high-sq", "1e308", "--alpha", "1"],
@@ -405,7 +408,7 @@ def test_an_interval_a_scenario_refuses_exits_2_before_any_step(flags, message, 
      "the variances' stencil weight overflows; use smaller variances"),
     (["--scenario", "asymmetric-independence", "--sigma-high-sq", "1e308", "--alpha", "1"],
      "the grid's tail bound overflows; use smaller variances"),
-], ids=["huge-h", "alpha", "sigma", "image-sigma", "weight", "tail"])
+], ids=["huge-h", "huge-4h", "alpha", "sigma", "image-sigma", "weight", "tail"])
 def test_a_value_the_solver_refuses_exits_2_before_phi_is_evaluated(flags, message, stepped,
                                                                      evaluated, capsys):
     assert main(["run", *flags]) == 2
@@ -421,6 +424,14 @@ def test_failed_assertion_exits_1(capsys, monkeypatch):
     assert main(["run", "--scenario", "asymmetric-independence", "--h", "0.25",
                  "--tol", "1e4"]) == 1
     assert "FAIL earlier-linear moment: strictly positive" in capsys.readouterr().out
+
+
+def test_a_huge_h_prints_only_the_error_line(capsys):
+    # at h = 1e153 the growth bound of a solve's end faces overflows, and a
+    # later solve's initial data is not finite
+    assert main(["run", "--scenario", "diag-not-indep", "--h", "1e153"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: initial data evaluates to non-finite values on the grid\n"
 
 
 @pytest.mark.parametrize("scenario", ["invertible-scan", "quadratic-form"])

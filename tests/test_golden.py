@@ -1,4 +1,4 @@
-"""Golden safety net: two fixed CLI reports and eight pinned solves.
+"""Golden safety net: two fixed CLI reports and ten pinned solves.
 
 The golden CSVs were written by ``gexpect run``: one with GOLDEN_ARGV
 below, which covers nested solves and 2D box solves at h = 0.25, and one
@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gexpect import pde
 from gexpect.cli import main
 from gexpect.expectation import expect_gnormal, expect_sequential
 from gexpect.gamma import ConvexHull, DiagonalBox, RankOneFamily, UncertaintyInterval
@@ -77,6 +78,8 @@ ABS_SUM = TestFunction(lambda x, y: np.abs(x + y), arity=2, growth_order=1, grow
                        name="|x+y|")
 X2_0Y = TestFunction(lambda x, y: x**2 + 0.0 * y, arity=2, growth_order=1, growth_const=6.0,
                      name="x^2+0y")
+X2_KINK = TestFunction(lambda x, y: x**2 * np.maximum(y - 0.3, 0.0), arity=2, growth_order=2,
+                       growth_const=8.0, name="x^2(y-0.3)^+")
 QUAD_3 = TestFunction(lambda x, y, z: x**2 + (y - 0.5) ** 2 + z**2, arity=3, growth_order=1,
                       growth_const=12.0, name="x^2+(y-1/2)^2+z^2")
 
@@ -102,8 +105,35 @@ QUAD_3 = TestFunction(lambda x, y, z: x**2 + (y - 0.5) ** 2 + z**2, arity=3, gro
     # 65^3 nodes: the first sweep folds its swept axis and x, and cuts slabs
     (lambda: expect_sequential((UncertaintyInterval(0.5, 1.0),) * 3, QUAD_3, cfg=COARSE),
      (3.250000000000002, 4.559099597673904e-12, 3.1086244689504383e-15, 120)),
+    # sweeps along y that step half the passive x rows: the rows of x^2 (y - 0.3)^+
+    # are even in x, those of |x + y| under x -> -x only (see the test below)
+    (lambda: expect_sequential((IV, IV), X2_KINK, cfg=COARSE),
+     (2.627596720855791, 5.876172814779698e-11, 0.013651488502834486, 320)),
+    (lambda: expect_sequential((IV, IV), ABS_SUM, cfg=COARSE),
+     (2.25676025650592, 9.118199195347805e-13, 0.0039741495976155505, 320)),
 ], ids=["box", "hull", "sequential", "rank-one", "box-point-fold", "hull-point-fold",
-        "box-constant-axis", "sequential-3d-slabs"])
+        "box-constant-axis", "sequential-3d-slabs", "sequential-halves", "sequential-mirrored"])
 def test_pinned_solve_reports(solve, pinned):
     rep = solve()
     assert (rep.value, rep.tail_bound, rep.refinement_delta, rep.steps_taken) == pinned
+
+
+@pytest.mark.parametrize("phi, fold", [(X2_KINK, "halves"), (ABS_SUM, "mirrored")])
+def test_pinned_sweeps_fold_their_passive_rows(phi, fold, monkeypatch):
+    # the 2D sweeps of the h and 2h grids fold; the 4h grid and the 1D
+    # sweeps have at most _CONE_CELLS cells, and are stepped whole
+    kinds = []
+    cut = pde._fold
+
+    def spy(u, ghosts, halves=()):
+        if u.size <= pde._CONE_CELLS:
+            kinds.append("small")
+        elif halves:
+            kinds.append("halves" if pde._even(u, halves[0]) else "mirrored")
+        else:
+            kinds.append("whole")
+        return cut(u, ghosts, halves)
+
+    monkeypatch.setattr(pde, "_fold", spy)
+    expect_sequential((IV, IV), phi, cfg=COARSE)
+    assert sorted(kinds) == [fold] * 2 + ["small"] * 4

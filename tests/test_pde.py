@@ -22,30 +22,19 @@ FAST = SolverConfig(h=0.2, refine=False)
 
 class TestGridSpec:
     def test_axis_centered_at_zero(self):
-        g = GridSpec(half_width=(2.0,), h=0.25, dt=0.01)
+        g = GridSpec(half_width=(2.0,), h=0.25, steps=100)
         ax = g.axis(0)
         assert ax.size == 17
         assert ax[(ax.size - 1) // 2] == 0.0
 
-    def test_half_width_multiple_of_h(self):
-        with pytest.raises(ValueError, match="multiple"):
-            GridSpec(half_width=(2.1,), h=0.25, dt=0.01)
-        with pytest.raises(ValueError, match="multiple"):
-            # fewer than 8 cells per side
-            GridSpec(half_width=(1.0,), h=0.25, dt=0.01)
-
-    def test_steps_cover_horizon(self):
-        g = GridSpec(half_width=(2.0,), h=0.25, dt=0.3)
-        assert g.steps == 4
-
     def test_steps_of_a_derived_dt_reach_time_one(self):
-        # 1 / (1 / s) exceeds s by more than 1e-12 for these s; s + 1 steps
-        # of 1 / s would overshoot time 1 (a 1D x^2 solve at h = 0.020661
-        # would return 4.00017 for 4)
-        for s in (23294, 23427, 10**6):
-            assert pde._step_count(1.0 / s) == s
+        # one step more than the fewest whose step is at most the monotone
+        # dt would overshoot time 1 (a 1D x^2 solve at h = 0.020661 returned
+        # 4.00017 for 4 when it took one)
         g = build_grid([4.0], SQUARE, SolverConfig(h=0.020661))
-        assert g.steps * g.dt == pytest.approx(1.0, rel=1e-12)
+        dt = 0.4 * g.h * g.h / 4.0
+        assert g.steps == 23426
+        assert 1.0 / g.steps <= dt < 1.0 / (g.steps - 1)
 
 
 BAD_VALUES = [math.nan, math.inf, -math.inf, 0.0]
@@ -64,17 +53,15 @@ def test_solver_config_rejects_non_finite(name, bad):
 def test_solver_config_rejects_an_h_whose_square_overflows(h):
     # the time step scales with h * h
     with pytest.raises(ValueError, match=r"h \* h overflows"):
-        SolverConfig(h=h)
-    assert SolverConfig(h=1.3e154).h == 1.3e154
+        SolverConfig(h=h, refine=False)
+    assert SolverConfig(h=1.3e154, refine=False).h == 1.3e154
 
 
-@pytest.mark.parametrize("bad", BAD_VALUES)
-@pytest.mark.parametrize("name", ["h", "dt", "half_width"])
-def test_grid_spec_rejects_non_finite(name, bad):
-    kwargs = dict(half_width=(2.0,), h=0.25, dt=0.01)
-    kwargs[name] = (bad,) if name == "half_width" else bad
-    with pytest.raises(ValueError):
-        GridSpec(**kwargs)
+def test_refinement_refuses_an_h_whose_4h_square_overflows():
+    # the re-solves run at 2h and 4h; with refinement off h alone is solved
+    with pytest.raises(ValueError, match=r"h=1e\+154 is too coarse: 4h \* 4h overflows"):
+        SolverConfig(h=1e154)
+    assert SolverConfig(h=1e154, refine=False).h == 1e154
 
 
 # 1e-200: h * h, and so the time step, underflows to 0
@@ -96,7 +83,7 @@ class TestBuildGrid:
     def test_domain_covers_tails(self):
         g = build_grid([4.0], SQUARE, SolverConfig())
         assert g.half_width[0] >= 8.0 * 2.0  # 8 sigma_high
-        assert g.dt <= 0.4 * g.h * g.h / 4.0 + 1e-15
+        assert 1.0 / g.steps <= 0.4 * g.h * g.h / 4.0 + 1e-15
 
     def test_overrides_respected(self):
         g = build_grid([4.0], SQUARE, SolverConfig(h=0.5))
@@ -214,7 +201,7 @@ class TestSolveDiag:
 
 def _one_step(u, h, dt):
     out = u.copy()
-    pde._advance_diag(out, [IV], h, dt, 1)
+    pde._advance_diag(out, [IV], dt / (h * h), 1)
     return out
 
 
@@ -425,7 +412,7 @@ class TestKernelEquivalence:
         u0 = _rough(shape, len(shape))
         want = _ref_run_diag(u0, ivs, h, dt, 25, range(len(shape)))
         got = u0.copy()
-        pde._advance_diag(got, ivs, h, dt, 25)
+        pde._advance_diag(got, ivs, dt / (h * h), 25)
         assert _same_bits(got, want)
 
     def test_advance_diag_batch_axis(self):
@@ -434,7 +421,7 @@ class TestKernelEquivalence:
         h, dt = 0.25, 0.4 * 0.25**2 / 6.0
         want = _ref_run_diag(u0, ivs, h, dt, 1, (1, 2))
         got = u0.copy()
-        pde._advance_diag(np.moveaxis(got, (1, 2), (0, 1)), ivs, h, dt, 1)
+        pde._advance_diag(np.moveaxis(got, (1, 2), (0, 1)), ivs, dt / (h * h), 1)
         assert _same_bits(got, want)
 
     def test_diffuse_last_axis_transposed_input(self):
@@ -482,7 +469,7 @@ class TestKernelEquivalence:
         h, dt = 0.25, 0.4 * 0.25**2 / 6.0
         for steps in (1, 20):
             got = u0.copy()
-            pde._advance_diag(np.moveaxis(got, (2, 3), (0, 1)), ivs, h, dt, steps)
+            pde._advance_diag(np.moveaxis(got, (2, 3), (0, 1)), ivs, dt / (h * h), steps)
             assert _same_bits(got, _ref_run_diag(u0, ivs, h, dt, steps, (2, 3)))
 
     def test_hull_both_cross_signs(self):
@@ -492,7 +479,7 @@ class TestKernelEquivalence:
         dt = 0.4 * h * h / max(float(np.abs(b).sum()) for b in gens)
         u0 = _rough((27, 33), 5)
         got = u0.copy()
-        pde._advance_hull(got, gens, h, dt, 30)
+        pde._advance_hull(got, gens, dt / (h * h), 30)
         assert _same_bits(got, _ref_run_hull(u0, gens, h, dt, 30))
 
 
@@ -557,7 +544,7 @@ class TestFlatKernels:
         dt = _box_dt(ivs, h)
         u0 = _rough(shape, 41)
         got = u0.copy()
-        pde._advance_diag(got, ivs, h, dt, 17)
+        pde._advance_diag(got, ivs, dt / (h * h), 17)
         assert _same_bits(got, _ref_run_diag(u0, ivs, h, dt, 17, range(len(shape))))
 
     @pytest.mark.parametrize("axes", [(1,), (2,), (1, 2), (2, 1), (2, 0)])
@@ -567,7 +554,7 @@ class TestFlatKernels:
         h = 0.25
         dt = _box_dt(ivs, h)
         got = u0.copy()
-        pde._advance_diag(np.moveaxis(got, axes, range(len(axes))), ivs, h, dt, 15)
+        pde._advance_diag(np.moveaxis(got, axes, range(len(axes))), ivs, dt / (h * h), 15)
         assert _same_bits(got, _ref_run_diag(u0, ivs, h, dt, 15, axes))
 
     @pytest.mark.parametrize("shape", [(9, 14), (14, 9), (3, 7), (7, 3)])
@@ -578,7 +565,7 @@ class TestFlatKernels:
         dt = _hull_dt(gens, h)
         u0 = _rough(shape, 47)
         got = u0.copy()
-        pde._advance_hull(got, gens, h, dt, 12)
+        pde._advance_hull(got, gens, dt / (h * h), 12)
         assert _same_bits(got, _ref_run_hull(u0, gens, h, dt, 12))
 
     @pytest.mark.parametrize("kind", ["rough", "sparse"])
@@ -591,7 +578,7 @@ class TestFlatKernels:
         u0 = _signed_zeros(shape, 53, kind)
         for steps in (1, 9):
             got = u0.copy()
-            pde._advance_diag(np.moveaxis(got, axes, range(len(axes))), ivs, h, dt, steps)
+            pde._advance_diag(np.moveaxis(got, axes, range(len(axes))), ivs, dt / (h * h), steps)
             assert _same_bits(got, _ref_run_diag(u0, ivs, h, dt, steps, axes))
 
     @pytest.mark.parametrize("kind", ["rough", "sparse"])
@@ -600,7 +587,7 @@ class TestFlatKernels:
         dt = _hull_dt(HULL_GENS, h)
         u0 = _signed_zeros((12, 17), 59, kind)
         got = u0.copy()
-        pde._advance_hull(got, HULL_GENS, h, dt, 10)
+        pde._advance_hull(got, HULL_GENS, dt / (h * h), 10)
         assert _same_bits(got, _ref_run_hull(u0, HULL_GENS, h, dt, 10))
         # the fixed faces keep their -0.0
         assert np.signbit(got[[0, -1]]).all() and np.signbit(got[:, [0, -1]]).all()
@@ -627,7 +614,7 @@ class TestViews:
         h = 0.2
         dt = _box_dt(ivs, h)
         view0, got = self._step_view(_rough((20, 25), 61), cut,
-                                     lambda v: pde._advance_diag(v, ivs, h, dt, 9))
+                                     lambda v: pde._advance_diag(v, ivs, dt / (h * h), 9))
         assert _same_bits(got, _ref_run_diag(view0, ivs, h, dt, 9, (0, 1)))
 
     def test_slabbed_view(self, monkeypatch):
@@ -638,7 +625,7 @@ class TestViews:
         dt = _box_dt(ivs, h)
         view0, got = self._step_view(_rough((8, 30, 12), 67), np.s_[1:7, 2:27, 3:11],
                                      lambda v: pde._advance_diag(np.moveaxis(v, (0, 2), (0, 1)),
-                                                                ivs, h, dt, 11))
+                                                                ivs, dt / (h * h), 11))
         assert _same_bits(got, _ref_run_diag(view0, ivs, h, dt, 11, (0, 2)))
 
     @pytest.mark.parametrize("cut", CUTS.values(), ids=CUTS.keys())
@@ -646,7 +633,7 @@ class TestViews:
         h = 0.2
         dt = _hull_dt(HULL_GENS, h)
         view0, got = self._step_view(_rough((20, 25), 71), cut,
-                                     lambda v: pde._advance_hull(v, HULL_GENS, h, dt, 9))
+                                     lambda v: pde._advance_hull(v, HULL_GENS, dt / (h * h), 9))
         assert _same_bits(got, _ref_run_hull(view0, HULL_GENS, h, dt, 9))
         for face in (np.s_[[0, -1], :], np.s_[:, [0, -1]]):
             assert _same_bits(got[face], view0[face])
@@ -661,15 +648,11 @@ def _centre(u):
     return u[tuple(n // 2 for n in u.shape)]
 
 
-def _grid(h, dt, steps):
-    return SimpleNamespace(h=h, dt=dt, steps=steps)
-
-
 def _sweep(u0, iv, steps):
     # diffuse_last_axis at h = 1 stepped `steps` times: the diagonal driver
     # on the C-ordered copy with the swept axis moved to the front
     u = np.array(np.moveaxis(u0, -1, 0), dtype=float, order="C")
-    return pde._diag_centre(u, [iv], 1.0, 1.0 / steps, steps)
+    return pde._diag_centre(u, [iv], 1.0 / steps, steps)
 
 
 class TestCone:
@@ -689,7 +672,7 @@ class TestCone:
         steps = max(shape) // 2 + extra
         u0 = _rough(shape, len(shape))
         want = _centre(_ref_run_diag(u0, ivs, h, dt, steps, range(len(shape))))
-        got = pde._diag_centre(u0.copy(), ivs, h, dt, steps)
+        got = pde._diag_centre(u0.copy(), ivs, dt / (h * h), steps)
         assert _same_bits(np.float64(got), want)
 
     @pytest.mark.parametrize("steps", [9, 13, 16, 22])  # half widths 13 and 16
@@ -698,7 +681,7 @@ class TestCone:
         h = 0.2
         dt = 0.4 * h * h / max(float(np.abs(b).sum()) for b in gens)
         u0 = _rough((27, 33), 5)
-        got = pde._hull_centre(u0.copy(), gens, _grid(h, dt, steps))
+        got = pde._hull_centre(u0.copy(), gens, dt / (h * h), steps)
         assert _same_bits(np.float64(got), _centre(_ref_run_hull(u0, gens, h, dt, steps)))
 
     @pytest.mark.parametrize("steps", [6, 10, 15])  # half width 10 along the swept axis
@@ -719,7 +702,7 @@ def test_slabs_cut_a_non_leading_passive_axis(axes):
     h = 0.25
     dt = 0.4 * h * h / sum(iv.sigma_high_sq for iv in ivs)
     got = u0.copy()
-    pde._advance_diag(np.moveaxis(got, axes, range(len(axes))), ivs, h, dt, 12)
+    pde._advance_diag(np.moveaxis(got, axes, range(len(axes))), ivs, dt / (h * h), 12)
     assert _same_bits(got, _ref_run_diag(u0, ivs, h, dt, 12, axes))
 
 
@@ -744,7 +727,7 @@ class TestConstantAxes:
         cfg = SolverConfig(h=0.4, refine=False)
         grid = build_grid([iv.sigma_high_sq for iv in box.intervals], phi, cfg)
         u = pde._eval_initial(phi, grid)
-        pde._advance_diag(u, box.intervals, grid.h, grid.dt, grid.steps)
+        pde._advance_diag(u, box.intervals, grid.lam, grid.steps)
         rep = solve_gheat_diag(box, phi, cfg=cfg)
         assert _same_bits(np.float64(rep.value), _centre(u))
         assert rep.steps_taken == grid.steps
@@ -766,7 +749,7 @@ def test_initial_data_mesh_is_read_only():
     phi = TestFunction(shift_in_place, arity=2, growth_order=2, growth_const=4.0, name="")
     with pytest.raises(ValueError, match="read-only"):
         solve_gheat_diag(DiagonalBox((IV, IV)), phi, cfg=FAST)
-    grid = GridSpec(half_width=(2.0, 3.0), h=0.25, dt=0.01)
+    grid = GridSpec(half_width=(2.0, 3.0), h=0.25, steps=100)
     u0 = pde._eval_initial(XY, grid)
     x, y = np.meshgrid(grid.axis(0), grid.axis(1), indexing="ij")
     assert u0.flags.c_contiguous and u0.flags.writeable
@@ -775,7 +758,7 @@ def test_initial_data_mesh_is_read_only():
 
 # phi is evaluated on an open mesh, a slab of rows of axis 0 at a time: on a
 # 67^3 grid, slabs of 14, 14, 14, 14 and 11 rows
-GRID_67 = GridSpec(half_width=(6.6,) * 3, h=0.2, dt=0.01)
+GRID_67 = GridSpec(half_width=(6.6,) * 3, h=0.2, steps=100)
 PULLED = linear_pullback(
     _fn(lambda x, y, z: x * x + 0.5 * x * y - y * z + 0.25 * z * z, 3),
     np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]))
@@ -848,15 +831,15 @@ def folds(monkeypatch):
     seen, shapes = set(), []
     diag, hull = pde._advance_diag, pde._advance_hull
 
-    def spy_diag(u, ivs, h, dt, steps, ghosts=(), point=False):
+    def spy_diag(u, ivs, lam, steps, ghosts=(), point=False):
         seen.add((tuple(ghosts), point))
         shapes.append(u.shape)
-        diag(u, ivs, h, dt, steps, ghosts, point)
+        diag(u, ivs, lam, steps, ghosts, point)
 
-    def spy_hull(u, gens, h, dt, steps, point=False):
+    def spy_hull(u, gens, lam, steps, point=False):
         seen.add(((0,) if point else (), point))
         shapes.append(u.shape)
-        hull(u, gens, h, dt, steps, point)
+        hull(u, gens, lam, steps, point)
 
     monkeypatch.setattr(pde, "_advance_diag", spy_diag)
     monkeypatch.setattr(pde, "_advance_hull", spy_hull)
@@ -881,7 +864,7 @@ class TestFolds:
             u0 = _made_even(u0, a)
         assert u0.size > pde._CONE_CELLS
         want = _centre(_ref_run_diag(u0, ivs, h, dt, steps, range(len(shape))))
-        got = pde._diag_centre(u0.copy(), ivs, h, dt, steps)
+        got = pde._diag_centre(u0.copy(), ivs, dt / (h * h), steps)
         assert _same_bits(np.float64(got), want)
         assert folds.seen == {(tuple(even), False)}
 
@@ -897,7 +880,7 @@ class TestFolds:
         u0 = _made_even(_rough(shape, 89)) + sign * 5.0 * cross
         assert not any(np.array_equal(u0, np.flip(u0, a)) for a in range(len(shape)))
         want = _centre(_ref_run_diag(u0, ivs, h, dt, steps, range(len(shape))))
-        got = pde._diag_centre(u0.copy(), ivs, h, dt, steps)
+        got = pde._diag_centre(u0.copy(), ivs, dt / (h * h), steps)
         assert _same_bits(np.float64(got), want)
         assert folds.seen == {((0,), True)}
 
@@ -910,7 +893,7 @@ class TestFolds:
         dt = _hull_dt(gens, h)
         u0 = _made_even(_rough((67, 71), 97)) + sign * 5.0 * _xy((67, 71), h)
         want = _centre(_ref_run_hull(u0, gens, h, dt, steps))
-        got = pde._hull_centre(u0.copy(), gens, _grid(h, dt, steps))
+        got = pde._hull_centre(u0.copy(), gens, dt / (h * h), steps)
         assert _same_bits(np.float64(got), want)
         assert folds.seen == {((0,), True)}
 
@@ -921,7 +904,7 @@ class TestFolds:
         dt = _hull_dt(HULL_GENS, h)
         u0 = _made_even(_rough((67, 71), 101), 1)
         want = _centre(_ref_run_hull(u0, HULL_GENS, h, dt, 30))
-        got = pde._hull_centre(u0.copy(), HULL_GENS, _grid(h, dt, 30))
+        got = pde._hull_centre(u0.copy(), HULL_GENS, dt / (h * h), 30)
         assert _same_bits(np.float64(got), want)
         assert folds.seen == {((), False)}
 
@@ -1003,12 +986,12 @@ class TestFolds:
         h = 0.2
         if kind == "hull":
             dt = _hull_dt(HULL_GENS, h)
-            got = pde._hull_centre(u0.copy(), HULL_GENS, _grid(h, dt, 30))
+            got = pde._hull_centre(u0.copy(), HULL_GENS, dt / (h * h), 30)
             want = _centre(_ref_run_hull(u0, HULL_GENS, h, dt, 30))
         elif kind == "box":
             ivs = KERNEL_IVS[:u0.ndim]
             dt = _box_dt(ivs, h)
-            got = pde._diag_centre(u0.copy(), ivs, h, dt, 30)
+            got = pde._diag_centre(u0.copy(), ivs, dt / (h * h), 30)
             want = _centre(_ref_run_diag(u0, ivs, h, dt, 30, range(u0.ndim)))
         else:
             got = _sweep(u0, KERNEL_IVS[0], 30)
@@ -1055,14 +1038,14 @@ def test_folds_return_the_unfolded_bits(solver, even, seen, folds, monkeypatch):
         want = _centre(_ref_run_hull(u0, HULL_GENS, h, dt, steps))
 
         def solve():
-            return pde._hull_centre(u0.copy(), HULL_GENS, _grid(h, dt, steps))
+            return pde._hull_centre(u0.copy(), HULL_GENS, dt / (h * h), steps)
     else:
         ivs = KERNEL_IVS[:2]
         dt = _box_dt(ivs, h)
         want = _centre(_ref_run_diag(u0, ivs, h, dt, steps, (0, 1)))
 
         def solve():
-            return pde._diag_centre(u0.copy(), ivs, h, dt, steps)
+            return pde._diag_centre(u0.copy(), ivs, dt / (h * h), steps)
     folded = solve()
     assert folds.seen == {seen}
     monkeypatch.setattr(pde, "_CONE_CELLS", u0.size)
@@ -1085,9 +1068,9 @@ def test_even_data_stays_even(kind, flips):
     ivs = KERNEL_IVS[:len(shape)]
     for _ in range(20):
         if kind == "hull":
-            pde._advance_hull(u, HULL_GENS, 0.2, _hull_dt(HULL_GENS, 0.2), 1)
+            pde._advance_hull(u, HULL_GENS, _hull_dt(HULL_GENS, 0.2) / (0.2 * 0.2), 1)
         else:
-            pde._advance_diag(u, ivs, 0.2, _box_dt(ivs, 0.2), 1)
+            pde._advance_diag(u, ivs, _box_dt(ivs, 0.2) / (0.2 * 0.2), 1)
         assert _same_bits(u, np.flip(u, flips))
 
 
@@ -1121,7 +1104,7 @@ class TestGhostKernels:
         half = np.ascontiguousarray(half)
         for a in ghosts:
             half[(slice(None),) * a + (0,)] = np.nan
-        pde._advance_diag(half, ivs, h, dt, 12, ghosts, point)
+        pde._advance_diag(half, ivs, dt / (h * h), 12, ghosts, point)
         inner = tuple(slice(1, None) if a in ghosts else slice(None) for a in range(2))
         assert _same_bits(half[inner], pde._fold(want, ghosts)[0][inner])
 
@@ -1132,7 +1115,7 @@ class TestGhostKernels:
         want = _ref_run_hull(u0, HULL_GENS, h, dt, 12)
         half = np.ascontiguousarray(u0[9:])
         half[0] = np.nan
-        pde._advance_hull(half, HULL_GENS, h, dt, 12, point=True)
+        pde._advance_hull(half, HULL_GENS, dt / (h * h), 12, point=True)
         assert _same_bits(half[1:], want[10:])
 
 
@@ -1161,12 +1144,12 @@ class TestSolveOnce:
 
     def test_a_repeat_is_served_the_same_bits_unstepped(self, stepped):
         u0 = _rough((21, 7), 41)
-        dt = _box_dt(KERNEL_IVS[:1], 0.2)
-        plain = pde._diag_centre(u0.copy(), KERNEL_IVS[:1], 0.2, dt, 12)
+        lam = _box_dt(KERNEL_IVS[:1], 0.2) / (0.2 * 0.2)
+        plain = pde._diag_centre(u0.copy(), KERNEL_IVS[:1], lam, 12)
         with pde.solve_once():
-            first = pde._diag_centre(u0.copy(), KERNEL_IVS[:1], 0.2, dt, 12)
+            first = pde._diag_centre(u0.copy(), KERNEL_IVS[:1], lam, 12)
             once = stepped.calls
-            again = pde._diag_centre(u0.copy(), KERNEL_IVS[:1], 0.2, dt, 12)
+            again = pde._diag_centre(u0.copy(), KERNEL_IVS[:1], lam, 12)
             assert stepped.calls == once
         assert _same_bits(first, plain) and _same_bits(again, plain)
         assert not again.flags.writeable
@@ -1176,11 +1159,11 @@ class TestSolveOnce:
         # x^2 on a 2D box with a constant second axis is the 1D problem
         x = 0.2 * np.arange(-10, 11)
         ivs = [IV, IV]
-        dt = _box_dt(ivs, 0.2)
+        lam = _box_dt(ivs, 0.2) / (0.2 * 0.2)
         with pde.solve_once():
-            one = pde._diag_centre((x * x)[:, None] + np.zeros(15), ivs, 0.2, dt, 30)
+            one = pde._diag_centre((x * x)[:, None] + np.zeros(15), ivs, lam, 30)
             once = stepped.calls
-            two = pde._diag_centre(np.zeros(15)[:, None] + (x * x)[None, :], ivs, 0.2, dt, 30)
+            two = pde._diag_centre(np.zeros(15)[:, None] + (x * x)[None, :], ivs, lam, 30)
             assert stepped.calls == once
         assert one == two
 
@@ -1190,7 +1173,7 @@ class TestSolveOnce:
         ivs = [UncertaintyInterval(1.0, 2.0)]
         h, dt, steps = 0.2, _box_dt([UncertaintyInterval(1.0, 4.0)], 0.2), 10
         with pde.solve_once():
-            pde._diag_centre(u0.copy(), ivs, h, dt, steps)
+            pde._diag_centre(u0.copy(), ivs, dt / (h * h), steps)
             once = stepped.calls
             u = u0.copy()
             if change == "ulp":
@@ -1199,6 +1182,6 @@ class TestSolveOnce:
                 h = np.nextafter(h, np.inf)
             else:
                 ivs = [replace(ivs[0], **{change: 1.5})]
-            pde._diag_centre(u, ivs, h, dt, steps)
+            pde._diag_centre(u, ivs, dt / (h * h), steps)
             assert stepped.calls > once
             assert len(pde._MEMO.get()) == 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from gexpect.errors import GExpectError
 from gexpect.expectation import expect_gnormal
 from gexpect.gamma import (ConvexHull, DiagonalBox, Interval1D,
                            UncertaintyInterval, g_function, gbar, image_gamma,
@@ -81,7 +82,7 @@ def test_advance_diag_monotone_constant_translation(seed, shift):
 
     def step(w):
         out = w.copy()
-        pde._advance_diag(out, [iv], h, dt, 1)
+        pde._advance_diag(out, [iv], dt / (h * h), 1)
         return out
 
     u = rng.standard_normal(33)
@@ -90,6 +91,34 @@ def test_advance_diag_monotone_constant_translation(seed, shift):
     assert np.all(sv >= su - 1e-12)  # monotone
     shifted = step(u + shift)
     assert np.allclose(shifted, su + shift)  # constants pass through
+
+
+@given(sig_sqs=st.lists(st.just(0.0) | st.floats(1e-4, 16.0), min_size=1,
+                        max_size=3).filter(any),
+       h=st.none() | st.floats(0.05, 4.0), order=st.integers(0, 4),
+       const=st.floats(0.01, 100.0), nested=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_build_grid_invariants(sig_sqs, h, order, const, nested):
+    # the grid build_grid derives: half widths whole numbers >= 8 of h, odd
+    # axes centred on 0.0, and the fewest steps whose step 1 / steps is at
+    # most the monotone 0.4 h^2 / w (within rounding), w the stencil weight
+    phi = TestFunction(lambda *c: 0.0 * c[0], arity=len(sig_sqs), growth_order=order,
+                       growth_const=const)
+    weight = max(sig_sqs) if nested else None
+    try:
+        g = pde.build_grid(sig_sqs, phi, SolverConfig(h=h), weight)
+    except GExpectError as e:
+        assert "budget" in str(e)
+        assume(False)
+    assert g.dims == len(sig_sqs)
+    for i, L in enumerate(g.half_width):
+        cells = L / g.h
+        assert abs(cells - round(cells)) <= 1e-9 and round(cells) >= 8
+        ax = g.axis(i)
+        assert ax.size % 2 == 1 and ax[ax.size // 2] == 0.0
+    dt = 0.4 * g.h * g.h / (weight if nested else sum(sig_sqs))
+    assert 1.0 / g.steps <= dt * (1.0 + 1e-9)
+    assert g.steps == 1 or 1.0 / (g.steps - 1) > dt
 
 
 @st.composite
