@@ -102,6 +102,8 @@ def expect_gnormal(gamma: GammaSet, phi: TestFunction,
     the 1D solve of phi pulled back along u; a 1D hull is the box of its
     variance range.
     """
+    if not isinstance(gamma, (DiagonalBox, ConvexHull, RankOneFamily)):
+        raise GExpectError(f"uncertainty set {type(gamma).__name__} is not solvable")
     if phi.arity != gamma.dim:
         raise DimensionMismatch(f"phi takes {phi.arity} arguments but X has dimension {gamma.dim}")
     if isinstance(gamma, RankOneFamily):
@@ -112,9 +114,7 @@ def expect_gnormal(gamma: GammaSet, phi: TestFunction,
         gamma = DiagonalBox((UncertaintyInterval(min(vals), max(vals)),))
     if isinstance(gamma, DiagonalBox):
         return solve_gheat_diag(gamma, phi, cfg=cfg)
-    if isinstance(gamma, ConvexHull):
-        return solve_gheat_hull(gamma, phi, cfg=cfg)
-    raise GExpectError(f"uncertainty set {type(gamma).__name__} is not solvable")
+    return solve_gheat_hull(gamma, phi, cfg=cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -162,22 +162,22 @@ def expect(spec: RandomVectorSpec, phi: TestFunction,
     E^[(phi o M)(X)] on X's law, unless M is wide (pulling back would add axes)
     or the G-normal image set is a box, a rank-one family or a 1D law: those
     solve the image set."""
+    if isinstance(spec, GNormal):  # checks the set's variant, then the arity
+        return expect_gnormal(spec.gamma, phi, cfg=cfg)
+    if not isinstance(spec, (Sequential, LinearImage)):
+        raise GExpectError(f"unsupported law description {type(spec).__name__}")
     if phi.arity != spec.dim:
         raise DimensionMismatch(f"phi takes {phi.arity} arguments but X has dimension {spec.dim}")
-    if isinstance(spec, GNormal):
-        return expect_gnormal(spec.gamma, phi, cfg=cfg)
     if isinstance(spec, Sequential):
         return expect_sequential(spec.intervals, phi, order=spec.order, cfg=cfg)
-    if isinstance(spec, LinearImage):
-        inner, a = spec.inner, spec.matrix
-        if isinstance(inner, LinearImage):
-            return expect(LinearImage(a @ inner.matrix, inner.inner), phi, cfg)
-        if isinstance(inner, GNormal):
-            image = image_gamma(a, inner.gamma)
-            if not isinstance(image, ConvexHull) or a.shape[1] > a.shape[0]:
-                return expect_gnormal(image, phi, cfg=cfg)
-        return expect(inner, linear_pullback(phi, a), cfg)
-    raise GExpectError(f"unsupported law description {type(spec).__name__}")
+    inner, a = spec.inner, spec.matrix
+    if isinstance(inner, LinearImage):
+        return expect(LinearImage(a @ inner.matrix, inner.inner), phi, cfg)
+    if isinstance(inner, GNormal):
+        image = image_gamma(a, inner.gamma)
+        if not isinstance(image, ConvexHull) or a.shape[1] > a.shape[0]:
+            return expect_gnormal(image, phi, cfg=cfg)
+    return expect(inner, linear_pullback(phi, a), cfg)
 
 
 def lower_expectation(spec: RandomVectorSpec, phi: TestFunction,

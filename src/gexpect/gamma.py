@@ -153,6 +153,8 @@ def gbar(iv: UncertaintyInterval, x: float):
 def g_function(gamma: GammaSet, a) -> float:
     """G(A) = 1/2 sup over the set of tr[A B], evaluated in closed form."""
     arr = _as_sym_array(a)
+    if not isinstance(gamma, (DiagonalBox, ConvexHull, RankOneFamily)):
+        raise TypeError(f"unknown uncertainty-set variant {type(gamma).__name__}")
     if arr.shape[0] != gamma.dim:
         raise DimensionMismatch(
             f"matrix is {arr.shape[0]}x{arr.shape[0]} but the set has dimension {gamma.dim}"
@@ -163,10 +165,8 @@ def g_function(gamma: GammaSet, a) -> float:
     if isinstance(gamma, ConvexHull):
         # Linear objective: the sup over the hull sits at a generator.
         return 0.5 * max(float(np.trace(arr @ b)) for b in gamma.generators)
-    if isinstance(gamma, RankOneFamily):
-        u = gamma.direction
-        return float(gbar(gamma.scalar_range, float(u @ arr @ u)))
-    raise TypeError(f"unknown uncertainty-set variant {type(gamma).__name__}")
+    u = gamma.direction
+    return float(gbar(gamma.scalar_range, float(u @ arr @ u)))
 
 
 def _box_vertices(box: DiagonalBox):
@@ -179,6 +179,8 @@ def image_gamma(m, gamma: GammaSet) -> GammaSet:
     """The set {M B M^T : B in gamma}, in the tightest representable variant."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     rows, cols = m.shape
+    if not isinstance(gamma, (DiagonalBox, ConvexHull, RankOneFamily)):
+        raise TypeError(f"unknown uncertainty-set variant {type(gamma).__name__}")
     if cols != gamma.dim:
         raise DimensionMismatch(f"matrix has {cols} columns but the set has dimension {gamma.dim}")
 
@@ -220,10 +222,7 @@ def image_gamma(m, gamma: GammaSet) -> GammaSet:
             )
         return ConvexHull(tuple(m @ b @ m.T for b in _box_vertices(gamma)))
 
-    if isinstance(gamma, ConvexHull):
-        return ConvexHull(tuple(m @ b @ m.T for b in gamma.generators))
-
-    raise TypeError(f"unknown uncertainty-set variant {type(gamma).__name__}")
+    return ConvexHull(tuple(m @ b @ m.T for b in gamma.generators))
 
 
 def is_diagonal_image(a, box: DiagonalBox) -> bool:

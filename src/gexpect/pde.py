@@ -85,8 +85,10 @@ alone counts the steps to time 1 from h and the stencil weight, in
 carries the count, and the kernels read a step as lam = (1 / steps) / h^2.
 h is the one grid setting a caller can choose. Every solve returns one
 record, ``ExpectationResult``: its error estimate is the analytic tail
-bound of its grid (computed once by ``build_grid``) plus the grid term of
-``refinement_delta``, the one three-grid helper of every solve.
+bound of its grid (computed once by ``build_grid``) plus its grid term.
+With refinement on, ``_solve`` solves every problem on three grids, h, 2h
+and 4h, and ``refinement_delta`` turns the three values into the value and
+the grid term.
 ``build_grid`` refuses a grid of more than ``_CELL_STEP_BUDGET`` cells
 times steps, or whose tail bound overflows.
 
@@ -161,14 +163,14 @@ class SolverConfig:
 
     h: float | None = None
     target_tol: float = 1e-3
-    refine: bool = True  # re-solve at 2h and 4h (see refinement_delta)
+    refine: bool = True  # re-solve at 2h and 4h (see _solve)
 
     def __post_init__(self):
         _require_finite_positive(h=self.h, target_tol=self.target_tol)
         if not isinstance(self.refine, bool):
             raise ValueError(f"refine must be True or False, got {self.refine!r}")
-        # dt scales with the square of the coarsest spacing solved, which is
-        # 4h with refinement on (see refinement_delta)
+        # dt scales with the square of the coarsest spacing solved: 4h
+        # whenever refinement is on, since _solve then always re-solves at 4h
         k = 4.0 if self.refine else 1.0
         if self.h is not None and not math.isfinite((k * self.h) * (k * self.h)):
             raise ValueError(f"h={self.h:g} is too coarse: " + (
@@ -414,7 +416,10 @@ def _advance_cone(u: np.ndarray, centre: tuple, steps: int, advance):
     re-cut each time the cone has shrunk by a quarter, until the view has
     at most _CONE_CELLS cells. A view's faces are not stepped; the error this
     leaves moves one node inward per step, as the cone shrinks by one, so
-    it never reaches a node that the centre reads.
+    it never reaches a node that the centre reads. Every view spans at least
+    3 nodes along each cut axis, so the kernels always have an interior to
+    step: left >= 1, and the centre has a node on either side (it is the
+    middle of at least 17 nodes, or node 1 of at least 10 after a fold).
     """
     widest = max(n - 1 - c for n, c in zip(u.shape, centre))  # to the far face
     left = steps
@@ -588,29 +593,16 @@ def _check_growth(phi: TestFunction, mesh, u0: np.ndarray):
                                f"end faces along axis {a}; declare a larger order or constant")
 
 
-def refinement_delta(u_h: float, h: float, cfg: SolverConfig, solve_at) -> tuple:
-    """(value, grid term) from u_h and re-solves u_2h, u_4h by
-    solve_at(cfg at 2h or 4h, refinement off); (u_h, None)
-    when cfg.refine is off.
+def refinement_delta(u_h: float, u_2h: float, u_4h: float) -> tuple:
+    """(value, grid term) from the solves at h, 2h and 4h.
 
     With d1 = u_h - u_2h and d2 = u_2h - u_4h, the observed order is
     p = log2(d2 / d1). When p is within _ORDER_BAND of 2 the error behaves
     as C h^2 and the value is the extrapolated (4 u_h - u_2h) / 3, with |d1|
     as its grid term; otherwise the value is u_h with max(|d1|, |d2|).
-    When d1 = 0 the value is u_h with grid term 0, and u_4h is not solved.
     This is the three-grid check of Roache's grid convergence index.
     """
-    if not cfg.refine:
-        return u_h, None
-
-    def at(k):
-        return solve_at(replace(cfg, refine=False, h=k * h))
-
-    u_2h = at(2.0)
-    d1 = u_h - u_2h
-    if d1 == 0.0:
-        return u_h, 0.0
-    d2 = u_2h - at(4.0)
+    d1, d2 = u_h - u_2h, u_2h - u_4h
     if d1 * d2 > 0.0 and abs(math.log2(d2 / d1) - 2.0) <= _ORDER_BAND:
         return (4.0 * u_h - u_2h) / 3.0, abs(d1)
     return u_h, max(abs(d1), abs(d2))
@@ -620,14 +612,17 @@ def _solve(phi: TestFunction, cfg: SolverConfig, sig_sqs, centre, solve_at,
            cfl_denominator: float | None = None, method: str = "pde") -> ExpectationResult:
     """Solve skeleton of box, hull and nested solves: phi(0) when every
     variance is zero, else grid, initial data, centre(u, grid) -> (u(1, 0),
-    steps taken), and the re-solves solve_at(cfg) -> value of
-    refinement_delta."""
+    steps taken) and, with cfg.refine, the re-solves solve_at(cfg at 2h,
+    then 4h, refinement off) -> value, judged by refinement_delta."""
     if max(sig_sqs) == 0.0:
         return ExpectationResult(float(phi(*np.zeros(phi.arity))), 0.0,
                                  0.0 if cfg.refine else None, 0, method)
     grid = build_grid(sig_sqs, phi, cfg, cfl_denominator)
     u_h, steps = centre(_eval_initial(phi, grid), grid)
-    value, grid_term = refinement_delta(float(u_h), grid.h, cfg, solve_at)
+    value, grid_term = float(u_h), None
+    if cfg.refine:
+        value, grid_term = refinement_delta(
+            value, *(solve_at(replace(cfg, refine=False, h=k * grid.h)) for k in (2.0, 4.0)))
     return ExpectationResult(value, grid.tail_bound, grid_term, steps, method)
 
 
@@ -654,8 +649,6 @@ def _advance_hull(u: np.ndarray, gens, lam: float, steps: int, point: bool = Fal
     axis' end faces is junk, overwritten with -0.0, so the faces keep their
     bits. With `point`, row 0 is the ghost of a point fold, overwritten from
     row 2 reversed before every step."""
-    if min(u.shape) < 3:
-        return  # every node is a boundary node
     buf = np.ascontiguousarray(u)
     flat = buf.reshape(-1)
     size, n1 = flat.size, buf.shape[1]

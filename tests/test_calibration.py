@@ -77,6 +77,12 @@ SEEDED = ("seeded lower (x-1.067)^+",
           lambda: lower_expectation(GNormal(Interval1D(SEEDED_IV)), _call(SEEDED_K)),
           _call_value(SEEDED_K, math.sqrt(SEEDED_IV.sigma_low_sq)))
 
+# at h = 3 = 1.5 sigma_high, u_h = u_2h for (x + 2)^+ by coincidence; u_4h
+# differs, and |u_2h - u_4h| covers the error of about 0.056
+COINCIDENT = ("1d (x+2)^+ h=3",
+              lambda: expect_gnormal(Interval1D(IV), _call(-2.0), SolverConfig(h=3.0)),
+              _call_value(-2.0, SIGMA_HIGH))
+
 
 # 2D G-normal laws: a box and a three-generator, diagonally dominant hull;
 # and linear images M X whose image set is a hull, which expect solves on X's
@@ -161,6 +167,7 @@ CASES = [
       for phi, moment in ((SQUARE, lambda s: s * s),
                           (ABS, lambda s: s * math.sqrt(2.0 / math.pi)))),
     SEEDED,
+    COINCIDENT,
 ]
 
 

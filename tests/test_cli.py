@@ -278,6 +278,15 @@ class TestExecute:
             assert "cannot write" in capsys.readouterr().err
             assert called == []
 
+    def test_a_file_the_system_refuses_fails_at_the_write(self, tmp_path, capsys):
+        # a 300-character name in an existing directory passes the checks made
+        # before the run, and the write itself fails (the name is too long)
+        out = tmp_path / ("r" * 296 + ".csv")
+        assert execute(RunConfig(scenarios=("invertible-scan",), out=str(out))) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+        assert os.listdir(tmp_path) == []
+
     def test_exit_codes_via_main(self, capsys):
         assert main(["run", "--scenario", "bogus"]) == 2
         assert "valid names" in capsys.readouterr().err

@@ -144,26 +144,32 @@ class TestSolve1D:
 
 
 class TestRefinementDelta:
-    # solve_at answers u_2h at h = 0.2 and u_4h at h = 0.4 and counts its calls
-    @pytest.mark.parametrize("u_2h, u_4h, calls, want", [
-        (1.0, 7.0, 1, (1.0, 0.0)),  # d1 = 0: u_4h could not matter
-        (0.75, -0.25, 2, (13.0 / 12.0, 0.25)),  # p = 2: extrapolated, |d1|
-        (1.5, 1.0, 2, (1.0, 0.5)),  # d1 and d2 of opposite signs: max(|d1|, |d2|)
+    @pytest.mark.parametrize("u_2h, u_4h, want", [
+        (1.0, 7.0, (1.0, 6.0)),  # d1 = 0: |d2|, the larger difference
+        (0.75, -0.25, (13.0 / 12.0, 0.25)),  # p = 2: extrapolated, |d1|
+        (1.5, 1.0, (1.0, 0.5)),  # d1 and d2 of opposite signs: max(|d1|, |d2|)
     ], ids=["d1-zero", "order-2", "erratic"])
-    def test_u_4h_is_solved_only_when_d1_is_not_zero(self, u_2h, u_4h, calls, want):
+    def test_the_rule_on_three_values(self, u_2h, u_4h, want):
+        assert pde.refinement_delta(1.0, u_2h, u_4h) == want
+
+    @pytest.mark.parametrize("refine, hs", [(True, [0.2, 0.4]), (False, [])],
+                             ids=["refine-on", "refine-off"])
+    def test_the_skeleton_re_solves_at_2h_then_4h(self, refine, hs):
+        # every re-solve answers u_h: 4h is asked for even when u_2h = u_h
         seen = []
 
         def solve_at(c):
             assert c.refine is False
             seen.append(c.h)
-            return {0.2: u_2h, 0.4: u_4h}[c.h]
+            return 1.0
 
-        assert pde.refinement_delta(1.0, 0.1, SolverConfig(), solve_at) == want
-        assert seen == [0.2, 0.4][:calls]
+        pde._solve(SQUARE, SolverConfig(h=0.1, refine=refine), [4.0],
+                   lambda u, g: (1.0, g.steps), solve_at)
+        assert seen == hs
 
-    def test_a_solve_with_d1_zero_re_solves_once(self, monkeypatch):
-        # x is invariant on every grid: u_h = u_2h, and only the 2h grid is
-        # re-solved; the value, estimate and steps are those of u_h
+    def test_a_solve_with_d1_zero_still_re_solves_at_4h(self, monkeypatch):
+        # x is invariant on every grid: u_h = u_2h = u_4h, so the value,
+        # estimate and steps are those of u_h, from three solved grids
         hs = []
         solve = pde.solve_gheat_diag
 
@@ -174,7 +180,7 @@ class TestRefinementDelta:
         monkeypatch.setattr(pde, "solve_gheat_diag", spy)
         rep = pde.solve_gheat_diag(BOX_1D, IDENTITY, cfg=SolverConfig(h=0.2))
         plain = solve(BOX_1D, IDENTITY, cfg=FAST)
-        assert hs == [0.2, 0.4]
+        assert hs == [0.2, 0.4, 0.8]
         assert (rep.value, rep.refinement_delta, rep.steps_taken) == (plain.value, 0.0,
                                                                        plain.steps_taken)
 

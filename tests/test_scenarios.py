@@ -81,6 +81,15 @@ class TestLinearImage:
         with pytest.raises(GExpectError, match="at most 3"):
             run_linear_image(IV, np.ones((2, 4)), [1.0, -1.0], cfg=FAST)
 
+    def test_a_rank_one_map_checks_the_whole_image_law(self):
+        # A = [[1, 2], [2, 4]] maps Y to (S, 2S), S = Y1 + 2Y2, and by
+        # sequential independence E^[S^2] = 4 + 4 * 4 = 20
+        out = run_linear_image(IV, [[1.0, 2.0], [2.0, 4.0]], [1.0, -1.0])
+        assert out.passed and len(out.assertions) == 4
+        rows = {q.label: q for q in out.quantities}
+        for label, exact in (("rank-one E[x^2+y^2]", 5.0 * 20.0), ("rank-one E[x*y]", 2.0 * 20.0)):
+            assert abs(rows[label].value - exact) <= rows[label].error_estimate
+
 
 class TestReverseIndependence:
     def test_both_conditions(self):
