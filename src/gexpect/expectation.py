@@ -75,6 +75,7 @@ class LinearImage(RandomVectorSpec):
     inner: RandomVectorSpec
 
     def __post_init__(self):
+        _check_law(self.inner)  # before its dim is read
         a = np.atleast_2d(np.asarray(self.matrix, dtype=float))
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
@@ -90,6 +91,20 @@ class LinearImage(RandomVectorSpec):
         return self.matrix.shape[0]
 
 
+def _check_law(spec: RandomVectorSpec):
+    """Raise expect()'s error for a law description, or a G-normal's set,
+    that is no variant it solves (a base class has no dim)."""
+    if isinstance(spec, GNormal):
+        _check_set(spec.gamma)
+    elif not isinstance(spec, (Sequential, LinearImage)):
+        raise GExpectError(f"unsupported law description {type(spec).__name__}")
+
+
+def _check_set(gamma: GammaSet):
+    if not isinstance(gamma, (DiagonalBox, ConvexHull, RankOneFamily)):
+        raise GExpectError(f"uncertainty set {type(gamma).__name__} is not solvable")
+
+
 # ---------------------------------------------------------------------------
 # G-normal expectations
 
@@ -102,8 +117,7 @@ def expect_gnormal(gamma: GammaSet, phi: TestFunction,
     the 1D solve of phi pulled back along u; a 1D hull is the box of its
     variance range.
     """
-    if not isinstance(gamma, (DiagonalBox, ConvexHull, RankOneFamily)):
-        raise GExpectError(f"uncertainty set {type(gamma).__name__} is not solvable")
+    _check_set(gamma)
     if phi.arity != gamma.dim:
         raise DimensionMismatch(f"phi takes {phi.arity} arguments but X has dimension {gamma.dim}")
     if isinstance(gamma, RankOneFamily):
@@ -133,23 +147,19 @@ def expect_sequential(intervals, phi: TestFunction, order=None,
         raise DimensionMismatch("nested recursion supports at most 3 variables")
     order = Sequential(intervals, order).order or tuple(range(n))
 
-    def solve(c: SolverConfig) -> ExpectationResult:
-        def sweeps(u, grid):
-            # axis k holds the variable at sequence position k; each sweep
-            # takes the steps of its own variance at this solve's config
-            u = np.transpose(u, axes=order)
-            steps = 0
-            for k in range(n - 1, -1, -1):
-                u, _, s = diffuse_last_axis(u, intervals[order[k]], grid.h)
-                steps += s
-            return u, steps
+    def sweeps(u, grid):
+        # axis k holds the variable at sequence position k; each sweep takes
+        # the steps of its own variance at this grid's h
+        u = np.transpose(u, axes=order)
+        steps = 0
+        for k in range(n - 1, -1, -1):
+            u, _, s = diffuse_last_axis(u, intervals[order[k]], grid.h)
+            steps += s
+        return u, steps
 
-        # the grid counts and checks the steps of the largest variance's sweep
-        sig_sqs = [iv.sigma_high_sq for iv in intervals]
-        return _solve(phi, c, sig_sqs, sweeps, lambda r: solve(r).value,
-                      cfl_denominator=max(sig_sqs), method="nested")
-
-    return solve(cfg)
+    # the grid counts and checks the steps of the largest variance's sweep
+    sig_sqs = [iv.sigma_high_sq for iv in intervals]
+    return _solve(phi, cfg, sig_sqs, sweeps, cfl_denominator=max(sig_sqs), method="nested")
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +172,9 @@ def expect(spec: RandomVectorSpec, phi: TestFunction,
     E^[(phi o M)(X)] on X's law, unless M is wide (pulling back would add axes)
     or the G-normal image set is a box, a rank-one family or a 1D law: those
     solve the image set."""
-    if isinstance(spec, GNormal):  # checks the set's variant, then the arity
+    _check_law(spec)  # before its dim is read
+    if isinstance(spec, GNormal):
         return expect_gnormal(spec.gamma, phi, cfg=cfg)
-    if not isinstance(spec, (Sequential, LinearImage)):
-        raise GExpectError(f"unsupported law description {type(spec).__name__}")
     if phi.arity != spec.dim:
         raise DimensionMismatch(f"phi takes {phi.arity} arguments but X has dimension {spec.dim}")
     if isinstance(spec, Sequential):

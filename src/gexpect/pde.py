@@ -86,9 +86,10 @@ carries the count, and the kernels read a step as lam = (1 / steps) / h^2.
 h is the one grid setting a caller can choose. Every solve returns one
 record, ``ExpectationResult``: its error estimate is the analytic tail
 bound of its grid (computed once by ``build_grid``) plus its grid term.
-With refinement on, ``_solve`` solves every problem on three grids, h, 2h
-and 4h, and ``refinement_delta`` turns the three values into the value and
-the grid term.
+``_solve`` solves every problem on three grids, h, 2h and 4h, one at a
+time, and ``refinement_delta`` turns the three values into the value and
+the grid term. It builds all three grids before phi is first evaluated,
+so that a grid ``build_grid`` refuses is refused before any work.
 ``build_grid`` refuses a grid of more than ``_CELL_STEP_BUDGET`` cells
 times steps, or whose tail bound overflows.
 
@@ -108,7 +109,7 @@ import contextlib
 import contextvars
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,23 +160,18 @@ def _require_finite_positive(**values):
 @dataclass(frozen=True)
 class SolverConfig:
     """User-tunable solver knobs; h None derives the spacing. The half widths
-    and the time step are always derived."""
+    and the time step are always derived, and every solve also solves its
+    grid at 2h and 4h (see _solve)."""
 
     h: float | None = None
     target_tol: float = 1e-3
-    refine: bool = True  # re-solve at 2h and 4h (see _solve)
 
     def __post_init__(self):
         _require_finite_positive(h=self.h, target_tol=self.target_tol)
-        if not isinstance(self.refine, bool):
-            raise ValueError(f"refine must be True or False, got {self.refine!r}")
-        # dt scales with the square of the coarsest spacing solved: 4h
-        # whenever refinement is on, since _solve then always re-solves at 4h
-        k = 4.0 if self.refine else 1.0
-        if self.h is not None and not math.isfinite((k * self.h) * (k * self.h)):
-            raise ValueError(f"h={self.h:g} is too coarse: " + (
-                "4h * 4h overflows, and refinement re-solves at 4h" if self.refine
-                else "h * h overflows"))
+        # dt scales with the square of the coarsest spacing solved, 4h
+        if self.h is not None and not math.isfinite((4.0 * self.h) * (4.0 * self.h)):
+            raise ValueError(f"h={self.h:g} is too coarse: "
+                             "4h * 4h overflows, and refinement re-solves at 4h")
 
 
 @dataclass(frozen=True)
@@ -213,7 +209,7 @@ class ExpectationResult:
 
     value: float
     tail_bound: float
-    refinement_delta: float | None  # the grid term; None with refinement off
+    refinement_delta: float  # the grid term
     steps_taken: int
     method: str  # "pde" | "nested"
 
@@ -223,7 +219,7 @@ class ExpectationResult:
 
     @property
     def error_estimate(self) -> float:
-        return self.tail_bound + (self.refinement_delta or 0.0)
+        return self.tail_bound + self.refinement_delta
 
 
 def _tail(phi: TestFunction, L: float, k: float) -> float:
@@ -245,8 +241,9 @@ def _tail_halfwidth(sigma: float, phi: TestFunction, tol: float) -> float:
 
 
 def build_grid(sigma_high_sqs, phi: TestFunction, cfg: SolverConfig,
-               cfl_denominator: float | None = None) -> GridSpec:
-    """Derive a grid from the variance scales and the declared growth of phi.
+               cfl_denominator: float | None = None, h: float | None = None) -> GridSpec:
+    """Derive a grid from the variance scales and the declared growth of phi,
+    at spacing h if given, else cfg.h, else one derived from the variances.
 
     The step count comes from _steps at the stencil weight cfl_denominator of
     the costliest step: by default a box's sum of sigma_high_sq; a hull
@@ -266,8 +263,8 @@ def build_grid(sigma_high_sqs, phi: TestFunction, cfg: SolverConfig,
     sigmas = [max(math.sqrt(s), 1e-6) for s in sig_sq]
     halves = [_tail_halfwidth(s, phi, cfg.target_tol) for s in sigmas]
     # only diffusing axes set the default h
-    h = cfg.h if cfg.h is not None else min(
-        0.02 * min(L for L, s in zip(halves, sig_sq) if s > 0.0), 0.1 * sig_max)
+    h = h or cfg.h or min(0.02 * min(L for L, s in zip(halves, sig_sq) if s > 0.0),
+                          0.1 * sig_max)
     weight = cfl_denominator if cfl_denominator is not None else sum(sig_sq)
     if not math.isfinite(weight):
         raise GExpectError("the variances' stencil weight overflows; use smaller variances")
@@ -608,22 +605,21 @@ def refinement_delta(u_h: float, u_2h: float, u_4h: float) -> tuple:
     return u_h, max(abs(d1), abs(d2))
 
 
-def _solve(phi: TestFunction, cfg: SolverConfig, sig_sqs, centre, solve_at,
+def _solve(phi: TestFunction, cfg: SolverConfig, sig_sqs, centre,
            cfl_denominator: float | None = None, method: str = "pde") -> ExpectationResult:
     """Solve skeleton of box, hull and nested solves: phi(0) when every
-    variance is zero, else grid, initial data, centre(u, grid) -> (u(1, 0),
-    steps taken) and, with cfg.refine, the re-solves solve_at(cfg at 2h,
-    then 4h, refinement off) -> value, judged by refinement_delta."""
+    variance is zero, else the grids at h, 2h and 4h, all built (and so
+    checked) before phi is evaluated, then on each in turn the initial data
+    and centre(u, grid) -> (u(1, 0), steps taken); refinement_delta judges
+    the three values. The steps are those of the h grid."""
     if max(sig_sqs) == 0.0:
-        return ExpectationResult(float(phi(*np.zeros(phi.arity))), 0.0,
-                                 0.0 if cfg.refine else None, 0, method)
+        return ExpectationResult(float(phi(*np.zeros(phi.arity))), 0.0, 0.0, 0, method)
     grid = build_grid(sig_sqs, phi, cfg, cfl_denominator)
-    u_h, steps = centre(_eval_initial(phi, grid), grid)
-    value, grid_term = float(u_h), None
-    if cfg.refine:
-        value, grid_term = refinement_delta(
-            value, *(solve_at(replace(cfg, refine=False, h=k * grid.h)) for k in (2.0, 4.0)))
-    return ExpectationResult(value, grid.tail_bound, grid_term, steps, method)
+    grids = [grid] + [build_grid(sig_sqs, phi, cfg, cfl_denominator, k * grid.h)
+                      for k in (2.0, 4.0)]
+    solved = [centre(_eval_initial(phi, g), g) for g in grids]
+    value, grid_term = refinement_delta(*(float(u) for u, _ in solved))
+    return ExpectationResult(value, grid.tail_bound, grid_term, solved[0][1], method)
 
 
 def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, *,
@@ -637,7 +633,6 @@ def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, *,
     return _solve(
         phi, cfg, [iv.sigma_high_sq for iv in box.intervals],
         lambda u, g: (_diag_centre(u, box.intervals, g.lam, g.steps), g.steps),
-        lambda c: solve_gheat_diag(box, phi, cfg=c).value,
     )
 
 
@@ -736,7 +731,6 @@ def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, *,
     return _solve(
         phi, cfg, [max(b[i, i] for b in gens) for i in range(2)],
         lambda u, g: (_hull_centre(u, gens, g.lam, g.steps), g.steps),
-        lambda c: solve_gheat_hull(hull, phi, cfg=c).value,
         # the stencil weight of the widest generator
         cfl_denominator=max(float(np.abs(b).sum()) for b in gens),
     )

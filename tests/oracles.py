@@ -12,8 +12,9 @@ import math
 import numpy as np
 from scipy.special import roots_hermite
 
+from gexpect import pde
 from gexpect.errors import DimensionMismatch
-from gexpect.gamma import GammaSet, g_function
+from gexpect.gamma import DiagonalBox, GammaSet, g_function
 from gexpect.testfuncs import (ABS, SQUARE, SUM_OF_SQUARES, TestFunction, XY, XY_SQUARED,
                                YX_SQUARED, monomial)
 
@@ -85,6 +86,25 @@ def convex_oracle_1d(sigma_sq: float, phi: TestFunction) -> float:
             return refined
         value = refined
     return value
+
+
+def box_u_h(box: DiagonalBox, phi: TestFunction, h: float) -> float:
+    """u_h of a box solve at spacing h: the centre value of its h grid
+    alone, without the 2h and 4h grids that the solve's value weighs in."""
+    grid = pde.build_grid([iv.sigma_high_sq for iv in box.intervals], phi, pde.SolverConfig(h=h))
+    u0 = pde._eval_initial(phi, grid)
+    return float(pde._diag_centre(u0, box.intervals, grid.lam, grid.steps))
+
+
+def nested_u_h(intervals, phi: TestFunction, h: float) -> float:
+    """u_h of a nested solve in the identity order at spacing h: its sweeps
+    on the h grid alone."""
+    sig_sqs = [iv.sigma_high_sq for iv in intervals]
+    grid = pde.build_grid(sig_sqs, phi, pde.SolverConfig(h=h), max(sig_sqs))
+    u = pde._eval_initial(phi, grid)
+    for iv in reversed(intervals):
+        u = pde.diffuse_last_axis(u, iv, grid.h)[0]
+    return float(u)
 
 
 def _probe_matrices(n: int):

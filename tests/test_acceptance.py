@@ -17,7 +17,7 @@ from gexpect.gamma import (DiagonalBox, Interval1D, UncertaintyInterval,
 from gexpect.pde import SolverConfig
 from gexpect.testfuncs import (ABS, SQUARE, XY_SQUARED, YX_SQUARED, TestFunction,
                                linear_pullback)
-from oracles import CATALOG_1D, NEG_SQUARE, ORACLE_1D, convex_oracle_1d
+from oracles import CATALOG_1D, NEG_SQUARE, ORACLE_1D, box_u_h, convex_oracle_1d, nested_u_h
 
 IV = UncertaintyInterval(1.0, 4.0)
 THIRD_MOMENT = 6.0 / math.sqrt(2.0 * math.pi)  # E[Y1 Y2^2] for [1,4] twice
@@ -79,9 +79,8 @@ def test_criterion_04_linear_combination():
 @pytest.mark.parametrize("alpha", [1.0, 4.0])
 def test_criterion_05_symmetry_identity(alpha):
     box = DiagonalBox((IV, IV.scaled(alpha)))
-    cfg = SolverConfig(refine=False) if alpha == 1.0 else SolverConfig()
-    p = expect_gnormal(box, YX_SQUARED, cfg=cfg).value
-    q = expect_gnormal(box, XY_SQUARED, cfg=cfg).value
+    p = expect_gnormal(box, YX_SQUARED).value
+    q = expect_gnormal(box, XY_SQUARED).value
     gap = abs(math.sqrt(alpha) * p - q)
     _line(5, gap <= 2e-2,
           f"alpha={alpha:g}: sqrt(alpha)*E[W2 W1^2]={math.sqrt(alpha) * p:.5f} vs "
@@ -89,7 +88,6 @@ def test_criterion_05_symmetry_identity(alpha):
 
 
 def test_criterion_06_quadratic_form_closed_form():
-    cfg = SolverConfig(h=0.2, refine=False)  # quadratic data is grid-exact
     matrices = [np.diag([1.0, -1.0]), np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]]),
                 np.array([[1.0, 0.5], [0.5, -1.0]]), np.array([[2.0, 1.0], [1.0, 0.0]])]
     box = DiagonalBox((IV, IV))
@@ -99,7 +97,7 @@ def test_criterion_06_quadratic_form_closed_form():
             fn=lambda x, y, a=a: a[0, 0] * x * x + 2 * a[0, 1] * x * y + a[1, 1] * y * y,
             arity=2, growth_order=1, growth_const=4.0 * float(np.abs(a).sum()) + 4.0,
             name="<Ax,x>")
-        nested = expect_sequential((IV, IV), phi, cfg=cfg).value
+        nested = nested_u_h((IV, IV), phi, 0.2)  # quadratic data is grid-exact
         closed = 2.0 * g_function(box, a)
         worst = max(worst, abs(nested - closed))
         assert abs(nested - closed) <= 1e-2, f"A={a}: {nested} vs {closed}"
@@ -159,8 +157,14 @@ def test_criterion_09_diagonal_image_predicate():
 
 
 def test_criterion_10_property_suites():
-    cfg = SolverConfig(h=0.25, refine=False)
+    cfg = SolverConfig(h=0.25)
     iv1d = Interval1D(IV)
+
+    def u_h(phi):
+        # the monotone scheme's value on one grid: sublinear, homogeneous
+        # and monotone as the G-expectation is
+        return box_u_h(iv1d, phi, cfg.h)
+
     rng = np.random.default_rng(7)
 
     # sublinearity on 20 random catalog pairs
@@ -168,8 +172,7 @@ def test_criterion_10_property_suites():
         phi, psi = (CATALOG_1D[i] for i in rng.integers(len(CATALOG_1D), size=2))
         lam = float(rng.uniform(0.0, 3.0))
         c = float(rng.uniform(-2.0, 2.0))
-        e_phi = expect_gnormal(iv1d, phi, cfg=cfg).value
-        e_psi = expect_gnormal(iv1d, psi, cfg=cfg).value
+        e_phi, e_psi = u_h(phi), u_h(psi)
         both = TestFunction(lambda x, f=phi.fn, g=psi.fn: np.asarray(f(x)) + np.asarray(g(x)),
                             arity=1, growth_order=max(phi.growth_order, psi.growth_order),
                             growth_const=phi.growth_const + psi.growth_const)
@@ -183,25 +186,19 @@ def test_criterion_10_property_suites():
                                   arity=1, growth_order=phi.growth_order,
                                   growth_const=phi.growth_const + 1.0)
         tol = 1e-8 * (1.0 + abs(e_phi) + abs(e_psi))
-        assert expect_gnormal(iv1d, both, cfg=cfg).value <= e_phi + e_psi + tol
-        assert expect_gnormal(iv1d, scaled, cfg=cfg).value == \
-            pytest.approx(lam * e_phi, abs=tol)
-        assert expect_gnormal(iv1d, shifted, cfg=cfg).value == \
-            pytest.approx(e_phi + c, abs=tol)  # constants preserved
-        assert expect_gnormal(iv1d, dominating, cfg=cfg).value >= e_phi - tol  # monotone
+        assert u_h(both) <= e_phi + e_psi + tol
+        assert u_h(scaled) == pytest.approx(lam * e_phi, abs=tol)
+        assert u_h(shifted) == pytest.approx(e_phi + c, abs=tol)  # constants preserved
+        assert u_h(dominating) >= e_phi - tol  # monotone
 
     # grid-refinement contraction on representative scenario functionals
     uv2 = TestFunction(lambda x, y: (x + y) * (x - y) ** 2, arity=2, growth_order=2,
                        growth_const=20.0)
     functionals = [
-        ("third moment, nested", lambda h: expect_sequential(
-            (IV, IV), XY_SQUARED, cfg=SolverConfig(h=h, refine=False)).value),
-        ("third moment, 2D box", lambda h: expect_gnormal(
-            DiagonalBox((IV, IV)), XY_SQUARED, cfg=SolverConfig(h=h, refine=False)).value),
-        ("linear combination", lambda h: expect_sequential(
-            (IV, IV), uv2, cfg=SolverConfig(h=h, refine=False)).value),
-        ("kinked 1D", lambda h: expect_gnormal(
-            iv1d, ABS, cfg=SolverConfig(h=h, refine=False)).value),
+        ("third moment, nested", lambda h: nested_u_h((IV, IV), XY_SQUARED, h)),
+        ("third moment, 2D box", lambda h: box_u_h(DiagonalBox((IV, IV)), XY_SQUARED, h)),
+        ("linear combination", lambda h: nested_u_h((IV, IV), uv2, h)),
+        ("kinked 1D", lambda h: box_u_h(iv1d, ABS, h)),
     ]
     for name, f in functionals:
         v = [f(h) for h in (0.4, 0.2, 0.1)]

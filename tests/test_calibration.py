@@ -1,9 +1,9 @@
 """Calibration: error_estimate bounds the true error on every pinned closed form.
 
-Each case runs with refinement on, at the default SolverConfig unless its
-name gives h, and asserts |value - exact| <= error_estimate; the cases
-cover 1D and 2D G-normal solves (box and hull), linear images of them
-that are solved by pulling phi back, and nested solves. Run with
+Each case runs at the default SolverConfig unless its name gives h, and
+asserts |value - exact| <= error_estimate; the cases cover 1D and 2D
+G-normal solves (box and hull), linear images of them that are solved by
+pulling phi back, and nested solves. Run with
 `pytest tests/test_calibration.py -v -s` to see the tightness ratio
 error_estimate / |value - exact| of each case; a ratio far above 1 is a
 loose bound, one below 1 a miss. The last tests pin the three outcomes of
@@ -21,7 +21,7 @@ from gexpect.gamma import ConvexHull, DiagonalBox, Interval1D, UncertaintyInterv
 from gexpect.pde import SolverConfig
 from gexpect.testfuncs import (ABS, SQUARE, XY_SQUARED, YX_SQUARED, TestFunction,
                                linear_pullback)
-from oracles import NEG_SQUARE, POS_PART, QUARTIC
+from oracles import NEG_SQUARE, POS_PART, QUARTIC, box_u_h
 
 IV = UncertaintyInterval(1.0, 4.0)
 SIGMA_HIGH = 2.0
@@ -189,8 +189,7 @@ def test_error_estimate_bounds_the_error(name, compute, exact):
 def test_off_grid_kink_falls_back_to_the_fine_value():
     kink, one = _call(0.71), Interval1D(IV)
     res = expect_gnormal(one, kink, SolverConfig(h=0.2))
-    plain = expect_gnormal(one, kink, SolverConfig(h=0.2, refine=False))
-    assert res.value == plain.value
+    assert res.value == box_u_h(one, kink, 0.2)
     assert res.error_estimate > abs(res.value - _call_value(0.71, SIGMA_HIGH))
 
 
@@ -198,9 +197,9 @@ def test_quartic_extrapolates():
     # at h = 0.1 the h and 2h grids take 1000 and 250 steps, exactly 4:1, so
     # their error is C h^2 alone and the extrapolation removes nearly all of it
     res = expect_gnormal(Interval1D(IV), QUARTIC, SolverConfig(h=0.1))
-    plain = expect_gnormal(Interval1D(IV), QUARTIC, SolverConfig(h=0.1, refine=False))
-    assert res.value != plain.value
-    assert 100.0 * abs(res.value - 48.0) <= abs(plain.value - 48.0)
+    plain = box_u_h(Interval1D(IV), QUARTIC, 0.1)
+    assert res.value != plain
+    assert 100.0 * abs(res.value - 48.0) <= abs(plain - 48.0)
     assert abs(res.value - 48.0) <= res.error_estimate
 
 

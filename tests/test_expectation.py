@@ -16,7 +16,7 @@ from oracles import (NEG_SQUARE, POS_PART, QUARTIC, convex_oracle_1d,
                      gauss_hermite_expectation, gauss_hermite_expectation_nd)
 
 IV = UncertaintyInterval(1.0, 4.0)
-FAST = SolverConfig(h=0.2, refine=False)
+FAST = SolverConfig(h=0.2)
 
 # frozen closed forms for sigma_high = 2: E|2Z| = 2 sqrt(2/pi), E[(2Z)^+] = 2/sqrt(2pi)
 ABS_MOMENT = 1.5957691216057308

@@ -71,7 +71,7 @@ def test_golden_default_catalog(tmp_path, capsys):
 
 IV = UncertaintyInterval(1.0, 4.0)
 HULL = ConvexHull((np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([[1.0, -0.5], [-0.5, 3.0]])))
-COARSE = SolverConfig(h=0.25)  # refinement on
+COARSE = SolverConfig(h=0.25)
 KINK = TestFunction(lambda x, y: np.maximum(x - 0.5 * y - 0.3, 0.0), arity=2, growth_order=1,
                     growth_const=2.0, name="(x-y/2-0.3)^+")
 ABS_SUM = TestFunction(lambda x, y: np.abs(x + y), arity=2, growth_order=1, growth_const=2.0,

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,17 +7,17 @@ import pytest
 
 from gexpect import pde
 from gexpect.errors import DimensionMismatch, GExpectError
-from gexpect.expectation import GNormal, expect, expect_sequential
-from gexpect.gamma import ConvexHull, DiagonalBox, UncertaintyInterval
+from gexpect.expectation import GNormal, LinearImage, expect, expect_sequential
+from gexpect.gamma import ConvexHull, DiagonalBox, RankOneFamily, UncertaintyInterval
 from gexpect.pde import (GridSpec, SolverConfig, build_grid, diffuse_last_axis,
                          solve_gheat_diag, solve_gheat_hull)
 from gexpect.testfuncs import (ABS, SQUARE, XY, XY_SQUARED, YX_SQUARED, TestFunction,
                                linear_pullback)
-from oracles import IDENTITY, NEG_SQUARE, QUARTIC
+from oracles import IDENTITY, NEG_SQUARE, QUARTIC, box_u_h
 
 IV = UncertaintyInterval(1.0, 4.0)
 BOX_1D = DiagonalBox((IV,))
-FAST = SolverConfig(h=0.2, refine=False)
+FAST = SolverConfig(h=0.2)
 
 
 class TestGridSpec:
@@ -51,17 +51,24 @@ def test_solver_config_rejects_non_finite(name, bad):
 
 @pytest.mark.parametrize("h", [1e200, 1e308, 1.4e154])
 def test_solver_config_rejects_an_h_whose_square_overflows(h):
-    # the time step scales with h * h
-    with pytest.raises(ValueError, match=r"h \* h overflows"):
-        SolverConfig(h=h, refine=False)
-    assert SolverConfig(h=1.3e154, refine=False).h == 1.3e154
+    # the time step scales with the square of the coarsest spacing solved
+    with pytest.raises(ValueError, match=r"4h \* 4h overflows"):
+        SolverConfig(h=h)
+
+
+def test_solver_config_has_no_refine_switch():
+    # every solve runs its three-grid check; h and target_tol are the knobs
+    assert [f.name for f in fields(SolverConfig)] == ["h", "target_tol"]
+    with pytest.raises(TypeError, match="refine"):
+        SolverConfig(refine=False)
 
 
 def test_refinement_refuses_an_h_whose_4h_square_overflows():
-    # the re-solves run at 2h and 4h; with refinement off h alone is solved
+    # every solve also solves at 2h and 4h: (4h)^2 = 1.6e309 overflows, and
+    # at h = 3.3e153 it is 1.74e308, just below the largest float
     with pytest.raises(ValueError, match=r"h=1e\+154 is too coarse: 4h \* 4h overflows"):
         SolverConfig(h=1e154)
-    assert SolverConfig(h=1e154, refine=False).h == 1e154
+    assert SolverConfig(h=3.3e153).h == 3.3e153
 
 
 # 1e-200: h * h, and so the time step, underflows to 0
@@ -109,7 +116,7 @@ def test_a_nested_budget_counts_its_costliest_sweep(monkeypatch):
     # on 81 x 81 nodes each sweep takes 63 steps (sigma_high^2 = 4), within
     # the budget; a box step is over the sum 8, 125 steps, which is not
     monkeypatch.setattr(pde, "_CELL_STEP_BUDGET", 81 * 81 * 100)
-    cfg = SolverConfig(h=0.4, refine=False)
+    cfg = SolverConfig(h=0.4)
     assert expect_sequential((IV, IV), XY_SQUARED, cfg=cfg).steps_taken == 2 * 63
     with pytest.raises(GExpectError, match="budget"):
         solve_gheat_diag(DiagonalBox((IV, IV)), XY_SQUARED, cfg=cfg)
@@ -127,7 +134,7 @@ class TestSolve1D:
         assert abs(rep.value) < 1e-12
 
     def test_quartic_moment(self):
-        rep = solve_gheat_diag(BOX_1D, QUARTIC, cfg=SolverConfig(refine=False))
+        rep = solve_gheat_diag(BOX_1D, QUARTIC)
         assert rep.value == pytest.approx(48.0, rel=2e-3)
 
     def test_shifted_start_and_time_scaling(self):
@@ -139,8 +146,51 @@ class TestSolve1D:
 
     def test_refinement_delta_reported(self):
         rep = solve_gheat_diag(BOX_1D, ABS, cfg=SolverConfig(h=0.2))
-        assert rep.refinement_delta is not None
-        assert rep.refinement_delta < 0.05
+        assert isinstance(rep.refinement_delta, float)
+        assert 0.0 < rep.refinement_delta < 0.05
+
+
+@pytest.fixture
+def grid_events(monkeypatch):
+    # ("grid", h) for each grid built and ("phi", h) for each evaluation of
+    # phi on one, in call order
+    seen = []
+    build, evaluate = pde.build_grid, pde._eval_initial
+
+    def build_spy(*args, **kwargs):
+        grid = build(*args, **kwargs)
+        seen.append(("grid", grid.h))
+        return grid
+
+    def eval_spy(phi, grid):
+        seen.append(("phi", grid.h))
+        return evaluate(phi, grid)
+
+    monkeypatch.setattr(pde, "build_grid", build_spy)
+    monkeypatch.setattr(pde, "_eval_initial", eval_spy)
+    return seen
+
+
+# every route into the solve skeleton, at h = 0.5: (call(cfg), grid spacings)
+H_2H_4H = [0.5, 1.0, 2.0]
+SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
+SKELETON_ROUTES = {
+    "box-1d": (lambda c: expect(GNormal(BOX_1D), ABS, c), H_2H_4H),
+    "box-2d": (lambda c: expect(GNormal(DiagonalBox((IV, IV))), XY_SQUARED, c), H_2H_4H),
+    "hull": (lambda c: expect(GNormal(ConvexHull((np.diag([1.0, 4.0]), SHEAR + SHEAR.T))),
+                              XY_SQUARED, c), H_2H_4H),
+    "nested-2": (lambda c: expect_sequential((IV, IV), XY_SQUARED, cfg=c), H_2H_4H),
+    "nested-3": (lambda c: expect_sequential((IV.scaled(0.25),) * 3,
+                                             _fn(lambda x, y, z: x * y * z * z, 3),
+                                             order=(2, 0, 1), cfg=c), H_2H_4H),
+    "rank-one": (lambda c: expect(GNormal(RankOneFamily([1.0, 2.0], IV)), XY, c), H_2H_4H),
+    "hull-1d": (lambda c: expect(GNormal(ConvexHull((np.eye(1), 4.0 * np.eye(1)))), ABS, c),
+                H_2H_4H),
+    "pulled-back-image": (lambda c: expect(LinearImage(SHEAR, GNormal(DiagonalBox((IV, IV)))),
+                                           XY, c), H_2H_4H),
+    "at-rest": (lambda c: expect(GNormal(DiagonalBox((UncertaintyInterval(0.0, 0.0),))),
+                                 SQUARE, c), []),
+}
 
 
 class TestRefinementDelta:
@@ -152,37 +202,22 @@ class TestRefinementDelta:
     def test_the_rule_on_three_values(self, u_2h, u_4h, want):
         assert pde.refinement_delta(1.0, u_2h, u_4h) == want
 
-    @pytest.mark.parametrize("refine, hs", [(True, [0.2, 0.4]), (False, [])],
-                             ids=["refine-on", "refine-off"])
-    def test_the_skeleton_re_solves_at_2h_then_4h(self, refine, hs):
-        # every re-solve answers u_h: 4h is asked for even when u_2h = u_h
-        seen = []
+    @pytest.mark.parametrize("call, hs", SKELETON_ROUTES.values(), ids=SKELETON_ROUTES.keys())
+    def test_the_skeleton_re_solves_at_2h_then_4h(self, call, hs, grid_events):
+        # every route builds its h, 2h and 4h grids before phi is first
+        # evaluated on one, then evaluates and solves them in that order
+        rep = call(SolverConfig(h=0.5))
+        assert grid_events == [("grid", h) for h in hs] + [("phi", h) for h in hs]
+        assert isinstance(rep.refinement_delta, float)
 
-        def solve_at(c):
-            assert c.refine is False
-            seen.append(c.h)
-            return 1.0
-
-        pde._solve(SQUARE, SolverConfig(h=0.1, refine=refine), [4.0],
-                   lambda u, g: (1.0, g.steps), solve_at)
-        assert seen == hs
-
-    def test_a_solve_with_d1_zero_still_re_solves_at_4h(self, monkeypatch):
+    def test_a_solve_with_d1_zero_still_re_solves_at_4h(self, grid_events):
         # x is invariant on every grid: u_h = u_2h = u_4h, so the value,
         # estimate and steps are those of u_h, from three solved grids
-        hs = []
-        solve = pde.solve_gheat_diag
-
-        def spy(box, phi, *, cfg):
-            hs.append(cfg.h)
-            return solve(box, phi, cfg=cfg)
-
-        monkeypatch.setattr(pde, "solve_gheat_diag", spy)
         rep = pde.solve_gheat_diag(BOX_1D, IDENTITY, cfg=SolverConfig(h=0.2))
-        plain = solve(BOX_1D, IDENTITY, cfg=FAST)
-        assert hs == [0.2, 0.4, 0.8]
-        assert (rep.value, rep.refinement_delta, rep.steps_taken) == (plain.value, 0.0,
-                                                                       plain.steps_taken)
+        assert [e for e in grid_events if e[0] == "grid"] == [("grid", h) for h in (0.2, 0.4, 0.8)]
+        steps = build_grid([IV.sigma_high_sq], IDENTITY, SolverConfig(h=0.2)).steps
+        assert (rep.value, rep.refinement_delta, rep.steps_taken) == \
+            (box_u_h(BOX_1D, IDENTITY, 0.2), 0.0, steps)
 
 
 class TestSolveDiag:
@@ -238,14 +273,14 @@ def test_diffuse_last_axis_matches_full_solve():
 class TestSolveHull:
     def test_singleton_cross_term(self):
         hull = ConvexHull((np.array([[2.0, 1.0], [1.0, 2.0]]),))
-        rep = solve_gheat_hull(hull, XY, cfg=SolverConfig(h=0.25, refine=False))
+        rep = solve_gheat_hull(hull, XY, cfg=SolverConfig(h=0.25))
         assert rep.value == pytest.approx(1.0, abs=1e-6)
 
     def test_matches_diag_on_diagonal_generators(self):
         hull = ConvexHull(tuple(np.diag([a, b]) for a in (1.0, 4.0) for b in (1.0, 4.0)))
-        rh = solve_gheat_hull(hull, XY_SQUARED, cfg=SolverConfig(h=0.25, refine=False))
+        rh = solve_gheat_hull(hull, XY_SQUARED, cfg=SolverConfig(h=0.25))
         rd = solve_gheat_diag(DiagonalBox((IV, IV)), XY_SQUARED,
-                              cfg=SolverConfig(h=0.25, refine=False))
+                              cfg=SolverConfig(h=0.25))
         assert rh.value == pytest.approx(rd.value, abs=1e-9)
 
     def test_rejects_non_dominant_generator(self):
@@ -263,12 +298,11 @@ def test_tail_bound_is_small_on_sized_grids(monkeypatch):
     # the derived half width keeps the tail bound below target_tol / 10;
     # a domain truncated 1.5 sigma out (a tolerance so large that the
     # half width stays at _TAIL_FACTOR sigma) gets an honest, larger term
-    cfg = SolverConfig(h=0.2, refine=False)
+    cfg = SolverConfig(h=0.2)
     sized = solve_gheat_diag(BOX_1D, ABS, cfg=cfg)
     assert 0.0 < sized.tail_bound <= 0.1 * cfg.target_tol
     monkeypatch.setattr(pde, "_TAIL_FACTOR", 1.5)
-    narrow = solve_gheat_diag(BOX_1D, ABS, cfg=SolverConfig(h=0.2, target_tol=1e3,
-                                                                 refine=False))
+    narrow = solve_gheat_diag(BOX_1D, ABS, cfg=SolverConfig(h=0.2, target_tol=1e3))
     # 2 (1 + (1 + L)) exp(-k^2 / 2) at L = 3, k = L / sigma_high = 1.5
     assert narrow.tail_bound == pytest.approx(10.0 * math.exp(-1.125))
     assert abs(narrow.value - 2.0 * math.sqrt(2.0 / math.pi)) <= narrow.tail_bound
@@ -278,7 +312,7 @@ def test_tail_bound_sums_over_axes(monkeypatch):
     # half widths of 2 sigma: 4 and 2 sqrt(8), rounded up to 23 cells of 0.25
     monkeypatch.setattr(pde, "_TAIL_FACTOR", 2.0)
     box = DiagonalBox((IV, IV.scaled(2.0)))
-    cfg = SolverConfig(h=0.25, target_tol=1e3, refine=False)
+    cfg = SolverConfig(h=0.25, target_tol=1e3)
     grid = build_grid([4.0, 8.0], XY, cfg)
     assert grid.half_width == (4.0, 5.75)
     want = sum(4.0 * (1.0 + (1.0 + L)) * math.exp(-0.5 * (L / s) ** 2)
@@ -730,13 +764,18 @@ class TestConstantAxes:
         (_fn(lambda x: -0.0 * x, 1), BOX_1D),
     ], ids=["xy2", "x2+0y", "y2+0x", "3d-two-constant", "constant", "signed-zero"])
     def test_box_solve_drops_constant_axes(self, phi, box):
-        cfg = SolverConfig(h=0.4, refine=False)
-        grid = build_grid([iv.sigma_high_sq for iv in box.intervals], phi, cfg)
-        u = pde._eval_initial(phi, grid)
-        pde._advance_diag(u, box.intervals, grid.lam, grid.steps)
-        rep = solve_gheat_diag(box, phi, cfg=cfg)
-        assert _same_bits(np.float64(rep.value), _centre(u))
-        assert rep.steps_taken == grid.steps
+        centres, steps = [], []
+        for h in (0.4, 0.8, 1.6):
+            grid = build_grid([iv.sigma_high_sq for iv in box.intervals], phi,
+                              SolverConfig(h=h))
+            u = pde._eval_initial(phi, grid)
+            pde._advance_diag(u, box.intervals, grid.lam, grid.steps)
+            centres.append(float(_centre(u)))
+            steps.append(grid.steps)
+        rep = solve_gheat_diag(box, phi, cfg=SolverConfig(h=0.4))
+        value, grid_term = pde.refinement_delta(*centres)
+        assert _same_bits(np.float64(rep.value), np.float64(value))
+        assert (rep.refinement_delta, rep.steps_taken) == (grid_term, steps[0])
 
     def test_nested_sweep_along_a_constant_axis(self):
         u0 = np.repeat(_rough((7, 5), 31)[:, :, None], 21, axis=2)
@@ -806,12 +845,6 @@ def test_hull_with_zero_variance_returns_phi_at_x0():
                            growth_const=4.0, name="(x+1.5)(y-2)")
     rep = solve_gheat_hull(ConvexHull((np.zeros((2, 2)),)), shifted)
     assert (rep.value, rep.refinement_delta, rep.steps_taken) == (-3.0, 0.0, 0)
-
-
-@pytest.mark.parametrize("refine", ["coarsen", "halve", None, 1])
-def test_refine_must_be_a_bool(refine):
-    with pytest.raises(ValueError, match="refine"):
-        SolverConfig(refine=refine)
 
 
 # mirror folds: a solve whose data is exactly even steps the half from the

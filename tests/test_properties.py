@@ -12,7 +12,7 @@ from gexpect.pde import SolverConfig
 from gexpect.testfuncs import TestFunction
 from oracles import gamma_sets_equal
 
-FAST = SolverConfig(h=0.25, refine=False)
+FAST = SolverConfig(h=0.25)
 
 intervals = st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)).map(
     lambda p: UncertaintyInterval(min(p), max(p)))

@@ -54,7 +54,7 @@ REFUSALS = {
                                  GExpectError, "first variable needs sigma_high_sq > 0"),
     "linear-image-v-length": (lambda: run_linear_image(IV, np.eye(2), [1.0, 2.0, 3.0]),
                               GExpectError, "v has 3 entries but A has 2 rows"),
-    "result-nan": (lambda: ExpectationResult(math.nan, 0.0, None, 0, "pde"), GExpectError,
+    "result-nan": (lambda: ExpectationResult(math.nan, 0.0, 0.0, 0, "pde"), GExpectError,
                    "non-finite value"),
     # the base classes are no variant: each call refuses before reading dim
     "expect-unsupported-law": (lambda: expect(RandomVectorSpec(), SQUARE), GExpectError,
@@ -67,6 +67,10 @@ REFUSALS = {
                           "unknown uncertainty-set variant GammaSet"),
     "image-unknown-variant": (lambda: image_gamma(np.eye(1), GammaSet()), TypeError,
                               "unknown uncertainty-set variant GammaSet"),
+    "image-of-unsupported-law": (lambda: LinearImage(np.eye(1), RandomVectorSpec()),
+                                 GExpectError, "unsupported law description RandomVectorSpec"),
+    "image-of-unsupported-set": (lambda: LinearImage(np.eye(1), GNormal(GammaSet())),
+                                 GExpectError, "uncertainty set GammaSet is not solvable"),
 }
 
 

@@ -12,7 +12,7 @@ from gexpect.scenarios import (run_asymmetric_independence, run_diag_not_indep,
 IV = UncertaintyInterval(1.0, 4.0)
 # coarse but fine enough that strict-positivity floors (10x the error
 # estimate, which scales like h^2) stay below the computed third moments
-FAST = SolverConfig(h=0.15, refine=False)
+FAST = SolverConfig(h=0.15)
 
 
 class TestAsymmetricIndependence:
@@ -62,7 +62,7 @@ class TestQuadraticForm:
 
     def test_three_variables(self):
         ivs = (IV, IV.scaled(2.0), UncertaintyInterval(0.5, 1.0))
-        out = run_quadratic_form(ivs, np.diag([1.0, -1.0, 2.0]), cfg=SolverConfig(h=0.4, refine=False))
+        out = run_quadratic_form(ivs, np.diag([1.0, -1.0, 2.0]), cfg=SolverConfig(h=0.4))
         assert out.passed
 
     def test_rejects_shape_mismatch(self):
