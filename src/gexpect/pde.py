@@ -14,12 +14,13 @@ A box solve and a sweep of the nested recursion are the same diagonal
 solve, run by one driver, ``_diag_centre``: its intervals diffuse along
 the leading axes of u, and any later axes are passive rows (a sweep is a
 box solve whose other coordinates are passive). Every diagonal step runs
-through one kernel, ``_advance_diag``; hull solves run through
-``_advance_hull``. Each call copies the view it is given (a cone view or a
-slab, usually strided) into one C-ordered buffer, steps it in place as a
-flat 1D array and writes it back. The kernels are in the flux form of
-Kushner and Dupuis' monotone schemes: along an axis of stride s, one first
-difference g[f] = u[f + s] - u[f] is formed, then d[f] = g[f] - g[f - s],
+through one kernel, ``_advance_diag``, unless the dot path below serves
+the problem; hull solves run through ``_advance_hull``. Each call copies
+the view it is given (a cone view or a slab, usually strided) into one
+C-ordered buffer, steps it in place as a flat 1D array and writes it
+back. The kernels are in the flux form of Kushner and Dupuis' monotone
+schemes: along an axis of stride s, one first difference
+g[f] = u[f + s] - u[f] is formed, then d[f] = g[f] - g[f - s],
 so every op of a step is one contiguous slice. The hull's cross term sums
 two cell differences M[f] = gy[f + n1] - gy[f] of gy[f] = u[f + 1] - u[f].
 lam = dt / h^2 and the 1/2 of the generator are folded into each
@@ -42,6 +43,19 @@ initial data is exactly constant: the flux along it is (v - v) - (v - v)
 steps, and a sweep along such an axis returns without stepping. Hull
 solves drop nothing, since their cross stencil does not cancel exactly.
 
+When exactly one axis diffuses (a nested sweep, a 1D box solve, or a box
+solve whose other axes were dropped), each passive row is a 1D problem.
+With its faces held fixed, one step at r = lam sigma_high^2 / 2 <= 1/2 maps
+a row's second differences d_i to (1 - 2r) d_i + r (d_i-1 + d_i+1), a
+nonnegative combination, so a convex row stays convex, Gbar always
+selects sigma_high^2, and the row steps exactly as the linear scheme does;
+a concave row steps at sigma_low^2 (Peng's classical expectation at sigma
+of a convex phi, row by row). ``_dot_rows`` then returns w . row for each
+row, w = e_c S^steps the centre row of the linear scheme (``_weights``),
+summed over mirrored node pairs so that odd rows come back exactly 0. If
+any row is mixed, the problem steps as below. The value differs from the
+stepped one at rounding level only.
+
 A solve whose initial data is exactly even and has more than
 ``_CONE_CELLS`` cells steps half the grid (a mirror fold). The nodes are
 h * k, antisymmetric bit for bit, so evenness is one ``np.array_equal``
@@ -51,16 +65,10 @@ node - 1: plane 0 is a ghost, overwritten from plane 2 before every step
 read at node 1. A box is unchanged by flipping any one axis, so the
 diagonal driver folds every diffusing axis along which the data is even,
 and failing all, when no axis is passive, the point reflection x -> -x; a
-hull is unchanged only by x -> -x, which is all a hull solve folds. An
-even passive axis keeps half its rows, and the centre slice is mirrored
-back. Failing every passive axis, a sweep of data even under x -> -x
-(xy + yz, a pulled-back quadratic form) steps the rows from the first
-passive axis' centre on: row p is row -p flipped along the swept axis,
-so both have the same centre value, and the rest of the centre slice is
-the point mirror of the stepped half. On even data g is exactly odd and d
-exactly even (a - b is exactly -(b - a), and x + y is y + x), so the
-unfolded scheme keeps even data even bit for bit, steps a flipped row to
-the flipped bits, and every fold returns the unfolded bits.
+hull is unchanged only by x -> -x, which is all a hull solve folds. On
+even data g is exactly odd and d exactly even (a - b is exactly -(b - a),
+and x + y is y + x), so the unfolded scheme keeps even data even bit for
+bit, and every fold returns the unfolded bits.
 
 ``_eval_initial`` evaluates phi on an open mesh (one array per axis, of
 length 1 along the others), a slab of at most ``_SLAB_CELLS`` cells along
@@ -100,7 +108,9 @@ the shape and a 128-bit BLAKE2b digest of the data (a digest, not the
 bytes, so the memo holds only results), and serves a repeat from the
 memo: the same bits, since the key holds everything the stepping reads. Keying on the
 data rather than on phi catches pulled-back duplicates and a marginal
-whose other axes were dropped. Outside the block nothing is kept.
+whose other axes were dropped. The dot path's weights are kept in the same
+memo, keyed on the nodes, the coefficient and the steps. Outside the block
+nothing is kept, and each solve computes its weights afresh.
 """
 
 from __future__ import annotations
@@ -443,13 +453,11 @@ def _even(u: np.ndarray, axis: int | None = None) -> bool:
     return np.array_equal(u, np.flip(u, axis))
 
 
-def _fold(u: np.ndarray, ghosts, halves=()) -> tuple:
+def _fold(u: np.ndarray, ghosts) -> tuple:
     """(view, centre): u cut to its half from the centre node - 1 along each
-    axis in `ghosts` (plane 0 a ghost, the centre at node 1) and from the
-    centre along each axis in `halves`; the centre node of the view along
-    every axis."""
-    start = [n // 2 - 1 if a in ghosts else n // 2 if a in halves else 0
-             for a, n in enumerate(u.shape)]
+    axis in `ghosts` (plane 0 a ghost, the centre at node 1); the centre node
+    of the view along every axis."""
+    start = [n // 2 - 1 if a in ghosts else 0 for a, n in enumerate(u.shape)]
     centre = tuple(n // 2 - s for n, s in zip(u.shape, start))
     return u[tuple(slice(s, None) for s in start)], centre
 
@@ -475,8 +483,9 @@ def _diag_centre(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
     """u(1, 0) of a diagonal solve from the initial data u, stepped in place:
     interval k diffuses along axis k, and later axes are passive rows. A 0-d
     value for a box solve, an array over the passive axes for a sweep.
-    Constant axes are dropped and even data is folded (see the module
-    docstring); neither moves the value.
+    Constant axes are dropped, a one-axis problem with no mixed row is one
+    dot product per row, and even data is folded (see the module docstring);
+    only the dot product moves the value, at rounding level.
     Within solve_once() a repeated problem is not stepped again.
     """
     keep = [a for a in range(len(ivs)) if not _flat_along(u, a)]
@@ -498,32 +507,92 @@ def _diag_centre(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
 
 
 def _diag_step(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
-    """_diag_centre once no axis of u is constant: fold and step."""
+    """_diag_centre once no axis of u is constant: one dot product per row
+    when one axis diffuses and no row is mixed (see _dot_rows), else fold
+    and step."""
     n = len(ivs)
+    if n == 1:
+        out = _dot_rows(u, ivs[0], lam, steps)
+        if out is not None:
+            return out
     # a box is unchanged by flipping any one axis, so the solution keeps each
     # mirror symmetry of the data; failing all, when every axis diffuses, the
-    # point reflection. Passive rows are independent: a mirrored row has the
-    # same bits, so only the half from the centre on is stepped; failing
-    # every passive axis, under the point reflection row p is row -p flipped
-    # along the diffusing axes, and the rest is the point mirror of the half
-    # from the first passive axis' centre on
+    # point reflection
     fold = u.size > _CONE_CELLS
     ghosts = [a for a in range(n) if fold and _even(u, a)]
     point = fold and not ghosts and n == u.ndim and _even(u)
     if point:
         ghosts = [0]
-    halves = [a for a in range(n, u.ndim) if fold and _even(u, a)]
-    mirrored = fold and n < u.ndim and not halves and _even(u)
-    if mirrored:
-        halves = [n]
-    u, centre = _fold(u, ghosts, halves)
-    out = _advance_cone(np.ascontiguousarray(u), centre[:n], steps,
-                        lambda v, k: _advance_diag(v, ivs, lam, k, ghosts, point))
-    for a in halves:
-        ax = a - n  # out has no diffusing axes
-        rest = out[(slice(None),) * ax + (slice(1, None),)]
-        out = np.concatenate([np.flip(rest, None if mirrored else ax), out], axis=ax)
-    return out
+    u, centre = _fold(u, ghosts)
+    return _advance_cone(np.ascontiguousarray(u), centre[:n], steps,
+                         lambda v, k: _advance_diag(v, ivs, lam, k, ghosts, point))
+
+
+def _dot_rows(u: np.ndarray, iv: UncertaintyInterval, lam: float, steps: int):
+    """u(1, 0) of a one-axis problem (axis 0 diffuses, later axes are passive
+    rows) as one dot product per row, or None when a row is mixed or axis 0
+    has no centre node (see the module docstring).
+
+    A row is convex (linear rows included) or concave when its second
+    differences along axis 0 all have one sign; its value is then w . row
+    at sigma_high^2 or sigma_low^2 (see _weights). The rows are classified
+    and summed a slab of at most _SLAB_CELLS cells at a time, in mirrored
+    pairs w_c row_c + sum_k w_c+k (row_c+k + row_c-k), so that odd rows
+    come back exactly 0.
+    """
+    n = u.shape[0]
+    if n % 2 == 0:
+        return None
+    c = n // 2
+    c_lo, c_hi = lam * (0.5 * iv.sigma_low_sq), lam * (0.5 * iv.sigma_high_sq)
+    rows = u.reshape(n, -1)
+    out = np.empty(rows.shape[1])
+    weights = {}
+    width = max(1, _SLAB_CELLS // n)
+    for j in range(0, rows.shape[1], width):
+        slab = rows[:, j:j + width]
+        g = slab[1:] - slab[:-1]
+        d = g[1:] - g[:-1]
+        # a linear piece of (x - K)^+ has second differences of +-1 ulp of
+        # its values, so the sign test allows 1e-12 (1 + max |row|)
+        tol = 1e-12 * (1.0 + np.abs(slab).max(axis=0))
+        convex = d.min(axis=0) >= -tol
+        if not np.all(convex | (d.max(axis=0) <= tol)):
+            return None
+        pairs = slab[c + 1:] + slab[c - 1::-1]
+        for coeff, chosen in ((c_hi, convex), (c_lo, ~convex)):
+            if chosen.any():
+                if coeff not in weights:
+                    weights[coeff] = _weights(n, coeff, steps)
+                w = weights[coeff]
+                # + 0.0 clears -0.0 as a step would
+                value = w[c] * slab[c] + (w[c + 1:, None] * pairs).sum(axis=0) + 0.0
+                out[j:j + width][chosen] = value[chosen]
+    return out.reshape(u.shape[1:])
+
+
+def _weights(n: int, coeff: float, steps: int) -> np.ndarray:
+    """w = e_c S^steps: the centre row of `steps` steps of the linear scheme
+    at coefficient lam sigma^2 / 2 on n nodes, end faces held fixed, found by
+    stepping the adjoint vector from the centre node c. Within solve_once()
+    it is kept in the run memo under its own key."""
+    memo = _MEMO.get()
+    key = ("weights", n, coeff, steps)
+    if memo is not None and key in memo:
+        return memo[key]
+    w = np.zeros(n)
+    w[n // 2] = 1.0
+    # q[i + 1] = coeff w[i] on the interior; the faces and the two pads are 0
+    q, g, d = np.zeros(n + 2), np.empty(n + 1), np.empty(n)
+    for _ in range(steps):
+        np.multiply(w[1:-1], coeff, out=q[2:-2])
+        np.subtract(q[1:], q[:-1], out=g)
+        np.subtract(g[1:], g[:-1], out=d)
+        w += d
+    if memo is not None:
+        w.setflags(write=False)
+        memo[key] = w
+    return w
 
 
 def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float) -> tuple:

@@ -7,16 +7,17 @@ from gexpect import pde
 
 @pytest.fixture
 def stepped(monkeypatch):
-    # the number of kernel calls so far, and whether a run's memo was set
+    # the number of diagonal problems solved so far (by the dot path or the
+    # kernel; a memo hit solves none), and whether a run's memo was set
     seen = SimpleNamespace(calls=0, memo=set())
-    diag = pde._advance_diag
+    step = pde._diag_step
 
     def spy(*args, **kwargs):
         seen.calls += 1
         seen.memo.add(pde._MEMO.get() is not None)
-        diag(*args, **kwargs)
+        return step(*args, **kwargs)
 
-    monkeypatch.setattr(pde, "_advance_diag", spy)
+    monkeypatch.setattr(pde, "_diag_step", spy)
     return seen
 
 

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gexpect import pde
 from gexpect.cli import main
 from gexpect.expectation import expect_gnormal, expect_sequential
 from gexpect.gamma import ConvexHull, DiagonalBox, RankOneFamily, UncertaintyInterval
@@ -85,15 +84,17 @@ QUAD_3 = TestFunction(lambda x, y, z: x**2 + (y - 0.5) ** 2 + z**2, arity=3, gro
 
 
 @pytest.mark.parametrize("solve, pinned", [
-    # box and sequential extrapolate; hull and rank-one fall back to u_h
+    # box and sequential extrapolate; hull and rank-one fall back to u_h. The
+    # sweeps, the rank-one and the constant-axis solves have no mixed row
+    # along their one diffusing axis and take the dot path (pde._dot_rows)
     (lambda: solve_gheat_diag(DiagonalBox((IV, IV)), XY_SQUARED, cfg=COARSE),
      (1.5956764092101388, 5.876172814779698e-11, 0.03331378298030052, 320)),
     (lambda: solve_gheat_hull(HULL, XY_SQUARED, cfg=COARSE),
      (1.2902047883147163, 1.726140097584274e-11, 0.05387472388573711, 240)),
     (lambda: expect_sequential((IV, IV), XY_SQUARED, cfg=COARSE),
-     (2.3936619640371988, 5.876172814779698e-11, 0.008446095800599629, 320)),
+     (2.393661964037197, 5.876172814779698e-11, 0.008446095800599185, 320)),
     (lambda: expect_gnormal(RankOneFamily(np.array([1.2, -0.7]), IV), KINK, cfg=COARSE),
-     (1.0927480028916354, 8.799062223510633e-13, 0.003096354687107006, 160)),
+     (1.092748002891635, 8.799062223510633e-13, 0.00309635468710745, 160)),
     # |x+y| is even only under x -> -x: point folds of the box and the hull
     (lambda: solve_gheat_diag(DiagonalBox((IV, IV)), ABS_SUM, cfg=COARSE),
      (2.25676025650592, 9.118199195347805e-13, 0.0039741495976155505, 320)),
@@ -101,39 +102,19 @@ QUAD_3 = TestFunction(lambda x, y, z: x**2 + (y - 0.5) ** 2 + z**2, arity=3, gro
      (1.9544784071670762, 3.262326800948795e-13, 0.009923318821932758, 240)),
     # y is dropped as a constant axis: a 1D solve on the 2D grid
     (lambda: solve_gheat_diag(DiagonalBox((IV, IV)), X2_0Y, cfg=COARSE),
-     (3.999999999999972, 2.735459758604342e-12, 2.4424906541753444e-14, 320)),
-    # 65^3 nodes: the first sweep folds its swept axis and x, and cuts slabs
+     (3.999999999999998, 2.735459758604342e-12, 1.9539925233402755e-14, 320)),
+    # 65^3 nodes of convex rows: each sweep is one dot product per row, a slab
+    # at a time
     (lambda: expect_sequential((UncertaintyInterval(0.5, 1.0),) * 3, QUAD_3, cfg=COARSE),
-     (3.250000000000002, 4.559099597673904e-12, 3.1086244689504383e-15, 120)),
-    # sweeps along y that step half the passive x rows: the rows of x^2 (y - 0.3)^+
-    # are even in x, those of |x + y| under x -> -x only (see the test below)
+     (3.249999999999999, 4.559099597673904e-12, 1.3322676295501878e-15, 120)),
+    # convex rows along y over passive data that is even in x (x^2 (y - 0.3)^+)
+    # or under x -> -x only (|x + y|)
     (lambda: expect_sequential((IV, IV), X2_KINK, cfg=COARSE),
-     (2.627596720855791, 5.876172814779698e-11, 0.013651488502834486, 320)),
+     (2.627596720855786, 5.876172814779698e-11, 0.013651488502834042, 320)),
     (lambda: expect_sequential((IV, IV), ABS_SUM, cfg=COARSE),
-     (2.25676025650592, 9.118199195347805e-13, 0.0039741495976155505, 320)),
+     (2.2567602565059186, 9.118199195347805e-13, 0.003974149597614662, 320)),
 ], ids=["box", "hull", "sequential", "rank-one", "box-point-fold", "hull-point-fold",
         "box-constant-axis", "sequential-3d-slabs", "sequential-halves", "sequential-mirrored"])
 def test_pinned_solve_reports(solve, pinned):
     rep = solve()
     assert (rep.value, rep.tail_bound, rep.refinement_delta, rep.steps_taken) == pinned
-
-
-@pytest.mark.parametrize("phi, fold", [(X2_KINK, "halves"), (ABS_SUM, "mirrored")])
-def test_pinned_sweeps_fold_their_passive_rows(phi, fold, monkeypatch):
-    # the 2D sweeps of the h and 2h grids fold; the 4h grid and the 1D
-    # sweeps have at most _CONE_CELLS cells, and are stepped whole
-    kinds = []
-    cut = pde._fold
-
-    def spy(u, ghosts, halves=()):
-        if u.size <= pde._CONE_CELLS:
-            kinds.append("small")
-        elif halves:
-            kinds.append("halves" if pde._even(u, halves[0]) else "mirrored")
-        else:
-            kinds.append("whole")
-        return cut(u, ghosts, halves)
-
-    monkeypatch.setattr(pde, "_fold", spy)
-    expect_sequential((IV, IV), phi, cfg=COARSE)
-    assert sorted(kinds) == [fold] * 2 + ["small"] * 4

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gexpect import pde
 from gexpect.errors import DimensionMismatch, GExpectError
@@ -751,26 +752,33 @@ def _fn(fn, arity):
 
 
 class TestConstantAxes:
-    # solve_gheat_diag against the unreduced path: every axis stepped on the
-    # whole grid by the full-array kernel
-    @pytest.mark.parametrize("phi, box", [
-        (XY_SQUARED, DiagonalBox((IV, IV.scaled(0.5)))),  # no constant axis
-        (_fn(lambda x, y: x * x + 0.0 * y, 2), DiagonalBox((IV, IV.scaled(0.5)))),
-        (_fn(lambda x, y: y * y + 0.0 * x, 2), DiagonalBox((IV, IV.scaled(0.5)))),
+    # solve_gheat_diag against its reduced problem, the kept axes alone
+    # through the driver, to the same bits; and against the unreduced path,
+    # every axis stepped on the whole grid by the full-array kernel, within
+    # rounding, since a problem left with one axis takes the dot path
+    @pytest.mark.parametrize("phi, box, kept", [
+        (XY_SQUARED, DiagonalBox((IV, IV.scaled(0.5))), [0, 1]),  # no constant axis
+        (_fn(lambda x, y: x * x + 0.0 * y, 2), DiagonalBox((IV, IV.scaled(0.5))), [0]),
+        (_fn(lambda x, y: y * y + 0.0 * x, 2), DiagonalBox((IV, IV.scaled(0.5))), [1]),
         (_fn(lambda x, y, z: np.abs(y - 0.3) + 0.0 * x * z, 3),
-         DiagonalBox((IV.scaled(0.25),) * 3)),
-        (_fn(lambda x, y: 3.0 + 0.0 * x * y, 2), DiagonalBox((IV, IV))),
+         DiagonalBox((IV.scaled(0.25),) * 3), [1]),
+        (_fn(lambda x, y: 3.0 + 0.0 * x * y, 2), DiagonalBox((IV, IV)), []),
         # -0.0 and 0.0 compare equal; the solve still returns the stepped 0.0
-        (_fn(lambda x: -0.0 * x, 1), BOX_1D),
+        (_fn(lambda x: -0.0 * x, 1), BOX_1D, []),
     ], ids=["xy2", "x2+0y", "y2+0x", "3d-two-constant", "constant", "signed-zero"])
-    def test_box_solve_drops_constant_axes(self, phi, box):
+    def test_box_solve_drops_constant_axes(self, phi, box, kept):
         centres, steps = [], []
         for h in (0.4, 0.8, 1.6):
             grid = build_grid([iv.sigma_high_sq for iv in box.intervals], phi,
                               SolverConfig(h=h))
             u = pde._eval_initial(phi, grid)
+            reduced = np.array(u[tuple(slice(None) if a in kept else n // 2
+                                       for a, n in enumerate(u.shape))])
+            centres.append(float(pde._diag_centre(reduced, [box.intervals[a] for a in kept],
+                                                  grid.lam, grid.steps)))
             pde._advance_diag(u, box.intervals, grid.lam, grid.steps)
-            centres.append(float(_centre(u)))
+            stepped = float(_centre(u))
+            assert abs(centres[-1] - stepped) <= 1e-12 * (1.0 + abs(stepped))
             steps.append(grid.steps)
         rep = solve_gheat_diag(box, phi, cfg=SolverConfig(h=0.4))
         value, grid_term = pde.refinement_delta(*centres)
@@ -782,6 +790,109 @@ class TestConstantAxes:
         out, dt, steps = diffuse_last_axis(u0, IV, 0.5)
         assert steps == 40
         assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [IV], 0.5, dt, steps, [2])))
+
+
+# the dot path: a one-axis problem whose rows are all convex, concave or
+# linear along axis 0 is one dot product per row (pde._dot_rows)
+
+
+def _dot_row(kind, x, a, b, s, t):
+    if kind == "linear":
+        return s * x + t
+    if kind == "kink":  # (x - K)^+: linear pieces with second differences of +-1 ulp
+        return abs(a) * np.maximum(x - b, 0.0) + s * x + t
+    row = abs(a) * (x - b) ** 2 + abs(s) * np.abs(x - t) + s * x + t
+    return row if kind == "convex" else -row
+
+
+def _dot_problem(lo, width, h, c, passive, rows):
+    # rows along axis 0 over the nodes h k, |k| <= c, the passive axes after
+    # it; the interval, lam and steps of a sweep at h
+    iv = UncertaintyInterval(lo, lo + width)
+    x = h * np.arange(-c, c + 1)
+    u = np.stack([row(x) for row in rows], axis=1).reshape((2 * c + 1,) + tuple(passive))
+    steps = pde._steps(h, iv.sigma_high_sq)
+    return u, iv, (1.0 / steps) / (h * h), steps
+
+
+_DOT_SETTINGS = dict(lo=st.floats(0.0, 2.0), width=st.floats(0.0, 3.0), h=st.floats(0.1, 0.5),
+                     c=st.integers(1, 20), passive=st.lists(st.integers(1, 4), max_size=2))
+_ROW_PARAMS = st.tuples(*[st.floats(-2.0, 2.0)] * 4)
+
+
+class TestDotRows:
+    @given(**_DOT_SETTINGS, data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rows_of_one_sign_match_the_kernel(self, lo, width, h, c, passive, data):
+        m = math.prod(passive)
+        kinds = data.draw(st.lists(st.sampled_from(["convex", "concave", "linear", "kink"]),
+                                   min_size=m, max_size=m))
+        params = data.draw(st.lists(_ROW_PARAMS, min_size=m, max_size=m))
+        u, iv, lam, steps = _dot_problem(
+            lo, width, h, c, passive,
+            [lambda x, k=k, p=p: _dot_row(k, x, *p) for k, p in zip(kinds, params)])
+        got = pde._dot_rows(u, iv, lam, steps)
+        assert got is not None and got.shape == u.shape[1:]
+        want = u.copy()
+        pde._advance_diag(want, [iv], lam, steps)
+        assert np.all(np.abs(got - want[c]) <= 1e-12 * (1.0 + np.abs(want[c])))
+
+    @given(**_DOT_SETTINGS, slopes=st.lists(st.floats(-5.0, 5.0), min_size=16, max_size=16))
+    @settings(max_examples=25, deadline=None)
+    def test_odd_rows_come_back_exactly_zero(self, lo, width, h, c, passive, slopes):
+        # h k is exactly -(h -k), so the rows s x are exactly odd
+        u, iv, lam, steps = _dot_problem(lo, width, h, c, passive,
+                                         [lambda x, s=s: s * x
+                                          for s in slopes[:math.prod(passive)]])
+        got = pde._dot_rows(u, iv, lam, steps)
+        assert _same_bits(got, np.zeros(u.shape[1:]))
+
+    @given(**{**_DOT_SETTINGS, "c": st.integers(2, 20)}, mixed=st.integers(0, 15),
+           params=st.lists(_ROW_PARAMS, min_size=16, max_size=16))
+    @settings(max_examples=25, deadline=None)
+    def test_a_mixed_row_falls_back_to_the_kernel(self, lo, width, h, c, passive, params,
+                                                  mixed):
+        # x^3 is concave left of the centre and convex right of it (from two
+        # nodes out: on three nodes it is linear)
+        m = math.prod(passive)
+        rows = [lambda x, p=p: _dot_row("convex", x, *p) for p in params[:m]]
+        rows[mixed % m] = lambda x: x ** 3
+        u, iv, lam, steps = _dot_problem(lo, width, h, c, passive, rows)
+        assert pde._dot_rows(u, iv, lam, steps) is None
+        kernel = pde._advance_diag
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pde, "_advance_diag", lambda *a: calls.append(a) or kernel(*a))
+            got = pde._diag_centre(u.copy(), [iv], lam, steps)
+        assert calls
+        want = _ref_run_diag(u, [iv], h, 1.0 / steps, steps, [0])[c]
+        assert _same_bits(got, want)
+
+    def test_an_axis_without_a_centre_node_is_not_dotted(self):
+        x = 0.2 * np.arange(-10, 11)
+        assert pde._dot_rows(x * x, IV, 0.25, 30) is not None
+        assert pde._dot_rows((x * x)[1:], IV, 0.25, 30) is None
+
+    def test_weights_are_kept_in_the_run_memo_only(self):
+        # convex, concave and linear rows: both weight vectors are needed
+        h = 0.2
+        x = h * np.arange(-10, 11)
+        u = np.stack([x * x, -x * x, x + 1.0], axis=1)
+        steps = pde._steps(h, IV.sigma_high_sq)
+        lam = (1.0 / steps) / (h * h)
+        outside = pde._diag_centre(u.copy(), [IV], lam, steps)
+        assert pde._MEMO.get() is None
+        with pde.solve_once():
+            inside = pde._diag_centre(u.copy(), [IV], lam, steps)
+            kept = {k: w for k, w in pde._MEMO.get().items() if k[0] == "weights"}
+        assert pde._MEMO.get() is None
+        assert _same_bits(inside, outside)
+        coeffs = [lam * (0.5 * IV.sigma_high_sq), lam * (0.5 * IV.sigma_low_sq)]
+        assert set(kept) == {("weights", 21, c, steps) for c in coeffs}
+        for (_, n, coeff, _), w in kept.items():
+            assert _same_bits(w, pde._weights(n, coeff, steps)) and not w.flags.writeable
+            # the linear scheme keeps constants: its centre row sums to 1
+            assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
 
 
 def test_initial_data_mesh_is_read_only():
@@ -958,67 +1069,6 @@ class TestFolds:
         assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [iv], 1.0, 1.0 / steps, steps,
                                                            [2])))
         assert folds.seen == {((0,), False)}
-
-    @pytest.mark.parametrize("even", [[0], [1], [0, 1], [0, 1, 2]])
-    def test_nested_passive_folds_same_bits(self, even, folds):
-        # the passive rows are independent: the mirrored half has the bits
-        # of the unfolded sweep, with or without a swept-axis fold (axis 2)
-        u0 = _rough((13, 11, 41), 107)
-        for a in even:
-            u0 = _made_even(u0, a)
-        iv = KERNEL_IVS[1]
-        out, dt, steps = diffuse_last_axis(u0, iv, 0.5)
-        assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [iv], 0.5, dt, steps, [2])))
-        assert folds.seen == {((0,) if 2 in even else (), False)}
-        # the passive axes, 1 and 2 once the swept axis leads, keep half the rows
-        assert folds.shapes[0][1:] == tuple(n // 2 + 1 if a in even else n
-                                            for a, n in enumerate(u0.shape[:2]))
-
-    @pytest.mark.parametrize("shape, kind, ghosts", [
-        ((71, 67), "rough", ()), ((71, 67), "xy", ()),
-        ((13, 11, 41), "rough", ()), ((13, 11, 41), "(x+y+z)^2", ()),
-        ((13, 11, 41), "xy+yz", ()), ((13, 11, 41), "xy+z^2", (0,))],
-        ids=["2d-rough", "2d-xy", "3d-rough", "3d-(x+y+z)^2", "3d-xy+yz", "3d-xy+z^2"])
-    def test_nested_point_even_rows_are_mirrored(self, shape, kind, ghosts, folds):
-        # data even under x -> -x but along no passive axis alone: row p is
-        # row -p flipped along the swept axis (the last), so the sweep steps
-        # n // 2 + 1 rows of the first passive axis; with xy + z^2 the swept
-        # axis folds too
-        h = 0.2
-        c = np.meshgrid(*(h * np.arange(-(n // 2), n // 2 + 1) for n in shape), indexing="ij")
-        u0 = {"rough": lambda: _made_even(_rough(shape, 151)),
-              "xy": lambda: c[0] * c[1], "(x+y+z)^2": lambda: (c[0] + c[1] + c[2]) ** 2,
-              "xy+yz": lambda: c[0] * c[1] + c[1] * c[2],
-              "xy+z^2": lambda: c[0] * c[1] + c[2] ** 2}[kind]()
-        assert np.array_equal(u0, np.flip(u0)) and u0.size > pde._CONE_CELLS
-        assert not any(np.array_equal(u0, np.flip(u0, a)) for a in range(u0.ndim - 1))
-        iv = KERNEL_IVS[1]
-        out, dt, steps = diffuse_last_axis(u0, iv, h)
-        assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [iv], h, dt, steps,
-                                                           [u0.ndim - 1])))
-        assert folds.seen == {(ghosts, False)}
-        # the swept axis leads the stepped views, so axis 1 is the first passive one
-        assert {v[1:] for v in folds.shapes} == {(shape[0] // 2 + 1,) + shape[1:-1]}
-
-    @pytest.mark.parametrize("kind, shape", [("xy^2", (71, 67)), ("odd", (13, 11, 41)),
-                                             ("small", (3, 21, 65))])
-    def test_nested_rows_not_mirrored(self, kind, shape, folds):
-        # x y^2 (y swept) and point-odd data are not even under x -> -x, and
-        # a grid of at most _CONE_CELLS cells is not folded
-        h = 0.2
-        if kind == "xy^2":
-            x, y = np.meshgrid(*(h * np.arange(-(n // 2), n // 2 + 1) for n in shape),
-                               indexing="ij")
-            u0 = x * y**2  # even along the swept y, which folds
-        else:
-            u0 = _rough(shape, 157)
-            u0 = u0 - np.flip(u0) if kind == "odd" else _made_even(u0)
-        assert (u0.size <= pde._CONE_CELLS) == (kind == "small")
-        out, dt, steps = diffuse_last_axis(u0, KERNEL_IVS[1], h)
-        assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [KERNEL_IVS[1]], h, dt, steps,
-                                                           [u0.ndim - 1])))
-        assert folds.seen == {((0,) if kind == "xy^2" else (), False)}
-        assert {v[1:] for v in folds.shapes} == {shape[:-1]}
 
     def _assert_unfolded(self, u0, kind, folds):
         # the solve of u0 by kind has the bits of the unfolded reference
