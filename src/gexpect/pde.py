@@ -15,9 +15,9 @@ solve, run by one driver, ``_diag_centre``: its intervals diffuse along
 the leading axes of u, and any later axes are passive rows (a sweep is a
 box solve whose other coordinates are passive). Every diagonal step runs
 through one kernel, ``_advance_diag``, unless the dot path below serves
-the problem; hull solves run through ``_advance_hull``. Each call copies
-the view it is given (a cone view or a slab, usually strided) into one
-C-ordered buffer, steps it in place as a flat 1D array and writes it
+the slab; hull solves run through ``_advance_hull``. Each call copies
+the view it is given (a cone view, often strided) into one C-ordered
+buffer, steps it in place as a flat 1D array and writes it
 back. The kernels are in the flux form of Kushner and Dupuis' monotone
 schemes: along an axis of stride s, one first difference
 g[f] = u[f + s] - u[f] is formed, then d[f] = g[f] - g[f - s],
@@ -51,24 +51,27 @@ nonnegative combination, so a convex row stays convex, Gbar always
 selects sigma_high^2, and the row steps exactly as the linear scheme does;
 a concave row steps at sigma_low^2 (Peng's classical expectation at sigma
 of a convex phi, row by row). ``_dot_rows`` then returns w . row for each
-row, w = e_c S^steps the centre row of the linear scheme (``_weights``),
-summed over mirrored node pairs so that odd rows come back exactly 0. If
-any row is mixed, the problem steps as below. The value differs from the
-stepped one at rounding level only.
+row of a slab (see below), w = e_c S^steps the centre row of the linear
+scheme (``_weights``), summed over mirrored node pairs so that odd rows
+come back exactly 0. A slab that holds a mixed row is folded and stepped
+as below; the other slabs of the problem are still dot products. The
+value differs from the stepped one at rounding level only.
 
-A solve whose initial data is exactly even and has more than
-``_CONE_CELLS`` cells steps half the grid (a mirror fold). The nodes are
-h * k, antisymmetric bit for bit, so evenness is one ``np.array_equal``
-against ``np.flip``. Along a folded axis the half starts at the centre
-node - 1: plane 0 is a ghost, overwritten from plane 2 before every step
-(in a point fold, plane 2 flipped over the other axes), and u(1, 0) is
-read at node 1. A box is unchanged by flipping any one axis, so the
-diagonal driver folds every diffusing axis along which the data is even,
-and failing all, when no axis is passive, the point reflection x -> -x; a
-hull is unchanged only by x -> -x, which is all a hull solve folds. On
-even data g is exactly odd and d exactly even (a - b is exactly -(b - a),
-and x + y is y + x), so the unfolded scheme keeps even data even bit for
-bit, and every fold returns the unfolded bits.
+Box and hull solves fold and step through one function,
+``_fold_and_cone``. A solve whose initial data is exactly even and has
+more than ``_CONE_CELLS`` cells steps half the grid (a mirror fold). The
+nodes are h * k, antisymmetric bit for bit, so evenness is one
+``np.array_equal`` against ``np.flip``. Along a folded axis the half
+starts at the centre node - 1: plane 0 is a ghost, overwritten from plane
+2 before every step (in a point fold, plane 2 flipped over the other
+axes), and u(1, 0) is read at node 1. A box is unchanged by flipping any
+one axis, so a box solve folds every diffusing axis along which the data
+is even, and failing all, when no axis is passive, the point reflection
+x -> -x; a hull is unchanged only by x -> -x, so a hull solve has axis
+folds off and folds by the point reflection alone. On even data g is
+exactly odd and d exactly even (a - b is exactly -(b - a), and x + y is
+y + x), so the unfolded scheme keeps even data even bit for bit, and
+every fold returns the unfolded bits.
 
 ``_eval_initial`` evaluates phi on an open mesh (one array per axis, of
 length 1 along the others), a slab of at most ``_SLAB_CELLS`` cells along
@@ -76,14 +79,16 @@ axis 0 at a time, straight into the C-ordered initial data; it then
 refuses a phi whose values on the grid's end faces break its declared
 growth, which the tail bound relies on.
 
-``diffuse_last_axis`` copies its input once with the swept axis moved to
-the front, so cone views are contiguous blocks, and returns the centre
-slice along it. ``_advance_diag`` cuts the first passive axis into slabs
-of at most ``_SLAB_CELLS`` cells and runs each slab through all of its
-steps before the next, so a slab and its buffers are reused from L2 cache
-instead of the whole grid streaming from memory once per step. The rows
-are independent problems and every op is elementwise, so the values are
-the same bits.
+``diffuse_last_axis`` refuses a swept axis of even length, which has no
+centre node; it copies its input once with the swept axis moved to the
+front, so cone views are contiguous blocks, and returns the centre slice
+along it. ``_diag_step``, the one place that cuts passive rows, cuts the
+first passive axis into slabs of at most ``_SLAB_CELLS`` cells and
+solves each slab whole before the next, one dot product per row or
+through all of its steps, so a slab and its buffers are reused from L2
+cache instead of the whole grid streaming from memory once per step. The
+rows are independent problems and every op is elementwise, so the values
+are the same bits as one pass.
 
 Box, hull and nested solves (``expectation.expect_sequential``, whose
 sweeps are its centre) check their own input, then share one skeleton,
@@ -110,7 +115,8 @@ memo: the same bits, since the key holds everything the stepping reads. Keying o
 data rather than on phi catches pulled-back duplicates and a marginal
 whose other axes were dropped. The dot path's weights are kept in the same
 memo, keyed on the nodes, the coefficient and the steps. Outside the block
-nothing is kept, and each solve computes its weights afresh.
+nothing is kept, and each problem computes its weights once for all of
+its slabs.
 """
 
 from __future__ import annotations
@@ -141,7 +147,7 @@ _ORDER_BAND = 0.25
 # cell-step.
 _CELL_STEP_BUDGET = 1e10
 # Rows along a passive axis are independent problems, so
-# _advance_diag steps them a slab at a time, sized for a 2 MiB per-core L2
+# _diag_step solves them a slab at a time, sized for a 2 MiB per-core L2
 # cache: 2**16 float64 cells are 512 KiB per buffer, and a one-axis slab
 # uses three (its copy, g and incr). On 67**3 and
 # 101**3 nested sweeps, 2**14, 2**15 and 2**16 cells timed alike within the
@@ -307,28 +313,6 @@ def _steps(h: float, weight: float) -> int:
     return max(1, math.ceil((1.0 - 1e-12) / dt))
 
 
-def _advance_diag(u: np.ndarray, intervals, lam: float, steps: int, ghosts=(),
-                  point: bool = False):
-    """Advance u in place by `steps` explicit steps, at lam = dt / h^2, of
-    du/dt = sum_k Gbar_k(d2u/dx_k^2), interval k acting along axis k; the
-    axes after the last interval are passive batch axes. Plane 0 along each
-    axis in `ghosts` is the ghost of a fold, a point fold when `point` (see
-    _ghost_pairs).
-
-    The first passive axis is cut into slabs of at most _SLAB_CELLS cells,
-    and each slab runs through all steps before the next (see _advance_slab).
-    """
-    ivs = list(intervals)
-    p = len(ivs)
-    if p == u.ndim:
-        _advance_slab(u, ivs, lam, steps, ghosts, point)
-        return
-    rows = max(1, _SLAB_CELLS // (u.size // u.shape[p]))
-    for i in range(0, u.shape[p], rows):
-        _advance_slab(u[(slice(None),) * p + (slice(i, i + rows),)], ivs, lam, steps,
-                      ghosts, point)
-
-
 def _faces(a: np.ndarray, axis: int) -> np.ndarray:
     """Both end faces along `axis` of the C-ordered array a, as one view."""
     n = a.shape[axis]
@@ -357,14 +341,19 @@ def _ghost_pairs(buf: np.ndarray, ghosts, point: bool) -> list:
     return pairs
 
 
-def _advance_slab(u: np.ndarray, ivs, lam: float, steps: int, ghosts=(),
+def _advance_diag(u: np.ndarray, ivs, lam: float, steps: int, ghosts=(),
                   point: bool = False):
-    """_advance_diag on one slab (any view). A C-ordered copy of the slab
-    (unless it is one) is stepped flat and written back after the last
-    step. Along an axis of stride s, g[f] = u[f + s] - u[f] on
-    [0, N - s) and d[f] = g[f] - g[f - s] on [s, N - s); d on the axis' end
-    faces is junk, overwritten with -0.0. Each ghost plane is overwritten
-    from its source before every step."""
+    """Advance u (any view) in place by `steps` explicit steps, at lam =
+    dt / h^2, of du/dt = sum_k Gbar_k(d2u/dx_k^2), interval k acting along
+    axis k; the axes after the last interval are passive batch axes. Plane
+    0 along each axis in `ghosts` is the ghost of a fold, a point fold when
+    `point` (see _ghost_pairs).
+
+    A C-ordered copy of u (unless it is one) is stepped flat and written
+    back after the last step. Along an axis of stride s, g[f] = u[f + s] -
+    u[f] on [0, N - s) and d[f] = g[f] - g[f - s] on [s, N - s); d on the
+    axis' end faces is junk, overwritten with -0.0. Each ghost plane is
+    overwritten from its source before every step."""
     buf = np.ascontiguousarray(u)
     flat = buf.reshape(-1)
     size = flat.size
@@ -440,12 +429,10 @@ def _advance_cone(u: np.ndarray, centre: tuple, steps: int, advance):
 
 def _even(u: np.ndarray, axis: int | None = None) -> bool:
     """Whether u is exactly even about its centre node under a flip of
-    `axis`, or of every axis (a point reflection) when axis is None; an
-    axis of even length has no centre node. The end planes along the axis
-    (axis 0 for a point reflection) are compared first: at the cost of one
-    plane, that rejects most data that is not even."""
-    if any(u.shape[a] % 2 == 0 for a in (range(u.ndim) if axis is None else [axis])):
-        return False
+    `axis`, or of every axis (a point reflection) when axis is None (every
+    grid axis has 2m + 1 nodes). The end planes along the axis (axis 0 for
+    a point reflection) are compared first: at the cost of one plane, that
+    rejects most data that is not even."""
     a = 0 if axis is None else axis
     first, last = (u[(slice(None),) * a + (i,)] for i in (0, -1))
     if not np.array_equal(first, last if axis is not None else np.flip(last)):
@@ -483,8 +470,8 @@ def _diag_centre(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
     """u(1, 0) of a diagonal solve from the initial data u, stepped in place:
     interval k diffuses along axis k, and later axes are passive rows. A 0-d
     value for a box solve, an array over the passive axes for a sweep.
-    Constant axes are dropped, a one-axis problem with no mixed row is one
-    dot product per row, and even data is folded (see the module docstring);
+    Constant axes are dropped, a one-axis slab with no mixed row is one dot
+    product per row, and even data is folded (see the module docstring);
     only the dot product moves the value, at rounding level.
     Within solve_once() a repeated problem is not stepped again.
     """
@@ -507,68 +494,83 @@ def _diag_centre(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
 
 
 def _diag_step(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
-    """_diag_centre once no axis of u is constant: one dot product per row
-    when one axis diffuses and no row is mixed (see _dot_rows), else fold
-    and step."""
+    """_diag_centre once no axis of u is constant. The passive rows are cut
+    along the first passive axis into slabs of at most _SLAB_CELLS cells,
+    and each slab is solved whole before the next: when one axis diffuses
+    and no row of the slab is mixed, as one dot product per row (see
+    _dot_rows), else folded and stepped (see _fold_and_cone)."""
     n = len(ivs)
-    if n == 1:
-        out = _dot_rows(u, ivs[0], lam, steps)
-        if out is not None:
-            return out
-    # a box is unchanged by flipping any one axis, so the solution keeps each
-    # mirror symmetry of the data; failing all, when every axis diffuses, the
-    # point reflection
+    if u.ndim == n:
+        cuts = [()]
+    else:
+        rows = max(1, _SLAB_CELLS // (u.size // u.shape[n]))
+        cuts = [(slice(i, i + rows),) for i in range(0, u.shape[n], rows)]
+    out = np.empty(u.shape[n:])
+    weights = {}  # the slabs share their weights
+    for at in cuts:
+        slab = u[(slice(None),) * n + at]
+        value = _dot_rows(slab, ivs[0], lam, steps, weights) if n == 1 else None
+        if value is None:
+            value = _fold_and_cone(slab, n, steps, True, lambda v, k, ghosts, point:
+                                   _advance_diag(v, ivs, lam, k, ghosts, point))
+        out[at] = value
+    return out
+
+
+def _fold_and_cone(u: np.ndarray, n: int, steps: int, axis_folds: bool, advance):
+    """u(1, 0) over the later axes of a solve whose first n axes diffuse,
+    from the initial data u: even data larger than _CONE_CELLS is folded
+    (see _fold), and advance(view, k, ghosts, point) steps the dependence
+    cone (see _advance_cone). A box is unchanged by flipping any one axis,
+    so with `axis_folds` every diffusing axis along which u is even is
+    folded; failing all, when no axis is passive, the point reflection,
+    under which a hull is unchanged as well."""
     fold = u.size > _CONE_CELLS
-    ghosts = [a for a in range(n) if fold and _even(u, a)]
+    ghosts = [a for a in range(n) if fold and axis_folds and _even(u, a)]
     point = fold and not ghosts and n == u.ndim and _even(u)
     if point:
         ghosts = [0]
     u, centre = _fold(u, ghosts)
     return _advance_cone(np.ascontiguousarray(u), centre[:n], steps,
-                         lambda v, k: _advance_diag(v, ivs, lam, k, ghosts, point))
+                         lambda v, k: advance(v, k, ghosts, point))
 
 
-def _dot_rows(u: np.ndarray, iv: UncertaintyInterval, lam: float, steps: int):
-    """u(1, 0) of a one-axis problem (axis 0 diffuses, later axes are passive
-    rows) as one dot product per row, or None when a row is mixed or axis 0
-    has no centre node (see the module docstring).
+def _dot_rows(slab: np.ndarray, iv: UncertaintyInterval, lam: float, steps: int,
+              weights: dict):
+    """u(1, 0) of a one-axis slab (axis 0 diffuses, later axes are passive
+    rows) as one dot product per row, or None when a row is mixed (see the
+    module docstring). `weights` keeps each w it finds, by coefficient, for
+    the problem's other slabs.
 
     A row is convex (linear rows included) or concave when its second
     differences along axis 0 all have one sign; its value is then w . row
-    at sigma_high^2 or sigma_low^2 (see _weights). The rows are classified
-    and summed a slab of at most _SLAB_CELLS cells at a time, in mirrored
-    pairs w_c row_c + sum_k w_c+k (row_c+k + row_c-k), so that odd rows
-    come back exactly 0.
+    at sigma_high^2 or sigma_low^2 (see _weights). The rows are summed in
+    mirrored pairs w_c row_c + sum_k w_c+k (row_c+k + row_c-k), so that odd
+    rows come back exactly 0.
     """
-    n = u.shape[0]
-    if n % 2 == 0:
-        return None
+    n = slab.shape[0]
     c = n // 2
+    rows = slab.reshape(n, -1)
+    g = rows[1:] - rows[:-1]
+    d = g[1:] - g[:-1]
+    # a linear piece of (x - K)^+ has second differences of +-1 ulp of its
+    # values, so the sign test allows 1e-12 (1 + max |row|)
+    tol = 1e-12 * (1.0 + np.abs(rows).max(axis=0))
+    convex = d.min(axis=0) >= -tol
+    if not np.all(convex | (d.max(axis=0) <= tol)):
+        return None
     c_lo, c_hi = lam * (0.5 * iv.sigma_low_sq), lam * (0.5 * iv.sigma_high_sq)
-    rows = u.reshape(n, -1)
     out = np.empty(rows.shape[1])
-    weights = {}
-    width = max(1, _SLAB_CELLS // n)
-    for j in range(0, rows.shape[1], width):
-        slab = rows[:, j:j + width]
-        g = slab[1:] - slab[:-1]
-        d = g[1:] - g[:-1]
-        # a linear piece of (x - K)^+ has second differences of +-1 ulp of
-        # its values, so the sign test allows 1e-12 (1 + max |row|)
-        tol = 1e-12 * (1.0 + np.abs(slab).max(axis=0))
-        convex = d.min(axis=0) >= -tol
-        if not np.all(convex | (d.max(axis=0) <= tol)):
-            return None
-        pairs = slab[c + 1:] + slab[c - 1::-1]
-        for coeff, chosen in ((c_hi, convex), (c_lo, ~convex)):
-            if chosen.any():
-                if coeff not in weights:
-                    weights[coeff] = _weights(n, coeff, steps)
-                w = weights[coeff]
-                # + 0.0 clears -0.0 as a step would
-                value = w[c] * slab[c] + (w[c + 1:, None] * pairs).sum(axis=0) + 0.0
-                out[j:j + width][chosen] = value[chosen]
-    return out.reshape(u.shape[1:])
+    pairs = rows[c + 1:] + rows[c - 1::-1]
+    for coeff, chosen in ((c_hi, convex), (c_lo, ~convex)):
+        if chosen.any():
+            if coeff not in weights:
+                weights[coeff] = _weights(n, coeff, steps)
+            w = weights[coeff]
+            # + 0.0 clears -0.0 as a step would
+            value = w[c] * rows[c] + (w[c + 1:, None] * pairs).sum(axis=0) + 0.0
+            out[chosen] = value[chosen]
+    return out.reshape(slab.shape[1:])
 
 
 def _weights(n: int, coeff: float, steps: int) -> np.ndarray:
@@ -599,8 +601,12 @@ def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float) -> tupl
     """Diffuse a tabulated array along its last axis only, up to time 1
     (nested recursion step), at the time step _steps derives for iv.
     Returns (the result at the centre node of that axis, an array over the
-    other axes; dt used; steps taken).
+    other axes; dt used; steps taken). The swept axis must have a centre
+    node, as every grid axis does: an axis of even length is refused.
     """
+    if u0.shape[-1] % 2 == 0:
+        raise GExpectError(f"the swept axis has {u0.shape[-1]} nodes, an even number, "
+                           "so no centre node to read the result at")
     steps = _steps(h, iv.sigma_high_sq)
     dt = 1.0 / steps
     # the one copy puts the swept axis first, so cone views are contiguous
@@ -708,7 +714,7 @@ def solve_gheat_diag(box: DiagonalBox, phi: TestFunction, *,
 def _advance_hull(u: np.ndarray, gens, lam: float, steps: int, point: bool = False):
     """Advance the 2D array u in place by `steps` explicit steps, at lam =
     dt / h^2, of the flux max over the hull generators (upwinded 9-point
-    cross stencil); boundary nodes stay fixed. Stepped flat as _advance_slab
+    cross stencil); boundary nodes stay fixed. Stepped flat as _advance_diag
     is: each op is one slice of the interior rows, whose flux on the second
     axis' end faces is junk, overwritten with -0.0, so the faces keep their
     bits. With `point`, row 0 is the ghost of a point fold, overwritten from
@@ -772,17 +778,6 @@ def _advance_hull(u: np.ndarray, gens, lam: float, steps: int, point: bool = Fal
         u[...] = buf
 
 
-def _hull_centre(u: np.ndarray, gens, lam: float, steps: int) -> float:
-    """u(1, 0) of a hull solve from the initial data u, stepped in place.
-
-    A hull is unchanged by x -> -x but not by flipping one axis, so only
-    the point reflection folds."""
-    point = u.size > _CONE_CELLS and _even(u)
-    u, centre = _fold(u, [0] if point else [])
-    return float(_advance_cone(u, centre, steps,
-                               lambda v, k: _advance_hull(v, gens, lam, k, point)))
-
-
 def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, *,
                      cfg: SolverConfig = SolverConfig()) -> ExpectationResult:
     """u(1, 0) = E^[phi(X)] in 2D with the flux max over the hull generators
@@ -799,7 +794,8 @@ def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, *,
             )
     return _solve(
         phi, cfg, [max(b[i, i] for b in gens) for i in range(2)],
-        lambda u, g: (_hull_centre(u, gens, g.lam, g.steps), g.steps),
+        lambda u, g: (_fold_and_cone(u, 2, g.steps, False, lambda v, k, ghosts, point:
+                                     _advance_hull(v, gens, g.lam, k, point)), g.steps),
         # the stencil weight of the widest generator
         cfl_denominator=max(float(np.abs(b).sum()) for b in gens),
     )

@@ -476,7 +476,7 @@ class TestKernelEquivalence:
         assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [IV], h, dt, steps, [2])))
         assert np.array_equal(u0, np.transpose(_rough((17, 9, 23), 11), (2, 0, 1)))
 
-    # slabs: a passive leading axis is stepped pde._SLAB_CELLS cells at a time
+    # slabs: _diag_step solves the passive rows pde._SLAB_CELLS cells at a time
 
     @staticmethod
     def _slab_data(shape, seed):
@@ -487,7 +487,7 @@ class TestKernelEquivalence:
         return u, rows
 
     @pytest.mark.parametrize("shape, order", [((97, 29, 47), (2, 0, 1)),  # 3 slabs, last 1 row
-                                              ((250, 300), (0, 1)),  # 2 slabs, last 32 rows
+                                              ((250, 301), (0, 1)),  # 2 slabs, last 33 rows
                                               ((3, 260, 257), (0, 1, 2))])  # rows over budget
     def test_slabs_diffuse_last_axis(self, shape, order):
         data, _ = self._slab_data(shape, 17)
@@ -503,15 +503,16 @@ class TestKernelEquivalence:
         assert used_dt == dt
         assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [iv], h, dt, steps, [u0.ndim - 1])))
 
-    def test_slabs_advance_diag_two_batch_axes(self):
+    def test_slabs_diag_step_two_batch_axes(self):
         u0, rows = self._slab_data((7, 9, 31, 37), 19)  # slabs of 6 and 1 rows
         assert len(u0) % rows
         ivs = KERNEL_IVS[:2]
         h, dt = 0.25, 0.4 * 0.25**2 / 6.0
         for steps in (1, 20):
-            got = u0.copy()
-            pde._advance_diag(np.moveaxis(got, (2, 3), (0, 1)), ivs, dt / (h * h), steps)
-            assert _same_bits(got, _ref_run_diag(u0, ivs, h, dt, steps, (2, 3)))
+            got = pde._diag_step(np.moveaxis(u0.copy(), (2, 3), (0, 1)), ivs, dt / (h * h),
+                                 steps)
+            want = _ref_run_diag(u0, ivs, h, dt, steps, (2, 3))[:, :, 15, 18]
+            assert _same_bits(got, want)
 
     def test_hull_both_cross_signs(self):
         gens = (np.array([[2.0, 1.0], [1.0, 1.5]]), np.array([[1.0, -0.5], [-0.5, 3.0]]),
@@ -659,15 +660,17 @@ class TestViews:
         assert _same_bits(got, _ref_run_diag(view0, ivs, h, dt, 9, (0, 1)))
 
     def test_slabbed_view(self, monkeypatch):
-        # slabs of 2 of the view's 25 rows along its passive axis 1
-        monkeypatch.setattr(pde, "_SLAB_CELLS", 100)
+        # slabs of 2 of the view's 25 rows along its passive axis 1; the
+        # centre values over them, and nothing written outside the view
+        monkeypatch.setattr(pde, "_SLAB_CELLS", 130)
         ivs = KERNEL_IVS[:2]
         h = 0.25
         dt = _box_dt(ivs, h)
-        view0, got = self._step_view(_rough((8, 30, 12), 67), np.s_[1:7, 2:27, 3:11],
-                                     lambda v: pde._advance_diag(np.moveaxis(v, (0, 2), (0, 1)),
-                                                                ivs, dt / (h * h), 11))
-        assert _same_bits(got, _ref_run_diag(view0, ivs, h, dt, 11, (0, 2)))
+        centres = []
+        view0, _ = self._step_view(_rough((8, 30, 12), 67), np.s_[1:8, 2:27, 2:11],
+                                   lambda v: centres.append(pde._diag_step(
+                                       np.moveaxis(v, (0, 2), (0, 1)), ivs, dt / (h * h), 11)))
+        assert _same_bits(centres[0], _ref_run_diag(view0, ivs, h, dt, 11, (0, 2))[3, :, 4])
 
     @pytest.mark.parametrize("cut", CUTS.values(), ids=CUTS.keys())
     def test_hull_view(self, cut):
@@ -696,6 +699,13 @@ def _sweep(u0, iv, steps):
     return pde._diag_centre(u, [iv], 1.0 / steps, steps)
 
 
+def _hull_solve(u, gens, lam, steps):
+    # u(1, 0) of a hull solve, as solve_gheat_hull finds it: the shared
+    # fold-and-cone path with axis folds off
+    return pde._fold_and_cone(u, 2, steps, False, lambda v, k, ghosts, point:
+                              pde._advance_hull(v, gens, lam, k, point))
+
+
 class TestCone:
     # _CONE_CELLS = 0 re-cuts the view down to radius 0; the default stops
     # re-cutting small views
@@ -722,7 +732,7 @@ class TestCone:
         h = 0.2
         dt = 0.4 * h * h / max(float(np.abs(b).sum()) for b in gens)
         u0 = _rough((27, 33), 5)
-        got = pde._hull_centre(u0.copy(), gens, dt / (h * h), steps)
+        got = _hull_solve(u0.copy(), gens, dt / (h * h), steps)
         assert _same_bits(np.float64(got), _centre(_ref_run_hull(u0, gens, h, dt, steps)))
 
     @pytest.mark.parametrize("steps", [6, 10, 15])  # half width 10 along the swept axis
@@ -742,9 +752,10 @@ def test_slabs_cut_a_non_leading_passive_axis(axes):
     ivs = KERNEL_IVS[:len(axes)]
     h = 0.25
     dt = 0.4 * h * h / sum(iv.sigma_high_sq for iv in ivs)
-    got = u0.copy()
-    pde._advance_diag(np.moveaxis(got, axes, range(len(axes))), ivs, dt / (h * h), 12)
-    assert _same_bits(got, _ref_run_diag(u0, ivs, h, dt, 12, axes))
+    got = pde._diag_step(np.moveaxis(u0.copy(), axes, range(len(axes))), ivs, dt / (h * h), 12)
+    want = _ref_run_diag(u0, ivs, h, dt, 12, axes)[tuple(n // 2 if a in axes else slice(None)
+                                                         for a, n in enumerate(u0.shape))]
+    assert _same_bits(got, want)
 
 
 def _fn(fn, arity):
@@ -831,7 +842,7 @@ class TestDotRows:
         u, iv, lam, steps = _dot_problem(
             lo, width, h, c, passive,
             [lambda x, k=k, p=p: _dot_row(k, x, *p) for k, p in zip(kinds, params)])
-        got = pde._dot_rows(u, iv, lam, steps)
+        got = pde._dot_rows(u, iv, lam, steps, {})
         assert got is not None and got.shape == u.shape[1:]
         want = u.copy()
         pde._advance_diag(want, [iv], lam, steps)
@@ -844,7 +855,7 @@ class TestDotRows:
         u, iv, lam, steps = _dot_problem(lo, width, h, c, passive,
                                          [lambda x, s=s: s * x
                                           for s in slopes[:math.prod(passive)]])
-        got = pde._dot_rows(u, iv, lam, steps)
+        got = pde._dot_rows(u, iv, lam, steps, {})
         assert _same_bits(got, np.zeros(u.shape[1:]))
 
     @given(**{**_DOT_SETTINGS, "c": st.integers(2, 20)}, mixed=st.integers(0, 15),
@@ -858,7 +869,7 @@ class TestDotRows:
         rows = [lambda x, p=p: _dot_row("convex", x, *p) for p in params[:m]]
         rows[mixed % m] = lambda x: x ** 3
         u, iv, lam, steps = _dot_problem(lo, width, h, c, passive, rows)
-        assert pde._dot_rows(u, iv, lam, steps) is None
+        assert pde._dot_rows(u, iv, lam, steps, {}) is None
         kernel = pde._advance_diag
         calls = []
         with pytest.MonkeyPatch.context() as mp:
@@ -868,10 +879,34 @@ class TestDotRows:
         want = _ref_run_diag(u, [iv], h, 1.0 / steps, steps, [0])[c]
         assert _same_bits(got, want)
 
-    def test_an_axis_without_a_centre_node_is_not_dotted(self):
-        x = 0.2 * np.arange(-10, 11)
-        assert pde._dot_rows(x * x, IV, 0.25, 30) is not None
-        assert pde._dot_rows((x * x)[1:], IV, 0.25, 30) is None
+    def test_a_mixed_row_steps_only_its_own_slab(self, monkeypatch):
+        # 21 x 100 x 100 cells: slabs of 31, 31, 31 and 7 rows of passive
+        # axis 1. Every row is convex or concave but the x^3 rows, which all
+        # lie in the second slab, so the dot path serves the other three
+        h, c, steps, lam = 0.2, 10, 30, 0.2
+        iv = KERNEL_IVS[1]
+        x = (h * np.arange(-c, c + 1))[:, None, None]
+        rng = np.random.default_rng(151)
+        sign = np.where(rng.random((100, 100)) < 0.5, 1.0, -1.0)
+        u = sign * _dot_row("convex", x, *rng.uniform(-2.0, 2.0, (4, 100, 100)))
+        u[:, 40:45, 7] = x[:, :, 0] ** 3
+        u[:, 61, :] = x[:, 0] ** 3
+        assert u.size > pde._SLAB_CELLS
+        served, dot = [], pde._dot_rows
+
+        def spy(slab, *args):
+            out = dot(slab, *args)
+            served.append((slab.shape, out is not None))
+            return out
+
+        monkeypatch.setattr(pde, "_dot_rows", spy)
+        got = pde._diag_centre(u.copy(), [iv], lam, steps)
+        assert served == [((21, 31, 100), True), ((21, 31, 100), False),
+                          ((21, 31, 100), True), ((21, 7, 100), True)]
+        want = u.copy()
+        pde._advance_diag(want, [iv], lam, steps)
+        assert np.all(np.abs(got - want[c]) <= 1e-12 * (1.0 + np.abs(want[c])))
+        assert _same_bits(got[31:62], want[c, 31:62])
 
     def test_weights_are_kept_in_the_run_memo_only(self):
         # convex, concave and linear rows: both weight vectors are needed
@@ -1043,7 +1078,7 @@ class TestFolds:
         dt = _hull_dt(gens, h)
         u0 = _made_even(_rough((67, 71), 97)) + sign * 5.0 * _xy((67, 71), h)
         want = _centre(_ref_run_hull(u0, gens, h, dt, steps))
-        got = pde._hull_centre(u0.copy(), gens, dt / (h * h), steps)
+        got = _hull_solve(u0.copy(), gens, dt / (h * h), steps)
         assert _same_bits(np.float64(got), want)
         assert folds.seen == {((0,), True)}
 
@@ -1054,7 +1089,7 @@ class TestFolds:
         dt = _hull_dt(HULL_GENS, h)
         u0 = _made_even(_rough((67, 71), 101), 1)
         want = _centre(_ref_run_hull(u0, HULL_GENS, h, dt, 30))
-        got = pde._hull_centre(u0.copy(), HULL_GENS, dt / (h * h), 30)
+        got = _hull_solve(u0.copy(), HULL_GENS, dt / (h * h), 30)
         assert _same_bits(np.float64(got), want)
         assert folds.seen == {((), False)}
 
@@ -1075,7 +1110,7 @@ class TestFolds:
         h = 0.2
         if kind == "hull":
             dt = _hull_dt(HULL_GENS, h)
-            got = pde._hull_centre(u0.copy(), HULL_GENS, dt / (h * h), 30)
+            got = _hull_solve(u0.copy(), HULL_GENS, dt / (h * h), 30)
             want = _centre(_ref_run_hull(u0, HULL_GENS, h, dt, 30))
         elif kind == "box":
             ivs = KERNEL_IVS[:u0.ndim]
@@ -1127,7 +1162,7 @@ def test_folds_return_the_unfolded_bits(solver, even, seen, folds, monkeypatch):
         want = _centre(_ref_run_hull(u0, HULL_GENS, h, dt, steps))
 
         def solve():
-            return pde._hull_centre(u0.copy(), HULL_GENS, dt / (h * h), steps)
+            return _hull_solve(u0.copy(), HULL_GENS, dt / (h * h), steps)
     else:
         ivs = KERNEL_IVS[:2]
         dt = _box_dt(ivs, h)
@@ -1164,15 +1199,17 @@ def test_even_data_stays_even(kind, flips):
 
 
 def test_even_length_axes_are_not_folded(folds):
-    # data equal to its flip along an axis of even length is symmetric about
-    # a midpoint between nodes, not about the centre node the sweep reads
-    u0 = _rough((14, 12, 66), 137)
+    # data equal to its flip along a passive axis of even length is
+    # symmetric about a midpoint between nodes; passive axes never fold, so
+    # only the swept axis (of 2m + 1 nodes, as diffuse_last_axis requires)
+    # is folded
+    u0 = _rough((14, 12, 67), 137)
     for a in range(3):
         u0 = _made_even(u0, a)
     out = _sweep(u0, KERNEL_IVS[0], 40)
     assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [KERNEL_IVS[0]], 1.0, 1.0 / 40, 40,
                                                        [2])))
-    assert folds.seen == {((), False)}
+    assert folds.seen == {((0,), False)}
 
 
 class TestGhostKernels:

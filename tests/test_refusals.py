@@ -11,7 +11,7 @@ from gexpect.expectation import (GNormal, LinearImage, RandomVectorSpec, Sequent
                                  expect_gnormal)
 from gexpect.gamma import (ConvexHull, DiagonalBox, GammaSet, RankOneFamily, UncertaintyInterval,
                            check_scaling_constraint, g_function, image_gamma, is_diagonal_image)
-from gexpect.pde import ExpectationResult, solve_gheat_hull
+from gexpect.pde import ExpectationResult, diffuse_last_axis, solve_gheat_hull
 from gexpect.scenarios import check_asymmetric_independence, check_variance, run_linear_image
 from gexpect.testfuncs import SQUARE
 
@@ -54,6 +54,10 @@ REFUSALS = {
                                  GExpectError, "first variable needs sigma_high_sq > 0"),
     "linear-image-v-length": (lambda: run_linear_image(IV, np.eye(2), [1.0, 2.0, 3.0]),
                               GExpectError, "v has 3 entries but A has 2 rows"),
+    # an axis of even length has no centre node: on x = 0.2 (-80..81), a
+    # sweep of x^2 read at node 81 is E[(0.2 + X)^2], not E[X^2]
+    "sweep-even-axis": (lambda: diffuse_last_axis((0.2 * np.arange(-80.0, 82.0)) ** 2, IV, 0.2),
+                        GExpectError, "the swept axis has 162 nodes"),
     "result-nan": (lambda: ExpectationResult(math.nan, 0.0, 0.0, 0, "pde"), GExpectError,
                    "non-finite value"),
     # the base classes are no variant: each call refuses before reading dim
