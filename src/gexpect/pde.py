@@ -80,7 +80,7 @@ refuses a phi whose values on the grid's end faces break its declared
 growth, which the tail bound relies on.
 
 ``diffuse_last_axis`` refuses a swept axis of even length, which has no
-centre node; it copies its input once with the swept axis moved to the
+centre node, and data that is not finite; it copies its input once with the swept axis moved to the
 front, so cone views are contiguous blocks, and returns the centre slice
 along it. ``_diag_step``, the one place that cuts passive rows, cuts the
 first passive axis into slabs of at most ``_SLAB_CELLS`` cells and
@@ -108,15 +108,26 @@ times steps, or whose tail bound overflows.
 
 Within ``solve_once()`` (the CLI wraps every run in it) the diagonal
 driver solves each distinct problem once. After the constant-axis drop it
-keys the problem on the kept intervals' bounds, lam = dt / h^2, steps,
-the shape and a 128-bit BLAKE2b digest of the data (a digest, not the
-bytes, so the memo holds only results), and serves a repeat from the
-memo: the same bits, since the key holds everything the stepping reads. Keying on the
-data rather than on phi catches pulled-back duplicates and a marginal
-whose other axes were dropped. The dot path's weights are kept in the same
-memo, keyed on the nodes, the coefficient and the steps. Outside the block
-nothing is kept, and each problem computes its weights once for all of
-its slabs.
+puts the data in one orientation, ``_canonical``: the first in C order of
+its images under flips of the diffusing axes and, for a 2D box with no
+passive axis and equal intervals, transposes. Flipping a diffusing axis
+maps g to -g and d to d, mirrored bit for bit, and a transpose swaps the
+two fluxes of x + y, which is y + x; the folds, the point fold, the cone
+views, the dot path's mirrored pairs and the slab cuts commute with both,
+so every such image steps to the same bits. A passive axis is never
+flipped (that would reverse the returned rows), and three axes are never
+swapped: (a + b) + c is not (a + c) + b bit for bit. It then keys the
+problem on the kept intervals' bounds, lam = dt / h^2, steps, the shape
+and a 128-bit BLAKE2b digest of the data in that orientation (a digest,
+not the bytes, so the memo holds only results), steps that data, and
+serves a repeat or an image of a solved problem from the memo: the same
+bits, since the key holds everything the stepping reads. Keying on the
+data rather than on phi catches pulled-back duplicates, a marginal whose
+other axes were dropped and the mirror images and transposes that the
+catalog's symmetry assertions compare. The dot path's weights are kept in
+the same memo, keyed on the nodes, the coefficient and the steps. Outside
+the block nothing is kept, and each problem computes its weights once for
+all of its slabs.
 """
 
 from __future__ import annotations
@@ -473,7 +484,8 @@ def _diag_centre(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
     Constant axes are dropped, a one-axis slab with no mixed row is one dot
     product per row, and even data is folded (see the module docstring);
     only the dot product moves the value, at rounding level.
-    Within solve_once() a repeated problem is not stepped again.
+    Within solve_once() a repeated problem, or an image of one (see
+    _canonical), is not stepped again.
     """
     keep = [a for a in range(len(ivs)) if not _flat_along(u, a)]
     u = u[tuple(slice(None) if a in keep else u.shape[a] // 2 for a in range(len(ivs)))]
@@ -483,14 +495,49 @@ def _diag_centre(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
     memo = _MEMO.get()
     if memo is None:
         return _diag_step(u, ivs, lam, steps)
-    key = (tuple((iv.sigma_low_sq, iv.sigma_high_sq) for iv in ivs), lam, steps, u.shape,
-           hashlib.blake2b(np.ascontiguousarray(u), digest_size=16).digest())
+    bounds = tuple((iv.sigma_low_sq, iv.sigma_high_sq) for iv in ivs)
+    u = _canonical(u, bounds)
+    key = (bounds, lam, steps, u.shape, hashlib.blake2b(u, digest_size=16).digest())
     if key not in memo:
         # a copy, so that a centre slice does not keep the whole grid alive
         out = np.array(_diag_step(u, ivs, lam, steps))
         out.setflags(write=False)
         memo[key] = out
     return memo[key]
+
+
+def _canonical(u: np.ndarray, bounds) -> np.ndarray:
+    """u's first image in C order (compared by value, see _precedes), as a
+    C-ordered array, among those under which a diagonal solve returns the
+    same bits: the flips of its diffusing axes (the first len(bounds), whose
+    intervals are `bounds`) and, when exactly two axes diffuse, none is
+    passive and both intervals are equal, the transposes (see the module
+    docstring). Images that compare equal may differ in their zero signs;
+    any of them gives the same bits."""
+    n = len(bounds)
+    images = [u]
+    for a in range(n):
+        images += [np.flip(v, a) for v in images]
+    if n == u.ndim == 2 and u.shape[0] == u.shape[1] and bounds[0] == bounds[1]:
+        images += [v.T for v in images]
+    first = images[0]
+    for v in images[1:]:
+        if _precedes(v, first):
+            first = v
+    return np.ascontiguousarray(first)
+
+
+def _precedes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether a comes before b (of one shape) in C order: a is less at the
+    first entry where they differ. Their planes 0 along axis 0, end planes
+    of the data, are compared first: at the cost of one plane, that settles
+    most pairs of images."""
+    for x, y in ((a[:1], b[:1]), (a[1:], b[1:])):
+        ne = (x != y).ravel()
+        i = ne.argmax()
+        if ne[i]:
+            return bool(x.flat[i] < y.flat[i])
+    return False
 
 
 def _diag_step(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
@@ -544,9 +591,11 @@ def _dot_rows(slab: np.ndarray, iv: UncertaintyInterval, lam: float, steps: int,
 
     A row is convex (linear rows included) or concave when its second
     differences along axis 0 all have one sign; its value is then w . row
-    at sigma_high^2 or sigma_low^2 (see _weights). The rows are summed in
-    mirrored pairs w_c row_c + sum_k w_c+k (row_c+k + row_c-k), so that odd
-    rows come back exactly 0.
+    at sigma_high^2 or sigma_low^2 (see _weights). A row that passes both
+    sign tests within their tolerance is concave when it has a negative
+    second difference and no positive one, else convex. The rows are summed
+    in mirrored pairs w_c row_c + sum_k w_c+k (row_c+k + row_c-k), so that
+    odd rows come back exactly 0.
     """
     n = slab.shape[0]
     c = n // 2
@@ -556,9 +605,12 @@ def _dot_rows(slab: np.ndarray, iv: UncertaintyInterval, lam: float, steps: int,
     # a linear piece of (x - K)^+ has second differences of +-1 ulp of its
     # values, so the sign test allows 1e-12 (1 + max |row|)
     tol = 1e-12 * (1.0 + np.abs(rows).max(axis=0))
-    convex = d.min(axis=0) >= -tol
-    if not np.all(convex | (d.max(axis=0) <= tol)):
+    d_min, d_max = d.min(axis=0), d.max(axis=0)
+    convex = d_min >= -tol
+    if not np.all(convex | (d_max <= tol)):
         return None
+    # a concave row whose curvature is below the tolerance is still concave
+    convex &= (d_max > 0.0) | (d_min >= 0.0)
     c_lo, c_hi = lam * (0.5 * iv.sigma_low_sq), lam * (0.5 * iv.sigma_high_sq)
     out = np.empty(rows.shape[1])
     pairs = rows[c + 1:] + rows[c - 1::-1]
@@ -602,8 +654,11 @@ def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float) -> tupl
     (nested recursion step), at the time step _steps derives for iv.
     Returns (the result at the centre node of that axis, an array over the
     other axes; dt used; steps taken). The swept axis must have a centre
-    node, as every grid axis does: an axis of even length is refused.
+    node, as every grid axis does: an axis of even length is refused, as
+    are a 0-d input and data that is not finite.
     """
+    if np.ndim(u0) == 0:
+        raise GExpectError("diffuse_last_axis needs an array with an axis to sweep, got 0-d")
     if u0.shape[-1] % 2 == 0:
         raise GExpectError(f"the swept axis has {u0.shape[-1]} nodes, an even number, "
                            "so no centre node to read the result at")
@@ -612,6 +667,8 @@ def diffuse_last_axis(u0: np.ndarray, iv: UncertaintyInterval, h: float) -> tupl
     # the one copy puts the swept axis first, so cone views are contiguous
     # blocks and the slabs cut the next axis
     u = np.array(np.moveaxis(u0, -1, 0), dtype=float, order="C")
+    if not np.all(np.isfinite(u)):
+        raise GExpectError("the data to diffuse holds non-finite values")
     return _diag_centre(u, [iv], dt / (h * h), steps), dt, steps
 
 

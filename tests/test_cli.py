@@ -314,7 +314,10 @@ def test_a_run_solves_each_problem_once_to_the_same_bits(stepped):
     run = run_scenarios(cfg)
     assert _bits(run) == _bits(alone)
     assert stepped.memo == {False, True}
-    assert 0 < stepped.calls - calls_alone < calls_alone
+    # 84 problems, less the 9 that are images of others: Ê[X₂X₁²] of
+    # diag-not-indep (a transpose) and linear-combination's Ê[VU²] sweeps
+    # (flips) on their h, 2h and 4h grids
+    assert stepped.calls - calls_alone == 75 < calls_alone
     assert pde._MEMO.get() is None
 
 

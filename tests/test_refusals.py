@@ -58,6 +58,10 @@ REFUSALS = {
     # sweep of x^2 read at node 81 is E[(0.2 + X)^2], not E[X^2]
     "sweep-even-axis": (lambda: diffuse_last_axis((0.2 * np.arange(-80.0, 82.0)) ** 2, IV, 0.2),
                         GExpectError, "the swept axis has 162 nodes"),
+    "sweep-0d": (lambda: diffuse_last_axis(np.float64(1.0), IV, 0.2), GExpectError,
+                 "an axis to sweep, got 0-d"),
+    "sweep-not-finite": (lambda: diffuse_last_axis(np.array([[1.0, math.nan, 2.0]]), IV, 0.2),
+                         GExpectError, "non-finite values"),
     "result-nan": (lambda: ExpectationResult(math.nan, 0.0, 0.0, 0, "pde"), GExpectError,
                    "non-finite value"),
     # the base classes are no variant: each call refuses before reading dim
