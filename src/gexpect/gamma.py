@@ -57,6 +57,8 @@ def _as_sym_array(a) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("matrix entries must be finite")
     return 0.5 * (arr + arr.T)
 
 
@@ -178,6 +180,8 @@ def _box_vertices(box: DiagonalBox):
 def image_gamma(m, gamma: GammaSet) -> GammaSet:
     """The set {M B M^T : B in gamma}, in the tightest representable variant."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must be finite")
     rows, cols = m.shape
     if not isinstance(gamma, (DiagonalBox, ConvexHull, RankOneFamily)):
         raise TypeError(f"unknown uncertainty-set variant {type(gamma).__name__}")

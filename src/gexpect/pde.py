@@ -53,25 +53,27 @@ a concave row steps at sigma_low^2 (Peng's classical expectation at sigma
 of a convex phi, row by row). ``_dot_rows`` then returns w . row for each
 row of a slab (see below), w = e_c S^steps the centre row of the linear
 scheme (``_weights``), summed over mirrored node pairs so that odd rows
-come back exactly 0. A slab that holds a mixed row is folded and stepped
-as below; the other slabs of the problem are still dot products. The
-value differs from the stepped one at rounding level only.
+come back exactly 0. Each w is found once per problem, or once per run
+within ``solve_once()`` (see below). A slab that holds a mixed row is
+stepped as below; the other slabs of the problem are still dot products.
+The value differs from the stepped one at rounding level only.
 
-Box and hull solves fold and step through one function,
-``_fold_and_cone``. A solve whose initial data is exactly even and has
-more than ``_CONE_CELLS`` cells steps half the grid (a mirror fold). The
-nodes are h * k, antisymmetric bit for bit, so evenness is one
-``np.array_equal`` against ``np.flip``. Along a folded axis the half
-starts at the centre node - 1: plane 0 is a ghost, overwritten from plane
-2 before every step (in a point fold, plane 2 flipped over the other
-axes), and u(1, 0) is read at node 1. A box is unchanged by flipping any
-one axis, so a box solve folds every diffusing axis along which the data
-is even, and failing all, when no axis is passive, the point reflection
-x -> -x; a hull is unchanged only by x -> -x, so a hull solve has axis
-folds off and folds by the point reflection alone. On even data g is
-exactly odd and d exactly even (a - b is exactly -(b - a), and x + y is
-y + x), so the unfolded scheme keeps even data even bit for bit, and
-every fold returns the unfolded bits.
+Box, hull and the mixed slabs of a sweep all step through one function,
+``_fold_and_cone``. A box or hull solve whose initial data is exactly
+even and has more than ``_CONE_CELLS`` cells steps half the grid (a
+mirror fold); a slab with passive axes is never folded. The nodes are
+h * k, antisymmetric bit for bit, so evenness is one ``_compare`` of the
+data with its ``np.flip``, by value. Along a folded axis the half starts
+at the centre node - 1: plane 0 is a ghost, overwritten from plane 2
+before every step (in a point fold, plane 2 flipped over the other axes),
+and u(1, 0) is read at node 1. A box is unchanged by flipping any one
+axis, so a box solve folds every axis along which the data is even, and
+failing all, the point reflection x -> -x; a hull is unchanged only by
+x -> -x, so a hull solve has axis folds off and folds by the point
+reflection alone. On even data g is exactly odd and d exactly even
+(a - b is exactly -(b - a), and x + y is y + x), so the unfolded scheme
+keeps even data even bit for bit, and every fold returns the unfolded
+bits.
 
 ``_eval_initial`` evaluates phi on an open mesh (one array per axis, of
 length 1 along the others), a slab of at most ``_SLAB_CELLS`` cells along
@@ -108,26 +110,27 @@ times steps, or whose tail bound overflows.
 
 Within ``solve_once()`` (the CLI wraps every run in it) the diagonal
 driver solves each distinct problem once. After the constant-axis drop it
-puts the data in one orientation, ``_canonical``: the first in C order of
-its images under flips of the diffusing axes and, for a 2D box with no
-passive axis and equal intervals, transposes. Flipping a diffusing axis
-maps g to -g and d to d, mirrored bit for bit, and a transpose swaps the
-two fluxes of x + y, which is y + x; the folds, the point fold, the cone
-views, the dot path's mirrored pairs and the slab cuts commute with both,
-so every such image steps to the same bits. A passive axis is never
-flipped (that would reverse the returned rows), and three axes are never
-swapped: (a + b) + c is not (a + c) + b bit for bit. It then keys the
-problem on the kept intervals' bounds, lam = dt / h^2, steps, the shape
-and a 128-bit BLAKE2b digest of the data in that orientation (a digest,
-not the bytes, so the memo holds only results), steps that data, and
-serves a repeat or an image of a solved problem from the memo: the same
-bits, since the key holds everything the stepping reads. Keying on the
-data rather than on phi catches pulled-back duplicates, a marginal whose
-other axes were dropped and the mirror images and transposes that the
-catalog's symmetry assertions compare. The dot path's weights are kept in
-the same memo, keyed on the nodes, the coefficient and the steps. Outside
-the block nothing is kept, and each problem computes its weights once for
-all of its slabs.
+puts the data in one orientation, ``_canonical``: the first in C order (by
+``_compare``, the folds' test too) of its images under flips of the
+diffusing axes and, for a 2D box with no passive axis and equal intervals,
+transposes. Flipping a diffusing axis maps g to -g and d to d, mirrored
+bit for bit, and a transpose swaps the two fluxes of x + y, which is
+y + x; the folds, the point fold, the cone views, the dot path's mirrored
+pairs and the slab cuts commute with both, so every such image steps to
+the same bits. A passive axis is never flipped (that would reverse the
+returned rows), and three axes are never swapped: (a + b) + c is not
+(a + c) + b bit for bit. It then keys the problem on the kept intervals'
+bounds, lam = dt / h^2, steps, the shape and a 128-bit BLAKE2b digest of
+the data in that orientation (a digest, not the bytes, so the memo holds
+only results), steps that data, and serves a repeat or an image of a
+solved problem from the memo: the same bits, since the key holds
+everything the stepping reads. Keying on the data rather than on phi
+catches pulled-back duplicates, a marginal whose other axes were dropped
+and the mirror images and transposes that the catalog's symmetry
+assertions compare. The driver hands the dot path one cache for its
+weights, keyed on the nodes, the coefficient and the steps: the same memo
+within the block, and outside it a dict of the problem's own, which its
+slabs share and which goes with it.
 """
 
 from __future__ import annotations
@@ -438,17 +441,18 @@ def _advance_cone(u: np.ndarray, centre: tuple, steps: int, advance):
     return u[centre]
 
 
-def _even(u: np.ndarray, axis: int | None = None) -> bool:
-    """Whether u is exactly even about its centre node under a flip of
-    `axis`, or of every axis (a point reflection) when axis is None (every
-    grid axis has 2m + 1 nodes). The end planes along the axis (axis 0 for
-    a point reflection) are compared first: at the cost of one plane, that
-    rejects most data that is not even."""
-    a = 0 if axis is None else axis
-    first, last = (u[(slice(None),) * a + (i,)] for i in (0, -1))
-    if not np.array_equal(first, last if axis is not None else np.flip(last)):
-        return False
-    return np.array_equal(u, np.flip(u, axis))
+def _compare(a: np.ndarray, b: np.ndarray) -> int:
+    """-1, 0 or 1 as a comes before, equals or comes after b (of one shape)
+    in C order, by value: a is less at the first entry where they differ.
+    Their planes 0 along axis 0 are compared first: at the cost of one
+    plane, that settles most pairs of a grid's images, since plane 0 is an
+    end plane of the data."""
+    for x, y in ((a[:1], b[:1]), (a[1:], b[1:])):
+        ne = (x != y).ravel()
+        i = ne.argmax()
+        if ne[i]:
+            return -1 if x.flat[i] < y.flat[i] else 1
+    return 0
 
 
 def _fold(u: np.ndarray, ghosts) -> tuple:
@@ -482,10 +486,11 @@ def _diag_centre(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
     interval k diffuses along axis k, and later axes are passive rows. A 0-d
     value for a box solve, an array over the passive axes for a sweep.
     Constant axes are dropped, a one-axis slab with no mixed row is one dot
-    product per row, and even data is folded (see the module docstring);
-    only the dot product moves the value, at rounding level.
-    Within solve_once() a repeated problem, or an image of one (see
-    _canonical), is not stepped again.
+    product per row, and the even data of a box solve is folded (see the
+    module docstring); only the dot product moves the value, at rounding
+    level. Within solve_once() a repeated problem, or an image of one (see
+    _canonical), is not stepped again, and the dot path's weights are kept
+    in the run memo; outside it, in a dict of this problem's own.
     """
     keep = [a for a in range(len(ivs)) if not _flat_along(u, a)]
     u = u[tuple(slice(None) if a in keep else u.shape[a] // 2 for a in range(len(ivs)))]
@@ -494,20 +499,20 @@ def _diag_centre(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
     ivs = [ivs[a] for a in keep]
     memo = _MEMO.get()
     if memo is None:
-        return _diag_step(u, ivs, lam, steps)
+        return _diag_step(u, ivs, lam, steps, {})
     bounds = tuple((iv.sigma_low_sq, iv.sigma_high_sq) for iv in ivs)
     u = _canonical(u, bounds)
     key = (bounds, lam, steps, u.shape, hashlib.blake2b(u, digest_size=16).digest())
     if key not in memo:
         # a copy, so that a centre slice does not keep the whole grid alive
-        out = np.array(_diag_step(u, ivs, lam, steps))
+        out = np.array(_diag_step(u, ivs, lam, steps, memo))
         out.setflags(write=False)
         memo[key] = out
     return memo[key]
 
 
 def _canonical(u: np.ndarray, bounds) -> np.ndarray:
-    """u's first image in C order (compared by value, see _precedes), as a
+    """u's first image in C order (compared by value, see _compare), as a
     C-ordered array, among those under which a diagonal solve returns the
     same bits: the flips of its diffusing axes (the first len(bounds), whose
     intervals are `bounds`) and, when exactly two axes diffuse, none is
@@ -522,30 +527,18 @@ def _canonical(u: np.ndarray, bounds) -> np.ndarray:
         images += [v.T for v in images]
     first = images[0]
     for v in images[1:]:
-        if _precedes(v, first):
+        if _compare(v, first) < 0:
             first = v
     return np.ascontiguousarray(first)
 
 
-def _precedes(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether a comes before b (of one shape) in C order: a is less at the
-    first entry where they differ. Their planes 0 along axis 0, end planes
-    of the data, are compared first: at the cost of one plane, that settles
-    most pairs of images."""
-    for x, y in ((a[:1], b[:1]), (a[1:], b[1:])):
-        ne = (x != y).ravel()
-        i = ne.argmax()
-        if ne[i]:
-            return bool(x.flat[i] < y.flat[i])
-    return False
-
-
-def _diag_step(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
+def _diag_step(u: np.ndarray, ivs, lam: float, steps: int, cache: dict) -> np.ndarray:
     """_diag_centre once no axis of u is constant. The passive rows are cut
     along the first passive axis into slabs of at most _SLAB_CELLS cells,
     and each slab is solved whole before the next: when one axis diffuses
     and no row of the slab is mixed, as one dot product per row (see
-    _dot_rows), else folded and stepped (see _fold_and_cone)."""
+    _dot_rows, which keeps its weights in `cache`), else stepped (see
+    _fold_and_cone)."""
     n = len(ivs)
     if u.ndim == n:
         cuts = [()]
@@ -553,10 +546,9 @@ def _diag_step(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
         rows = max(1, _SLAB_CELLS // (u.size // u.shape[n]))
         cuts = [(slice(i, i + rows),) for i in range(0, u.shape[n], rows)]
     out = np.empty(u.shape[n:])
-    weights = {}  # the slabs share their weights
     for at in cuts:
         slab = u[(slice(None),) * n + at]
-        value = _dot_rows(slab, ivs[0], lam, steps, weights) if n == 1 else None
+        value = _dot_rows(slab, ivs[0], lam, steps, cache) if n == 1 else None
         if value is None:
             value = _fold_and_cone(slab, n, steps, True, lambda v, k, ghosts, point:
                                    _advance_diag(v, ivs, lam, k, ghosts, point))
@@ -566,15 +558,16 @@ def _diag_step(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
 
 def _fold_and_cone(u: np.ndarray, n: int, steps: int, axis_folds: bool, advance):
     """u(1, 0) over the later axes of a solve whose first n axes diffuse,
-    from the initial data u: even data larger than _CONE_CELLS is folded
-    (see _fold), and advance(view, k, ghosts, point) steps the dependence
-    cone (see _advance_cone). A box is unchanged by flipping any one axis,
-    so with `axis_folds` every diffusing axis along which u is even is
-    folded; failing all, when no axis is passive, the point reflection,
+    from the initial data u: even data of a whole problem (no passive axis)
+    larger than _CONE_CELLS is folded (see _fold), and advance(view, k,
+    ghosts, point) steps the dependence cone (see _advance_cone). A box is
+    unchanged by flipping any one axis, so with `axis_folds` every axis
+    along which u is even is folded; failing all, the point reflection,
     under which a hull is unchanged as well."""
-    fold = u.size > _CONE_CELLS
-    ghosts = [a for a in range(n) if fold and axis_folds and _even(u, a)]
-    point = fold and not ghosts and n == u.ndim and _even(u)
+    fold = u.ndim == n and u.size > _CONE_CELLS
+    ghosts = [a for a in range(n)
+              if fold and axis_folds and _compare(np.flip(u, a), u) == 0]
+    point = fold and not ghosts and _compare(np.flip(u), u) == 0
     if point:
         ghosts = [0]
     u, centre = _fold(u, ghosts)
@@ -583,11 +576,12 @@ def _fold_and_cone(u: np.ndarray, n: int, steps: int, axis_folds: bool, advance)
 
 
 def _dot_rows(slab: np.ndarray, iv: UncertaintyInterval, lam: float, steps: int,
-              weights: dict):
+              cache: dict):
     """u(1, 0) of a one-axis slab (axis 0 diffuses, later axes are passive
     rows) as one dot product per row, or None when a row is mixed (see the
-    module docstring). `weights` keeps each w it finds, by coefficient, for
-    the problem's other slabs.
+    module docstring). `cache` keeps each w it finds, read-only, under
+    ("weights", nodes, coefficient, steps): the run memo, or the problem's
+    own dict for its other slabs.
 
     A row is convex (linear rows included) or concave when its second
     differences along axis 0 all have one sign; its value is then w . row
@@ -616,9 +610,11 @@ def _dot_rows(slab: np.ndarray, iv: UncertaintyInterval, lam: float, steps: int,
     pairs = rows[c + 1:] + rows[c - 1::-1]
     for coeff, chosen in ((c_hi, convex), (c_lo, ~convex)):
         if chosen.any():
-            if coeff not in weights:
-                weights[coeff] = _weights(n, coeff, steps)
-            w = weights[coeff]
+            key = ("weights", n, coeff, steps)
+            if key not in cache:
+                cache[key] = _weights(n, coeff, steps)
+                cache[key].setflags(write=False)
+            w = cache[key]
             # + 0.0 clears -0.0 as a step would
             value = w[c] * rows[c] + (w[c + 1:, None] * pairs).sum(axis=0) + 0.0
             out[chosen] = value[chosen]
@@ -628,12 +624,7 @@ def _dot_rows(slab: np.ndarray, iv: UncertaintyInterval, lam: float, steps: int,
 def _weights(n: int, coeff: float, steps: int) -> np.ndarray:
     """w = e_c S^steps: the centre row of `steps` steps of the linear scheme
     at coefficient lam sigma^2 / 2 on n nodes, end faces held fixed, found by
-    stepping the adjoint vector from the centre node c. Within solve_once()
-    it is kept in the run memo under its own key."""
-    memo = _MEMO.get()
-    key = ("weights", n, coeff, steps)
-    if memo is not None and key in memo:
-        return memo[key]
+    stepping the adjoint vector from the centre node c."""
     w = np.zeros(n)
     w[n // 2] = 1.0
     # q[i + 1] = coeff w[i] on the interior; the faces and the two pads are 0
@@ -643,9 +634,6 @@ def _weights(n: int, coeff: float, steps: int) -> np.ndarray:
         np.subtract(q[1:], q[:-1], out=g)
         np.subtract(g[1:], g[:-1], out=d)
         w += d
-    if memo is not None:
-        w.setflags(write=False)
-        memo[key] = w
     return w
 
 

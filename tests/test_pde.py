@@ -511,7 +511,7 @@ class TestKernelEquivalence:
         h, dt = 0.25, 0.4 * 0.25**2 / 6.0
         for steps in (1, 20):
             got = pde._diag_step(np.moveaxis(u0.copy(), (2, 3), (0, 1)), ivs, dt / (h * h),
-                                 steps)
+                                 steps, {})
             want = _ref_run_diag(u0, ivs, h, dt, steps, (2, 3))[:, :, 15, 18]
             assert _same_bits(got, want)
 
@@ -670,7 +670,8 @@ class TestViews:
         centres = []
         view0, _ = self._step_view(_rough((8, 30, 12), 67), np.s_[1:8, 2:27, 2:11],
                                    lambda v: centres.append(pde._diag_step(
-                                       np.moveaxis(v, (0, 2), (0, 1)), ivs, dt / (h * h), 11)))
+                                       np.moveaxis(v, (0, 2), (0, 1)), ivs, dt / (h * h), 11,
+                                       {})))
         assert _same_bits(centres[0], _ref_run_diag(view0, ivs, h, dt, 11, (0, 2))[3, :, 4])
 
     @pytest.mark.parametrize("cut", CUTS.values(), ids=CUTS.keys())
@@ -753,7 +754,8 @@ def test_slabs_cut_a_non_leading_passive_axis(axes):
     ivs = KERNEL_IVS[:len(axes)]
     h = 0.25
     dt = 0.4 * h * h / sum(iv.sigma_high_sq for iv in ivs)
-    got = pde._diag_step(np.moveaxis(u0.copy(), axes, range(len(axes))), ivs, dt / (h * h), 12)
+    got = pde._diag_step(np.moveaxis(u0.copy(), axes, range(len(axes))), ivs, dt / (h * h), 12,
+                         {})
     want = _ref_run_diag(u0, ivs, h, dt, 12, axes)[tuple(n // 2 if a in axes else slice(None)
                                                          for a, n in enumerate(u0.shape))]
     assert _same_bits(got, want)
@@ -911,6 +913,33 @@ class TestDotRows:
         assert np.all(np.abs(got - want[c]) <= 1e-12 * (1.0 + np.abs(want[c])))
         assert _same_bits(got[31:62], want[c, 31:62])
 
+    def test_a_problem_finds_each_weight_vector_once(self, monkeypatch):
+        # 21 x 100 x 100 cells of convex and concave rows: four slabs, each
+        # served by the dot path at both coefficients. Outside a run each
+        # problem finds its weights once; within one, the run does
+        h, c, steps, lam = 0.2, 10, 30, 0.2
+        iv = KERNEL_IVS[1]
+        x = (h * np.arange(-c, c + 1))[:, None, None]
+        rng = np.random.default_rng(157)
+        sign = np.where(rng.random((100, 100)) < 0.5, 1.0, -1.0)
+        u = sign * _dot_row("convex", x, *rng.uniform(-2.0, 2.0, (4, 100, 100)))
+        assert u.size > 3 * pde._SLAB_CELLS
+        found, weights = [], pde._weights
+        monkeypatch.setattr(pde, "_weights", lambda *a: found.append(a) or weights(*a))
+        coeffs = {(21, lam * (0.5 * iv.sigma_high_sq), steps),
+                  (21, lam * (0.5 * iv.sigma_low_sq), steps)}
+        outside = pde._diag_centre(u.copy(), [iv], lam, steps)
+        assert len(found) == 2 and set(found) == coeffs
+        pde._diag_centre(-u, [iv], lam, steps)
+        assert len(found) == 4 and set(found[2:]) == coeffs
+        found.clear()
+        with pde.solve_once():
+            inside = pde._diag_centre(u.copy(), [iv], lam, steps)
+            pde._diag_centre(-u, [iv], lam, steps)
+            assert len(pde._MEMO.get()) == 4  # two problems, two weight vectors
+        assert len(found) == 2 and set(found) == coeffs
+        assert _same_bits(inside, outside)
+
     def test_weights_are_kept_in_the_run_memo_only(self):
         # convex, concave and linear rows: both weight vectors are needed
         h = 0.2
@@ -931,6 +960,10 @@ class TestDotRows:
             assert _same_bits(w, pde._weights(n, coeff, steps)) and not w.flags.writeable
             # the linear scheme keeps constants: its centre row sums to 1
             assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
+        # _weights itself keeps nothing, in a run or out of one
+        with pde.solve_once():
+            pde._weights(21, coeffs[0], steps)
+            assert pde._MEMO.get() == {}
 
 
 def test_initial_data_mesh_is_read_only():
@@ -1097,16 +1130,17 @@ class TestFolds:
         assert folds.seen == {((), False)}
 
     @pytest.mark.parametrize("steps", [26, 30, 35])  # half width 30 along the swept axis
-    def test_nested_swept_axis_fold_in_slabs(self, steps, folds):
+    def test_nested_sweep_slabs_step_unfolded(self, steps, folds):
         # moved to the front, the swept axis leads a (61, 31, 41) array of
-        # more than _SLAB_CELLS cells: slabs of 26 and 5 rows of axis 1
+        # more than _SLAB_CELLS cells: slabs of 26 and 5 rows of axis 1, each
+        # stepped whole along the swept axis though the data is even along it
         u0 = _made_even(_rough((31, 41, 61), 103), 2)
         assert u0.size > pde._SLAB_CELLS
         iv = KERNEL_IVS[0]
         out = _sweep(u0, iv, steps)
         assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [iv], 1.0, 1.0 / steps, steps,
                                                            [2])))
-        assert folds.seen == {((0,), False)}
+        assert folds.seen == {((), False)}
 
     def _assert_unfolded(self, u0, kind, folds):
         # the solve of u0 by kind has the bits of the unfolded reference
@@ -1203,16 +1237,16 @@ def test_even_data_stays_even(kind, flips):
 
 def test_even_length_axes_are_not_folded(folds):
     # data equal to its flip along a passive axis of even length is
-    # symmetric about a midpoint between nodes; passive axes never fold, so
-    # only the swept axis (of 2m + 1 nodes, as diffuse_last_axis requires)
-    # is folded
+    # symmetric about a midpoint between nodes; a sweep's slab has passive
+    # axes, so it steps unfolded, its swept axis (of 2m + 1 nodes, as
+    # diffuse_last_axis requires) included
     u0 = _rough((14, 12, 67), 137)
     for a in range(3):
         u0 = _made_even(u0, a)
     out = _sweep(u0, KERNEL_IVS[0], 40)
     assert _same_bits(out, _centre_slice(_ref_run_diag(u0, [KERNEL_IVS[0]], 1.0, 1.0 / 40, 40,
                                                        [2])))
-    assert folds.seen == {((0,), False)}
+    assert folds.seen == {((), False)}
 
 
 class TestGhostKernels:

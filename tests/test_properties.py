@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gexpect.errors import GExpectError
 from gexpect.expectation import expect_gnormal
@@ -10,7 +10,7 @@ from gexpect.gamma import (ConvexHull, DiagonalBox, Interval1D,
 from gexpect import pde
 from gexpect.pde import SolverConfig
 from gexpect.testfuncs import TestFunction
-from oracles import gamma_sets_equal
+from oracles import box_u_h, gamma_sets_equal
 
 FAST = SolverConfig(h=0.25)
 
@@ -121,18 +121,23 @@ def test_build_grid_invariants(sig_sqs, h, order, const, nested):
     assert g.steps == 1 or 1.0 / (g.steps - 1) > dt
 
 
-@st.composite
-def coarse_test_functions(draw):
-    a = draw(st.floats(-2.0, 2.0))
-    b = draw(st.floats(-2.0, 2.0))
-    c = draw(st.floats(-2.0, 2.0))
+def _quad_kink(a, b, c):
     return TestFunction(lambda x: a * x * x + b * np.abs(x) + c * x, arity=1,
                         growth_order=1, growth_const=4.0 * (abs(a) + abs(b) + abs(c)) + 4.0,
                         name="quad+kink")
 
 
+@st.composite
+def coarse_test_functions(draw):
+    return _quad_kink(*(draw(st.floats(-2.0, 2.0)) for _ in range(3)))
+
+
 @given(phi=coarse_test_functions(), psi=coarse_test_functions(),
        lam=st.floats(0.0, 3.0))
+# psi falls back to u_h while phi + psi is extrapolated, so the reported sum
+# exceeds the reported parts by 6.2e-3, within their error estimates; the
+# one-grid values u_h are subadditive
+@example(phi=_quad_kink(-1.0, 0.0, 0.0), psi=_quad_kink(-2.0, 1.5, 0.0), lam=0.0)
 @settings(max_examples=12, deadline=None)
 def test_computed_expectation_is_sublinear(phi, psi, lam):
     iv = Interval1D(UncertaintyInterval(1.0, 4.0))
@@ -141,13 +146,17 @@ def test_computed_expectation_is_sublinear(phi, psi, lam):
     scaled = TestFunction(lambda x: lam * np.asarray(phi.fn(x), dtype=float), arity=1,
                           growth_order=1, growth_const=lam * phi.growth_const + 1.0,
                           name="scaled")
-    e_phi = expect_gnormal(iv, phi, cfg=FAST).value
-    e_psi = expect_gnormal(iv, psi, cfg=FAST).value
-    e_sum = expect_gnormal(iv, both, cfg=FAST).value
+    # the scheme on one grid is subadditive, as the G-expectation is
+    u_phi, u_psi, u_sum = (box_u_h(iv, f, FAST.h) for f in (phi, psi, both))
+    tol = 1e-8 * (1.0 + abs(u_phi) + abs(u_psi))
+    assert u_sum <= u_phi + u_psi + tol
+    # the reported values weigh in the 2h and 4h grids, each solve on its
+    # own terms, so they are subadditive within their error estimates
+    e_phi, e_psi, e_sum = (expect_gnormal(iv, f, cfg=FAST) for f in (phi, psi, both))
+    slack = e_phi.error_estimate + e_psi.error_estimate + e_sum.error_estimate
+    assert e_sum.value <= e_phi.value + e_psi.value + slack + tol
     e_scaled = expect_gnormal(iv, scaled, cfg=FAST).value
-    tol = 1e-8 * (1.0 + abs(e_phi) + abs(e_psi))
-    assert e_sum <= e_phi + e_psi + tol  # subadditive
-    assert e_scaled == pytest.approx(lam * e_phi, abs=1e-8 + 1e-8 * abs(e_phi))
+    assert e_scaled == pytest.approx(lam * e_phi.value, abs=1e-8 + 1e-8 * abs(e_phi.value))
 
 
 @given(phi=coarse_test_functions())

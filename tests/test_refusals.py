@@ -33,8 +33,12 @@ REFUSALS = {
                             "nonempty finite vector"),
     "g-not-square": (lambda: g_function(BOX_2D, np.ones((2, 3))), ValueError,
                      r"square matrix, got shape \(2, 3\)"),
+    "g-not-finite": (lambda: g_function(BOX_2D, [[math.nan, 0.0], [0.0, 1.0]]), ValueError,
+                     "matrix entries must be finite"),
     "image-columns": (lambda: image_gamma(np.eye(3), BOX_2D), DimensionMismatch,
                       "3 columns but the set has dimension 2"),
+    "image-not-finite": (lambda: image_gamma([[math.nan, 0.0], [0.0, 1.0]], BOX_2D), ValueError,
+                         "matrix entries must be finite"),
     # a rank-2 map that is not axis-aligned would enumerate 2^13 box vertices
     "image-vertex-cap": (lambda: image_gamma(np.vstack([np.ones(13), np.arange(13.0)]),
                                              DiagonalBox((IV,) * 13)),
