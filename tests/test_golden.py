@@ -1,4 +1,4 @@
-"""Golden safety net: two fixed CLI reports and ten pinned solves.
+"""Golden safety net: two fixed CLI reports and eleven pinned solves.
 
 The golden CSVs were written by ``gexpect run``: one with GOLDEN_ARGV
 below, which covers nested solves and 2D box solves at h = 0.25, and one
@@ -79,6 +79,8 @@ X2_0Y = TestFunction(lambda x, y: x**2 + 0.0 * y, arity=2, growth_order=1, growt
                      name="x^2+0y")
 X2_KINK = TestFunction(lambda x, y: x**2 * np.maximum(y - 0.3, 0.0), arity=2, growth_order=2,
                        growth_const=8.0, name="x^2(y-0.3)^+")
+XY_CUBED = TestFunction(lambda x, y: x * y**3, arity=2, growth_order=3, growth_const=2.0,
+                        name="xy^3")
 QUAD_3 = TestFunction(lambda x, y, z: x**2 + (y - 0.5) ** 2 + z**2, arity=3, growth_order=1,
                       growth_const=12.0, name="x^2+(y-1/2)^2+z^2")
 
@@ -95,9 +97,13 @@ QUAD_3 = TestFunction(lambda x, y, z: x**2 + (y - 0.5) ** 2 + z**2, arity=3, gro
      (2.393661964037197, 5.876172814779698e-11, 0.008446095800599185, 320)),
     (lambda: expect_gnormal(RankOneFamily(np.array([1.2, -0.7]), IV), KINK, cfg=COARSE),
      (1.092748002891635, 8.799062223510633e-13, 0.00309635468710745, 160)),
-    # |x+y| is even only under x -> -x: point folds of the box and the hull
+    # |x+y| is convex along both axes: the box solve is a mixture of 1D walks
     (lambda: solve_gheat_diag(DiagonalBox((IV, IV)), ABS_SUM, cfg=COARSE),
-     (2.25676025650592, 9.118199195347805e-13, 0.0039741495976155505, 320)),
+     (2.256760256505918, 9.118199195347805e-13, 0.003974149597614662, 320)),
+    # x y^3 and |x+y| are even only under x -> -x: point folds of the box
+    # (whose x y^3 is mixed along y) and the hull
+    (lambda: solve_gheat_diag(DiagonalBox((IV, IV)), XY_CUBED, cfg=COARSE),
+     (4.972709104154371, 2.4892683803299513e-10, 0.09536247755807725, 320)),
     (lambda: solve_gheat_hull(HULL, ABS_SUM, cfg=COARSE),
      (1.9544784071670762, 3.262326800948795e-13, 0.009923318821932758, 240)),
     # y is dropped as a constant axis: a 1D solve on the 2D grid
@@ -113,8 +119,9 @@ QUAD_3 = TestFunction(lambda x, y, z: x**2 + (y - 0.5) ** 2 + z**2, arity=3, gro
      (2.627596720855786, 5.876172814779698e-11, 0.013651488502834042, 320)),
     (lambda: expect_sequential((IV, IV), ABS_SUM, cfg=COARSE),
      (2.2567602565059186, 9.118199195347805e-13, 0.003974149597614662, 320)),
-], ids=["box", "hull", "sequential", "rank-one", "box-point-fold", "hull-point-fold",
-        "box-constant-axis", "sequential-3d-slabs", "sequential-halves", "sequential-mirrored"])
+], ids=["box", "hull", "sequential", "rank-one", "box-walk", "box-point-fold",
+        "hull-point-fold", "box-constant-axis", "sequential-3d-slabs", "sequential-halves",
+        "sequential-mirrored"])
 def test_pinned_solve_reports(solve, pinned):
     rep = solve()
     assert (rep.value, rep.tail_bound, rep.refinement_delta, rep.steps_taken) == pinned

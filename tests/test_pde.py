@@ -966,6 +966,168 @@ class TestDotRows:
             assert pde._MEMO.get() == {}
 
 
+# the walk: a box problem whose data is convex or concave along each axis is
+# a mixture of 1D walks (pde._walk_box) instead of `steps` steps of the grid;
+# the `folds` fixture below records the shape of every kernel call
+
+
+def _box_data(shape, h, fn):
+    x = np.meshgrid(*(h * np.arange(-(n // 2), n // 2 + 1) for n in shape), indexing="ij",
+                    sparse=True)
+    return np.broadcast_to(fn(*x), shape) + 0.0
+
+
+def _axis_wise(shape, h, rng):
+    # along each axis a convex or a concave parabola plus a kink, and a
+    # product of all coordinates, which is linear along each
+    def fn(*x):
+        out = rng.uniform(-1.0, 1.0) * math.prod(x)
+        for xa in x:
+            a, t, r = rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+            out = out + rng.choice([-1.0, 1.0]) * (a * (xa - t) ** 2 + np.abs(xa - r))
+        return out
+    return _box_data(shape, h, fn)
+
+
+def _box_problem(ivs, h):
+    # (dt, steps) of a box solve at spacing h
+    steps = pde._steps(h, sum(iv.sigma_high_sq for iv in ivs))
+    return 1.0 / steps, steps
+
+
+def _stepped(u, ivs, lam, steps):
+    # the same problem with the walk off: every step through the kernel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pde, "_walk_box", lambda *a: None)
+        return pde._diag_centre(u.copy(), ivs, lam, steps)
+
+
+W3 = (1.0, 0.5, -1.0)
+WALK_DATA = {
+    "|<w,x>|": lambda *x: np.abs(sum(w * xa for w, xa in zip(W3, x))),
+    "(<w,x>-0.3)^+": lambda *x: np.maximum(sum(w * xa for w, xa in zip(W3, x)) - 0.3, 0.0),
+    "-|x|^2": lambda *x: -sum(xa * xa for xa in x),
+    "x+y^2": lambda *x: x[0] + sum(xa * xa for xa in x[1:]),
+    "-x^2+|y|": lambda *x: -x[0] ** 2 + sum(np.abs(xa) for xa in x[1:]),
+}
+# KERNEL_IVS[0] has sigma_low^2 = 0: an axis concave along it does not move,
+# and with every axis so, rho = 0
+WALK_BOXES = {"2d": (KERNEL_IVS[:2], (31, 41)), "3d": (KERNEL_IVS, (17, 21, 15)),
+              "2d-zero-lows": ((KERNEL_IVS[0], UncertaintyInterval(0.0, 1.0)), (27, 23))}
+
+
+class TestWalk:
+    @pytest.mark.parametrize("data", WALK_DATA)
+    @pytest.mark.parametrize("box", WALK_BOXES)
+    def test_walk_matches_the_kernel(self, box, data, folds):
+        ivs, shape = WALK_BOXES[box]
+        h = 0.4
+        dt, steps = _box_problem(ivs, h)
+        u = _box_data(shape, h, WALK_DATA[data])
+        got = float(pde._diag_centre(u.copy(), ivs, dt / (h * h), steps))
+        assert not folds.shapes
+        want = float(_stepped(u, ivs, dt / (h * h), steps))
+        assert folds.shapes
+        assert abs(got - want) <= 1e-13 * (1.0 + abs(want)), (got, want)
+
+    @pytest.mark.parametrize("box", WALK_BOXES)
+    @pytest.mark.parametrize("seed", [3, 5, 8])
+    def test_axis_wise_data_matches_the_kernel(self, box, seed, folds):
+        ivs, shape = WALK_BOXES[box]
+        h = 0.3
+        dt, steps = _box_problem(ivs, h)
+        u = _axis_wise(shape, h, np.random.default_rng(seed))
+        got = float(pde._diag_centre(u.copy(), ivs, dt / (h * h), steps))
+        assert not folds.shapes
+        want = float(_stepped(u, ivs, dt / (h * h), steps))
+        assert abs(got - want) <= 1e-13 * (1.0 + abs(want)), (got, want)
+
+    @pytest.mark.parametrize("fn", [lambda *x: sum(x), lambda *x: math.prod(x),
+                                    lambda *x: x[0] * x[1] + x[-1]],
+                             ids=["sum", "product", "xy+last"])
+    @pytest.mark.parametrize("box", ["2d", "3d"])
+    def test_odd_data_comes_back_exactly_zero(self, box, fn, folds):
+        ivs, shape = WALK_BOXES[box]
+        h = 0.4
+        dt, steps = _box_problem(ivs, h)
+        got = pde._diag_centre(_box_data(shape, h, fn), ivs, dt / (h * h), steps)
+        assert _same_bits(np.float64(got), np.float64(0.0)) and not folds.shapes
+
+    @pytest.mark.parametrize("fn", [lambda x, y: x * y ** 2, lambda x, y: x * y ** 3,
+                                    lambda x, y: x ** 3 + y ** 2],
+                             ids=["xy^2", "xy^3", "x^3+y^2"])
+    def test_mixed_data_steps(self, fn, folds):
+        ivs, shape = WALK_BOXES["2d"]
+        h = 0.4
+        dt, steps = _box_problem(ivs, h)
+        u = _box_data(shape, h, fn)
+        assert pde._walk_box(u, ivs, dt / (h * h), steps) is None
+        got = pde._diag_centre(u.copy(), ivs, dt / (h * h), steps)
+        assert folds.shapes
+        want = _centre(_ref_run_diag(u, ivs, h, dt, steps, (0, 1)))
+        assert _same_bits(np.float64(got), want)
+
+    def test_solves_of_the_pool_kinds(self, folds):
+        # psi(<w, x>) and quadratic forms are walk-served, x y^2 steps
+        box = DiagonalBox((IV, IV.scaled(2.0)))
+        walked = [_fn(lambda x, y: np.abs(0.6 * x - 0.8 * y), 2),
+                  _fn(lambda x, y: x * x - 1.5 * x * y + 0.5 * y * y, 2)]
+        for phi in walked:
+            solve_gheat_diag(box, phi, cfg=SolverConfig(h=0.5))
+        assert not folds.shapes
+        solve_gheat_diag(box, XY_SQUARED, cfg=SolverConfig(h=0.5))
+        assert folds.shapes
+
+    def test_a_3d_image_is_walk_served(self, folds):
+        # |<w, M x>| = |<M^T w, x>| is convex along every axis: its classical
+        # value at sigma_high is sqrt(2 / pi) |M^T w|_sigma
+        ivs = (UncertaintyInterval(1.0, 4.0), UncertaintyInterval(0.5, 2.0),
+               UncertaintyInterval(1.0, 2.0))
+        m = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.5], [0.5, 0.0, 1.0]])
+        phi = TestFunction(lambda x, y, z: np.abs(x + 0.5 * y - z), arity=3, growth_order=1,
+                           growth_const=3.0, name="|<w,x>|")
+        rep = expect(LinearImage(m, GNormal(DiagonalBox(ivs))), phi, SolverConfig(h=0.4))
+        assert not folds.shapes
+        v = m.T @ np.array([1.0, 0.5, -1.0])
+        want = math.sqrt(2.0 / math.pi * sum(va * va * iv.sigma_high_sq for va, iv in zip(v, ivs)))
+        assert abs(rep.value - want) <= rep.error_estimate
+
+    def test_walk_rows_are_the_linear_scheme(self):
+        # row k of the walk dotted with data is the centre of k steps of the
+        # linear scheme at that coefficient (sigma_low^2 = sigma_high^2)
+        coeff, n = 0.15, 21
+        rows = pde._walk(n, coeff, 4, 30)
+        u = _rough((n,), 163)
+        for k in (4, 17, 30):
+            want = _centre(_ref_run_diag(u, [UncertaintyInterval(1.0, 1.0)], 1.0, 2.0 * coeff, k,
+                                         [0]))
+            assert abs(rows[k - 4] @ u - want) <= 1e-12 * (1.0 + np.abs(u).max())
+            assert _same_bits(rows[k - 4], pde._weights(n, coeff, k))
+
+    @pytest.mark.parametrize("steps, r, rest", [(50, 1.0, 3.0), (625, 0.2, 0.8),
+                                                (40, 1e-9, 1.0), (40, 1.0, 1e-9)])
+    def test_binomial_weights(self, steps, r, rest):
+        k, beta = pde._binomial(steps, r, rest)
+        p, q = r / (r + rest), rest / (r + rest)
+        exact = np.array([math.comb(steps, j) * p ** j * q ** (steps - j)
+                          for j in range(steps + 1)])
+        # every weight above 1e-20 of the largest, within a factor 10 of it
+        assert (set(np.flatnonzero(exact > 1e-19 * exact.max())) <= set(k)
+                <= set(np.flatnonzero(exact > 1e-21 * exact.max())))
+        assert np.allclose(beta, exact[k], rtol=1e-13, atol=0.0)
+
+    def test_curvature_of_whole_axes(self):
+        # lines that are each convex or concave, but not all alike, are mixed
+        # as a whole; linear lines are convex, and flat ones with a
+        # negative second difference below the tolerance concave
+        x = np.arange(-5.0, 6.0)[:, None]
+        assert pde._curvature(np.hstack([x * x, -x * x]), whole=True) is None
+        assert list(pde._curvature(np.hstack([x * x, -x * x]))) == [True, False]
+        assert pde._curvature(np.hstack([x * x, 2.0 * x]), whole=True)
+        assert not pde._curvature(np.hstack([-x * x, 2.0 * x]), whole=True)
+        assert not pde._curvature(np.hstack([-1e-14 * x * x, 0.0 * x]), whole=True)
+
+
 def test_initial_data_mesh_is_read_only():
     # the mesh is broadcast views of the grid axes: a phi writing into its
     # argument must raise, not change every node that shares the axis entry
@@ -1297,8 +1459,9 @@ def test_grid_nodes_and_odd_moments_are_exact():
 
 # A flip of a diffusing axis maps g to -g and d to d, mirrored bit for bit,
 # and a 2D box's transpose swaps the two fluxes of x + y; the folds, the cone
-# cuts, the dot path and the slabs all commute with these images, so each
-# image of the data gives the same bits (which the run memo relies on).
+# cuts, the dot path and the slabs all commute with these images, and the
+# walk contracts mirrored pairs of the canonical image, so each image of the
+# data gives the same bits (which the run memo relies on).
 
 
 def _images(u, n, transpose):
@@ -1325,18 +1488,22 @@ def _image_problem(kind, seed, sym, draw_rows):
     shape, ivs = {"mixed": ((21, 9, 4), KERNEL_IVS[:1]),
                   "box2-equal": ((67, 67), (IV, IV)),
                   "box2": ((67, 71), KERNEL_IVS[:2]),
-                  "box3": ((17, 19, 21), KERNEL_IVS)}[kind]
-    u = _rough(shape, seed)
+                  "box3": ((17, 19, 21), KERNEL_IVS),
+                  "walk2-equal": ((23, 23), (IV, IV)),
+                  "walk3": ((13, 11, 15), KERNEL_IVS)}[kind]
+    # walk kinds: convex or concave along each axis, so a mixture of walks
+    u = _axis_wise(shape, 0.2, rng) if kind.startswith("walk") else _rough(shape, seed)
     if sym == "point":
         u = _made_even(u)
     elif sym is not None:
         u = _made_even(u, sym)
-    return u, ivs, kind == "box2-equal"
+    return u, ivs, kind.endswith("-equal")
 
 
 # sym: the rough data made even along that axis, or under the point reflection
 @pytest.mark.parametrize("kind, sym", [("dot", None), ("slabs", None), ("mixed", None)] + [
-    (kind, sym) for kind in ("box2-equal", "box2", "box3") for sym in (None, 0, 1, "point")])
+    (kind, sym) for kind in ("box2-equal", "box2", "box3", "walk2-equal", "walk3")
+    for sym in (None, 0, 1, "point")])
 @given(seed=st.integers(0, 2**16), steps=st.integers(1, 45),
        rows=st.lists(st.tuples(_ROW_KINDS, _ROW_PARAMS), min_size=16, max_size=16))
 @settings(max_examples=6, deadline=None)
