@@ -14,8 +14,8 @@ A box solve and a sweep of the nested recursion are the same diagonal
 solve, run by one driver, ``_diag_centre``: its intervals diffuse along
 the leading axes of u, and any later axes are passive rows (a sweep is a
 box solve whose other coordinates are passive). Every diagonal step runs
-through one kernel, ``_advance_diag``, unless the dot path or the walk
-below serves the problem; hull solves run through ``_advance_hull``. Each
+through one kernel, ``_advance_diag``, unless the walk mixture below
+serves the problem; hull solves run through ``_advance_hull``. Each
 call copies the view it is given (a cone view, often strided) into one
 C-ordered buffer, steps it in place as a flat 1D array and writes it
 back. The kernels are in the flux form of Kushner and Dupuis' monotone
@@ -43,47 +43,41 @@ initial data is exactly constant: the flux along it is (v - v) - (v - v)
 steps, and a sweep along such an axis returns without stepping. Hull
 solves drop nothing, since their cross stencil does not cancel exactly.
 
-When exactly one axis diffuses (a nested sweep, a 1D box solve, or a box
-solve whose other axes were dropped), each passive row is a 1D problem.
-With its faces held fixed, one step at r = lam sigma_high^2 / 2 <= 1/2 maps
-a row's second differences d_i to (1 - 2r) d_i + r (d_i-1 + d_i+1), a
-nonnegative combination, so a convex row stays convex, Gbar always
-selects sigma_high^2, and the row steps exactly as the linear scheme does;
-a concave row steps at sigma_low^2 (Peng's classical expectation at sigma
-of a convex phi, row by row). ``_dot_rows`` then returns w . row for each
-row of a slab (see below), w = e_c S^steps the centre row of the linear
-scheme (``_weights``), summed over mirrored node pairs so that odd rows
-come back exactly 0. Each w is found once per problem, or once per run
-within ``solve_once()`` (see below). A slab that holds a mixed row is
-stepped as below; the other slabs of the problem are still dot products.
-The value differs from the stepped one at rounding level only.
-
-A box problem of two or more axes (no passive axis) whose data is convex
-or concave along each axis, by the dot path's sign test (``_curvature``)
-applied to all lines along the axis at once, is not stepped either
-(``_walk_box``). Axis a takes r_a = lam sigma^2 / 2 at sigma_high^2 where
-convex and sigma_low^2 where concave, and rho = sum r_a <= 0.2 (``_steps``).
-One step of the linear scheme S = I + sum r_a D_a maps the second
-differences along an axis to a nonnegative combination of themselves (at
-least 1 - 2 rho on the node itself, r_b on its neighbours, faces included),
-so each axis keeps its sign, Gbar selects the same coefficient at every
-step, and the solve is S^steps. S = sum alpha_a P_a with alpha_a = r_a / rho
-and P_a = I + rho D_a the 1D scheme along axis a; the P_a act on different
-axes, so they commute, and e_c S^N is the sum over the counts k of steps
-per axis of Multinomial(N, alpha)(k) times the product over the axes of the
-1D walks e_c P_a^k_a (``_walk``, whose last row is the dot path's w). Every
-term is nonnegative, so nothing cancels. ``_mixture`` contracts the data
-with the walks' rows: axis 0's count is binomial and the other axes take
-the remaining steps, the last axis all of them. Only counts whose binomial
-weight exceeds 1e-20 of the largest are kept (``_binomial``), so each axis
-walks once and keeps only the rows of its window (189 of 626 at N = 625 and
-alpha = 0.2). The data is first folded into mirrored node pairs along every
-axis (``_mirror_pairs``), so odd data comes back exactly 0, and every sum is
-of elementwise products with ``sum``, never ``@`` or ``dot``, so the bits do
+A slab whose every passive row is convex or concave along each diffusing
+axis is not stepped (``_walk_slab``; a box problem is one row, a nested
+sweep has one diffusing axis). A row's sign along an axis is taken over
+all its lines along that axis (``_curvature``: second differences of one
+sign within 1e-12 (1 + max |line|)). Axis a takes r_a = lam sigma^2 / 2
+at sigma_high^2 where convex and sigma_low^2 where concave (the rows of
+each sign pattern are contracted at its rates), and rho = sum r_a <= 0.2
+(``_steps``). One step of the linear scheme S = I + sum r_a
+D_a maps the second differences along an axis to a nonnegative
+combination of themselves (at least 1 - 2 rho on the node itself, r_b on
+its neighbours, faces included), so each axis keeps its sign, Gbar
+selects the same coefficient at every step, and the solve is S^steps:
+along each axis, Peng's classical expectation at one variance. S = sum
+alpha_a P_a with alpha_a = r_a / rho and P_a = I + rho D_a the 1D scheme
+along axis a; the P_a act on different axes, so they commute, and e_c
+S^N is the sum over the counts k of steps per axis of Multinomial(N,
+alpha)(k) times the product over the axes of the 1D walks e_c P_a^k_a
+(``_walk``, each walk found once per problem, or once per run within
+``solve_once()``). Every term is nonnegative, so nothing cancels. The
+data is folded into mirrored node pairs along every axis, so odd data
+comes back exactly 0, and an axis at r_a = 0 keeps plane 0 of them, its
+centre plane. With one axis left (every nested sweep) the mixture is one
+walk, and each row's value is one dot product, w_0 f_c + sum_m w_m
+(f_c+m + f_c-m) with w = e_c S^N. With more, ``_mixture`` contracts the
+folded data (``_mirror_pairs``) with the walks' rows: axis 0's count is
+binomial and the other axes take the remaining steps, the last axis all of
+them. Only counts whose binomial weight exceeds 1e-20 of the largest are
+kept (``_binomial``), so each axis walks once and keeps only the rows of
+its window (189 of 626 at N = 625 and alpha = 0.2). Every sum is of
+elementwise products with ``sum``, never ``@`` or ``dot``, so the bits do
 not depend on the BLAS build. The value differs from the stepped one at
-rounding level (at most 2.1e-14 of 1 + |value| over the benchmark's gnormal
-pools of seeds 0-10). Data of mixed curvature along an axis (x y^2) is
-stepped as below.
+rounding level (at most 2.1e-14 of 1 + |value| over the benchmark's
+gnormal pools of seeds 0-10). A slab that holds a row of mixed curvature
+along an axis (x y^2, x^3) is stepped as below; the other slabs of the
+problem are still walks.
 
 Box, hull and the mixed slabs of a sweep all step through one function,
 ``_fold_and_cone``. A box or hull solve whose initial data is exactly
@@ -113,8 +107,8 @@ centre node, and data that is not finite; it copies its input once with the swep
 front, so cone views are contiguous blocks, and returns the centre slice
 along it. ``_diag_step``, the one place that cuts passive rows, cuts the
 first passive axis into slabs of at most ``_SLAB_CELLS`` cells and
-solves each slab whole before the next, one dot product per row or
-through all of its steps, so a slab and its buffers are reused from L2
+solves each slab whole before the next, as a walk mixture or through
+all of its steps, so a slab and its buffers are reused from L2
 cache instead of the whole grid streaming from memory once per step. The
 rows are independent problems and every op is elementwise, so the values
 are the same bits as one pass.
@@ -154,19 +148,22 @@ solved problem from the memo: the same bits, since the key holds
 everything the stepping reads. Keying on the data rather than on phi
 catches pulled-back duplicates, a marginal whose other axes were dropped
 and the mirror images and transposes that the catalog's symmetry
-assertions compare. The driver hands the dot path one cache for its
-weights, keyed on the nodes, the coefficient and the steps: the same memo
-within the block, and outside it a dict of the problem's own, which its
-slabs share and which goes with it. The walk's mirrored pairs commute
-with the flips, but its contraction does not with a transpose, so the
-walk puts the data in this orientation itself, within the block or not.
+assertions compare. The driver hands the walks one cache, keyed on the
+nodes, the coefficient and the range of steps: the same memo within the
+block, and outside it a dict of the problem's own, which its slabs share
+and which goes with it. The walk's mirrored pairs commute with the flips,
+but its contraction of two or more axes does not with a transpose, so
+outside the block the driver puts a box problem of two or more axes in
+this orientation too: every problem is oriented at most once.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -514,13 +511,15 @@ def _diag_centre(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
     """u(1, 0) of a diagonal solve from the initial data u, stepped in place:
     interval k diffuses along axis k, and later axes are passive rows. A 0-d
     value for a box solve, an array over the passive axes for a sweep.
-    Constant axes are dropped, a one-axis slab with no mixed row is one dot
-    product per row, a box convex or concave along each axis is a mixture
-    of 1D walks, and the even data of a box solve is folded (see the module
-    docstring); only the dot product and the walk move the value, at
-    rounding level. Within solve_once() a repeated problem, or an image of
-    one (see _canonical), is not stepped again, and the dot path's weights
-    are kept in the run memo; outside it, in a dict of this problem's own.
+    Constant axes are dropped, a slab whose rows are convex or concave
+    along each diffusing axis is a mixture of 1D walks (one dot product per
+    row when one axis diffuses), and the even data of a box solve is folded
+    (see the module docstring); only the walks move the value, at rounding
+    level. The data is put in its canonical orientation (see _canonical)
+    once: within solve_once(), where a repeated problem or an image of one
+    is not stepped again and the walks are kept in the run memo, and
+    outside it for a box problem of two or more axes, whose walks are kept
+    in a dict of this problem's own.
     """
     keep = [a for a in range(len(ivs)) if not _flat_along(u, a)]
     u = u[tuple(slice(None) if a in keep else u.shape[a] // 2 for a in range(len(ivs)))]
@@ -528,10 +527,11 @@ def _diag_centre(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
         return u + 0.0  # + 0.0 clears -0.0 as a step would
     ivs = [ivs[a] for a in keep]
     memo = _MEMO.get()
+    bounds = tuple((iv.sigma_low_sq, iv.sigma_high_sq) for iv in ivs)
+    if memo is not None or u.ndim == len(ivs) > 1:
+        u = _canonical(u, bounds)
     if memo is None:
         return _diag_step(u, ivs, lam, steps, {})
-    bounds = tuple((iv.sigma_low_sq, iv.sigma_high_sq) for iv in ivs)
-    u = _canonical(u, bounds)
     key = (bounds, lam, steps, u.shape, hashlib.blake2b(u, digest_size=16).digest())
     if key not in memo:
         # a copy, so that a centre slice does not keep the whole grid alive
@@ -563,18 +563,13 @@ def _canonical(u: np.ndarray, bounds) -> np.ndarray:
 
 
 def _diag_step(u: np.ndarray, ivs, lam: float, steps: int, cache: dict) -> np.ndarray:
-    """_diag_centre once no axis of u is constant. A box problem of two or
-    more axes whose data is convex or concave along each is a mixture of 1D
-    walks (see _walk_box). Otherwise the passive rows are cut along the
-    first passive axis into slabs of at most _SLAB_CELLS cells, and each
-    slab is solved whole before the next: when one axis diffuses and no row
-    of the slab is mixed, as one dot product per row (see _dot_rows, which
-    keeps its weights in `cache`), else stepped (see _fold_and_cone)."""
+    """_diag_centre once no axis of u is constant. The passive rows are cut
+    along the first passive axis into slabs of at most _SLAB_CELLS cells (a
+    box problem is one slab), and each slab is solved whole before the
+    next: when no row of it is mixed along a diffusing axis, as a mixture of
+    1D walks (see _walk_slab, which keeps its walks in `cache`), else
+    stepped (see _fold_and_cone)."""
     n = len(ivs)
-    if u.ndim == n > 1:
-        value = _walk_box(u, ivs, lam, steps)
-        if value is not None:
-            return np.array(value)
     if u.ndim == n:
         cuts = [()]
     else:
@@ -583,7 +578,7 @@ def _diag_step(u: np.ndarray, ivs, lam: float, steps: int, cache: dict) -> np.nd
     out = np.empty(u.shape[n:])
     for at in cuts:
         slab = u[(slice(None),) * n + at]
-        value = _dot_rows(slab, ivs[0], lam, steps, cache) if n == 1 else None
+        value = _walk_slab(slab, ivs, lam, steps, cache)
         if value is None:
             value = _fold_and_cone(slab, n, steps, True, lambda v, k, ghosts, point:
                                    _advance_diag(v, ivs, lam, k, ghosts, point))
@@ -610,58 +605,84 @@ def _fold_and_cone(u: np.ndarray, n: int, steps: int, axis_folds: bool, advance)
                          lambda v, k: advance(v, k, ghosts, point))
 
 
-def _dot_rows(slab: np.ndarray, iv: UncertaintyInterval, lam: float, steps: int,
-              cache: dict):
-    """u(1, 0) of a one-axis slab (axis 0 diffuses, later axes are passive
-    rows) as one dot product per row, or None when a row is mixed (see the
-    module docstring). `cache` keeps each w it finds, read-only, under
-    ("weights", nodes, coefficient, steps): the run memo, or the problem's
-    own dict for its other slabs.
+def _walk_slab(slab: np.ndarray, ivs, lam: float, steps: int, cache: dict):
+    """u(1, 0) of a slab whose first len(ivs) axes diffuse (none constant)
+    and whose later axes are passive rows, when every row is convex or
+    concave along each diffusing axis; None when a row is mixed along one
+    (see the module docstring). A box problem is one row.
 
-    A row convex or concave by _curvature has the value w . row at
-    sigma_high^2 or sigma_low^2 (see _weights). The rows are summed
-    in mirrored pairs w_c row_c + sum_k w_c+k (row_c+k + row_c-k), so that
-    odd rows come back exactly 0.
+    A row's sign along an axis is _curvature's, all its lines along the
+    axis taken as one. The rows of each sign pattern present are contracted
+    at its rates: r_a = lam sigma^2 / 2, at sigma_high^2 along an axis
+    where convex and sigma_low^2 where concave. An axis at r_a = 0 keeps its
+    centre plane, plane 0 of the mirrored pairs. With one axis left, the
+    value is one dot product per row over mirrored node pairs, w_0 f_c +
+    sum_m w_m (f_c+m + f_c-m), w the last row of the walk; with more, a
+    mixture of the walks at rho = sum r_a (see _mirror_pairs and _mixture),
+    row by row. Each walk is kept in `cache` (see _cached_walk).
     """
-    n = slab.shape[0]
-    c = n // 2
-    rows = slab.reshape(n, -1)
-    convex = _curvature(rows)
-    if convex is None:
-        return None
-    c_lo, c_hi = lam * (0.5 * iv.sigma_low_sq), lam * (0.5 * iv.sigma_high_sq)
-    out = np.empty(rows.shape[1])
-    pairs = rows[c + 1:] + rows[c - 1::-1]
-    for coeff, chosen in ((c_hi, convex), (c_lo, ~convex)):
-        if chosen.any():
-            key = ("weights", n, coeff, steps)
-            if key not in cache:
-                cache[key] = _weights(n, coeff, steps)
-                cache[key].setflags(write=False)
-            w = cache[key]
-            # + 0.0 clears -0.0 as a step would
-            value = w[c] * rows[c] + (w[c + 1:, None] * pairs).sum(axis=0) + 0.0
-            out[chosen] = value[chosen]
-    return out.reshape(slab.shape[1:])
+    n = len(ivs)
+    lines = slab.reshape(slab.shape[:n] + (-1,))
+    signs = []
+    for a in range(n):
+        convex = _curvature(lines.swapaxes(0, a))
+        if convex is None:
+            return None
+        signs.append(convex)
+    out = np.empty(lines.shape[-1])
+    pairs = {}  # the mirrored node pairs of one axis, by the axes that move
+    for pattern in itertools.product((True, False), repeat=n):
+        chosen = functools.reduce(np.logical_and, [s if p else ~s for s, p in zip(signs, pattern)])
+        if not chosen.any():
+            continue
+        rates = [lam * (0.5 * (iv.sigma_high_sq if p else iv.sigma_low_sq))
+                 for iv, p in zip(ivs, pattern)]
+        moving = tuple(r > 0.0 for r in rates)
+        f = lines[tuple(slice(None) if m else k // 2 for k, m in zip(lines.shape, moving))]
+        rates = [r for r in rates if r > 0.0]
+        if len(rates) == 1:
+            c = len(f) // 2
+            if moving not in pairs:
+                pairs[moving] = f[c + 1:] + f[c - 1::-1]
+            w = _cached_walk(cache, len(f), rates[0], steps, steps)[0]
+            f = w[0] * f[c] + (w[1:, None] * pairs[moving]).sum(axis=0)
+        elif rates:
+            # the counts of steps each axis takes that carry weight: its own
+            # counts of the multinomial, whose marginals are binomial
+            windows = np.array([_binomial(steps, r, sum(rates[:a] + rates[a + 1:]))[0][[0, -1]]
+                                for a, r in enumerate(rates)])
+            # axes of one length share a walk, over all their windows: rho
+            # is the same for every axis
+            lengths, walks = np.array(f.shape[:-1]), []
+            for m in lengths:
+                lo, hi = windows[lengths == m, 0].min(), windows[lengths == m, 1].max()
+                walks.append((lo, _cached_walk(cache, m, sum(rates), lo, hi)))
+            f = np.array([_mixture(_mirror_pairs(f[..., j]), walks, rates, steps)
+                          for j in range(f.shape[-1])])
+        out[chosen] = (f + 0.0)[chosen]  # + 0.0 clears -0.0 as a step would
+    return out.reshape(slab.shape[n:])
 
 
-def _curvature(lines: np.ndarray, whole: bool = False):
-    """Whether the lines along axis 0 of `lines` are convex (True, linear
-    lines included) or concave (False): per line, or with `whole` all lines
-    as one; None when a line, or with `whole` the lines together, are mixed.
+def _curvature(lines: np.ndarray):
+    """Per row (along the last axis of `lines`), whether its lines along
+    axis 0, over the axes between, are convex (True, linear lines included)
+    or concave (False) as one; None when a row is mixed.
 
-    Lines are convex or concave when their second differences all have one
-    sign, within 1e-12 (1 + max |line|) of each line: a linear piece of
-    (x - K)^+ has second differences of +-1 ulp of its values. Lines that
-    pass both tests are concave when they have a negative second difference
-    and no positive one, else convex."""
+    A line is convex or concave when its second differences all have one
+    sign, within 1e-12 (1 + max |line|): a linear piece of (x - K)^+ has
+    second differences of +-1 ulp of its values. A row whose lines pass
+    both tests is concave when it has a negative second difference and no
+    positive one, else convex."""
     g = lines[1:] - lines[:-1]
     d = g[1:] - g[:-1]
-    tol = 1e-12 * (1.0 + np.abs(lines).max(axis=0))
+    # max |line| from its max and min: no array of |lines| to allocate
+    tol = 1e-12 * (1.0 + np.maximum(lines.max(axis=0), -lines.min(axis=0)))
     d_min, d_max = d.min(axis=0), d.max(axis=0)
     convex, concave = d_min >= -tol, d_max <= tol
-    if whole:
-        convex, concave, d_min, d_max = convex.all(), concave.all(), d_min.min(), d_max.max()
+    across = tuple(range(convex.ndim - 1))
+    if across:
+        convex, concave = convex.all(axis=across), concave.all(axis=across)
+        d_min, d_max = d_min.min(axis=across), d_max.max(axis=across)
     if not np.all(convex | concave):
         return None
     # a concave line whose curvature is below the tolerance is still concave
@@ -670,66 +691,35 @@ def _curvature(lines: np.ndarray, whole: bool = False):
 
 def _walk(n: int, coeff: float, first: int, last: int) -> np.ndarray:
     """The rows e_c S^k, k = first, ..., last, of the linear scheme S at
-    coefficient coeff on n nodes, end faces held fixed: the centre row of k
-    steps, found by stepping the adjoint vector from the centre node c."""
+    coefficient coeff on n nodes, end faces held fixed, from the centre
+    node c on (each row is symmetric about c): the centre row of k steps,
+    found by stepping the adjoint vector from c."""
+    c = n // 2
     w = np.zeros(n)
-    w[n // 2] = 1.0
-    rows = np.empty((last - first + 1, n))
+    w[c] = 1.0
+    rows = np.empty((last - first + 1, n - c))
     # q[i + 1] = coeff w[i] on the interior; the faces and the two pads are 0
     q, g, d = np.zeros(n + 2), np.empty(n + 1), np.empty(n)
     for k in range(last):
         if k >= first:
-            rows[k - first] = w
+            rows[k - first] = w[c:]
         np.multiply(w[1:-1], coeff, out=q[2:-2])
         np.subtract(q[1:], q[:-1], out=g)
         np.subtract(g[1:], g[:-1], out=d)
         w += d
-    rows[-1] = w
+    rows[-1] = w[c:]
     return rows
 
 
-def _weights(n: int, coeff: float, steps: int) -> np.ndarray:
-    """w = e_c S^steps, the last row of _walk: the centre row of `steps`
-    steps of the linear scheme at coefficient lam sigma^2 / 2 on n nodes."""
-    return _walk(n, coeff, steps, steps)[0]
-
-
-def _walk_box(u: np.ndarray, ivs, lam: float, steps: int):
-    """u(1, 0) of a box problem (every axis of u diffuses, none is constant)
-    whose data is convex or concave along each axis, by _curvature, as a
-    mixture of 1D walks (see the module docstring); None when an axis is
-    mixed.
-
-    Axis a steps at r_a = lam sigma_a^2 / 2, sigma_high^2 where convex and
-    sigma_low^2 where concave, and an axis at r_a = 0 keeps its centre
-    plane. The data is folded into mirrored node pairs along every axis
-    (see _mirror_pairs) and contracted with the walks' rows at rho = sum r_a
-    (see _mixture). The contraction is not symmetric under a transpose, so
-    the data is first put in its canonical orientation, as the run memo
-    does, so that every image keeps the memo's bits."""
-    u = _canonical(u, [(iv.sigma_low_sq, iv.sigma_high_sq) for iv in ivs])
-    rates = []
-    for a, iv in enumerate(ivs):
-        convex = _curvature(np.moveaxis(u, a, 0), whole=True)
-        if convex is None:
-            return None
-        rates.append(lam * (0.5 * (iv.sigma_high_sq if convex else iv.sigma_low_sq)))
-    f = u[tuple(slice(None) if r > 0.0 else n // 2 for n, r in zip(u.shape, rates))]
-    rates = [r for r in rates if r > 0.0]
-    if not rates:
-        return f + 0.0  # + 0.0 clears -0.0 as a step would
-    # the counts of steps each axis takes that carry weight: its own counts
-    # of the multinomial, whose marginals are binomial
-    windows = [(steps, steps)] if len(rates) == 1 else [
-        _binomial(steps, r, sum(rates[:a] + rates[a + 1:]))[0][[0, -1]]
-        for a, r in enumerate(rates)]
-    # axes of one length share a walk: rho is the same for every axis
-    spans = {}
-    for n, (lo, hi) in zip(f.shape, windows):
-        was = spans.get(n, (lo, hi))
-        spans[n] = (min(was[0], lo), max(was[1], hi))
-    rows = {n: (lo, _walk(n, sum(rates), lo, hi)[:, n // 2:]) for n, (lo, hi) in spans.items()}
-    return _mixture(_mirror_pairs(f), [rows[n] for n in f.shape], rates, steps) + 0.0
+def _cached_walk(cache: dict, n: int, coeff: float, first: int, last: int) -> np.ndarray:
+    """_walk(n, coeff, first, last), kept read-only in `cache` under
+    ("walk", n, coeff, first, last): the run memo, or the problem's own
+    dict."""
+    key = ("walk", n, coeff, first, last)
+    if key not in cache:
+        cache[key] = _walk(n, coeff, first, last)
+        cache[key].setflags(write=False)
+    return cache[key]
 
 
 def _mirror_pairs(f: np.ndarray) -> np.ndarray:
@@ -772,8 +762,6 @@ def _mixture(f: np.ndarray, walks, rates, steps: int) -> float:
     no weight and are skipped. Elementwise products and sums only: @ and
     dot would make the bits depend on the BLAS build."""
     (lo, rows), rest = walks[0], walks[1:]
-    if not rest:
-        return (rows[steps - lo] * f).sum()
     ks, beta = _binomial(steps, rates[0], sum(rates[1:]))
     keep = (ks >= lo) & (ks < lo + len(rows))
     if len(rest) == 1:

@@ -88,7 +88,8 @@ QUAD_3 = TestFunction(lambda x, y, z: x**2 + (y - 0.5) ** 2 + z**2, arity=3, gro
 @pytest.mark.parametrize("solve, pinned", [
     # box and sequential extrapolate; hull and rank-one fall back to u_h. The
     # sweeps, the rank-one and the constant-axis solves have no mixed row
-    # along their one diffusing axis and take the dot path (pde._dot_rows)
+    # along their one diffusing axis and are one dot product per row
+    # (pde._walk_slab)
     (lambda: solve_gheat_diag(DiagonalBox((IV, IV)), XY_SQUARED, cfg=COARSE),
      (1.5956764092101388, 5.876172814779698e-11, 0.03331378298030052, 320)),
     (lambda: solve_gheat_hull(HULL, XY_SQUARED, cfg=COARSE),

@@ -807,7 +807,8 @@ class TestConstantAxes:
 
 
 # the dot path: a one-axis problem whose rows are all convex, concave or
-# linear along axis 0 is one dot product per row (pde._dot_rows)
+# linear along axis 0 is one dot product per row (pde._walk_slab, the
+# one-axis case of the walk mixture)
 
 
 def _dot_row(kind, x, a, b, s, t):
@@ -847,7 +848,7 @@ class TestDotRows:
         u, iv, lam, steps = _dot_problem(
             lo, width, h, c, passive,
             [lambda x, k=k, p=p: _dot_row(k, x, *p) for k, p in rows[:math.prod(passive)]])
-        got = pde._dot_rows(u, iv, lam, steps, {})
+        got = pde._walk_slab(u, [iv], lam, steps, {})
         assert got is not None and got.shape == u.shape[1:]
         want = u.copy()
         pde._advance_diag(want, [iv], lam, steps)
@@ -860,7 +861,7 @@ class TestDotRows:
         u, iv, lam, steps = _dot_problem(lo, width, h, c, passive,
                                          [lambda x, s=s: s * x
                                           for s in slopes[:math.prod(passive)]])
-        got = pde._dot_rows(u, iv, lam, steps, {})
+        got = pde._walk_slab(u, [iv], lam, steps, {})
         assert _same_bits(got, np.zeros(u.shape[1:]))
 
     @given(**{**_DOT_SETTINGS, "c": st.integers(2, 20)}, mixed=st.integers(0, 15),
@@ -874,7 +875,7 @@ class TestDotRows:
         rows = [lambda x, p=p: _dot_row("convex", x, *p) for p in params[:m]]
         rows[mixed % m] = lambda x: x ** 3
         u, iv, lam, steps = _dot_problem(lo, width, h, c, passive, rows)
-        assert pde._dot_rows(u, iv, lam, steps, {}) is None
+        assert pde._walk_slab(u, [iv], lam, steps, {}) is None
         kernel = pde._advance_diag
         calls = []
         with pytest.MonkeyPatch.context() as mp:
@@ -897,14 +898,14 @@ class TestDotRows:
         u[:, 40:45, 7] = x[:, :, 0] ** 3
         u[:, 61, :] = x[:, 0] ** 3
         assert u.size > pde._SLAB_CELLS
-        served, dot = [], pde._dot_rows
+        served, walk = [], pde._walk_slab
 
         def spy(slab, *args):
-            out = dot(slab, *args)
+            out = walk(slab, *args)
             served.append((slab.shape, out is not None))
             return out
 
-        monkeypatch.setattr(pde, "_dot_rows", spy)
+        monkeypatch.setattr(pde, "_walk_slab", spy)
         got = pde._diag_centre(u.copy(), [iv], lam, steps)
         assert served == [((21, 31, 100), True), ((21, 31, 100), False),
                           ((21, 31, 100), True), ((21, 7, 100), True)]
@@ -913,10 +914,10 @@ class TestDotRows:
         assert np.all(np.abs(got - want[c]) <= 1e-12 * (1.0 + np.abs(want[c])))
         assert _same_bits(got[31:62], want[c, 31:62])
 
-    def test_a_problem_finds_each_weight_vector_once(self, monkeypatch):
+    def test_a_problem_finds_each_walk_once(self, monkeypatch):
         # 21 x 100 x 100 cells of convex and concave rows: four slabs, each
         # served by the dot path at both coefficients. Outside a run each
-        # problem finds its weights once; within one, the run does
+        # problem finds its walks once; within one, the run does
         h, c, steps, lam = 0.2, 10, 30, 0.2
         iv = KERNEL_IVS[1]
         x = (h * np.arange(-c, c + 1))[:, None, None]
@@ -924,10 +925,10 @@ class TestDotRows:
         sign = np.where(rng.random((100, 100)) < 0.5, 1.0, -1.0)
         u = sign * _dot_row("convex", x, *rng.uniform(-2.0, 2.0, (4, 100, 100)))
         assert u.size > 3 * pde._SLAB_CELLS
-        found, weights = [], pde._weights
-        monkeypatch.setattr(pde, "_weights", lambda *a: found.append(a) or weights(*a))
-        coeffs = {(21, lam * (0.5 * iv.sigma_high_sq), steps),
-                  (21, lam * (0.5 * iv.sigma_low_sq), steps)}
+        found, walk = [], pde._walk
+        monkeypatch.setattr(pde, "_walk", lambda *a: found.append(a) or walk(*a))
+        coeffs = {(21, lam * (0.5 * iv.sigma_high_sq), steps, steps),
+                  (21, lam * (0.5 * iv.sigma_low_sq), steps, steps)}
         outside = pde._diag_centre(u.copy(), [iv], lam, steps)
         assert len(found) == 2 and set(found) == coeffs
         pde._diag_centre(-u, [iv], lam, steps)
@@ -936,12 +937,12 @@ class TestDotRows:
         with pde.solve_once():
             inside = pde._diag_centre(u.copy(), [iv], lam, steps)
             pde._diag_centre(-u, [iv], lam, steps)
-            assert len(pde._MEMO.get()) == 4  # two problems, two weight vectors
+            assert len(pde._MEMO.get()) == 4  # two problems, two walks
         assert len(found) == 2 and set(found) == coeffs
         assert _same_bits(inside, outside)
 
-    def test_weights_are_kept_in_the_run_memo_only(self):
-        # convex, concave and linear rows: both weight vectors are needed
+    def test_walks_are_kept_in_the_run_memo_only(self):
+        # convex, concave and linear rows: the walks at both coefficients
         h = 0.2
         x = h * np.arange(-10, 11)
         u = np.stack([x * x, -x * x, x + 1.0], axis=1)
@@ -951,23 +952,24 @@ class TestDotRows:
         assert pde._MEMO.get() is None
         with pde.solve_once():
             inside = pde._diag_centre(u.copy(), [IV], lam, steps)
-            kept = {k: w for k, w in pde._MEMO.get().items() if k[0] == "weights"}
+            kept = {k: w for k, w in pde._MEMO.get().items() if k[0] == "walk"}
         assert pde._MEMO.get() is None
         assert _same_bits(inside, outside)
         coeffs = [lam * (0.5 * IV.sigma_high_sq), lam * (0.5 * IV.sigma_low_sq)]
-        assert set(kept) == {("weights", 21, c, steps) for c in coeffs}
-        for (_, n, coeff, _), w in kept.items():
-            assert _same_bits(w, pde._weights(n, coeff, steps)) and not w.flags.writeable
-            # the linear scheme keeps constants: its centre row sums to 1
-            assert np.all(w >= 0.0) and abs(w.sum() - 1.0) <= 1e-12
-        # _weights itself keeps nothing, in a run or out of one
+        assert set(kept) == {("walk", 21, c, steps, steps) for c in coeffs}
+        for (_, n, coeff, first, last), w in kept.items():
+            assert _same_bits(w, pde._walk(n, coeff, first, last)) and not w.flags.writeable
+            # the linear scheme keeps constants: its centre row, the half
+            # row w[0] mirrored about the centre, sums to 1
+            assert np.all(w >= 0.0) and abs(w[0, 0] + 2.0 * w[0, 1:].sum() - 1.0) <= 1e-12
+        # _walk itself keeps nothing, in a run or out of one
         with pde.solve_once():
-            pde._weights(21, coeffs[0], steps)
+            pde._walk(21, coeffs[0], steps, steps)
             assert pde._MEMO.get() == {}
 
 
 # the walk: a box problem whose data is convex or concave along each axis is
-# a mixture of 1D walks (pde._walk_box) instead of `steps` steps of the grid;
+# a mixture of 1D walks (pde._walk_slab) instead of `steps` steps of the grid;
 # the `folds` fixture below records the shape of every kernel call
 
 
@@ -998,7 +1000,7 @@ def _box_problem(ivs, h):
 def _stepped(u, ivs, lam, steps):
     # the same problem with the walk off: every step through the kernel
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pde, "_walk_box", lambda *a: None)
+        mp.setattr(pde, "_walk_slab", lambda *a: None)
         return pde._diag_centre(u.copy(), ivs, lam, steps)
 
 
@@ -1061,7 +1063,7 @@ class TestWalk:
         h = 0.4
         dt, steps = _box_problem(ivs, h)
         u = _box_data(shape, h, fn)
-        assert pde._walk_box(u, ivs, dt / (h * h), steps) is None
+        assert pde._walk_slab(u, ivs, dt / (h * h), steps, {}) is None
         got = pde._diag_centre(u.copy(), ivs, dt / (h * h), steps)
         assert folds.shapes
         want = _centre(_ref_run_diag(u, ivs, h, dt, steps, (0, 1)))
@@ -1092,17 +1094,55 @@ class TestWalk:
         want = math.sqrt(2.0 / math.pi * sum(va * va * iv.sigma_high_sq for va, iv in zip(v, ivs)))
         assert abs(rep.value - want) <= rep.error_estimate
 
+    def test_a_run_finds_each_box_walk_once(self, monkeypatch, folds):
+        # two box problems convex along both axes of one length, at the same
+        # rates: one walk serves both axes of each, and a run finds it once.
+        # Each problem is put in its canonical orientation once, in a run or
+        # out of one
+        ivs, h = (IV, IV), 0.4
+        dt, steps = _box_problem(ivs, h)
+        data = [_box_data((23, 23), h, WALK_DATA["|<w,x>|"]),
+                _box_data((23, 23), h, lambda x, y: x * x + np.abs(y - 0.3))]
+        found, walk = [], pde._walk
+        monkeypatch.setattr(pde, "_walk", lambda *a: found.append(a) or walk(*a))
+        oriented, canonical = [], pde._canonical
+        monkeypatch.setattr(pde, "_canonical", lambda *a: oriented.append(1) or canonical(*a))
+        outside = [pde._diag_centre(u.copy(), ivs, dt / (h * h), steps) for u in data]
+        assert len(found) == 2 and found[0] == found[1] and len(oriented) == 2
+        with pde.solve_once():
+            inside = [pde._diag_centre(u.copy(), ivs, dt / (h * h), steps) for u in data]
+            kept = [w for k, w in pde._MEMO.get().items() if k[0] == "walk"]
+        assert len(found) == 3 and found[2] == found[0] and len(oriented) == 4
+        assert len(kept) == 1 and not kept[0].flags.writeable
+        assert all(_same_bits(a, b) for a, b in zip(inside, outside)) and not folds.shapes
+
+    def test_a_still_axis_is_the_one_axis_solve_of_its_centre_line(self, folds):
+        # sigma_low^2 = 0 along y, along which the data is concave, so y does
+        # not move: the box solve is the one-axis solve of the centre line
+        # y = 0 at the box's lam and steps, bit for bit
+        ivs, h = (IV, UncertaintyInterval(0.0, 1.0)), 0.4
+        dt, steps = _box_problem(ivs, h)
+        u = _box_data((31, 41), h, lambda x, y: np.abs(x - 0.3) + 0.5 * x * y - y * y)
+        got = pde._diag_centre(u.copy(), ivs, dt / (h * h), steps)
+        line = pde._diag_centre(u[:, 20].copy(), ivs[:1], dt / (h * h), steps)
+        assert _same_bits(np.float64(got), np.float64(line)) and not folds.shapes
+        want = float(_stepped(u, ivs, dt / (h * h), steps))
+        assert abs(float(got) - want) <= 1e-13 * (1.0 + abs(want))
+
     def test_walk_rows_are_the_linear_scheme(self):
         # row k of the walk dotted with data is the centre of k steps of the
         # linear scheme at that coefficient (sigma_low^2 = sigma_high^2)
         coeff, n = 0.15, 21
         rows = pde._walk(n, coeff, 4, 30)
         u = _rough((n,), 163)
+        c = n // 2
         for k in (4, 17, 30):
             want = _centre(_ref_run_diag(u, [UncertaintyInterval(1.0, 1.0)], 1.0, 2.0 * coeff, k,
                                          [0]))
-            assert abs(rows[k - 4] @ u - want) <= 1e-12 * (1.0 + np.abs(u).max())
-            assert _same_bits(rows[k - 4], pde._weights(n, coeff, k))
+            # each row is the half from the centre of a row symmetric about it
+            got = rows[k - 4, 0] * u[c] + rows[k - 4, 1:] @ (u[c + 1:] + u[c - 1::-1])
+            assert abs(got - want) <= 1e-12 * (1.0 + np.abs(u).max())
+            assert _same_bits(rows[k - 4], pde._walk(n, coeff, k, k)[0])
 
     @pytest.mark.parametrize("steps, r, rest", [(50, 1.0, 3.0), (625, 0.2, 0.8),
                                                 (40, 1e-9, 1.0), (40, 1.0, 1e-9)])
@@ -1117,15 +1157,22 @@ class TestWalk:
         assert np.allclose(beta, exact[k], rtol=1e-13, atol=0.0)
 
     def test_curvature_of_whole_axes(self):
-        # lines that are each convex or concave, but not all alike, are mixed
-        # as a whole; linear lines are convex, and flat ones with a
-        # negative second difference below the tolerance concave
+        # a row's lines (along the axes between the first and the last) that
+        # are each convex or concave, but not all alike, are mixed as one;
+        # linear lines are convex, and flat ones with a negative second
+        # difference below the tolerance concave
         x = np.arange(-5.0, 6.0)[:, None]
-        assert pde._curvature(np.hstack([x * x, -x * x]), whole=True) is None
+
+        def one_row(*lines):
+            return pde._curvature(np.hstack(lines)[:, :, None])
+
+        assert one_row(x * x, -x * x) is None
         assert list(pde._curvature(np.hstack([x * x, -x * x]))) == [True, False]
-        assert pde._curvature(np.hstack([x * x, 2.0 * x]), whole=True)
-        assert not pde._curvature(np.hstack([-x * x, 2.0 * x]), whole=True)
-        assert not pde._curvature(np.hstack([-1e-14 * x * x, 0.0 * x]), whole=True)
+        assert list(one_row(x * x, 2.0 * x)) == [True]
+        assert list(one_row(-x * x, 2.0 * x)) == [False]
+        assert list(one_row(-1e-14 * x * x, 0.0 * x)) == [False]
+        rows = np.stack([np.hstack([x * x, 2.0 * x]), np.hstack([-x * x, x])], axis=2)
+        assert list(pde._curvature(rows)) == [True, False]
 
 
 def test_initial_data_mesh_is_read_only():
