@@ -6,8 +6,9 @@ G-normal solves (box and hull), linear images of them that are solved by
 pulling phi back, and nested solves. Run with
 `pytest tests/test_calibration.py -v -s` to see the tightness ratio
 error_estimate / |value - exact| of each case; a ratio far above 1 is a
-loose bound, one below 1 a miss. The last tests pin the three outcomes of
-the three-grid order check in pde.refinement_delta.
+loose bound, one below 1 a miss. Three seeded benchmark-pool cases that
+miss today are pinned as strict xfails (POOL_MISSES). The last tests pin
+the three outcomes of the three-grid order check in pde.refinement_delta.
 """
 
 import math
@@ -15,8 +16,8 @@ import math
 import numpy as np
 import pytest
 
-from gexpect.expectation import (GNormal, LinearImage, expect, expect_gnormal, expect_sequential,
-                                 lower_expectation)
+from gexpect.expectation import (GNormal, LinearImage, Sequential, expect, expect_gnormal,
+                                 expect_sequential, lower_expectation)
 from gexpect.gamma import ConvexHull, DiagonalBox, Interval1D, UncertaintyInterval, g_function
 from gexpect.pde import SolverConfig
 from gexpect.testfuncs import (ABS, SQUARE, XY_SQUARED, YX_SQUARED, TestFunction,
@@ -76,6 +77,43 @@ SEEDED_IV = UncertaintyInterval(0.6440839268310753, 1.8496482274545551)
 SEEDED = ("seeded lower (x-1.067)^+",
           lambda: lower_expectation(GNormal(Interval1D(SEEDED_IV)), _call(SEEDED_K)),
           _call_value(SEEDED_K, math.sqrt(SEEDED_IV.sigma_low_sq)))
+
+
+def _pool_miss(name, law, bounds, v, k, m=None):
+    """A case psi(<v, Y>), psi = (x - K)^+, of a benchmark pool (see
+    perfbench/cases.psi_function) at h = 0.2: Y ~ law(bounds), or M Y when m
+    is given. psi is convex, so it sees the upper variance of <M^T v, X>."""
+    ivs = tuple(UncertaintyInterval(*b) for b in bounds)
+    spec = GNormal(DiagonalBox(ivs)) if law == "box" else Sequential(ivs, (0, 1))
+    w = np.array(v) if m is None else np.array(v) @ m
+    phi = TestFunction(lambda *x: np.maximum(sum(va * xa for va, xa in zip(v, x)) - k, 0.0),
+                       arity=len(v), growth_order=1, growth_const=2.0, name="(<v,x>-K)^+")
+    compute = lambda: expect(spec if m is None else LinearImage(m, spec), phi, SolverConfig(h=0.2))
+    sigma = math.sqrt(sum(wa * wa * iv.sigma_high_sq for wa, iv in zip(w, ivs)))
+    return pytest.param(name, compute, _call_value(k, sigma), id=name,
+                        marks=pytest.mark.xfail(strict=True, reason="the grid term misses"))
+
+
+# Three seeded cases of the benchmark's pools whose error exceeds their
+# estimate. At gnormal seed 2, case 9, u_h, u_2h and u_4h are non-monotone
+# (0.8800585, 0.8799981, 0.8800307), so the estimate is max(|d1|, |d2|),
+# 6.04e-5, against an error of 2.68e-4; walk and stepping agree to 10
+# digits, and at h = 0.1 the error falls to 7.0e-5. The two nested cases
+# extrapolate at p = 1.82 and 2.23, inside the order band, and miss by 2.5x
+# and 1.3x. A sharper grid term turns each into an unexpected pass.
+POOL_MISSES = [
+    _pool_miss("pool gnormal seed 2 case 9 box-4 (x-K)+", "box",
+               ((0.6203806480471454, 2.0129701979503216), (2.4815225921885817, 8.051880791801286)),
+               (-0.9997495332378734, -0.022380142775558286), -0.5452489387365078),
+    _pool_miss("pool sequential seed 8 case 30 image (x-K)+", "sequential",
+               ((1.0597853322690214, 1.9562605017347139), (1.8122885453375317, 2.0514673266580146)),
+               (-0.7274231867951002, -0.686189119203198), -2.0482668674951143,
+               np.array([[-0.3690934589685766, -0.9293922845314628],
+                         [-0.9293922845314628, 0.36909345896857665]])),
+    _pool_miss("pool sequential seed 10 case 24 plain (x-K)+", "sequential",
+               ((0.805396222874302, 2.041120332911999), (1.4662315682440499, 2.0839395678492387)),
+               (-0.6591436521512362, 0.7520170515545045), 1.8687859525212906),
+]
 
 # at h = 3 = 1.5 sigma_high, u_h = u_2h for (x + 2)^+ by coincidence; u_4h
 # differs, and |u_2h - u_4h| covers the error of about 0.056
@@ -173,7 +211,7 @@ CASES = [
 
 @pytest.mark.parametrize("name, compute, exact",
                          [pytest.param(*c, id=c[0]) for c in CASES] + list(_off_grid_kinks())
-                         + list(_gnormal_2d()) + list(_pulled_back_images()))
+                         + list(_gnormal_2d()) + list(_pulled_back_images()) + POOL_MISSES)
 def test_error_estimate_bounds_the_error(name, compute, exact):
     res = compute()
     err = abs(res.value - exact)

@@ -1097,8 +1097,9 @@ class TestWalk:
     def test_a_run_finds_each_box_walk_once(self, monkeypatch, folds):
         # two box problems convex along both axes of one length, at the same
         # rates: one walk serves both axes of each, and a run finds it once.
-        # Each problem is put in its canonical orientation once, in a run or
-        # out of one
+        # A 2D box with equal intervals on a square grid has a transpose
+        # image that walks to other bits, so each is put in its canonical
+        # orientation once, in a run or out of one
         ivs, h = (IV, IV), 0.4
         dt, steps = _box_problem(ivs, h)
         data = [_box_data((23, 23), h, WALK_DATA["|<w,x>|"]),
@@ -1115,6 +1116,36 @@ class TestWalk:
         assert len(found) == 3 and found[2] == found[0] and len(oriented) == 4
         assert len(kept) == 1 and not kept[0].flags.writeable
         assert all(_same_bits(a, b) for a, b in zip(inside, outside)) and not folds.shapes
+
+    def test_a_box_without_a_transpose_image_is_oriented_in_a_run_only(self, monkeypatch,
+                                                                        folds):
+        # flips take a walk to the same bits, so outside a run a box whose
+        # axes the intervals tell apart keeps the orientation it came in;
+        # within a run its memo key needs the canonical one (a flip of u)
+        ivs, h = (IV, IV.scaled(2.0)), 0.4
+        dt, steps = _box_problem(ivs, h)
+        u = _box_data((23, 23), h, lambda x, y: np.maximum(0.5 * y - x - 0.3, 0.0))
+        assert pde._canonical(u, 2, False) is not u
+        oriented, canonical = [], pde._canonical
+        monkeypatch.setattr(pde, "_canonical", lambda *a: oriented.append(1) or canonical(*a))
+        outside = pde._diag_centre(u.copy(), ivs, dt / (h * h), steps)
+        assert not oriented
+        with pde.solve_once():
+            inside = pde._diag_centre(u.copy(), ivs, dt / (h * h), steps)
+        assert len(oriented) == 1 and _same_bits(inside, outside) and not folds.shapes
+
+    def test_the_walk_does_not_read_the_layout_of_its_data(self, folds):
+        # a box-1 |<w, x>| case of the benchmark's gnormal pool (seed 0,
+        # case 13), which walked to other bits in F order: the mirrored pairs
+        # are C-ordered, whatever the strides of the data
+        iv = UncertaintyInterval(1.4701843703441353, 1.9348653258348738)
+        ivs, h = (iv, iv), 0.25
+        dt, steps = _box_problem(ivs, h)
+        u = _box_data((91, 91), h, lambda x, y: np.abs(-0.6586010029185945 * x
+                                                       - 0.7524923381368223 * y))
+        want = pde._walk_slab(u, ivs, dt / (h * h), steps, {})
+        got = pde._walk_slab(np.asfortranarray(u), ivs, dt / (h * h), steps, {})
+        assert _same_bits(got, want) and not folds.shapes
 
     def test_a_still_axis_is_the_one_axis_solve_of_its_centre_line(self, folds):
         # sigma_low^2 = 0 along y, along which the data is concave, so y does
@@ -1506,9 +1537,10 @@ def test_grid_nodes_and_odd_moments_are_exact():
 
 # A flip of a diffusing axis maps g to -g and d to d, mirrored bit for bit,
 # and a 2D box's transpose swaps the two fluxes of x + y; the folds, the cone
-# cuts, the dot path and the slabs all commute with these images, and the
-# walk contracts mirrored pairs of the canonical image, so each image of the
-# data gives the same bits (which the run memo relies on).
+# cuts, the walk's mirrored pairs and the slabs all commute with these
+# images. A walk of two axes does not commute with a transpose, so the driver
+# orients a 2D box with equal intervals on a square grid, and each image of
+# the data gives the same bits (which the run memo relies on).
 
 
 def _images(u, n, transpose):
