@@ -1,163 +1,85 @@
 """Monotone explicit finite-difference solvers for the G-heat equation.
 
-All schemes are forward Euler in time with 3-point second differences per
-axis; cross terms (hull generators) use the upwinded 9-point splitting.
-Boundary nodes keep zero discrete curvature (linear extrapolation), so no
-flux is generated there, and the domain is truncated wide enough that the
-Gaussian-type tail of the initial data cannot reach the origin.
+The scheme. Every solve computes u(1, 0) = E^[phi(X)], read at the centre
+node of the grid; the value at a horizon t and a start y is E^[phi(y + X)]
+over variances scaled by t. Steps are forward Euler in time. Each
+diffusing axis takes the 3-point second difference at the variance Gbar
+selects per node, and a hull's cross term takes each generator's upwinded
+9-point stencil. Both kernels form them in the flux form of Kushner and
+Dupuis' monotone schemes (Numerical Methods for Stochastic Control
+Problems in Continuous Time, 2001): along an axis of stride s, one first
+difference g[f] = u[f + s] - u[f], then d[f] = g[f] - g[f - s], with lam =
+dt / h^2 and the 1/2 of G folded into each coefficient. At the step count
+of ``_steps`` every coefficient is nonnegative (a hull's generators must
+be diagonally dominant), so every step is monotone. End faces keep zero
+discrete curvature (linear extrapolation), so no flux is generated there,
+and ``build_grid`` truncates the domain wide enough that the tail of the
+initial data cannot reach the origin.
 
-Every solve computes u(1, 0) = E^[phi(X)], read at the centre node of the
-grid. The value at a horizon t and a start y is E^[phi(y + X)] over
-variances scaled by t.
+One solve. ``_solve`` is the skeleton of box, hull and nested solves: it
+builds the grids at h, 2h and 4h, evaluates phi on each
+(``_eval_initial``) and lets ``refinement_delta`` judge the three values.
+A box solve and each sweep of a nested solve (``diffuse_last_axis``) are
+one diagonal solve, whose later axes are passive rows:
 
-A box solve and a sweep of the nested recursion are the same diagonal
-solve, run by one driver, ``_diag_centre``: its intervals diffuse along
-the leading axes of u, and any later axes are passive rows (a sweep is a
-box solve whose other coordinates are passive). Every diagonal step runs
-through one kernel, ``_advance_diag``, unless the walk mixture below
-serves the problem; hull solves run through ``_advance_hull``. Each
-call copies the view it is given (a cone view, often strided) into one
-C-ordered buffer, steps it in place as a flat 1D array and writes it
-back. The kernels are in the flux form of Kushner and Dupuis' monotone
-schemes: along an axis of stride s, one first difference
-g[f] = u[f + s] - u[f] is formed, then d[f] = g[f] - g[f - s],
-so every op of a step is one contiguous slice. The hull's cross term sums
-two cell differences M[f] = gy[f + n1] - gy[f] of gy[f] = u[f + 1] - u[f].
-lam = dt / h^2 and the 1/2 of the generator are folded into each
-coefficient. The slice also covers the axis' two end faces, where f +- s
-wraps into the next row: the flux there is junk and is overwritten with
--0.0 before it is added, since x + (-0.0) is x for every x, zero signs
-included. Work buffers are allocated once per call, each aligned so that
-every op writes from a cache line's start (see ``_aligned``), and only
-``out=`` ufuncs run inside the step loop.
+    _diag_centre              constant axes dropped; oriented, memo key
+      _diag_step              passive rows cut into slabs
+        _walk_slab            a slab convex or concave along each axis
+        _fold_and_cone        any other slab: even data folded
+          _advance_cone       the dependence cone stepped
+            _advance_diag
 
-A solve needs only u(1, 0), and one explicit step moves information one
-node along each axis, so with `left` steps to go only the nodes within
-`left` of the centre can still reach it. ``_advance_cone`` runs the
-kernels on views of the grid that shrink with this cone of dependence
-(Courant, Friedrichs and Lewy); the centre value is the same bits.
+A hull solve takes ``_fold_and_cone`` straight from ``_solve``, with
+``_advance_hull`` as its kernel.
 
-The diagonal driver first drops every diffusing axis along which the
-initial data is exactly constant: the flux along it is (v - v) - (v - v)
-= 0 at every step, so the other axes step alone at the same lam and
-steps, and a sweep along such an axis returns without stepping. Hull
-solves drop nothing, since their cross stencil does not cancel exactly.
+The bits. The constant-axis drop, the folds, the cone views, the slab
+cuts, the slab-wise evaluation of phi and the run memo each return the
+bits of stepping the whole grid in one pass; each function says why. Only
+the walks move a value, at rounding level: over the benchmark's gnormal
+and sequential pools of seeds 0-10, by at most 2.1e-14 of 1 + |value|, and
+no exact zero moved. steps_taken counts the steps the scheme stands for
+either way.
 
-A slab whose every passive row is convex or concave along each diffusing
-axis is not stepped (``_walk_slab``; a box problem is one row, a nested
-sweep has one diffusing axis). A row's sign along an axis is taken over
-all its lines along that axis (``_curvature``: second differences of one
-sign within 1e-12 (1 + max |line|)). Axis a takes r_a = lam sigma^2 / 2
-at sigma_high^2 where convex and sigma_low^2 where concave (the rows of
-each sign pattern are contracted at its rates), and rho = sum r_a <= 0.2
-(``_steps``). One step of the linear scheme S = I + sum r_a D_a maps the
-second differences along an axis to a nonnegative combination of
-themselves (at least 1 - 2 rho on the node itself, r_b on its neighbours,
-faces included), so each axis keeps its sign, Gbar selects the same
-coefficient at every step, and the solve is S^steps: along each axis,
-Peng's classical expectation at one variance. S = sum alpha_a P_a with
-alpha_a = r_a / rho and P_a = I + rho D_a the 1D scheme along axis a; the
-P_a act on different axes, so they commute, and e_c S^N is the sum over
-the counts k of steps per axis of Multinomial(N, alpha)(k) times the
-product over the axes of the 1D walks e_c P_a^k_a (``_walk``, each walk
-found once per problem, or once per run within ``solve_once()``). Every
-term is nonnegative, so nothing cancels. A slab's data is folded once
-into mirrored node pairs along every diffusing axis (``_mirror_pairs``),
-so odd data comes back exactly 0, and an axis at r_a = 0 keeps plane 0 of
-them, its centre plane. The pairs are C-ordered, so the walk's sums do
-not depend on the strides of the data it is handed. With one axis left
-(every nested sweep) the mixture is one walk, and each row's value is one
-dot product with the pairs, w_0 f_c + sum_m w_m (f_c+m + f_c-m) with w =
-e_c S^N. With more, ``_mixture`` contracts the pairs with the walks'
-rows: axis 0's count is binomial and the other axes take the remaining
-steps, the last axis all of them. Only counts whose binomial weight
-exceeds 1e-20 of the largest are kept (``_binomial``), so each axis walks
-once and keeps only the rows of its window (189 of 626 at N = 625 and
-alpha = 0.2). Every sum is of elementwise products with ``sum``, never
-``@`` or ``dot``, so the bits do not depend on the BLAS build. The value
-differs from the stepped one at rounding level (at most 2.1e-14 of 1 +
-|value| over the benchmark's gnormal pools of seeds 0-10). A slab that
-holds a row of mixed curvature along an axis (x y^2, x^3) is stepped as
-below; the other slabs of the problem are still walks.
+The walk (``_walk_slab``, ``_walk``, ``_mixture``, ``_binomial``,
+``_mirror_pairs``) is the discrete form of Peng's result that the
+G-expectation of a convex phi of a G-normal is the classical one at the
+upper variance (Nonlinear Expectations and Stochastic Calculus under
+Uncertainty, 2019), here along each axis at one variance. Let a slab's
+rows be convex or concave along each diffusing axis a, and let a take
+r_a = lam sigma^2 / 2 at sigma_high^2 where convex and sigma_low^2 where
+concave, so that rho = sum r_a <= 0.2. One step of the linear scheme S =
+I + sum r_a D_a maps the second differences along each axis to a
+nonnegative combination of themselves (at least 1 - 2 rho on the node
+itself, r_b on its neighbours, faces included), so each axis keeps its
+sign, Gbar selects the same coefficient at every step, and the solve is
+S^N. S = sum alpha_a P_a with alpha_a = r_a / rho and P_a = I + rho D_a,
+the 1D scheme along axis a. The P_a act on different axes, so they
+commute, and e_c S^N is the sum over the counts k of steps per axis of
+Multinomial(N, alpha)(k) times the product over the axes of the 1D walks
+e_c P_a^k_a. Every term is nonnegative, so nothing cancels. Each 1D walk
+is symmetric about the centre, so the data enters as its mirrored node
+pairs, and data odd along an axis comes back exactly 0. With one axis
+the mixture is one walk, one dot product per row; with more, axis 0's
+count is binomial and the later axes take the remaining steps. Every sum
+is of elementwise products with sum, never a matrix product, so the bits
+do not depend on the BLAS build.
 
-Box, hull and the mixed slabs of a sweep all step through one function,
-``_fold_and_cone``. A box or hull solve whose initial data is exactly
-even and has more than ``_CONE_CELLS`` cells steps half the grid (a
-mirror fold); a slab with passive axes is never folded. The nodes are
-h * k, antisymmetric bit for bit, so evenness is one ``_compare`` of the
-data with its ``np.flip``, by value. Along a folded axis the half starts
-at the centre node - 1: plane 0 is a ghost, overwritten from plane 2
-before every step (in a point fold, plane 2 flipped over the other axes),
-and u(1, 0) is read at node 1. A box is unchanged by flipping any one
-axis, so a box solve folds every axis along which the data is even, and
-failing all, the point reflection x -> -x; a hull is unchanged only by
-x -> -x, so a hull solve has axis folds off and folds by the point
-reflection alone. On even data g is exactly odd and d exactly even
-(a - b is exactly -(b - a), and x + y is y + x), so the unfolded scheme
-keeps even data even bit for bit, and every fold returns the unfolded
-bits.
-
-``_eval_initial`` evaluates phi on an open mesh (one array per axis, of
-length 1 along the others), a slab of at most ``_SLAB_CELLS`` cells along
-axis 0 at a time, straight into the C-ordered initial data; it then
-refuses a phi whose values on the grid's end faces break its declared
-growth, which the tail bound relies on.
-
-``diffuse_last_axis`` refuses a swept axis of even length, which has no
-centre node, and data that is not finite; it copies its input once with the swept axis moved to the
-front, so cone views are contiguous blocks, and returns the centre slice
-along it. ``_diag_step``, the one place that cuts passive rows, cuts the
-first passive axis into slabs of at most ``_SLAB_CELLS`` cells and
-solves each slab whole before the next, as a walk mixture or through
-all of its steps, so a slab and its buffers are reused from L2
-cache instead of the whole grid streaming from memory once per step. The
-rows are independent problems and every op is elementwise, so the values
-are the same bits as one pass.
-
-Box, hull and nested solves (``expectation.expect_sequential``, whose
-sweeps are its centre) check their own input, then share one skeleton,
-``_solve``, which returns phi(0) when every variance is zero. ``_steps``
-alone counts the steps to time 1 from h and the stencil weight, in
-``build_grid`` before phi is evaluated and in each nested sweep; a grid
-carries the count, and the kernels read a step as lam = (1 / steps) / h^2.
-h is the one grid setting a caller can choose. Every solve returns one
-record, ``ExpectationResult``: its error estimate is the analytic tail
-bound of its grid (computed once by ``build_grid``) plus its grid term.
-``_solve`` solves every problem on three grids, h, 2h and 4h, one at a
-time, and ``refinement_delta`` turns the three values into the value and
-the grid term. It builds all three grids before phi is first evaluated,
-so that a grid ``build_grid`` refuses is refused before any work.
-``build_grid`` refuses a grid of more than ``_CELL_STEP_BUDGET`` cells
-times steps, or whose tail bound overflows.
-
-Within ``solve_once()`` (the CLI wraps every run in it) the diagonal
-driver solves each distinct problem once. After the constant-axis drop it
-puts the data in one orientation, ``_canonical``: the first in C order
-(by ``_compare``, the folds' test too), as a view, of its images under
-flips of the diffusing axes and, for a 2D box with no passive axis and
-equal intervals, transposes. Flipping a diffusing axis maps g to -g and d
-to d, mirrored bit for bit, and a transpose swaps the two fluxes of x +
-y, which is y + x; the folds, the point fold, the cone views, the walk's
-mirrored pairs and the slab cuts commute with both, so every such image
-steps to the same bits. A passive axis is never flipped (that would
+The images (``_diag_centre``, ``_canonical``). Within ``solve_once()``
+the diagonal driver solves each distinct problem once, and it also serves
+the images of a solved problem under which stepping returns the same
+bits. Flipping a diffusing axis maps g to -g and d to d, mirrored bit for
+bit (a - b is exactly -(b - a)), and the transpose of a 2D box with equal
+intervals swaps the two fluxes of x + y, which is y + x. The folds, the
+cone views and the slab cuts commute with both, so every such image steps
+to the same bits. The walk's mirrored pairs commute with the flips too,
+but its contraction of two axes does not commute with a transpose: a
+transpose walks to other bits. So the driver puts a problem in one
+orientation wherever the memo key needs it, within the block, and outside
+it only where a transpose could move the bits, a 2D box with equal
+intervals on a square grid, which then gets the same bits in a run and
+outside one. A passive axis is never flipped (that would
 reverse the returned rows), and three axes are never swapped: (a + b) + c
-is not (a + c) + b bit for bit. It then keys the problem on the kept
-intervals' bounds, lam = dt / h^2, steps, the shape and a 128-bit BLAKE2b
-digest of the data in that orientation, copied to C order (a digest, not
-the bytes, so the memo holds only results), steps that data, and serves a
-repeat or an image of a solved problem from the memo: the same bits,
-since the key holds everything the stepping reads. Keying on the data
-rather than on phi catches pulled-back duplicates, a marginal whose other
-axes were dropped and the mirror images and transposes that the catalog's
-symmetry assertions compare. The driver hands the walks one cache, keyed
-on the nodes, the coefficient and the range of steps: the same memo
-within the block, and outside it a dict of the problem's own, which its
-slabs share and which goes with it. The walk's mirrored pairs commute
-with the flips and are C-ordered in any image, but its contraction of two
-axes does not commute with a transpose. So outside the block the driver
-orients only the one problem with a transpose image, a 2D box with equal
-intervals on a square grid; every other problem keeps the orientation it
-came in, and its stepping copies it anyway.
+is not (a + c) + b bit for bit.
 """
 
 from __future__ import annotations
@@ -306,9 +228,14 @@ def build_grid(sigma_high_sqs, phi: TestFunction, cfg: SolverConfig,
     """Derive a grid from the variance scales and the declared growth of phi,
     at spacing h if given, else cfg.h, else one derived from the variances.
 
-    The step count comes from _steps at the stencil weight cfl_denominator of
-    the costliest step: by default a box's sum of sigma_high_sq; a hull
-    passes its widest generator's, a nested solve its largest sigma_high_sq.
+    The step count comes from _steps at the stencil weight cfl_denominator,
+    at least the costliest step's off-centre coefficients times h^2 / dt: a
+    box's sum of sigma_high_sq by default, a nested solve its largest
+    sigma_high_sq (each sweep steps at its own, and the budget counts the
+    costliest sweep on the full grid), and a hull the largest sum of |b_ij|
+    over its generators, b00 + b11 + 2 |b01|. That exceeds a generator's
+    9-point off-centre sum, b00 + b11 - |b01|, wherever b01 != 0, so a hull
+    takes more steps than monotonicity needs, each still monotone.
     tail_bound sums the analytic tail bound over the axes, each at its actual
     half width, which _tail_halfwidth derives from sigma and phi's growth.
     A grid of more than _CELL_STEP_BUDGET cells times steps or a tail bound
@@ -347,10 +274,12 @@ def build_grid(sigma_high_sqs, phi: TestFunction, cfg: SolverConfig,
 
 def _steps(h: float, weight: float) -> int:
     """The fewest whole explicit steps to time 1 at spacing h whose step
-    1 / steps is at most the monotone dt = _CFL_SAFETY h^2 / weight (weight:
-    the stencil's off-centre coefficients times h^2), so every step keeps
-    the scheme monotone; every solve and sweep takes its steps from here. A
-    dt of 1 or more (inf where h^2 / weight overflows) is one step."""
+    1 / steps is at most dt = _CFL_SAFETY h^2 / weight; every solve and
+    sweep takes its steps from here. The weight is at least the sum of the
+    stencil's off-centre coefficients times h^2 / dt, so every step keeps
+    the scheme monotone; a larger weight takes more steps, each still
+    monotone (see build_grid for the weight of each solve). A dt of 1 or
+    more (inf where h^2 / weight overflows) is one step."""
     dt = min(_CFL_SAFETY * h * h / max(weight, 1e-300), 1.0)
     _require_finite_positive(h=h, dt=dt)
     # the tolerance is relative: 1 / (1 / s) can exceed s by more than any
@@ -394,11 +323,18 @@ def _advance_diag(u: np.ndarray, ivs, lam: float, steps: int, ghosts=(),
     0 along each axis in `ghosts` is the ghost of a fold, a point fold when
     `point` (see _ghost_pairs).
 
-    A C-ordered copy of u (unless it is one) is stepped flat and written
-    back after the last step. Along an axis of stride s, g[f] = u[f + s] -
-    u[f] on [0, N - s) and d[f] = g[f] - g[f - s] on [s, N - s); d on the
-    axis' end faces is junk, overwritten with -0.0. Each ghost plane is
-    overwritten from its source before every step."""
+    A C-ordered copy of u (unless it is one; a cone view is often strided)
+    is stepped flat and written back after the last step, one copy per
+    call. Along an axis of stride s the flux form's g is formed on [0, N -
+    s) and d on [s, N - s), so every op of a step is one contiguous slice,
+    where numpy would walk a strided view such as u[:, 2:] one short row at
+    a time. The slices also cover the axis' two end faces, where f +- s
+    wraps into the next row: d there is junk, overwritten with -0.0 before
+    it is added, and x + (-0.0) is x for every x, zero signs included, so
+    the faces keep their bits. Work buffers are allocated once per call,
+    each aligned by _aligned, and only out= ufuncs run inside the step
+    loop. Each ghost plane is overwritten from its source before every
+    step."""
     buf = np.ascontiguousarray(u)
     flat = buf.reshape(-1)
     size = flat.size
@@ -452,7 +388,9 @@ def _advance_cone(u: np.ndarray, centre: tuple, steps: int, advance):
     axes). The centre is the middle node, or node 1 along a folded axis.
 
     A step moves information one node along each axis, so with `left` steps
-    to go only nodes within `left` of the centre can still reach it. The
+    to go only nodes within `left` of the centre can still reach it (the
+    domain-of-dependence argument of Courant, Friedrichs and Lewy), and the
+    centre value is the bits of stepping the whole grid. The
     view is the whole grid while the cone is wider, then of radius `left`,
     re-cut each time the cone has shrunk by a quarter, until the view has
     at most _CONE_CELLS cells. A view's faces are not stepped; the error this
@@ -504,7 +442,8 @@ def _flat_along(u: np.ndarray, axis: int) -> bool:
 @contextlib.contextmanager
 def solve_once():
     """Within the block, every diagonal problem is solved once and a repeat
-    is served the same bits (see the module docstring)."""
+    or an image of one is served the same bits (see _diag_centre and the
+    module docstring)."""
     token = _MEMO.set({})
     try:
         yield
@@ -516,16 +455,25 @@ def _diag_centre(u: np.ndarray, ivs, lam: float, steps: int) -> np.ndarray:
     """u(1, 0) of a diagonal solve from the initial data u, stepped in place:
     interval k diffuses along axis k, and later axes are passive rows. A 0-d
     value for a box solve, an array over the passive axes for a sweep.
-    Constant axes are dropped, a slab whose rows are convex or concave
-    along each diffusing axis is a mixture of 1D walks (one dot product per
-    row when one axis diffuses), and the even data of a box solve is folded
-    (see the module docstring); only the walks move the value, at rounding
-    level. The data is put in its canonical orientation (see _canonical)
-    within solve_once(), where the memo key needs it: a repeated problem or
-    an image of one is not stepped again, and the walks are kept in the run
-    memo. Outside it only a 2D box with equal intervals on a square grid is
-    oriented, since its transpose walks to other bits, and the walks are
-    kept in a dict of this problem's own.
+
+    First every diffusing axis along which u is exactly constant is dropped
+    (see _flat_along): the other axes step alone at the same lam and steps,
+    so the grid, its tail bound and steps_taken are unchanged, and a sweep
+    along such an axis returns its centre slice without stepping. Hull
+    solves drop nothing, since their cross stencil does not cancel exactly.
+
+    Within solve_once() the data is then put in its canonical orientation
+    (_canonical) and keyed on the kept intervals' bounds, lam, steps, the
+    shape and a 128-bit BLAKE2b digest of the data, copied to C order (a
+    digest, not the bytes, so the memo holds only results). The key holds
+    everything the stepping reads, so a repeat or an image of a solved
+    problem is served the same bits unstepped. Keying on the data rather
+    than on phi catches pulled-back duplicates, a marginal whose other axes
+    were dropped, and the mirror images and transposes that the catalog's
+    symmetry assertions compare. The walks are kept in the run memo, so a
+    run finds each walk once; outside a run, in a dict of this problem's
+    own, which its slabs share. Which problems are oriented outside a run,
+    and why, is in the module docstring.
     """
     keep = [a for a in range(len(ivs)) if not _flat_along(u, a)]
     u = u[tuple(slice(None) if a in keep else u.shape[a] // 2 for a in range(len(ivs)))]
@@ -573,7 +521,11 @@ def _diag_step(u: np.ndarray, ivs, lam: float, steps: int, cache: dict) -> np.nd
     box problem is one slab), and each slab is solved whole before the
     next: when no row of it is mixed along a diffusing axis, as a mixture of
     1D walks (see _walk_slab, which keeps its walks in `cache`), else
-    stepped (see _fold_and_cone)."""
+    stepped (see _fold_and_cone), so one mixed row costs the stepping of its
+    own slab only. A slab's flat copy and its work buffers are then reused
+    from L2 cache, where the whole grid would stream from memory on every
+    step. The rows are independent problems and every op is elementwise,
+    so the values are the bits of one pass."""
     n = len(ivs)
     if u.ndim == n:
         cuts = [()]
@@ -595,10 +547,22 @@ def _fold_and_cone(u: np.ndarray, n: int, steps: int, axis_folds: bool, advance)
     """u(1, 0) over the later axes of a solve whose first n axes diffuse,
     from the initial data u: even data of a whole problem (no passive axis)
     larger than _CONE_CELLS is folded (see _fold), and advance(view, k,
-    ghosts, point) steps the dependence cone (see _advance_cone). A box is
-    unchanged by flipping any one axis, so with `axis_folds` every axis
-    along which u is even is folded; failing all, the point reflection,
-    under which a hull is unchanged as well."""
+    ghosts, point) steps the dependence cone (see _advance_cone).
+
+    X and -X have the same G-normal law, so the solution of even data stays
+    even. A box is also unchanged by flipping any one axis, so with
+    `axis_folds` every axis along which u is even is folded; failing all,
+    the point reflection x -> -x, under which a hull is unchanged as well.
+    The nodes are h k, antisymmetric bit for bit (see GridSpec.axis), so
+    evenness is one _compare of u with its np.flip, by value. On even data
+    g is exactly odd and d exactly even (a - b is exactly -(b - a), and x +
+    y is y + x), so the unfolded scheme keeps even data even bit for bit,
+    and every fold returns the unfolded bits. Below _CONE_CELLS a step
+    costs mostly dispatch, and a fold would only add the ghost copy. A slab
+    with passive axes is never folded: most sweeps are walks, and no
+    stepped sweep slab of the default catalog, the h = 0.25 golden run or
+    the benchmark's gnormal and sequential pools (seeds 0-5) was even along
+    any axis."""
     fold = u.ndim == n and u.size > _CONE_CELLS
     ghosts = [a for a in range(n)
               if fold and axis_folds and _compare(np.flip(u, a), u) == 0]
@@ -613,19 +577,18 @@ def _fold_and_cone(u: np.ndarray, n: int, steps: int, axis_folds: bool, advance)
 def _walk_slab(slab: np.ndarray, ivs, lam: float, steps: int, cache: dict):
     """u(1, 0) of a slab whose first len(ivs) axes diffuse (none constant)
     and whose later axes are passive rows, when every row is convex or
-    concave along each diffusing axis; None when a row is mixed along one
-    (see the module docstring). A box problem is one row.
+    concave along each diffusing axis; None when a row is mixed along one.
+    A box problem is one row; the module docstring derives the walk.
 
     A row's sign along an axis is _curvature's, all its lines along the
     axis taken as one. The rows of each sign pattern present are contracted
-    at its rates: r_a = lam sigma^2 / 2, at sigma_high^2 along an axis
-    where convex and sigma_low^2 where concave. The slab is folded once into
-    mirrored node pairs along its diffusing axes (see _mirror_pairs), and an
-    axis at r_a = 0 keeps its centre plane, plane 0 of the pairs. With one
-    axis left, the value is one dot product per row with the pairs, w_0 f_c
-    + sum_m w_m (f_c+m + f_c-m), w the last row of the walk; with more, a
-    mixture of the walks at rho = sum r_a (see _mixture), row by row. Each
-    walk is kept in `cache` (see _cached_walk).
+    at that pattern's rates r_a. The slab is folded once into mirrored node
+    pairs along its diffusing axes (see _mirror_pairs), and an axis at r_a
+    = 0 (sigma_low^2 = 0 where concave) keeps its centre plane, plane 0 of
+    the pairs. With one axis left, the value is one dot product per row
+    with the pairs, w_0 f_c + sum_m w_m (f_c+m + f_c-m), w the last row of
+    the walk; with more, a mixture of the walks at rho = sum r_a (see
+    _mixture), row by row. Each walk is kept in `cache` (see _cached_walk).
     """
     n = len(ivs)
     lines = slab.reshape(slab.shape[:n] + (-1,))
@@ -747,7 +710,9 @@ def _binomial(steps: int, r: float, rest: float) -> tuple:
     """(k, weights): the counts k of Binomial(steps, r / (r + rest)), r and
     rest > 0, whose weight exceeds 1e-20 of the largest, and their weights
     scaled to sum to 1. The weights are products of the ratios of
-    neighbouring weights, outward from the mode, so no factorial is formed."""
+    neighbouring weights, outward from the mode, so no factorial is formed.
+    A walk keeps only the rows of these counts: 189 of 626 at steps = 625
+    and r / (r + rest) = 0.2."""
     k = np.arange(steps + 1)
     mode = min(int((steps + 1) * (r / (r + rest))), steps)
     up = np.cumprod((steps - k[mode:-1]) / (k[mode:-1] + 1) * (r / rest))
@@ -768,8 +733,7 @@ def _mixture(f: np.ndarray, walks, rates, steps: int) -> float:
     counts at a time (at most _SLAB_CELLS cells), then the other axes take
     the remaining steps - k: the last axis all of them, else the same
     mixture over the later axes. Counts outside an axis' walked rows carry
-    no weight and are skipped. Elementwise products and sums only: @ and
-    dot would make the bits depend on the BLAS build."""
+    no weight and are skipped."""
     (lo, rows), rest = walks[0], walks[1:]
     ks, beta = _binomial(steps, rates[0], sum(rates[1:]))
     keep = (ks >= lo) & (ks < lo + len(rows))
@@ -916,8 +880,10 @@ def _advance_hull(u: np.ndarray, gens, lam: float, steps: int, point: bool = Fal
     cross stencil); boundary nodes stay fixed. Stepped flat as _advance_diag
     is: each op is one slice of the interior rows, whose flux on the second
     axis' end faces is junk, overwritten with -0.0, so the faces keep their
-    bits. With `point`, row 0 is the ghost of a point fold, overwritten from
-    row 2 reversed before every step."""
+    bits. The cross term sums two cell differences M[f] = gy[f + n1] -
+    gy[f] of gy[f] = u[f + 1] - u[f], formed once per step for every
+    generator. With `point`, row 0 is the ghost of a point fold,
+    overwritten from row 2 reversed before every step."""
     buf = np.ascontiguousarray(u)
     flat = buf.reshape(-1)
     size, n1 = flat.size, buf.shape[1]
@@ -995,6 +961,7 @@ def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, *,
         phi, cfg, [max(b[i, i] for b in gens) for i in range(2)],
         lambda u, g: (_fold_and_cone(u, 2, g.steps, False, lambda v, k, ghosts, point:
                                      _advance_hull(v, gens, g.lam, k, point)), g.steps),
-        # the stencil weight of the widest generator
+        # the widest generator's sum of |b_ij|, b00 + b11 + 2 |b01|: at least
+        # its stencil's off-centre sum b00 + b11 - |b01| (see build_grid)
         cfl_denominator=max(float(np.abs(b).sum()) for b in gens),
     )

@@ -10,18 +10,26 @@ this checkout, not changed) at each seed, and ``python -W error -m gexpect
 run --scenario all`` writes the default catalog CSV. The script prints, per
 pool, how many of the calls' values and error estimates moved and the
 largest move relative to 1 + |value|, and whether the two CSVs are the same
-bytes. It exits 0 when nothing moved, else 1. Pytest does not collect it.
+bytes. It also prints one line per module of the ``gexpect`` package:
+whether its code is unchanged (the same AST once docstrings are removed)
+and its code lines in each tree, counted by ``tokenize`` as the lines that
+hold a token other than a comment, a docstring or a layout token. It exits
+0 when no value moved, else 1, whatever the code lines say. Pytest does not
+collect it.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -78,6 +86,41 @@ def _moves(old: list, new: list) -> tuple:
     return moved, worst
 
 
+def _code(path: Path) -> tuple:
+    """(the module's AST dumped without its docstrings, its code lines)."""
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    docs = set()
+    for node in ast.walk(tree):  # a node's children are queued before it is seen
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docs.add((node.body[0].lineno, node.body[0].col_offset))
+            node.body = node.body[1:]
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+              tokenize.ENCODING, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in layout and not (tok.type == tokenize.STRING and tok.start in docs):
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return ast.dump(tree), len(lines)
+
+
+def _code_report(old: Path, new: Path) -> list:
+    """One line per module of the gexpect package in either tree: whether its
+    code is unchanged, and its code lines old -> new."""
+    out = []
+    names = sorted({p.name for src in (old, new) for p in (src / "gexpect").glob("*.py")})
+    for name in names:
+        a, b = ((src / "gexpect" / name) for src in (old, new))
+        if not (a.exists() and b.exists()):
+            out.append(f"{name}: only in the {'new' if b.exists() else 'old'} tree")
+            continue
+        (tree_a, lines_a), (tree_b, lines_b) = _code(a), _code(b)
+        state = "code unchanged" if tree_a == tree_b else "code changed"
+        out.append(f"{name}: {state}, {lines_a} -> {lines_b} code lines")
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path, nargs="?")
@@ -104,6 +147,8 @@ def main(argv=None) -> int:
     same &= old_csv == new_csv
     print(f"catalog CSV: {'identical' if old_csv == new_csv else 'differs'} "
           f"(sha256 {digests[0]}... and {digests[1]}...)")
+    for line in _code_report(args.old.resolve(), args.new.resolve()):
+        print(line)
     return 0 if same else 1
 
 

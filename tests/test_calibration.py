@@ -7,7 +7,8 @@ pulling phi back, and nested solves. Run with
 `pytest tests/test_calibration.py -v -s` to see the tightness ratio
 error_estimate / |value - exact| of each case; a ratio far above 1 is a
 loose bound, one below 1 a miss. Three seeded benchmark-pool cases that
-miss today are pinned as strict xfails (POOL_MISSES). The last tests pin
+miss today are pinned as strict xfails (POOL_MISSES), and so are two
+solves at a coarse h (COARSE_MISSES). The last tests pin
 the three outcomes of the three-grid order check in pde.refinement_delta.
 """
 
@@ -19,7 +20,7 @@ import pytest
 from gexpect.expectation import (GNormal, LinearImage, Sequential, expect, expect_gnormal,
                                  expect_sequential, lower_expectation)
 from gexpect.gamma import ConvexHull, DiagonalBox, Interval1D, UncertaintyInterval, g_function
-from gexpect.pde import SolverConfig
+from gexpect.pde import SolverConfig, solve_gheat_diag
 from gexpect.testfuncs import (ABS, SQUARE, XY_SQUARED, YX_SQUARED, TestFunction,
                                linear_pullback)
 from oracles import NEG_SQUARE, POS_PART, QUARTIC, box_u_h
@@ -121,6 +122,20 @@ COINCIDENT = ("1d (x+2)^+ h=3",
               lambda: expect_gnormal(Interval1D(IV), _call(-2.0), SolverConfig(h=3.0)),
               _call_value(-2.0, SIGMA_HIGH))
 
+# at h = 4 = 2 sigma_high the grids hold so few nodes within the Gaussian's
+# reach that u_h, u_2h and u_4h agree on a wrong value: E|X| reads 1.0 +- 0.5
+# for 1.596, and the nested E^[Y1 Y2^2] 1.5 +- 0.75 for 2.394. Nothing
+# refuses or flags such an h; a grid term or a start h that sees it turns
+# each into an unexpected pass.
+COARSE_MISSES = [
+    pytest.param(name, compute, exact, id=name,
+                 marks=pytest.mark.xfail(strict=True, reason="a coarse h misses"))
+    for name, compute, exact in (
+        ("1d |x| h=4", lambda: solve_gheat_diag(DiagonalBox((IV,)), ABS, cfg=SolverConfig(h=4)),
+         SIGMA_HIGH * math.sqrt(2.0 / math.pi)),
+        ("E[Y1 Y2^2] h=4", lambda: expect_sequential((IV, IV), XY_SQUARED, cfg=SolverConfig(h=4)),
+         6.0 / math.sqrt(2.0 * math.pi)))]
+
 
 # 2D G-normal laws: a box and a three-generator, diagonally dominant hull;
 # and linear images M X whose image set is a hull, which expect solves on X's
@@ -211,7 +226,8 @@ CASES = [
 
 @pytest.mark.parametrize("name, compute, exact",
                          [pytest.param(*c, id=c[0]) for c in CASES] + list(_off_grid_kinks())
-                         + list(_gnormal_2d()) + list(_pulled_back_images()) + POOL_MISSES)
+                         + list(_gnormal_2d()) + list(_pulled_back_images()) + POOL_MISSES
+                         + COARSE_MISSES)
 def test_error_estimate_bounds_the_error(name, compute, exact):
     res = compute()
     err = abs(res.value - exact)
