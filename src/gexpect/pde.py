@@ -229,13 +229,11 @@ def build_grid(sigma_high_sqs, phi: TestFunction, cfg: SolverConfig,
     at spacing h if given, else cfg.h, else one derived from the variances.
 
     The step count comes from _steps at the stencil weight cfl_denominator,
-    at least the costliest step's off-centre coefficients times h^2 / dt: a
-    box's sum of sigma_high_sq by default, a nested solve its largest
-    sigma_high_sq (each sweep steps at its own, and the budget counts the
-    costliest sweep on the full grid), and a hull the largest sum of |b_ij|
-    over its generators, b00 + b11 + 2 |b01|. That exceeds a generator's
-    9-point off-centre sum, b00 + b11 - |b01|, wherever b01 != 0, so a hull
-    takes more steps than monotonicity needs, each still monotone.
+    the costliest step's off-centre coefficients times h^2 / dt: a box's sum
+    of sigma_high_sq by default, a nested solve its largest sigma_high_sq
+    (each sweep steps at its own, and the budget counts the costliest sweep
+    on the full grid), and a hull the largest b00 + b11 - |b01| over its
+    generators, each one's 9-point off-centre sum.
     tail_bound sums the analytic tail bound over the axes, each at its actual
     half width, which _tail_halfwidth derives from sigma and phi's growth.
     A grid of more than _CELL_STEP_BUDGET cells times steps or a tail bound
@@ -275,11 +273,11 @@ def build_grid(sigma_high_sqs, phi: TestFunction, cfg: SolverConfig,
 def _steps(h: float, weight: float) -> int:
     """The fewest whole explicit steps to time 1 at spacing h whose step
     1 / steps is at most dt = _CFL_SAFETY h^2 / weight; every solve and
-    sweep takes its steps from here. The weight is at least the sum of the
-    stencil's off-centre coefficients times h^2 / dt, so every step keeps
-    the scheme monotone; a larger weight takes more steps, each still
-    monotone (see build_grid for the weight of each solve). A dt of 1 or
-    more (inf where h^2 / weight overflows) is one step."""
+    sweep takes its steps from here. The weight is the sum of the costliest
+    stencil's off-centre coefficients times h^2 / dt (see build_grid for
+    the weight of each solve), so the centre coefficient is at least 1 -
+    _CFL_SAFETY and every step keeps the scheme monotone. A dt of 1 or more
+    (inf where h^2 / weight overflows) is one step."""
     dt = min(_CFL_SAFETY * h * h / max(weight, 1e-300), 1.0)
     _require_finite_positive(h=h, dt=dt)
     # the tolerance is relative: 1 / (1 / s) can exceed s by more than any
@@ -961,7 +959,7 @@ def solve_gheat_hull(hull: ConvexHull, phi: TestFunction, *,
         phi, cfg, [max(b[i, i] for b in gens) for i in range(2)],
         lambda u, g: (_fold_and_cone(u, 2, g.steps, False, lambda v, k, ghosts, point:
                                      _advance_hull(v, gens, g.lam, k, point)), g.steps),
-        # the widest generator's sum of |b_ij|, b00 + b11 + 2 |b01|: at least
-        # its stencil's off-centre sum b00 + b11 - |b01| (see build_grid)
-        cfl_denominator=max(float(np.abs(b).sum()) for b in gens),
+        # each generator's 9-point stencil has off-centre coefficients
+        # summing to lam (b00 + b11 - |b01|), each >= 0 by dominance
+        cfl_denominator=max(b[0, 0] + b[1, 1] - abs(b[0, 1]) for b in gens),
     )

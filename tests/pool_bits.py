@@ -8,14 +8,16 @@ Each SRC is a directory holding a ``gexpect`` package (a checkout's
 ``gnormal`` and ``sequential`` pools of ``perfbench/cases.py`` (read from
 this checkout, not changed) at each seed, and ``python -W error -m gexpect
 run --scenario all`` writes the default catalog CSV. The script prints, per
-pool, how many of the calls' values and error estimates moved and the
-largest move relative to 1 + |value|, and whether the two CSVs are the same
-bytes. It also prints one line per module of the ``gexpect`` package:
-whether its code is unchanged (the same AST once docstrings are removed)
-and its code lines in each tree, counted by ``tokenize`` as the lines that
-hold a token other than a comment, a docstring or a layout token. It exits
-0 when no value moved, else 1, whatever the code lines say. Pytest does not
-collect it.
+pool and then per law of the pool (the first word of a case's label:
+``hull``, ``box-4``, ``interval``...), how many of the calls' values and
+error estimates moved, the largest move relative to 1 + |value| and the
+largest value move relative to the old plus the new error estimate, and
+whether the two CSVs are the same bytes. It also prints one line per
+module of the ``gexpect`` package: whether its code is unchanged (the same
+AST once docstrings are removed) and its code lines in each tree, counted
+by ``tokenize`` as the lines that hold a token other than a comment, a
+docstring or a layout token. It exits 0 when no value moved, else 1,
+whatever the code lines say. Pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import ast
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -42,8 +45,9 @@ def _seeds(text: str) -> list:
 
 
 def _dump(seeds) -> dict:
-    """{pool: [[value, error estimate] as hex floats, or the error raised]},
-    every case of every seed in order; runs in the child."""
+    """{pool: [[law, [value, error estimate] as hex floats, or the error
+    raised]]}, every case of every seed in order, law the first word of the
+    case's label; runs in the child."""
     import cases
 
     out = {}
@@ -53,10 +57,10 @@ def _dump(seeds) -> dict:
             for case in cases.WORKLOAD_CASES[pool](seed):
                 try:
                     res = case.call()
+                    got = [float(res.value).hex(), float(res.error_estimate).hex()]
                 except Exception as exc:  # a refusal is a result to compare too
-                    rows.append(f"{type(exc).__name__}: {exc}")
-                    continue
-                rows.append([float(res.value).hex(), float(res.error_estimate).hex()])
+                    got = f"{type(exc).__name__}: {exc}"
+                rows.append([case.label.split()[0], got])
     return out
 
 
@@ -71,19 +75,25 @@ def _run(src: Path, seeds, tmp: Path) -> tuple:
     return json.loads(pools), csv.read_bytes()
 
 
-def _moves(old: list, new: list) -> tuple:
-    """(calls whose value or estimate moved, largest move / (1 + |value|))."""
-    moved, worst = 0, 0.0
-    for a, b in zip(old, new, strict=True):
+def _moves(pairs) -> str:
+    """The line "N of M calls moved" over the (old, new) results; if any
+    moved, with the largest move / (1 + |value|) and the largest |value
+    move| / (old + new estimate)."""
+    moved, worst, vs_estimates = 0, 0.0, 0.0
+    for a, b in pairs:
         if a == b:
             continue
         moved += 1
         if isinstance(a, str) or isinstance(b, str):
-            worst = float("inf")
+            worst = vs_estimates = math.inf
             continue
-        for x, y in zip(map(float.fromhex, a), map(float.fromhex, b)):
-            worst = max(worst, abs(y - x) / (1.0 + abs(x)))
-    return moved, worst
+        (x, ex), (y, ey) = map(float.fromhex, a), map(float.fromhex, b)
+        worst = max(worst, abs(y - x) / (1.0 + abs(x)), abs(ey - ex) / (1.0 + abs(ex)))
+        if y != x:
+            vs_estimates = max(vs_estimates, abs(y - x) / (ex + ey) if ex + ey else math.inf)
+    line = f"{moved} of {len(pairs)} calls moved"
+    return line + (f", largest move {worst:.3g} of 1 + |value| and {vs_estimates:.3g} of the "
+                   "two estimates" if moved else "")
 
 
 def _code(path: Path) -> tuple:
@@ -139,10 +149,12 @@ def main(argv=None) -> int:
                                           for src in (args.old, args.new))
     same = True
     for pool in POOLS:
-        moved, worst = _moves(old[pool], new[pool])
-        same &= moved == 0
-        print(f"{pool}: {moved} of {len(old[pool])} calls moved over seeds {args.seeds}, "
-              f"largest move {worst:.3g} of 1 + |value|")
+        laws = [law for law, _ in old[pool]]
+        pairs = [(a, b) for (_, a), (_, b) in zip(old[pool], new[pool], strict=True)]
+        same &= all(a == b for a, b in pairs)
+        print(f"{pool} over seeds {args.seeds}: {_moves(pairs)}")
+        for law in sorted(set(laws)):
+            print(f"  {law}: {_moves([p for p, at in zip(pairs, laws) if at == law])}")
     digests = [hashlib.sha256(b).hexdigest()[:12] for b in (old_csv, new_csv)]
     same &= old_csv == new_csv
     print(f"catalog CSV: {'identical' if old_csv == new_csv else 'differs'} "

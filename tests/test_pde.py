@@ -285,6 +285,46 @@ class TestSolveHull:
                               cfg=SolverConfig(h=0.25))
         assert rh.value == pytest.approx(rd.value, abs=1e-9)
 
+    @pytest.mark.parametrize("gens", [
+        (np.array([[2.0, 1.0], [1.0, 1.5]]),),
+        (np.array([[1.0, -0.5], [-0.5, 3.0]]),),
+        (np.array([[2.0, 1.0], [1.0, 1.5]]), np.array([[1.0, -0.5], [-0.5, 3.0]]),
+         np.diag([4.0, 1.0])),
+    ], ids=["plus", "minus", "three"])
+    def test_steps_at_the_stencil_weight(self, gens):
+        # dt is sized by the largest 9-point off-centre sum b00 + b11 - |b01|
+        rep = solve_gheat_hull(ConvexHull(gens), XY, cfg=FAST)
+        assert rep.steps_taken == pde._steps(FAST.h, max(b[0, 0] + b[1, 1] - abs(b[0, 1])
+                                                          for b in gens))
+
+    @pytest.mark.parametrize("b01", [1.0, -1.0])
+    def test_the_stencil_weight_is_the_exact_monotone_bound(self, b01, monkeypatch):
+        # B = [[2, b01], [b01, 1.5]] has weight w = b00 + b11 - |b01| = 2.5. The
+        # solver's lam is _CFL_SAFETY / w up to the rounding of its step
+        # count. One step keeps a pair u <= v that differs at one node in
+        # order at lam = 1 / w, where the centre coefficient 1 - lam w is 0,
+        # and swaps it 5% above
+        gens, w, lams = (np.array([[2.0, b01], [b01, 1.5]]),), 2.5, []
+        advance = pde._advance_hull
+
+        def spy(u, gens, lam, steps, point=False):
+            lams.append(lam)
+            advance(u, gens, lam, steps, point)
+
+        monkeypatch.setattr(pde, "_advance_hull", spy)
+        solve_gheat_hull(ConvexHull(gens), XY, cfg=FAST)
+        assert 0.99 / w <= lams[0] / pde._CFL_SAFETY <= 1.0 / w
+
+        def step(u, lam):
+            out = u.copy()
+            advance(out, gens, lam, 1)
+            return out
+
+        u, v = np.zeros((9, 9)), np.zeros((9, 9))
+        v[4, 4] = 1.0
+        assert np.all(step(v, 1.0 / w) >= step(u, 1.0 / w) - 1e-15)
+        assert step(v, 1.05 / w)[4, 4] < step(u, 1.05 / w)[4, 4] - 0.04
+
     def test_rejects_non_dominant_generator(self):
         hull = ConvexHull((np.array([[1.0, 2.0], [2.0, 5.0]]),))
         with pytest.raises(GExpectError, match="diagonally dominant"):
@@ -519,7 +559,7 @@ class TestKernelEquivalence:
         gens = (np.array([[2.0, 1.0], [1.0, 1.5]]), np.array([[1.0, -0.5], [-0.5, 3.0]]),
                 np.diag([4.0, 1.0]))
         h = 0.2
-        dt = 0.4 * h * h / max(float(np.abs(b).sum()) for b in gens)
+        dt = _hull_dt(gens, h)
         u0 = _rough((27, 33), 5)
         got = u0.copy()
         pde._advance_hull(got, gens, dt / (h * h), 30)
@@ -539,7 +579,7 @@ def _box_dt(ivs, h):
 
 
 def _hull_dt(gens, h):
-    return 0.4 * h * h / max(float(np.abs(b).sum()) for b in gens)
+    return 0.4 * h * h / max(b[0, 0] + b[1, 1] - abs(b[0, 1]) for b in gens)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -732,7 +772,7 @@ class TestCone:
     def test_hull_centre(self, steps):
         gens = (np.array([[2.0, 1.0], [1.0, 1.5]]), np.array([[1.0, -0.5], [-0.5, 3.0]]))
         h = 0.2
-        dt = 0.4 * h * h / max(float(np.abs(b).sum()) for b in gens)
+        dt = _hull_dt(gens, h)
         u0 = _rough((27, 33), 5)
         got = _hull_solve(u0.copy(), gens, dt / (h * h), steps)
         assert _same_bits(np.float64(got), _centre(_ref_run_hull(u0, gens, h, dt, steps)))

@@ -93,6 +93,41 @@ def test_advance_diag_monotone_constant_translation(seed, shift):
     assert np.allclose(shifted, su + shift)  # constants pass through
 
 
+def _dominant_generator(parts):
+    # b_ii = |b01| + extra_i; zero draws give the edge cases b01 = 0 and b_ii = |b01|
+    off, extra0, extra1, sign = parts
+    return np.array([[off + extra0, sign * off], [sign * off, off + extra1]])
+
+
+dominant_hulls = st.lists(
+    st.tuples(*[st.just(0.0) | st.floats(0.01, 2.0)] * 3, st.sampled_from([-1.0, 1.0]))
+    .map(_dominant_generator), min_size=1, max_size=3,
+).filter(lambda gens: any(b.any() for b in gens))
+
+
+@given(gens=dominant_hulls, seed=st.integers(0, 2**32 - 1), shift=st.floats(0.0, 2.0))
+@settings(max_examples=25, deadline=None)
+def test_advance_hull_monotone_constant_translation(gens, seed, shift):
+    # one step at the lam build_grid derives from the hull's weight, the
+    # largest b00 + b11 - |b01| (the 9-point stencil's off-centre sum)
+    rng = np.random.default_rng(seed)
+    phi = TestFunction(lambda x, y: 0.0 * x, arity=2, growth_order=1, growth_const=1.0)
+    weight = max(b[0, 0] + b[1, 1] - abs(b[0, 1]) for b in gens)
+    grid = pde.build_grid([max(b[i, i] for b in gens) for i in range(2)], phi,
+                          SolverConfig(h=0.25), weight)
+
+    def step(w):
+        out = w.copy()
+        pde._advance_hull(out, gens, grid.lam, 1)
+        return out
+
+    u = rng.standard_normal((15, 17))
+    v = u + rng.uniform(0.0, 1.0, u.shape)
+    su, sv = step(u), step(v)
+    assert np.all(sv >= su - 1e-12)  # monotone
+    assert np.allclose(step(u + shift), su + shift)  # constants pass through
+
+
 @given(sig_sqs=st.lists(st.just(0.0) | st.floats(1e-4, 16.0), min_size=1,
                         max_size=3).filter(any),
        h=st.none() | st.floats(0.05, 4.0), order=st.integers(0, 4),
