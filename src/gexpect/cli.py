@@ -134,44 +134,27 @@ def _names(text: str) -> list:
     return [name.strip() for name in text.split(",")]
 
 
-def _read_config_file(path: str, flags) -> dict:
-    """key = value lines; '#' starts a comment. A key is a run flag's name
-    without its dashes ('-' and '_' alike), and its value converts through
-    that flag's type and choices. A repeated key overrides, except that a
-    repeated scenario key extends the list, as the repeatable flag does.
-    Returns {dest: value}."""
-    # every flag's dest is its name, '-' read as '_'
-    keys = {action.dest.replace("_", "-"): action for action in flags}
+def _config_flags(path: str) -> list:
+    """Each `key = value` line of a config file as the run flag `--key=value`,
+    a key's '_' read as '-'; '#' starts a comment. A file may not name
+    another config file."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise GExpectError(f"cannot read config file {path}: {exc}") from None
-    values = {}
+    flags = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise GExpectError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        action = keys.get(key.replace("_", "-"))
-        if action is None:
-            raise GExpectError(f"{path}:{lineno}: unknown key {key!r}; valid keys: "
-                               + ", ".join(keys))
-        try:
-            value = (action.type or str)(val)
-        except ValueError:
-            raise GExpectError(f"{path}:{lineno}: {key}: expected {action.type.__name__}, "
-                               f"got {val!r}") from None
-        if action.choices is not None and value not in action.choices:
-            raise GExpectError(f"{path}:{lineno}: {key}: expected one of "
-                               f"{', '.join(action.choices)}, got {val!r}")
-        if isinstance(value, list):  # only --scenario's type gives a list
-            values.setdefault(action.dest, []).extend(value)
-        else:
-            values[action.dest] = value
-    return values
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key == "config":
+            raise GExpectError(f"{path}:{lineno}: a config file cannot name another")
+        flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,27 +171,32 @@ def parse_args(argv) -> RunConfig:
         description="Numerical comparisons of G-normal and sequentially independent "
                     "random vectors under sublinear expectation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="run scenarios and write a report")
-    run.add_argument("--config", default=None,
-                     help="config file of 'flag = value' lines; flags override it")
-    flags = [
-        run.add_argument("--scenario", action="extend", type=_names, default=None,
-                         metavar="NAME", help="scenario names, comma-separated, or 'all' "
-                                              "(repeatable); names: " + ", ".join(SCENARIO_NAMES)),
-        run.add_argument("--sigma-low-sq", type=float, default=None),
-        run.add_argument("--sigma-high-sq", type=float, default=None),
-        run.add_argument("--alpha", type=float, default=None),
-        run.add_argument("--h", type=float, default=None, help="grid spacing override"),
-        run.add_argument("--t", type=float, default=None, help="time horizon (default 1)"),
-        run.add_argument("--tol", type=float, default=None, help="solver target tolerance"),
-        run.add_argument("--out", default=None, help="report file path (default: stdout only)"),
-        run.add_argument("--report", choices=("csv", "md"), default=None),
-    ]
+    # one spelling per flag: argparse would otherwise take a prefix (--rep)
+    run = sub.add_parser("run", allow_abbrev=False, help="run scenarios and write a report")
+    run.add_argument("--config", help="config file of 'flag = value' lines; flags override it")
+    run.add_argument("--scenario", action="extend", type=_names, metavar="NAME",
+                     help="scenario names, comma-separated, or 'all' (repeatable); names: "
+                          + ", ".join(SCENARIO_NAMES))
+    run.add_argument("--sigma-low-sq", type=float)
+    run.add_argument("--sigma-high-sq", type=float)
+    run.add_argument("--alpha", type=float)
+    run.add_argument("--h", type=float, help="grid spacing override")
+    run.add_argument("--t", type=float, help="time horizon (default 1)")
+    run.add_argument("--tol", type=float, help="solver target tolerance")
+    run.add_argument("--out", help="report file path (default: stdout only)")
+    run.add_argument("--report", choices=("csv", "md"))
     ns = parser.parse_args(argv)
-
-    values = _read_config_file(ns.config, flags) if ns.config else {}
-    values.update((a.dest, getattr(ns, a.dest)) for a in flags
-                  if getattr(ns, a.dest) is not None)
+    if ns.config:
+        # the file's flags go first, so the command line's win (a repeated
+        # --scenario extends); the first parse checked the command line, so
+        # an error now is the file's
+        flags = _config_flags(ns.config)
+        try:
+            ns = parser.parse_args([argv[0], *flags, *argv[1:]])
+        except GExpectError as exc:
+            raise GExpectError(f"{ns.config}: {exc}") from None
+    values = {k: v for k, v in vars(ns).items()
+              if v is not None and k not in ("command", "config")}
     scenarios = values.pop("scenario", None)
     if scenarios is not None:
         # 'all' expands in place, so a name beside it is still checked

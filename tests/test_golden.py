@@ -1,9 +1,9 @@
 """Golden safety net: two fixed CLI reports and eleven pinned solves.
 
 The golden CSVs were written by ``gexpect run``: one with GOLDEN_ARGV
-below, which covers nested solves and 2D box solves at h = 0.25, and one
-with the default settings (the whole catalog at each scenario's derived
-grid). Every assertion of both passes.
+below, whose config file ``report_h0.25.cfg`` selects nested solves and 2D
+box solves at h = 0.25, and one with the default settings (the whole
+catalog at each scenario's derived grid). Every assertion of both passes.
 Numeric columns compare within rel 1e-9 / abs 1e-12, but assertion texts
 compare as text, and some print rounding-level residues (such as
 |lhs-rhs|=1.378e-12), so a change that only moves values at rounding
@@ -12,7 +12,7 @@ level can still change the text and need the file regenerated.
 Regenerate (only when a change is meant to move the numbers, and after
 checking row by row that every value moves by less than the old row's
 error_estimate and no pass flag flips to fail) with
-    python -m gexpect run <GOLDEN_ARGV> --out tests/golden/report_h0.25.csv
+    python -m gexpect run --config tests/golden/report_h0.25.cfg --out tests/golden/report_h0.25.csv
     python -m gexpect run <DEFAULT_ARGV> --out tests/golden/report_default.csv
 """
 
@@ -30,9 +30,7 @@ from gexpect.pde import SolverConfig, solve_gheat_diag, solve_gheat_hull
 from gexpect.testfuncs import XY_SQUARED, TestFunction
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
-GOLDEN_ARGV = ["run", "--scenario", "asymmetric-independence", "--scenario", "quadratic-form",
-               "--scenario", "reverse-independence", "--scenario", "invertible-scan",
-               "--scenario", "diag-not-indep", "--h", "0.25"]
+GOLDEN_ARGV = ["run", "--config", str(GOLDEN_DIR / "report_h0.25.cfg")]
 DEFAULT_ARGV = ["run", "--scenario", "all"]
 NUMERIC_COLUMNS = {"value", "error_estimate", "margin"}
 

@@ -2,13 +2,16 @@
 on an expression matches the value it computes, by prefix with a trailing
 `...` dropped (`# -> 2.3936...` accepts 2.39366...). The names that README
 and the library's module docstrings cite name something that exists, so a
-rename cannot leave a stale copy behind."""
+rename cannot leave a stale copy behind. README's config-file example
+parses through the run's own parser to the values it names."""
 
 import ast
 import importlib
 import json
 import re
 from pathlib import Path
+
+from gexpect import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -32,6 +35,17 @@ def test_readme_python_values_match_their_comments():
             assert str(value).startswith(want), f"README line {stmt.lineno}: {value} is not {want}..."
             checked += 1
     assert checked >= 3
+
+
+def test_readme_config_example_parses_to_the_values_it_names(tmp_path):
+    # the documented file format is the one the run reads
+    blocks = re.findall(r"```ini\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1 and len(blocks[0].splitlines()) == 3
+    cfgfile = tmp_path / "experiment.cfg"
+    cfgfile.write_text(blocks[0], encoding="utf-8")
+    cfg = cli.parse_args(["run", "--config", str(cfgfile)])
+    assert cfg.scenarios == ("symmetry-identity", "diag-not-indep")
+    assert (cfg.sigma_high_sq, cfg.h) == (9.0, 0.2)
 
 
 def _resolves(module: str, path: str) -> bool:
